@@ -1,4 +1,4 @@
-"""Ablation benches beyond the paper (DESIGN.md §6).
+"""Ablation benches beyond the paper (``repro.experiments.ablations``).
 
 Not reproductions of any paper figure — these isolate the design choices
 the paper asserts but does not measure: the four-level BPRU categorisation

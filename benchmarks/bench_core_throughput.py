@@ -20,12 +20,8 @@ root::
     # same-process A/B: cycle-skip off vs on over the stall-heavy suite
     PYTHONPATH=src python benchmarks/bench_core_throughput.py --skip-interleave
 
-    # same-process A/B: run-batch off vs on over the front-end suite
-    PYTHONPATH=src python benchmarks/bench_core_throughput.py --run-batch-interleave
-
-    # CI: fail when the kernel speedup, the cycle-skip speedup, the
-    # run-batch ratio, or (lacking interleaved records) absolute
-    # committed-IPS regresses
+    # CI: fail when the kernel speedup, the cycle-skip speedup, or
+    # (lacking interleaved records) absolute committed-IPS regresses
     PYTHONPATH=src python benchmarks/bench_core_throughput.py --check
 
 The suite is deliberately fixed (benchmarks, mechanisms, run lengths,
@@ -320,107 +316,6 @@ def measure_skip_interleaved(repeats: int = 3) -> Dict:
     }
 
 
-def run_batch_suite_cells() -> List[Tuple[str, bool, object, object]]:
-    """The fixed run-batch A/B suite: (label, mechanism, on, off).
-
-    The mechanism cells are front-end-bound by construction — a 16-wide
-    machine with a deep fetch buffer on the long-basic-block workloads —
-    because whole-run admission amortises its per-run setup over the
-    straight-line instructions between taken branches, and those cells
-    maximise that span.  Two standard-width short-block cells ride along
-    as overhead guards: batching must not slow down workloads whose runs
-    rarely clear the admission threshold.  ``mechanism`` marks the cells
-    whose aggregate ratio the CI gate enforces.
-    """
-    base = table3_config()
-    wide = replace(
-        base,
-        fetch_width=16, decode_width=16, issue_width=16, commit_width=16,
-        rob_size=256, iq_size=128, lsq_size=128, fetch_buffer_size=64,
-    )
-    cells: List[Tuple[str, bool, object, object]] = []
-    for benchmark in ("crafty", "bzip2", "go", "parser"):
-        on = SimCell(
-            benchmark=benchmark, controller_spec=("baseline",),
-            config=replace(wide, run_batch=True),
-            instructions=_INSTRUCTIONS, warmup=_WARMUP,
-        )
-        off = replace(on, config=replace(wide, run_batch=False))
-        cells.append((f"{benchmark}/wide16", True, on, off))
-    for benchmark in ("gcc", "twolf"):
-        on = SimCell(
-            benchmark=benchmark, controller_spec=("baseline",),
-            config=replace(base, run_batch=True),
-            instructions=_INSTRUCTIONS, warmup=_WARMUP,
-        )
-        off = replace(on, config=replace(base, run_batch=False))
-        cells.append((f"{benchmark}/table3", False, on, off))
-    return cells
-
-
-def measure_run_batch_interleaved(repeats: int = 3) -> Dict:
-    """Same-process batch-on vs batch-off A/B over the run-batch suite.
-
-    Pairing follows ``measure_skip_interleaved``: for every cell the
-    batch-off and batch-on runs are timed back to back and each side
-    keeps its per-cell best over ``repeats`` passes.  The simulated work
-    is bit-identical on both sides (``run_batch`` is excluded from
-    result fingerprints and proven invisible by the kernel-equivalence
-    suite), so off/on wall-time is exactly the batching's payoff.
-    """
-    cells = run_batch_suite_cells()
-    best_on = {label: float("inf") for label, *_ in cells}
-    best_off = {label: float("inf") for label, *_ in cells}
-    for _ in range(max(1, repeats)):
-        for label, _, on, off in cells:
-            start = time.perf_counter()
-            simulate(off)
-            off_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            simulate(on)
-            on_seconds = time.perf_counter() - start
-            best_off[label] = min(best_off[label], off_seconds)
-            best_on[label] = min(best_on[label], on_seconds)
-    rows = [
-        {
-            "cell": label,
-            "mechanism": mechanism,
-            "off_seconds": best_off[label],
-            "on_seconds": best_on[label],
-            "ratio": best_off[label] / best_on[label],
-        }
-        for label, mechanism, _, _ in cells
-    ]
-    mech_off = sum(row["off_seconds"] for row in rows if row["mechanism"])
-    mech_on = sum(row["on_seconds"] for row in rows if row["mechanism"])
-    total_off = sum(row["off_seconds"] for row in rows)
-    total_on = sum(row["on_seconds"] for row in rows)
-    return {
-        "schema": _SCHEMA,
-        "instructions": _INSTRUCTIONS,
-        "warmup": _WARMUP,
-        "cells": len(rows),
-        "repeats": max(1, repeats),
-        "off_seconds": total_off,
-        "on_seconds": total_on,
-        "ratio": total_off / total_on,
-        "mechanism_ratio": mech_off / mech_on,
-        "per_cell": rows,
-    }
-
-
-def _print_run_batch_summary(result: Dict) -> None:
-    for row in result["per_cell"]:
-        print(
-            f"  {row['cell']:32s} off {row['off_seconds']:.3f}s "
-            f"on {row['on_seconds']:.3f}s -> {row['ratio']:.2f}x"
-        )
-    print(
-        f"run-batch speedup: {result['ratio']:.2f}x overall, "
-        f"{result['mechanism_ratio']:.2f}x on the gated mechanism cells"
-    )
-
-
 def _print_skip_summary(result: Dict) -> None:
     for row in result["per_cell"]:
         print(
@@ -493,20 +388,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     mode.add_argument(
-        "--run-batch-interleave", action="store_true",
-        help=(
-            "same-process A/B: alternate run-batch-off and run-batch-on "
-            "runs over the front-end-bound suite and record the ratio "
-            "(run after --record; --check then gates on it)"
-        ),
-    )
-    mode.add_argument(
         "--check", action="store_true",
         help=(
             "fail if the interleaved kernel-speedup ratio, the cycle-skip "
-            "speedup, the run-batch ratio (when recorded), or — without "
-            "an interleaved record — absolute committed IPS drops below "
-            "the record"
+            "speedup (when recorded), or — without an interleaved record "
+            "— absolute committed IPS drops below the record"
         ),
     )
     parser.add_argument(
@@ -540,21 +426,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote cycle-skip speedup to {path}")
         return 0
 
-    if options.run_batch_interleave:
-        result = measure_run_batch_interleaved(repeats=max(2, options.repeats))
-        _print_run_batch_summary(result)
-        payload = _load(path) if os.path.exists(path) else {"schema": _SCHEMA}
-        payload.setdefault("current", {})["run_batch"] = result
-        _store(path, payload)
-        print(f"wrote run-batch ratio to {path}")
-        return 0
-
     if options.check:
         payload = _load(path)
         interleaved = payload.get("current", {}).get("interleaved")
         skip = payload.get("current", {}).get("skip")
-        run_batch = payload.get("current", {}).get("run_batch")
-        if interleaved or skip or run_batch:
+        if interleaved or skip:
             status = 0
             if interleaved:
                 result = measure_interleaved(repeats=max(2, options.repeats))
@@ -596,27 +472,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     status = 1
                 else:
                     print("OK: cycle-skip speedup within tolerance")
-            if run_batch:
-                result = measure_run_batch_interleaved(
-                    repeats=max(2, options.repeats)
-                )
-                _print_run_batch_summary(result)
-                recorded = run_batch["mechanism_ratio"]
-                floor = recorded * (1.0 - options.tolerance)
-                measured = result["mechanism_ratio"]
-                print(
-                    f"recorded run-batch ratio {recorded:.2f}x, floor "
-                    f"{floor:.2f}x, measured {measured:.2f}x"
-                )
-                if measured < floor:
-                    print(
-                        "FAIL: run-batch ratio on the gated mechanism "
-                        f"cells regressed more than {options.tolerance:.0%} "
-                        "below BENCH_core.json"
-                    )
-                    status = 1
-                else:
-                    print("OK: run-batch ratio within tolerance")
             return status
         measurement = measure(repeats=options.repeats)
         _print_summary("measured", measurement)

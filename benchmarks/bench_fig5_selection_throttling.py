@@ -24,7 +24,7 @@ def test_figure5_selection_throttling(benchmark, runner, capsys):
     # The paper's headline: Selective Throttling beats Pipeline Gating on
     # energy-delay.  (In the paper the single best point is C2; on our
     # synthetic substrate the no-select increment is weaker, so the claim
-    # is checked for the best of the C-family — see EXPERIMENTS.md.)
+    # is checked for the best of the C-family.)
     best_c = max(
         averages[name]["ed_improvement_pct"]
         for name in ("C1", "C2", "C3", "C4", "C5", "C6")

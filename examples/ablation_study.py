@@ -1,6 +1,7 @@
 """Ablations: what each design choice of Selective Throttling buys.
 
-Runs the three ablations of DESIGN.md §6 on a subset of the suite:
+Runs three ablations of ``repro.experiments.ablations`` on a subset of
+the suite:
 
 1. estimator swap    — C2 on BPRU (the paper's choice) vs JRS vs oracle;
 2. escalation rule   — the §4.2 escalate-only rule on vs off;

@@ -8,7 +8,7 @@ Examples::
     python -m repro figure3 --bars energy  # per-benchmark text bars
     python -m repro figure5 --csv out.csv  # machine-readable export
     python -m repro run go C2              # one benchmark x one policy
-    python -m repro ablations              # the DESIGN.md §6 studies
+    python -m repro ablations              # ablation studies beyond the paper
     python -m repro trace record go go.trace.gz   # replayable trace
     python -m repro trace replay go.trace.gz --verify
     python -m repro study list             # every registered StudySpec

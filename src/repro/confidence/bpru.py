@@ -8,7 +8,7 @@ mapped onto the four confidence levels — counter 0-1 = VHC, 2-3 = HC,
 *underlying branch predictor's* saturating counter provides the estimate
 (weakly taken / weakly not-taken => LC, strong => HC).
 
-Substitution note (see DESIGN.md): BPRU assesses confidence by *predicting
+Substitution note: BPRU assesses confidence by *predicting
 the branch's source values* and pre-executing the branch — on a value hit
 its confidence is essentially exact.  We model the value predictor
 functionally rather than structurally: each estimate scores a value hit

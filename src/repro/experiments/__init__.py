@@ -1,5 +1,5 @@
 """Experiment drivers: everything needed to regenerate the paper's tables
-and figures (see DESIGN.md for the experiment index)."""
+and figures (``python -m repro list`` prints the experiment index)."""
 
 from repro.experiments.campaign import CampaignResult, run_campaign, summarize
 from repro.experiments.engine import (

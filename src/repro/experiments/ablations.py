@@ -1,4 +1,4 @@
-"""Ablation studies beyond the paper's own experiments (DESIGN.md §6).
+"""Ablation studies beyond the paper's own experiments.
 
 Each function isolates one design choice of Selective Throttling:
 

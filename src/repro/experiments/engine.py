@@ -562,9 +562,7 @@ def smt_baseline_cells(cell: SmtCell) -> List[SimCell]:
 # array/object stage representation (tests/test_kernel_equivalence.py),
 # and hashing any of them would split the cache by debug/observability/
 # representation mode.
-_NON_RESULT_FIELDS = frozenset(
-    {"sanitize", "telemetry", "kernel", "cycle_skip", "run_batch"}
-)
+_NON_RESULT_FIELDS = frozenset({"sanitize", "telemetry", "kernel", "cycle_skip"})
 
 
 def _config_items(config: ProcessorConfig) -> List[Tuple[str, object]]:

@@ -19,7 +19,8 @@ from repro.experiments.results import ComparisonResult
 from repro.experiments.runner import ControllerSpec, ExperimentRunner
 from repro.utils.stats import arithmetic_mean, geometric_mean
 
-# Paper averages for quick shape checks (EXPERIMENTS.md records the full set).
+# Paper averages for quick shape checks (the benchmarks/bench_fig*.py
+# docstrings quote the per-figure claims).
 PAPER_FIGURE1 = {
     "oracle-fetch": {"speedup": 1.05, "power": 21.0, "energy": 24.0, "ed": 28.0},
 }

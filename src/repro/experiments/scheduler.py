@@ -59,8 +59,15 @@ def shared_pool(workers: int) -> ProcessPoolExecutor:
     different ``workers``.  Worker processes keep their per-process
     program memo between batches, which is where the warm-pool win on
     short-cell suites comes from.
+
+    A pool whose worker died is broken for good (every later submission
+    raises ``BrokenProcessPool``), so it is dropped and replaced here;
+    the next caller gets a working pool.
     """
     global _POOL, _POOL_WORKERS
+    if _POOL is not None and getattr(_POOL, "_broken", False):
+        _POOL.shutdown(wait=False)
+        _POOL = None
     if _POOL is None or _POOL_WORKERS != workers:
         if _POOL is not None:
             _POOL.shutdown(wait=True)

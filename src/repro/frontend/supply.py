@@ -29,19 +29,6 @@ step per stamp.  Table compilation is cached on the ``Program`` instance,
 so the many cells of a figure sweep that share a memoised program compile
 once.
 
-**Run metadata.**  On top of the record streams, ``CompiledSupply``
-exposes *runs* — a block's contiguous straight-line body — to the
-run-batched fetch path: parallel per-record rings ``_run_meta`` /
-``_run_pos`` give each true-path record its block's
-:class:`RunTemplate` (statics, line-span anchor address, memory-slot
-positions, per-run register prefix counts) and its position inside the
-block, and :meth:`InstructionSupply.wrong_packet_run` returns the same
-template alongside a wrong-path packet.  Supplies without precompiled
-tables (``LiveSupply``, and ``TraceSupply``'s replayed true path)
-expose ``_run_meta = None`` — the generic fallback in which every
-record is its own length-1 run and fetch takes the per-instruction
-path, keeping all three supplies bit-identical.
-
 Bit-exactness against the seed walker is enforced by
 ``tests/test_frontend_supply.py`` (stream parity on every calibrated
 benchmark plus adversarial CFG shapes) and, end to end, by the 38 golden
@@ -101,15 +88,6 @@ class InstructionSupply:
 
     __slots__ = ("program",)
 
-    # Run metadata for the run-batched fetch path: rings parallel to
-    # ``_records`` holding each record's block RunTemplate and in-block
-    # position.  ``None`` (the base default) means the supply exposes no
-    # precompiled runs — every record is its own length-1 run and the
-    # fetch stage takes its per-instruction path, which is the generic
-    # fallback that keeps all supplies bit-identical.
-    _run_meta = None
-    _run_pos = None
-
     def get(self, stream_index: int) -> DynamicRecord:
         """Return the true-path record at an absolute stream index."""
         raise NotImplementedError
@@ -132,17 +110,6 @@ class InstructionSupply:
         of a packet may be a control instruction.
         """
         raise NotImplementedError
-
-    def wrong_packet_run(self, cursor):
-        """:meth:`wrong_packet` plus the packet's :class:`RunTemplate`.
-
-        Returns ``(records, end_cursor, template)``.  ``template`` is
-        ``None`` whenever the packet carries no precompiled
-        straight-line run (the generic length-1-run fallback), which is
-        the base behaviour for supplies without block tables.
-        """
-        records, end_cursor = self.wrong_packet(cursor)
-        return records, end_cursor, None
 
 
 def _packet_via_navigator(navigator: WrongPathNavigator, cursor):
@@ -201,60 +168,6 @@ class LiveSupply(InstructionSupply):
 # Pre-lowered block tables
 # ----------------------------------------------------------------------
 
-# A run template is a plain tuple — the fetch hot loop unpacks all six
-# fields in one bytecode op instead of paying an attribute lookup each:
-#
-#     (body_statics, body_n, addr0, mem_positions, mem_prefix, src_prefix)
-#
-# A *run* is a block's contiguous non-control body: every static up to
-# (and excluding) a branch terminator.  The run-batched fetch path admits
-# runs en bloc — one I-cache MRU probe per spanned line, pure address
-# arithmetic on ``addr0``, batch latch appends — and emits a per-run
-# descriptor the rename stage consumes with one structural check
-# (``mem_prefix``/``src_prefix`` turn any admitted slice into its
-# LSQ-entry and register-read counts without touching statics).
-#
-# Templates exist only for *regular* blocks: all body statics
-# non-control, addresses contiguous at the 4-byte instruction stride.
-# Irregular (hand-built) blocks carry ``None`` and always take the
-# per-instruction fetch path.
-RunTemplate = tuple
-
-
-def _make_run_template(statics) -> Optional[tuple]:
-    """Compile a block's run-template tuple; ``None`` when irregular."""
-    n = len(statics)
-    body_n = n - 1 if statics[-1].is_branch else n
-    if body_n == 0:
-        return None
-    addr0 = statics[0].address
-    mem_positions: List[int] = []
-    mem_prefix = [0]
-    src_prefix = [0]
-    mem_count = 0
-    src_count = 0
-    for idx in range(body_n):
-        static = statics[idx]
-        if static.is_branch or static.address != addr0 + idx * 4:
-            return None
-        if static.is_mem:
-            mem_positions.append(idx)
-            mem_count += 1
-        sources = static.sources
-        if sources:
-            src_count += len(sources)
-        mem_prefix.append(mem_count)
-        src_prefix.append(src_count)
-    return (
-        tuple(statics[:body_n]),
-        body_n,
-        addr0,
-        tuple(mem_positions),
-        tuple(mem_prefix),
-        tuple(src_prefix),
-    )
-
-
 class _TrueBlock:
     """One basic block lowered for true-path generation.
 
@@ -277,8 +190,6 @@ class _TrueBlock:
         "dynamic",
         "variant_taken",
         "variant_not",
-        "run_meta_list",
-        "run_pos_list",
     )
 
 
@@ -301,7 +212,6 @@ class _WpBlock:
         "regular",
         "variant_taken",
         "variant_not",
-        "run_template",
     )
 
 
@@ -439,20 +349,6 @@ class CompiledTables:
             not_taken[n - 1] = _REC(term, False, block.fall_target, 0)
             entry.variant_taken = taken
             entry.variant_not = not_taken
-        # Run metadata, pre-shaped for ring extension: one shared
-        # template reference (or None for irregular blocks) and one
-        # in-block position per record.
-        # Terminator records carry ``None`` so the fetch loop's batch
-        # attempt costs branch records a single ring lookup and test.
-        run_template = _make_run_template(statics)
-        if run_template is None:
-            entry.run_meta_list = [None] * n
-        else:
-            body_n = run_template[1]
-            entry.run_meta_list = (
-                [run_template] * body_n + [None] * (n - body_n)
-            )
-        entry.run_pos_list = list(range(n))
         return entry
 
     # -- wrong-path lowering
@@ -515,10 +411,6 @@ class CompiledTables:
         entry.term_static = term
         entry.block_partial = _hash_step(seed_state, block.block_id)
         entry.regular = regular
-        # A fast-path packet always covers the whole resolved block, so
-        # the packet's run is the block's run (irregular blocks take the
-        # stepwise walk and never expose a template).
-        entry.run_template = _make_run_template(statics) if regular else None
         entry.variant_taken = None
         entry.variant_not = None
         if regular and kind == _K_COND and not mem_ops:
@@ -549,7 +441,7 @@ class CompiledSupply(InstructionSupply):
     __slots__ = (
         "seed", "_tables", "_wp_seed", "_wp_cache", "_nblocks", "_records",
         "_base", "_block_id", "_stack", "global_history", "_visit_counts",
-        "_fallback", "_run_meta", "_run_pos",
+        "_fallback",
     )
 
     def __init__(self, program: Program, seed: int) -> None:
@@ -562,11 +454,8 @@ class CompiledSupply(InstructionSupply):
         self._wp_seed = derive_seed(seed, "wrongpath")
         self._wp_cache = self._tables.wp_cache(self._wp_seed)
         self._nblocks = len(program.blocks)
-        # True-path ring (same surface as TruePathOracle), plus the
-        # parallel run-metadata rings for the run-batched fetch path.
+        # True-path ring (same surface as TruePathOracle).
         self._records: List[DynamicRecord] = []
-        self._run_meta: Optional[List[Optional[RunTemplate]]] = []
-        self._run_pos: Optional[List[int]] = []
         self._base = 0
         self._block_id = program.entry_block
         self._stack: List[int] = []
@@ -595,10 +484,6 @@ class CompiledSupply(InstructionSupply):
         drop = stream_index - self._base
         if drop > 0:
             del self._records[:drop]
-            run_meta = self._run_meta
-            if run_meta is not None:
-                del run_meta[:drop]
-                del self._run_pos[:drop]
             self._base = stream_index
 
     def _generate_blocks(self, count: int) -> None:
@@ -608,8 +493,6 @@ class CompiledSupply(InstructionSupply):
         behaviour state it advances in true-path order either way)."""
         records = self._records
         extend = records.extend
-        meta_extend = self._run_meta.extend
-        pos_extend = self._run_pos.extend
         tables = self._tables
         true_block = tables.true_block
         block_id = self._block_id
@@ -618,10 +501,6 @@ class CompiledSupply(InstructionSupply):
         produced = 0
         while produced < count:
             tb = true_block(block_id)
-            # Every branch below emits exactly this whole block, so the
-            # run-metadata rings extend once here, staying record-aligned.
-            meta_extend(tb.run_meta_list)
-            pos_extend(tb.run_pos_list)
             kind = tb.kind
             if not tb.dynamic:
                 # Fully-constant block: share the template records as-is.
@@ -778,25 +657,6 @@ class CompiledSupply(InstructionSupply):
         # FALL: the template already carries the final record.
         return records, (wpb.fall_target, 0, stack, end_step)
 
-    def wrong_packet_run(self, cursor):
-        """:meth:`wrong_packet` plus the block's precompiled run template.
-
-        Fast-path packets (top-of-block cursor, regular block) cover the
-        whole resolved block, so the packet's run template is the block's;
-        stepwise-walk packets (mid-block cursors, irregular blocks) carry
-        ``None`` and fetch falls back to its per-instruction path.
-        """
-        block_id, index, _, _ = cursor
-        if index == 0:
-            wpb = self._wp_cache.get(block_id)
-            if wpb is None:
-                wpb = self._tables.wp_block(block_id, self._wp_seed, self._wp_cache)
-            if wpb.regular:
-                records, end_cursor = self.wrong_packet(cursor)
-                return records, end_cursor, wpb.run_template
-        records, end_cursor = self._wrong_packet_slow(cursor)
-        return records, end_cursor, None
-
     def _wrong_packet_slow(self, cursor):
         """Stepwise fallback: mid-block cursors and irregular blocks."""
         navigator = self._fallback
@@ -829,12 +689,6 @@ class TraceSupply(CompiledSupply):
         super().__init__(program, seed)
         self._records = list(records)
         self._limit = len(self._records)
-        # The replayed true path comes from the recording, not the block
-        # tables, so it carries no per-record run metadata: the fetch
-        # stage treats every record as its own length-1 run (wrong paths
-        # still walk the compiled tables and keep their run templates).
-        self._run_meta = None
-        self._run_pos = None
 
     def get(self, stream_index: int) -> DynamicRecord:
         offset = stream_index - self._base

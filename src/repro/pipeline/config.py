@@ -41,14 +41,6 @@ def _cycle_skip_default() -> bool:
     return os.environ.get("REPRO_CYCLE_SKIP", "") not in ("0",)
 
 
-def _run_batch_default() -> bool:
-    """Default of ``ProcessorConfig.run_batch``: on unless REPRO_RUN_BATCH
-    is set to 0 (the batched/per-instruction A/B needs both sides in one
-    process; env-var based for the same worker-inheritance reason as the
-    others)."""
-    return os.environ.get("REPRO_RUN_BATCH", "") not in ("0",)
-
-
 def _kernel_default() -> str:
     """Default of ``ProcessorConfig.kernel``: the REPRO_KERNEL env var.
 
@@ -154,15 +146,6 @@ class ProcessorConfig:
     # (REPRO_CYCLE_SKIP=0) exists for the skip-on/skip-off benchmark A/B
     # and for bisecting a suspected skip bug.
     cycle_skip: bool = field(default_factory=_cycle_skip_default)
-
-    # Run-batched front end (array kernel): fetch, rename and commit
-    # consume whole precompiled packet runs instead of one instruction
-    # at a time.  Never affects results — a batched run is bit-identical
-    # to the per-instruction path (the 38 goldens and the
-    # kernel-equivalence property enforce it) — so it is excluded from
-    # cache fingerprints.  Off (REPRO_RUN_BATCH=0) exists for the
-    # batched/per-instruction benchmark A/B and the CI fallback smoke.
-    run_batch: bool = field(default_factory=_run_batch_default)
 
     def __post_init__(self) -> None:
         self.validate()

@@ -38,7 +38,6 @@ structures every cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional, Tuple
 
 from repro.bpred.base import BranchPredictor
@@ -154,7 +153,6 @@ class ThreadContext:
         "ctrl_has_fetch_hook", "ctrl_has_resolve_hook",
         "ctrl_has_squash_hook", "ctrl_blocks_wp_fetch",
         "fetch_mode", "true_index", "wp_cursor", "wp_packet", "wp_pos",
-        "wp_template", "run_queue",
         "wp_salt", "fetch_stall_until", "unresolved_mispredicts",
         "fetch_buffer", "fetch_latch", "decode_latch", "fetch_entries",
         "decode_entries", "renamer", "rob", "rob_entries", "iq", "lsq",
@@ -223,13 +221,6 @@ class ThreadContext:
         self.wp_cursor = None
         self.wp_packet = None
         self.wp_pos = 0
-        # Run batching (array kernel): the template of the in-progress
-        # wrong-path packet, and the queue of (first_seq, count, mem_count,
-        # src_count) run descriptors fetch pushed for rename to consume.
-        # Descriptors only ever name latch-resident instructions; branch
-        # recovery squashes the latches wholesale and clears the queue.
-        self.wp_template = None
-        self.run_queue = deque()
         self.wp_salt = 0
         self.fetch_stall_until = 0
         self.unresolved_mispredicts = 0
@@ -397,7 +388,7 @@ class Processor:
         self.observer = None
         # The telemetry probe bus; built in _finish_threads when
         # config.telemetry is set, None otherwise (and then never read:
-        # only the instrumented steppers touch it).
+        # only the checked stepper touches it).
         self.probes = None
 
     def _finish_threads(self) -> None:
@@ -419,22 +410,15 @@ class Processor:
             self.scheduler = ObjectCycleScheduler(self)
         else:
             self.scheduler = CycleScheduler(self)
-        # Sanitize/telemetry dispatch is chosen once here, so the
-        # per-cycle loops carry no mode branch and a run with both
-        # modes off costs nothing extra.
+        # The checked stepper is chosen once here, so the per-cycle loop
+        # carries no mode branch and a run with both modes off costs
+        # nothing extra.
         if self.config.telemetry:
             self.probes = ProbeBus(self)
-            self._step = (
-                self.scheduler.step_instrumented_sanitized
-                if self.config.sanitize
-                else self.scheduler.step_instrumented
-            )
+        if self.config.telemetry or self.config.sanitize:
+            self._step = self.scheduler.step_checked
         else:
-            self._step = (
-                self.scheduler.step_sanitized
-                if self.config.sanitize
-                else self.scheduler.step
-            )
+            self._step = self.scheduler.step
 
     # ------------------------------------------------------------------
     # Single-thread aliases (the overwhelmingly common configuration)

@@ -1,7 +1,7 @@
 """Runtime pipeline invariant checks (sanitize mode).
 
 When ``ProcessorConfig.sanitize`` is set the kernel steps through
-:meth:`~repro.pipeline.stages.scheduler.CycleScheduler.step_sanitized`,
+:meth:`~repro.pipeline.stages.scheduler.CycleScheduler.step_checked`,
 which calls :func:`check_invariants` after every stage tick and
 :func:`check_cycle_end` when the cycle closes.  Each check recomputes a
 ground truth from the pipeline structures themselves and compares it to

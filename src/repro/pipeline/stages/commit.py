@@ -60,11 +60,6 @@ class CommitRecoverStage(Stage):
         super().__init__(kernel)
         self.width = kernel.config.commit_width
         self.redirect_penalty = kernel.config.redirect_penalty
-        # Run batching: drain contiguous straight-line (non-store,
-        # non-conditional-branch) completions through a reduced inner
-        # loop with the retire side effects those instructions can't
-        # have — store D-cache walk, predictor training — hoisted out.
-        self._run_batch = kernel.config.run_batch
 
     def tick(self, cycle: int, activity) -> None:
         threads = self.kernel.threads
@@ -104,57 +99,18 @@ class CommitRecoverStage(Stage):
         dcache_accesses = 0
         dcache2_accesses = 0
         branch_commits = 0
-        run_batch = self._run_batch
         while committed < budget:
             if not entries:
                 break
             head = entries[0]
             if not head.completed:
                 break
-            static = head.static
-            if run_batch and not static.is_store and not static.is_cond_branch:
-                # Batched straight-line retire: everything but stores and
-                # conditional branches shares one reduced body (loads
-                # release their LSQ entry; unconditional control trains
-                # nothing at commit), so the contiguous qualifying prefix
-                # drains in this inner loop — side-effect order, observer
-                # callbacks and the power credit are instruction-exact.
-                while True:
-                    entries.popleft()
-                    if observer is not None:
-                        head.commit_cycle = cycle
-                    if head.phys_dest >= 0:
-                        regfile_writes += 1
-                    if static.is_load:
-                        lsq.release()
-                        freed_lsq += 1
-                    if attribute:
-                        power.credit_committed(
-                            head, cycle,
-                            materialize_tally(head, True, True, False),
-                        )
-                    else:
-                        fetch_cycle = head.fetch_cycle
-                        if fetch_cycle >= 0 and cycle > fetch_cycle:
-                            residency += cycle - fetch_cycle
-                    if observer is not None:
-                        observer.on_commit(head, cycle)
-                    committed += 1
-                    thread.last_committed_true_index = head.true_index
-                    if committed >= budget or not entries:
-                        break
-                    head = entries[0]
-                    if not head.completed:
-                        break
-                    static = head.static
-                    if static.is_store or static.is_cond_branch:
-                        break
-                continue
             entries.popleft()
             if observer is not None:
                 head.commit_cycle = cycle
             if head.phys_dest >= 0:
                 regfile_writes += 1
+            static = head.static
             store_miss = False
             if static.is_store:
                 _, l1_hit = memory.store_data(head.mem_address)
@@ -276,10 +232,6 @@ class CommitRecoverStage(Stage):
             thread.fetch_mode = "wrong"
             thread.wp_cursor = branch.resume_wp_cursor
         thread.wp_packet = None
-        thread.wp_template = None
-        # Run descriptors only ever name latch-resident instructions, and
-        # the latches were just squashed wholesale above.
-        thread.run_queue.clear()
         thread.fetch_stall_until = cycle + self.redirect_penalty
         thread.unresolved_mispredicts -= 1
         if thread.unresolved_mispredicts < 0:

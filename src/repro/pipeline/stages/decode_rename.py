@@ -55,9 +55,6 @@ class DecodeRenameStage(Stage):
         super().__init__(kernel)
         self.width = kernel.config.decode_width
         self.decode_to_rename_latency = kernel.config.decode_to_rename_latency
-        # Run batching: consume fetch's per-run descriptors with one
-        # structural check per run (see repro/frontend/supply.py).
-        self._run_batch = kernel.config.run_batch
         # Cycle of the last counted decode throttle (one count per cycle
         # however many threads stall).
         self._throttled_cycle = -1
@@ -130,10 +127,6 @@ class DecodeRenameStage(Stage):
         append_rob = rob_entries.append
         append_ready = iq_ready.append
         stamp = kernel.observer is not None
-        run_queue = thread.run_queue if self._run_batch else None
-        # The head of the descriptor queue, peeked once per consumed
-        # descriptor rather than on every latch head.
-        next_run_seq = run_queue[0][0] if run_queue else -1
         renamed = 0
         mem_renamed = 0
         regfile_reads = 0
@@ -141,71 +134,6 @@ class DecodeRenameStage(Stage):
             if stamps[head] > cycle:
                 break
             instr = instrs[head]
-            if next_run_seq == instr.seq:
-                # Run batch: the latch head starts a straight-line run
-                # fetch described with (first_seq, count, mem_count,
-                # src_count).  One structural check admits the whole run;
-                # any failure (run split across latches or budget, shared
-                # caps, LSQ pressure) pops the descriptor and renames
-                # per-instruction below.  Descriptors always name
-                # latch-resident, unsquashed instructions: recovery
-                # squashes the latches wholesale and clears the queue.
-                first_seq, count, mem_count, src_count = run_queue.popleft()
-                next_run_seq = run_queue[0][0] if run_queue else -1
-                end = head + count
-                if (
-                    count <= limit - renamed
-                    and end <= tail
-                    and stamps[end - 1] <= cycle
-                    and not has_shared_caps
-                    and lsq_start + mem_renamed + mem_count <= lsq_size
-                ):
-                    run_instrs = instrs[head:end]
-                    for instr in run_instrs:
-                        if stamp:
-                            instr.rename_cycle = cycle
-                        instr.issued = False
-                        instr.completed = False
-                        instr.woke = False
-                        static = instr.static
-                        static_sources = static.sources
-                        waits = None
-                        if static_sources:
-                            for reg in static_sources:
-                                tag = rmap[reg]
-                                if tag in pending_tags:
-                                    if waits is None:
-                                        waits = [tag]
-                                    else:
-                                        waits.append(tag)
-                        dest = static.dest
-                        if dest is not None and dest != _REG_ZERO:
-                            tag = instr.seq
-                            rmap[dest] = tag
-                            instr.phys_dest = tag
-                            pending_tags.add(tag)
-                        else:
-                            instr.phys_dest = -1
-                        pending = 0
-                        if waits is not None:
-                            for tag in waits:
-                                pending += 1
-                                bucket = iq_waiters.get(tag)
-                                if bucket is None:
-                                    iq_waiters[tag] = [instr]
-                                else:
-                                    bucket.append(instr)
-                        instr.ready_sources = pending
-                        if pending == 0:
-                            append_ready(instr)
-                    rob_entries.extend(run_instrs)
-                    head = end
-                    renamed += count
-                    if mem_count:
-                        lsq.occupied += mem_count
-                        mem_renamed += mem_count
-                    regfile_reads += src_count
-                    continue
             if instr.squashed:
                 head += 1
                 continue

@@ -27,8 +27,6 @@ policy; the single-thread machine skips the policy entirely.
 
 from __future__ import annotations
 
-from itertools import repeat as _repeat
-
 from repro.errors import SimulationError
 from repro.isa.instruction import DynamicInstruction
 from repro.isa.opcodes import Opcode
@@ -44,11 +42,6 @@ _RET = Opcode.RET
 
 _NEW_INSTR = DynamicInstruction.__new__
 _DYN = DynamicInstruction
-
-# Smallest run worth admitting en bloc: below this the per-run setup
-# (template unpack, line-span scan, bulk allocation, descriptor push)
-# costs more than the per-instruction loop it replaces.
-_MIN_RUN = 6
 
 
 class FetchStage(Stage):
@@ -78,11 +71,6 @@ class FetchStage(Stage):
         self._icache_sets = icache._sets
         self._icache_stats = icache.stats
         self._icache_set_mask = icache._set_mask
-        # Run batching: admit whole precompiled straight-line runs when
-        # the supply provides templates (repro/frontend/supply.py); the
-        # per-instruction path below stays the fallback and the
-        # REPRO_RUN_BATCH=0 A/B side.
-        self._run_batch = config.run_batch
 
     def tick(self, cycle: int, activity) -> None:
         kernel = self.kernel
@@ -145,21 +133,8 @@ class FetchStage(Stage):
         true_records = supply._records
         true_base = supply._base
         num_records = len(true_records)
-        latch_instrs = fetch_latch.instrs
-        append_instr = latch_instrs.append
+        append_instr = fetch_latch.instrs.append
         append_stamp = fetch_latch.stamps.append
-        # Run-batch aliases.  ``run_meta`` is None when batching is off or
-        # the supply has no per-record templates (trace replay, live walk)
-        # — then every instruction takes the per-instruction path below.
-        run_batch = self._run_batch
-        if run_batch:
-            run_meta = supply._run_meta
-            run_pos = supply._run_pos
-            extend_instrs = latch_instrs.extend
-            extend_stamps = fetch_latch.stamps.extend
-            push_run = thread.run_queue.append
-        else:
-            run_meta = None
 
         fetched = 0
         wrong_path = 0
@@ -179,186 +154,24 @@ class FetchStage(Stage):
         if wp_packet is not None:
             wp_pos = thread.wp_pos
             wp_len = len(wp_packet)
-            wp_tmpl = thread.wp_template if run_batch else None
         else:
             wp_pos = 0
             wp_len = 0
-            wp_tmpl = None
         while fetched < width:
             if on_true:
                 index = true_index - true_base
-                if index >= num_records:
-                    supply.get(true_index)
+                if index < num_records:
+                    record = true_records[index]
+                else:
+                    record = supply.get(true_index)
                     num_records = len(true_records)
-                tmpl = run_meta[index] if run_meta is not None else None
-                if tmpl is not None:
-                    # Run batch: admit the rest of this block's straight-
-                    # line body en bloc.  One MRU probe per newly spanned
-                    # line; a non-MRU line cuts the run just before it so
-                    # the per-instruction path (full hierarchy walk,
-                    # stall) handles that line exactly as before.
-                    # Terminator records carry None metadata, so this
-                    # template always has body left: take >= 1 here.
-                    # Short prospective runs fall through: below
-                    # ``_MIN_RUN`` instructions the per-run setup costs
-                    # more than the per-instruction loop it replaces.
-                    pos = run_pos[index]
-                    take = tmpl[1] - pos
-                    room = width - fetched
-                    if take > room:
-                        take = room
-                    if take >= _MIN_RUN:
-                        (
-                            body_statics, body_n, addr0, mem_positions,
-                            mem_prefix, src_prefix,
-                        ) = tmpl
-                        addr0 += (pos << 2) + mem_offset
-                        scan_line = addr0 >> line_shift
-                        last_line = (
-                            addr0 + ((take - 1) << 2)
-                        ) >> line_shift
-                        if scan_line == current_line:
-                            scan_line += 1
-                        while scan_line <= last_line:
-                            tag_set = icache_sets[scan_line & icache_set_mask]
-                            if tag_set and tag_set[0] == scan_line:
-                                icache_stats.accesses += 1
-                                scan_line += 1
-                            else:
-                                take = (
-                                    (scan_line << line_shift) - addr0
-                                ) >> 2
-                                last_line = scan_line - 1
-                                break
-                        if take > 0:
-                            # Bulk allocation: ``map`` drives ``__new__``
-                            # from C, then one store loop stamps the slots
-                            # and two ``extend`` calls land the run in the
-                            # latch.
-                            new_instrs = list(
-                                map(_NEW_INSTR, _repeat(_DYN, take))
-                            )
-                            first_seq = seq
-                            if pos or take != body_n:
-                                run_statics = body_statics[pos:pos + take]
-                            else:
-                                run_statics = body_statics
-                            for instr, static in zip(new_instrs, run_statics):
-                                instr.seq = seq
-                                instr.static = static
-                                instr.thread_id = thread_id
-                                instr.fetch_cycle = cycle
-                                instr.on_wrong_path = False
-                                instr.squashed = False
-                                instr.true_index = true_index
-                                seq += 1
-                                true_index += 1
-                            extend_instrs(new_instrs)
-                            extend_stamps([ready_cycle] * take)
-                            mp_lo = mem_prefix[pos]
-                            mp_hi = mem_prefix[pos + take]
-                            if mp_hi > mp_lo:
-                                rebase = index - pos
-                                for mp in mem_positions[mp_lo:mp_hi]:
-                                    mem_address = true_records[rebase + mp][3]
-                                    if mem_address:
-                                        new_instrs[mp - pos].mem_address = (
-                                            mem_address + mem_offset
-                                        )
-                            push_run((
-                                first_seq,
-                                take,
-                                mp_hi - mp_lo,
-                                src_prefix[pos + take] - src_prefix[pos],
-                            ))
-                            current_line = last_line
-                            fetched += take
-                            continue
-                static, actual_taken, actual_target, mem_address = (
-                    true_records[index]
-                )
+                static, actual_taken, actual_target, mem_address = record
                 next_cursor = None
             else:
                 if wp_pos == wp_len:
-                    if run_batch:
-                        wp_packet, wp_cursor, wp_tmpl = (
-                            supply.wrong_packet_run(wp_cursor)
-                        )
-                    else:
-                        wp_packet, wp_cursor = supply.wrong_packet(wp_cursor)
+                    wp_packet, wp_cursor = supply.wrong_packet(wp_cursor)
                     wp_pos = 0
                     wp_len = len(wp_packet)
-                if wp_tmpl is not None:
-                    # Wrong-path run batch: same admission rules; the
-                    # packet is the whole resolved block, so template
-                    # positions index the packet records directly.
-                    take = wp_tmpl[1] - wp_pos
-                    room = width - fetched
-                    if take > room:
-                        take = room
-                    if take >= _MIN_RUN:
-                        (
-                            body_statics, body_n, addr0, mem_positions,
-                            mem_prefix, src_prefix,
-                        ) = wp_tmpl
-                        addr0 += (wp_pos << 2) + mem_offset
-                        scan_line = addr0 >> line_shift
-                        last_line = (addr0 + ((take - 1) << 2)) >> line_shift
-                        if scan_line == current_line:
-                            scan_line += 1
-                        while scan_line <= last_line:
-                            tag_set = icache_sets[scan_line & icache_set_mask]
-                            if tag_set and tag_set[0] == scan_line:
-                                icache_stats.accesses += 1
-                                scan_line += 1
-                            else:
-                                take = (
-                                    (scan_line << line_shift) - addr0
-                                ) >> 2
-                                last_line = scan_line - 1
-                                break
-                        if take > 0:
-                            new_instrs = list(
-                                map(_NEW_INSTR, _repeat(_DYN, take))
-                            )
-                            first_seq = seq
-                            if wp_pos or take != body_n:
-                                run_statics = body_statics[
-                                    wp_pos:wp_pos + take
-                                ]
-                            else:
-                                run_statics = body_statics
-                            for instr, static in zip(new_instrs, run_statics):
-                                instr.seq = seq
-                                instr.static = static
-                                instr.thread_id = thread_id
-                                instr.fetch_cycle = cycle
-                                instr.on_wrong_path = True
-                                instr.squashed = False
-                                seq += 1
-                            extend_instrs(new_instrs)
-                            extend_stamps([ready_cycle] * take)
-                            mp_lo = mem_prefix[wp_pos]
-                            mp_hi = mem_prefix[wp_pos + take]
-                            if mp_hi > mp_lo:
-                                for mp in mem_positions[mp_lo:mp_hi]:
-                                    mem_address = wp_packet[mp][3]
-                                    if mem_address:
-                                        new_instrs[mp - wp_pos].mem_address = (
-                                            mem_address + mem_offset
-                                        )
-                            push_run((
-                                first_seq,
-                                take,
-                                mp_hi - mp_lo,
-                                src_prefix[wp_pos + take]
-                                - src_prefix[wp_pos],
-                            ))
-                            current_line = last_line
-                            wp_pos += take
-                            wrong_path += take
-                            fetched += take
-                            continue
                 # Peek: the packet position only advances once the I-cache
                 # admits the instruction (a stalled instruction must be
                 # re-fetched when the fill returns).
@@ -424,7 +237,6 @@ class FetchStage(Stage):
                 # A branch always ends its packet; any redirect re-pointed
                 # ``thread.wp_cursor``, so the next packet stamps fresh.
                 wp_packet = None
-                wp_tmpl = None
                 wp_pos = 0
                 wp_len = 0
                 # Only a control instruction can stop the fetch group.
@@ -440,10 +252,8 @@ class FetchStage(Stage):
         if wp_packet is not None and wp_pos < wp_len:
             thread.wp_packet = wp_packet
             thread.wp_pos = wp_pos
-            thread.wp_template = wp_tmpl
         else:
             thread.wp_packet = None
-            thread.wp_template = None
         kernel.seq = seq
         if fetched:
             activity[_ICACHE] += fetched

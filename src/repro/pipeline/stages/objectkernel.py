@@ -1415,88 +1415,37 @@ class ObjectCycleScheduler:
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
 
-    def step_sanitized(self) -> None:
-        """``step`` with invariant checks after every stage tick.
+    def step_checked(self) -> None:
+        """``step`` with optional invariant checks after every stage tick
+        (``config.sanitize``) and probe-bus sampling (``config.telemetry``).
 
         The kernel binds its ``_step`` to this method instead of ``step``
-        when ``config.sanitize`` is set (see ``Processor._finish_threads``)
-        — the plain ``step`` carries no sanitize branch, so runs without
-        the mode pay nothing.  The stage sequence and the cycle close
-        mirror ``step`` exactly; a sanitized run is bit-identical or
-        raises :class:`~repro.errors.SanitizerError`.
-        """
-        kernel = self.kernel
-        cycle = kernel.cycle
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        check_cycle_end(kernel, cycle)
-
-    def step_instrumented(self) -> None:
-        """``step`` bracketed by the probe bus's per-cycle sampling.
-
-        Chosen by ``Processor._finish_threads`` when ``config.telemetry``
-        is set — the same construction-time dispatch as the sanitizer, so
-        the plain ``step`` carries no telemetry branch.  The bus samples
-        occupancy at cycle top and differences the kernel's statistics at
-        cycle bottom (see :class:`repro.telemetry.probes.ProbeBus`); it
-        never writes simulation state, so an instrumented run is
-        bit-identical to an uninstrumented one.
+        when either mode is set (see ``Processor._finish_threads``) — the
+        plain ``step`` carries no mode branch, so runs without the modes
+        pay nothing.  The stage sequence and the cycle close mirror
+        ``step`` exactly; a checked run is bit-identical or raises
+        :class:`~repro.errors.SanitizerError`.
         """
         kernel = self.kernel
         probes = kernel.probes
+        sanitize = kernel.config.sanitize
         cycle = kernel.cycle
-        probes.begin_cycle(kernel, cycle)
+        if probes is not None:
+            probes.begin_cycle(kernel, cycle)
         activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
+        for stage in (
+            self.commit, self.writeback, self.issue, self.decode_rename, self.fetch,
+        ):
+            stage.tick(cycle, activity)
+            if sanitize:
+                check_invariants(kernel, stage.name, cycle)
         power = kernel.power
         in_flight = kernel.rob_count
         power.end_cycle(activity, in_flight / self.total_rob_size)
         power.total_instr_cycles += in_flight
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-
-    def step_instrumented_sanitized(self) -> None:
-        """Probe sampling plus invariant checks (telemetry + sanitize)."""
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-        check_cycle_end(kernel, cycle)
+        if probes is not None:
+            probes.end_cycle(kernel)
+        if sanitize:
+            check_cycle_end(kernel, cycle)

@@ -37,6 +37,13 @@ gated or not.  ``ProcessorConfig.cycle_skip`` (REPRO_CYCLE_SKIP=0)
 disables the engine for A/B measurement; results are identical either
 way.
 
+**Two steppers.**  ``step`` is the plain cycle and carries no mode
+branch; ``step_checked`` is the same cycle with the sanitizer's
+invariant checks and the telemetry probe bus's sampling as optional
+hooks.  ``Processor._finish_threads`` binds one of them once, at
+construction.  Both enter through the same fast-forward gate
+(``_fast_forward``).
+
 The scheduler holds the stage components as plain attributes, so tests
 and future scenarios can wrap or replace a single stage without touching
 the kernel.
@@ -114,11 +121,17 @@ class CycleScheduler:
         threads = kernel.threads
         self._threads = threads
         enabled = kernel.config.cycle_skip
+        self._solo = None
+        self._smt_skip = False
         if len(threads) == 1:
-            self._solo = threads[0] if enabled else None
-            self._smt_skip = False
+            solo = threads[0]
+            # A controller that both gated fetch and blocked wrong-path
+            # fetch would make a skipped window's throttled-cycle count
+            # depend on the gate's phase during the wrong-path wait.  No
+            # shipped controller does both; such a thread just steps.
+            if enabled and not (solo.ctrl_gates_fetch and solo.ctrl_blocks_wp_fetch):
+                self._solo = solo
         else:
-            self._solo = None
             self._smt_skip = enabled
         solo = self._solo
         self._solo_gates = solo is not None and solo.ctrl_gates_fetch
@@ -274,22 +287,10 @@ class CycleScheduler:
             else:
                 stalled = 0
             if self._solo_gates:
-                probed = count - stalled
-                if probed:
-                    if self._solo_oracle and solo.fetch_mode == "wrong":
-                        # Unreachable with the shipped controllers (the
-                        # oracle never gates fetch) but kept exact: only
-                        # the gate's inactive cycles count as throttled;
-                        # its active cycles fall through to the silent
-                        # wrong-path wait.
-                        start = cycle + stalled
-                        active = self._probe_active_mask(solo.controller, start)
-                        throttled = probed - _wheel_count(active, start, probed)
-                    else:
-                        throttled = probed
-                    if throttled:
-                        stats.fetch_throttled_cycles += throttled
-                        solo.controller.close_gated_window(throttled)
+                throttled = count - stalled
+                if throttled:
+                    stats.fetch_throttled_cycles += throttled
+                    solo.controller.close_gated_window(throttled)
         else:
             # SMT: an idle cycle picks no thread, so the machine-level
             # stall counters stay untouched (exactly as stepped); what
@@ -330,29 +331,42 @@ class CycleScheduler:
         stats.cycles += count
         kernel.cycle = end
 
+    def _fast_forward(self, cycle: int) -> int:
+        """The skip-entry gate: cycles fast-forwarded from ``cycle``, 0
+        when this cycle must be stepped.
+
+        A solo thread only tries a window when its fetch is idle for a
+        cheap-to-test reason (redirect/I-cache stall, a closed fetch
+        gate with empty front-end latches, or the oracle's wrong-path
+        wait); an SMT core tries every cycle, its quiescence being
+        machine-wide.
+        """
+        solo = self._solo
+        if solo is not None:
+            if (
+                cycle < solo.fetch_stall_until
+                or (self._solo_gates
+                    and not solo.fetch_latch.instrs
+                    and not solo.decode_latch.instrs
+                    and solo.controller.next_active_cycle(cycle) != cycle)
+                or (self._solo_oracle and solo.fetch_mode == "wrong")
+            ):
+                return self._try_skip(cycle)
+            return 0
+        if self._smt_skip:
+            return self._try_skip(cycle)
+        return 0
+
     # ------------------------------------------------------------------
-    # The four step variants (construction-time dispatch)
+    # The two steppers (construction-time dispatch)
     # ------------------------------------------------------------------
 
     def step(self) -> None:
         """Advance the machine by one cycle."""
         kernel = self.kernel
         cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                if self._try_skip(cycle):
-                    return
-        elif self._smt_skip:
-            if self._try_skip(cycle):
-                return
+        if self._fast_forward(cycle):
+            return
         activity = [0] * NUM_UNITS
         self.commit.tick(cycle, activity)
         self.writeback.tick(cycle, activity)
@@ -366,157 +380,53 @@ class CycleScheduler:
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
 
-    def step_sanitized(self) -> None:
-        """``step`` with invariant checks after every stage tick.
+    def step_checked(self) -> None:
+        """``step`` with the checked modes' hooks: invariant checks after
+        every stage tick (``config.sanitize``) and the probe bus's
+        per-cycle sampling (``config.telemetry``), either or both.
 
-        The kernel binds its ``_step`` to this method instead of ``step``
-        when ``config.sanitize`` is set (see ``Processor._finish_threads``)
-        — the plain ``step`` carries no sanitize branch, so runs without
-        the mode pay nothing.  The stage sequence and the cycle close
-        mirror ``step`` exactly; a sanitized run is bit-identical or
-        raises :class:`~repro.errors.SanitizerError`.  A fast-forwarded
-        stretch is checked once at its last cycle — the structures are
-        untouched across the batch, so one check covers every cycle of
-        it.
-        """
-        kernel = self.kernel
-        cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                count = self._try_skip(cycle)
-                if count:
-                    check_invariants(kernel, "fast-forward", cycle + count - 1)
-                    check_cycle_end(kernel, cycle + count - 1)
-                    return
-        elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
-                check_invariants(kernel, "fast-forward", cycle + count - 1)
-                check_cycle_end(kernel, cycle + count - 1)
-                return
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        check_cycle_end(kernel, cycle)
-
-    def step_instrumented(self) -> None:
-        """``step`` bracketed by the probe bus's per-cycle sampling.
-
-        Chosen by ``Processor._finish_threads`` when ``config.telemetry``
-        is set — the same construction-time dispatch as the sanitizer, so
-        the plain ``step`` carries no telemetry branch.  The bus samples
-        occupancy at cycle top and differences the kernel's statistics at
-        cycle bottom (see :class:`repro.telemetry.probes.ProbeBus`); it
-        never writes simulation state, so an instrumented run is
-        bit-identical to an uninstrumented one.  A fast-forwarded stretch
-        is sampled once and scaled (``ProbeBus.idle_cycles``) — every
-        per-cycle sample is constant across it, and the stall/throttle
-        counters the window advanced are folded in by differencing.
+        ``Processor._finish_threads`` binds the kernel's ``_step`` to this
+        method instead of ``step`` when either mode is set, so the plain
+        ``step`` carries no mode branch and a run with both modes off
+        pays nothing.  The stage sequence and the cycle close mirror
+        ``step`` exactly; neither hook writes simulation state, so a
+        checked run is bit-identical or raises
+        :class:`~repro.errors.SanitizerError`.  The bus samples occupancy
+        at cycle top and differences the kernel's statistics at cycle
+        bottom (see :class:`repro.telemetry.probes.ProbeBus`).  A
+        fast-forwarded stretch is sampled once and scaled
+        (``ProbeBus.idle_cycles``) and checked once at its last cycle —
+        the structures are untouched across the batch, so one sample and
+        one check cover every cycle of it.
         """
         kernel = self.kernel
         probes = kernel.probes
+        sanitize = kernel.config.sanitize
         cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                count = self._try_skip(cycle)
-                if count:
-                    probes.idle_cycles(kernel, count)
-                    return
-        elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
+        count = self._fast_forward(cycle)
+        if count:
+            if probes is not None:
                 probes.idle_cycles(kernel, count)
-                return
-        probes.begin_cycle(kernel, cycle)
-        activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        self.writeback.tick(cycle, activity)
-        self.issue.tick(cycle, activity)
-        self.decode_rename.tick(cycle, activity)
-        self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
-        kernel.stats.cycles += 1
-        kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-
-    def step_instrumented_sanitized(self) -> None:
-        """Probe sampling plus invariant checks (telemetry + sanitize)."""
-        kernel = self.kernel
-        probes = kernel.probes
-        cycle = kernel.cycle
-        solo = self._solo
-        if solo is not None:
-            if (
-                cycle < solo.fetch_stall_until
-                or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
-                    and solo.controller.next_active_cycle(cycle) != cycle)
-                or (self._solo_oracle and solo.fetch_mode == "wrong")
-            ):
-                count = self._try_skip(cycle)
-                if count:
-                    probes.idle_cycles(kernel, count)
-                    check_invariants(kernel, "fast-forward", cycle + count - 1)
-                    check_cycle_end(kernel, cycle + count - 1)
-                    return
-        elif self._smt_skip:
-            count = self._try_skip(cycle)
-            if count:
-                probes.idle_cycles(kernel, count)
+            if sanitize:
                 check_invariants(kernel, "fast-forward", cycle + count - 1)
                 check_cycle_end(kernel, cycle + count - 1)
-                return
-        probes.begin_cycle(kernel, cycle)
+            return
+        if probes is not None:
+            probes.begin_cycle(kernel, cycle)
         activity = [0] * NUM_UNITS
-        self.commit.tick(cycle, activity)
-        check_invariants(kernel, self.commit.name, cycle)
-        self.writeback.tick(cycle, activity)
-        check_invariants(kernel, self.writeback.name, cycle)
-        self.issue.tick(cycle, activity)
-        check_invariants(kernel, self.issue.name, cycle)
-        self.decode_rename.tick(cycle, activity)
-        check_invariants(kernel, self.decode_rename.name, cycle)
-        self.fetch.tick(cycle, activity)
-        check_invariants(kernel, self.fetch.name, cycle)
+        for stage in (
+            self.commit, self.writeback, self.issue, self.decode_rename, self.fetch,
+        ):
+            stage.tick(cycle, activity)
+            if sanitize:
+                check_invariants(kernel, stage.name, cycle)
         power = kernel.power
         in_flight = kernel.rob_count
         power.end_cycle(activity, in_flight / self.total_rob_size)
         power.total_instr_cycles += in_flight
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
-        probes.end_cycle(kernel)
-        check_cycle_end(kernel, cycle)
+        if probes is not None:
+            probes.end_cycle(kernel)
+        if sanitize:
+            check_cycle_end(kernel, cycle)

@@ -2,7 +2,7 @@
 
 Every experiment driver in :mod:`repro.experiments` is expressed here as
 a :class:`~repro.studies.spec.StudySpec`: the paper's figures and Table 1,
-the DESIGN.md ablations, the multi-seed campaign, the throttle-policy
+the ablations of :mod:`repro.experiments.ablations`, the multi-seed campaign, the throttle-policy
 frontier search, and the SMT mix reports — plus the paper-adjacent
 studies the scheduler makes affordable (the 4-thread mix grid, the
 shared-vs-partitioned back-end sweep, and the figure-level

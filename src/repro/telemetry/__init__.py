@@ -3,7 +3,7 @@
 Three layers, one package:
 
 * :mod:`repro.telemetry.probes` — the **probe bus**: per-stage, per-cycle
-  counter groups sampled by ``CycleScheduler.step_instrumented``.  Like
+  counter groups sampled by ``CycleScheduler.step_checked``.  Like
   the sanitizer, instrumentation is chosen once at construction time
   (``Processor._finish_threads``): a run without ``config.telemetry``
   steps through the plain ``step`` and pays nothing, and an instrumented

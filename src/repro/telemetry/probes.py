@@ -2,8 +2,8 @@
 
 A :class:`ProbeBus` is attached to the kernel by
 ``Processor._finish_threads`` when ``config.telemetry`` is set, and the
-kernel then steps through ``CycleScheduler.step_instrumented`` — the
-same construction-time dispatch the sanitizer uses, so the plain
+kernel then steps through ``CycleScheduler.step_checked`` — the same
+construction-time dispatch the sanitizer uses, so the plain
 ``step`` carries no telemetry branch and an uninstrumented run pays
 nothing (the 38 golden fingerprints are the proof).
 
@@ -106,7 +106,7 @@ class ProbeBus:
         self.reset()
 
     # ------------------------------------------------------------------
-    # The per-cycle sampling API (called by step_instrumented)
+    # The per-cycle sampling API (called by step_checked)
     # ------------------------------------------------------------------
 
     def begin_cycle(self, kernel, cycle: int) -> None:

@@ -8,11 +8,15 @@ extension point of the stage kernel (stage classes deliberately keep
 counters it answers "which stage costs the time, and is it busy or just
 ticking?" without cProfile's tracing overhead skewing the answer.
 
-Attach before the run, read :meth:`StageTimers.report` after::
+Attach where the timed window starts, read :meth:`StageTimers.report`
+after.  To time the measured window alone, attach after the warm-up, as
+the probe bus's counters reset there::
 
     processor = build_processor(cell)
+    processor.run(cell.warmup)
+    processor.reset_measurement()
     timers = StageTimers(processor).attach()
-    processor.run(cell.instructions, warmup_instructions=cell.warmup)
+    processor.run(cell.instructions)
     for name, seconds, calls in timers.report():
         ...
 """

@@ -2,8 +2,9 @@
 
 Each benchmark is a synthetic control-flow-graph program whose branch
 population is calibrated so an 8 KB gshare sees approximately the
-misprediction rate the paper reports for it; see DESIGN.md for the
-substitution rationale.
+misprediction rate the paper reports for it: a synthetic stand-in for
+the SPECint program the paper simulated (``tools/tune_workloads.py``
+does the calibration).
 """
 
 from repro.workloads.spec import WorkloadSpec

@@ -87,7 +87,7 @@ def _register(
 
 
 # --- Calibrated by tools/tune_workloads.py (random search against the
-# Table 2 miss-rate and branch-density targets; see DESIGN.md). ---------
+# Table 2 miss-rate and branch-density targets). -------------------------
 
 _register(
     "compress",

@@ -1,4 +1,5 @@
-"""BPRU's functional value-predictor model (the DESIGN.md substitution)."""
+"""BPRU's functional value-predictor model (the substitution described in
+``repro/confidence/bpru.py``)."""
 
 from repro.bpred.base import Prediction
 from repro.bpred.gshare import GSharePredictor

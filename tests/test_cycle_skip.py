@@ -27,6 +27,7 @@ from repro.core.levels import (
     BandwidthLevel,
     next_wheel_active,
 )
+from repro.core.oracle import OracleController, OracleMode
 from repro.core.policy import experiment_policy
 from repro.core.throttler import SelectiveThrottler
 from repro.errors import ExperimentError
@@ -144,6 +145,36 @@ def test_solo_skip_on_equals_skip_off(spec):
     _, on = _solo_observables(spec, cycle_skip=True)
     _, off = _solo_observables(spec, cycle_skip=False)
     assert on == off, f"{spec}: cycle_skip changed observable results"
+
+
+class _GatedFetchOracle(OracleController):
+    """Fetch oracle that also gates fetch to half bandwidth (no shipped
+    controller does both)."""
+
+    def __init__(self) -> None:
+        super().__init__(OracleMode.FETCH)
+        self.probes = 0
+
+    def fetch_allowed(self, cycle: int) -> bool:
+        self.probes += 1
+        return cycle & 1 == 0
+
+    def next_active_cycle(self, cycle: int) -> int:
+        return cycle + (cycle & 1)
+
+
+def test_gating_wrong_path_blocking_solo_thread_runs_without_skip():
+    runs = []
+    for cycle_skip in (True, False):
+        config = replace(table3_config(), cycle_skip=cycle_skip)
+        controller = _GatedFetchOracle()
+        processor = Processor(
+            config, _program(11, "skipab"), controller=controller, seed=5
+        )
+        assert processor.scheduler._solo is None
+        stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
+        runs.append((stats.as_dict(), processor.cycle, controller.probes))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("spec,policy", (

@@ -78,9 +78,9 @@ def _draw_config(rng: random.Random):
         fetch_width=rng.choice((4, 8)),
         issue_width=rng.choice((4, 8)),
         max_taken_branches_per_cycle=rng.choice((1, 2)),
-        # One trial in four runs both kernels under the sanitized and/or
-        # instrumented steppers, so all four step variants (and their
-        # fast-forward entry gates) get property coverage.
+        # One trial in four runs both kernels under sanitize and/or
+        # telemetry, so the checked stepper (with each hook, and its
+        # fast-forward path) gets property coverage beside ``step``.
         sanitize=rng.random() < 0.25,
         telemetry=rng.random() < 0.25,
     )
@@ -196,28 +196,25 @@ def test_commits_are_observed_and_nonempty():
 
 
 # ---------------------------------------------------------------------------
-# Run-batch equivalence: block-granular fetch admission is invisible.
+# Adversarial shapes: the front end's edge cases.
 #
-# The run-batched front end (REPRO_RUN_BATCH / config.run_batch) admits
-# whole precompiled straight-line runs en bloc; these trials target the
-# program shapes where that path's edge cases live.  Wrong-path-heavy
-# shapes (dense mispredictions) stress the wrong-path packet batch and
-# its interaction with recovery; short-block-heavy shapes (1-2
-# instruction blocks) keep every run below the admission threshold so
-# the per-instruction fallback and partial-admission splits dominate.
-# Each trial runs the array kernel with batching on and off plus the
-# pinned object-kernel reference, and all three must agree bit for bit.
+# Wrong-path-heavy shapes (dense mispredictions) stress wrong-path packet
+# fetch and its interaction with recovery; short-block-heavy shapes (1-2
+# instruction blocks) put a branch in almost every fetch group, so
+# packet boundaries, I-cache line crossings and redirects dominate.
+# Each trial runs the array kernel and the pinned object-kernel
+# reference, and both must agree bit for bit.
 # ---------------------------------------------------------------------------
 
-_RUN_BATCH_TRIALS = tuple(range(6))
-_RUN_BATCH_STYLES = ("wrong-path-heavy", "short-block-heavy")
+_ADVERSARIAL_TRIALS = tuple(range(6))
+_ADVERSARIAL_STYLES = ("wrong-path-heavy", "short-block-heavy")
 
 
-def _draw_run_batch_shape(rng: random.Random, style: str) -> ProgramShape:
-    """A program shape aimed at the run-batch path's edge cases."""
+def _draw_adversarial_shape(rng: random.Random, style: str) -> ProgramShape:
+    """A program shape aimed at the front end's edge cases."""
     if style == "wrong-path-heavy":
         # Dense, badly-predicted control flow: fetch spends much of its
-        # time on wrong-path packets and recovery truncates runs often.
+        # time on wrong-path packets and recovery cuts them often.
         return ProgramShape(
             num_functions=rng.randint(2, 4),
             blocks_per_function=(4, rng.randint(6, 10)),
@@ -232,9 +229,7 @@ def _draw_run_batch_shape(rng: random.Random, style: str) -> ProgramShape:
             load_chain_fraction=rng.uniform(0.2, 0.6),
             branch_load_dependence=rng.uniform(0.4, 0.8),
         )
-    # Short-block-heavy: every straight-line run is 1-2 instructions, so
-    # nothing clears the batch admission threshold and the fallback path
-    # (plus its per-record template peeks) carries the whole program.
+    # Short-block-heavy: every straight-line run is 1-2 instructions.
     return ProgramShape(
         num_functions=rng.randint(2, 5),
         blocks_per_function=(5, rng.randint(8, 14)),
@@ -251,12 +246,12 @@ def _draw_run_batch_shape(rng: random.Random, style: str) -> ProgramShape:
     )
 
 
-def _run_batch_trial(trial: int, kernel: str, run_batch: bool):
-    """One deterministic run-batch trial on the given kernel/batch mode."""
+def _adversarial_trial(trial: int, kernel: str):
+    """One deterministic adversarial-shape trial on the given kernel."""
     rng = random.Random(0xBA7C4 + trial)
-    style = _RUN_BATCH_STYLES[trial % len(_RUN_BATCH_STYLES)]
-    shape = _draw_run_batch_shape(rng, style)
-    config = replace(_draw_config(rng), kernel=kernel, run_batch=run_batch)
+    style = _ADVERSARIAL_STYLES[trial % len(_ADVERSARIAL_STYLES)]
+    shape = _draw_adversarial_shape(rng, style)
+    config = replace(_draw_config(rng), kernel=kernel)
     spec = rng.choice(_MECHANISMS)
     program = ProgramGenerator(
         shape, seed=3000 + trial, name=f"batch{trial}"
@@ -278,38 +273,34 @@ def _run_batch_trial(trial: int, kernel: str, run_batch: bool):
     return payload, (style, spec)
 
 
-@pytest.mark.parametrize("trial", _RUN_BATCH_TRIALS)
-def test_run_batching_is_invisible_on_adversarial_shapes(trial):
-    batched, combo = _run_batch_trial(trial, "array", True)
-    unbatched, _ = _run_batch_trial(trial, "array", False)
-    reference, _ = _run_batch_trial(trial, "object", True)
+@pytest.mark.parametrize("trial", _ADVERSARIAL_TRIALS)
+def test_adversarial_shapes_commit_identically(trial):
+    array, combo = _adversarial_trial(trial, "array")
+    reference, _ = _adversarial_trial(trial, "object")
     style, spec = combo
-    label = f"run-batch trial {trial} ({style}, {spec or 'baseline'})"
-    assert batched["commits"] == unbatched["commits"], (
-        f"{label}: committed sequences diverge with batching on vs off"
+    label = f"adversarial trial {trial} ({style}, {spec or 'baseline'})"
+    assert array["commits"] == reference["commits"], (
+        f"{label}: committed sequences diverge between kernels"
     )
-    assert batched["squashes"] == unbatched["squashes"], (
-        f"{label}: squash sequences diverge with batching on vs off"
+    assert array["squashes"] == reference["squashes"], (
+        f"{label}: squash sequences diverge between kernels"
     )
-    assert batched["stats"] == unbatched["stats"], (
-        f"{label}: statistics diverge with batching on vs off"
+    assert array["stats"] == reference["stats"], (
+        f"{label}: statistics diverge between kernels"
     )
-    assert _fingerprint(batched) == _fingerprint(unbatched), (
-        f"{label}: full payloads diverge with batching on vs off"
-    )
-    assert _fingerprint(batched) == _fingerprint(reference), (
-        f"{label}: batched array kernel diverges from the object reference"
+    assert _fingerprint(array) == _fingerprint(reference), (
+        f"{label}: array kernel diverges from the object reference"
     )
 
 
-def test_run_batch_trials_cover_both_styles_and_wrong_path_density():
+def test_adversarial_trials_cover_both_styles_and_wrong_path_density():
     """The adversarial draws must hit both styles and real mispredicts."""
     styles = {
-        _RUN_BATCH_STYLES[trial % len(_RUN_BATCH_STYLES)]
-        for trial in _RUN_BATCH_TRIALS
+        _ADVERSARIAL_STYLES[trial % len(_ADVERSARIAL_STYLES)]
+        for trial in _ADVERSARIAL_TRIALS
     }
-    assert styles == set(_RUN_BATCH_STYLES)
-    payload, _ = _run_batch_trial(0, "array", True)
+    assert styles == set(_ADVERSARIAL_STYLES)
+    payload, _ = _adversarial_trial(0, "array")
     assert payload["stats"]["fetched_wrong_path"] > 0, (
         "the wrong-path-heavy shape must actually fetch wrong-path work"
     )
@@ -438,4 +429,4 @@ def test_smt_trials_cover_mechanisms_policies_and_checked_steppers():
     assert ("gating", 2) in mechanisms, "pipeline gating must be exercised"
     assert ("throttle", "C2") in mechanisms, "C2 throttling must be exercised"
     assert "confidence-gating" in policies, "the gating policy must be exercised"
-    assert telemetry and sanitize, "both checked steppers must be exercised"
+    assert telemetry and sanitize, "both checked-stepper hooks must be exercised"

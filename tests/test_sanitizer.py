@@ -33,7 +33,7 @@ def _run_cycles(processor, cycles):
 
 def test_sanitize_flag_selects_checked_stepper():
     processor = _sanitized_processor()
-    assert processor._step == processor.scheduler.step_sanitized
+    assert processor._step == processor.scheduler.step_checked
     program = ProgramGenerator(small_shape(), seed=42, name="sanprog").generate()
     plain = Processor(table3_config(), program, seed=42)
     assert plain._step == plain.scheduler.step

@@ -11,6 +11,9 @@ The scaling contracts the study layer rests on:
 
 from __future__ import annotations
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -197,6 +200,15 @@ def test_shared_pool_is_reused_for_same_worker_count():
         first = shared_pool(2)
         assert shared_pool(2) is first
         assert shared_pool(3) is not first  # resized => replaced
+    finally:
+        shutdown_shared_pool()
+
+
+def test_shared_pool_is_replaced_after_a_worker_dies():
+    try:
+        with pytest.raises(BrokenProcessPool):
+            shared_pool(2).submit(os._exit, 1).result()
+        assert shared_pool(2).submit(pow, 2, 3).result() == 8
     finally:
         shutdown_shared_pool()
 

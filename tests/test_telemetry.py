@@ -66,7 +66,7 @@ def _processor(seed=42, **overrides) -> Processor:
 
 def test_telemetry_flag_selects_instrumented_stepper():
     instrumented = _processor(telemetry=True)
-    assert instrumented._step == instrumented.scheduler.step_instrumented
+    assert instrumented._step == instrumented.scheduler.step_checked
     assert isinstance(instrumented.probes, ProbeBus)
     plain = _processor()
     assert plain._step == plain.scheduler.step
@@ -75,7 +75,7 @@ def test_telemetry_flag_selects_instrumented_stepper():
 
 def test_telemetry_and_sanitize_combine():
     both = _processor(telemetry=True, sanitize=True)
-    assert both._step == both.scheduler.step_instrumented_sanitized
+    assert both._step == both.scheduler.step_checked
     assert isinstance(both.probes, ProbeBus)
 
 

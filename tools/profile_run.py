@@ -9,10 +9,13 @@ Future performance PRs should start from data, not intuition::
     PYTHONPATH=src python tools/profile_run.py --mix mix2-branchy  # SMT core
     PYTHONPATH=src python tools/profile_run.py --save run.pstats
 
-The run goes through :func:`repro.experiments.engine.simulate` (or
-``simulate_smt`` with ``--mix``), i.e. exactly the code path every figure,
-table and campaign exercises, so the printed hotspots are the ones that
-matter.  ``--save`` writes the raw pstats file for snakeviz/gprof2dot.
+The machine is built by :func:`repro.experiments.engine.build_processor`
+(or ``build_smt_processor`` with ``--mix``), i.e. exactly the one every
+figure, table and campaign simulates.  Every report covers one window,
+the **measured window**: the warm-up runs first, unprofiled and untimed,
+then the measurement resets and only the measured instructions are
+profiled, timed and counted.  ``--save`` writes the raw pstats file for
+snakeviz/gprof2dot.
 
 ``--stage-timers`` swaps cProfile for the telemetry layer: each stage's
 ``tick`` is wrapped with a wall-clock accumulator
@@ -42,13 +45,13 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.engine import (
+    build_processor,
+    build_smt_processor,
     default_instructions,
     default_warmup,
     make_cell,
     make_smt_cell,
     make_trace_cell,
-    simulate,
-    simulate_smt,
 )
 from repro.smt.mixes import MIX_NAMES
 from repro.workloads.suite import BENCHMARK_NAMES
@@ -132,16 +135,30 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def warm_up(processor, cell) -> None:
+    """Run ``cell``'s warm-up on ``processor`` and reset its measurement;
+    whatever runs next is the measured window.
+
+    Together with ``processor.run(cell.instructions)`` this is the exact
+    sequence of ``processor.run(instructions, warmup)``, split so a
+    profiler or timer can start at the window boundary.
+    """
+    if cell.warmup:
+        processor.run(cell.warmup)
+        processor.reset_measurement()
+
+
 def _run_telemetry_modes(
-    cell, label: str, smt: bool, stage_timers: bool, skip_stats: bool
+    processor, cell, label: str, stage_timers: bool, skip_stats: bool
 ) -> int:
     """The probe-bus modes: one instrumented run feeds every report."""
-    from repro.experiments.engine import build_processor, build_smt_processor
     from repro.telemetry.timers import StageTimers
 
-    processor = build_smt_processor(cell) if smt else build_processor(cell)
+    warm_up(processor, cell)
+    # Attached at the window boundary, so tick counts and wall time cover
+    # the measured window the probe bus reports on, and nothing else.
     timers = StageTimers(processor).attach() if stage_timers else None
-    processor.run(cell.instructions, warmup_instructions=cell.warmup)
+    processor.run(cell.instructions)
 
     snapshot = processor.probes.snapshot()
     if timers is not None:
@@ -152,11 +169,13 @@ def _run_telemetry_modes(
 
 
 def _print_stage_timers(snapshot: dict, timers, label: str) -> None:
-    """The ``--stage-timers`` report: timed ticks + probe active cycles."""
+    """The ``--stage-timers`` report: timed ticks + probe active cycles,
+    all over the measured window (fast-forwarded cycles tick no stage)."""
     cycles = snapshot["cycles"]
     total = timers.total_seconds
     print(
-        f"stage timers for {label}: {cycles} measured cycles, "
+        f"stage timers for {label}, measured window: {cycles} cycles "
+        f"({snapshot['skip']['skipped_cycles']} fast-forwarded), "
         f"{total:.3f}s in stage ticks"
     )
     print(f"{'stage':<14s} {'wall s':>8s} {'share':>7s} "
@@ -247,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             instructions=options.instructions,
             warmup=options.warmup,
         )
-        target, label = (lambda: simulate_smt(cell)), f"mix {cell.mix}"
+        label = f"mix {cell.mix}"
     elif options.supply == "trace":
         if not options.trace:
             raise SystemExit("--supply trace needs --trace PATH")
@@ -257,7 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             instructions=options.instructions,
             warmup=options.warmup,
         )
-        target = lambda: simulate(cell)  # noqa: E731
         label = f"trace {options.trace} ({cell.benchmark})"
     else:
         cell = make_cell(
@@ -267,32 +285,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             warmup=options.warmup,
             supply=options.supply,
         )
-        target = lambda: simulate(cell)  # noqa: E731
         label = f"{cell.benchmark} under {cell.effective_label} ({options.supply} supply)"
 
+    processor = build_smt_processor(cell) if options.mix else build_processor(cell)
     if options.stage_timers or options.skip_stats:
         return _run_telemetry_modes(
-            cell, label, smt=bool(options.mix),
+            processor, cell, label,
             stage_timers=options.stage_timers,
             skip_stats=options.skip_stats,
         )
 
     print(
-        f"profiling {label}: {cell.instructions} instructions "
-        f"(+{cell.warmup} warm-up)"
+        f"profiling {label}: the measured window of {cell.instructions} "
+        f"instructions (after {cell.warmup} warm-up, not profiled)"
     )
+    warm_up(processor, cell)
     profile = cProfile.Profile()
     profile.enable()
-    result = target()
+    processor.run(cell.instructions)
     profile.disable()
 
-    committed = getattr(result, "instructions", None)
-    if committed is None:  # SmtResult carries per-thread dicts instead
-        committed = sum(thread["committed"] for thread in result.threads)
+    committed = processor.stats.committed
     stats = pstats.Stats(profile, stream=sys.stdout)
     wall = stats.total_tt
-    print(f"committed {committed} instructions in {wall:.2f}s "
-          f"({committed / wall:,.0f} instr/s)\n")
+    print(f"measured window: committed {committed} instructions in "
+          f"{wall:.2f}s profiled ({committed / wall:,.0f} instr/s)\n")
     stats.strip_dirs().sort_stats(options.sort).print_stats(options.top)
     if options.save:
         stats.dump_stats(options.save)
@@ -313,8 +330,8 @@ def hotspot_export(
 
     Self time (``tottime``) attributes cost to the function whose frames
     actually burned it, so the export is the machine-readable answer to
-    "where does the wall clock go" — the view A/B comparisons of stage
-    costs (e.g. fetch with run batching on vs off) diff against.
+    "where does the wall clock go" over the measured window — the view
+    A/B comparisons of stage costs diff against.
     """
     total_tt = sum(row[2] for row in stats.stats.values()) or 1.0
     leaves = sorted(
