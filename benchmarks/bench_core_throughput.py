@@ -14,14 +14,11 @@ root::
     # record the current core's throughput (keeps the baseline section)
     PYTHONPATH=src python benchmarks/bench_core_throughput.py --record
 
-    # same-process A/B: alternate object-kernel / array-kernel passes
-    PYTHONPATH=src python benchmarks/bench_core_throughput.py --interleave
-
     # same-process A/B: cycle-skip off vs on over the stall-heavy suite
     PYTHONPATH=src python benchmarks/bench_core_throughput.py --skip-interleave
 
-    # CI: fail when the kernel speedup, the cycle-skip speedup, or
-    # (lacking interleaved records) absolute committed-IPS regresses
+    # CI: fail when the cycle-skip speedup (or, lacking a skip record,
+    # absolute committed-IPS) regresses
     PYTHONPATH=src python benchmarks/bench_core_throughput.py --check
 
 The suite is deliberately fixed (benchmarks, mechanisms, run lengths,
@@ -30,12 +27,12 @@ is a pure software-speed ratio.
 
 Cross-session wall-clock comparisons are mushy on this hardware: the
 machine's clock wanders ~10% between measurement windows (see the note in
-``BENCH_core.json``).  ``--interleave`` neutralises that by alternating
-object-kernel and array-kernel suite passes *in the same process and
-window* and recording the ratio — the wander hits both sides of each pair
-equally.  ``--check`` therefore gates on the interleaved ratio whenever
-the record carries one, and only falls back to the absolute-IPS floor
-when it does not.
+``BENCH_core.json``).  ``--skip-interleave`` neutralises that by timing
+cycle-skip-off and cycle-skip-on runs of each cell *in the same process
+and window* and recording the ratio — the wander hits both sides of each
+pair equally.  ``--check`` therefore gates on the recorded skip ratio
+whenever the record carries one, and only falls back to the absolute-IPS
+floor when it does not.
 """
 
 from __future__ import annotations
@@ -67,18 +64,9 @@ _INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_CORE_INSTRUCTIONS", "8000"))
 _WARMUP = int(os.environ.get("REPRO_BENCH_CORE_WARMUP", "2000"))
 
 
-def suite_cells(kernel: Optional[str] = None) -> List[SimCell]:
-    """The fixed measurement suite (identical work every invocation).
-
-    ``kernel`` pins the stage-kernel representation ("array"/"object");
-    None keeps the configured default.  Either way the simulated work is
-    bit-identical (the kernel field is excluded from result
-    fingerprints), so timings of the two kernels are directly
-    comparable.
-    """
+def suite_cells() -> List[SimCell]:
+    """The fixed measurement suite (identical work every invocation)."""
     config = table3_config()
-    if kernel is not None:
-        config = replace(config, kernel=kernel)
     cells = [
         SimCell(
             benchmark=benchmark,
@@ -153,71 +141,6 @@ def measure(repeats: int = 1) -> Dict:
     }
 
 
-def measure_interleaved(repeats: int = 3) -> Dict:
-    """Same-process object-vs-array kernel A/B over the fixed suite.
-
-    The pairing is per *cell*, not per suite pass: for every cell the
-    object-kernel run and the array-kernel run are timed back to back
-    (sub-second windows see the same clock), and each side keeps its
-    per-cell best over ``repeats`` passes.  The recorded ratio is the
-    sum of per-cell bests — a pure software-speed ratio even when the
-    machine's clock wanders ~10% between longer windows (suite-level
-    pairing at ~2s per side was measurably polluted by that wander).
-    """
-    object_cells = suite_cells("object")
-    array_cells = suite_cells("array")
-    count = len(object_cells)
-    best_object = [float("inf")] * count
-    best_array = [float("inf")] * count
-    per_pass: List[Dict] = []
-    committed = 0
-    for _ in range(max(1, repeats)):
-        pass_object = 0.0
-        pass_array = 0.0
-        pass_committed = 0
-        for index in range(count):
-            start = time.perf_counter()
-            result = simulate(object_cells[index])
-            object_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            simulate(array_cells[index])
-            array_seconds = time.perf_counter() - start
-            pass_committed += result.instructions
-            pass_object += object_seconds
-            pass_array += array_seconds
-            if object_seconds < best_object[index]:
-                best_object[index] = object_seconds
-            if array_seconds < best_array[index]:
-                best_array[index] = array_seconds
-        committed = pass_committed
-        per_pass.append(
-            {
-                "object_seconds": pass_object,
-                "array_seconds": pass_array,
-                "ratio": pass_object / pass_array,
-            }
-        )
-    object_total = 0.0
-    array_total = 0.0
-    for index in range(count):
-        object_total += best_object[index]
-        array_total += best_array[index]
-    return {
-        "schema": _SCHEMA,
-        "instructions": _INSTRUCTIONS,
-        "warmup": _WARMUP,
-        "cells": count,
-        "committed": committed,
-        "repeats": max(1, repeats),
-        "object_seconds": object_total,
-        "array_seconds": array_total,
-        "object_ips": committed / object_total,
-        "array_ips": committed / array_total,
-        "ratio": object_total / array_total,
-        "per_pass": per_pass,
-    }
-
-
 def skip_suite_cells() -> List[Tuple[str, str, bool, object, object]]:
     """The fixed cycle-skip A/B suite: (label, kind, mechanism, on, off).
 
@@ -264,14 +187,15 @@ def skip_suite_cells() -> List[Tuple[str, str, bool, object, object]]:
 def measure_skip_interleaved(repeats: int = 3) -> Dict:
     """Same-process skip-on vs skip-off A/B over the fixed skip suite.
 
-    Pairing follows ``measure_interleaved``: for every cell the skip-off
-    and skip-on runs are timed back to back and each side keeps its
-    per-cell best over ``repeats`` passes, so the recorded ratios are
-    pure software-speed ratios despite the machine's clock wander.  The
-    simulated work is bit-identical on both sides (``cycle_skip`` is
-    excluded from result fingerprints and proven invisible by the
-    kernel-equivalence suite), so off/on wall-time is exactly the
-    fast-forward's payoff.
+    The pairing is per *cell*, not per suite pass: for every cell the
+    skip-off and skip-on runs are timed back to back (sub-second windows
+    see the same clock) and each side keeps its per-cell best over
+    ``repeats`` passes.  The recorded ratios are sums of per-cell bests,
+    so they are pure software-speed ratios even when the machine's clock
+    wanders ~10% between longer windows.  The simulated work is
+    bit-identical on both sides (``cycle_skip`` is excluded from result
+    fingerprints and proven invisible by the kernel-equivalence
+    goldens), so off/on wall-time is exactly the fast-forward's payoff.
     """
     cells = skip_suite_cells()
     best_on = {label: float("inf") for label, *_ in cells}
@@ -370,15 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="store the measurement as the current core's throughput",
     )
     mode.add_argument(
-        "--interleave", action="store_true",
-        help=(
-            "same-process A/B: alternate object-kernel and array-kernel "
-            "suite passes and record the speedup ratio alongside the "
-            "current best-of-N (run after --record; a fresh --record "
-            "drops the stale ratio)"
-        ),
-    )
-    mode.add_argument(
         "--skip-interleave", action="store_true",
         help=(
             "same-process A/B: alternate cycle-skip-off and cycle-skip-on "
@@ -390,9 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument(
         "--check", action="store_true",
         help=(
-            "fail if the interleaved kernel-speedup ratio, the cycle-skip "
-            "speedup (when recorded), or — without an interleaved record "
-            "— absolute committed IPS drops below the record"
+            "fail if the recorded cycle-skip speedup or — without a skip "
+            "record — absolute committed IPS drops below the record"
         ),
     )
     parser.add_argument(
@@ -401,21 +315,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     options = parser.parse_args(argv)
     path = options.result_file
-
-    if options.interleave:
-        result = measure_interleaved(repeats=max(2, options.repeats))
-        print(
-            f"interleaved A/B over {result['cells']} cells x "
-            f"{result['repeats']} passes: object "
-            f"{result['object_ips']:,.0f} instr/s, array "
-            f"{result['array_ips']:,.0f} instr/s -> "
-            f"{result['ratio']:.2f}x"
-        )
-        payload = _load(path) if os.path.exists(path) else {"schema": _SCHEMA}
-        payload.setdefault("current", {})["interleaved"] = result
-        _store(path, payload)
-        print(f"wrote interleaved ratio to {path}")
-        return 0
 
     if options.skip_interleave:
         result = measure_skip_interleaved(repeats=max(2, options.repeats))
@@ -428,51 +327,26 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if options.check:
         payload = _load(path)
-        interleaved = payload.get("current", {}).get("interleaved")
         skip = payload.get("current", {}).get("skip")
-        if interleaved or skip:
-            status = 0
-            if interleaved:
-                result = measure_interleaved(repeats=max(2, options.repeats))
-                recorded = interleaved["ratio"]
-                floor = recorded * (1.0 - options.tolerance)
-                measured = result["ratio"]
+        if skip:
+            result = measure_skip_interleaved(repeats=max(2, options.repeats))
+            _print_skip_summary(result)
+            recorded = skip["mechanism_ratio"]
+            floor = recorded * (1.0 - options.tolerance)
+            measured = result["mechanism_ratio"]
+            print(
+                f"recorded cycle-skip speedup {recorded:.2f}x, floor "
+                f"{floor:.2f}x, measured {measured:.2f}x"
+            )
+            if measured < floor:
                 print(
-                    f"recorded kernel speedup {recorded:.2f}x, floor "
-                    f"{floor:.2f}x, measured {measured:.2f}x "
-                    f"(object {result['object_ips']:,.0f} / array "
-                    f"{result['array_ips']:,.0f} instr/s)"
+                    "FAIL: cycle-skip speedup on the gated mechanism "
+                    f"cells regressed more than {options.tolerance:.0%} "
+                    "below BENCH_core.json"
                 )
-                if measured < floor:
-                    print(
-                        "FAIL: array-kernel speedup regressed more than "
-                        f"{options.tolerance:.0%} below BENCH_core.json"
-                    )
-                    status = 1
-                else:
-                    print("OK: kernel speedup within tolerance")
-            if skip:
-                result = measure_skip_interleaved(
-                    repeats=max(2, options.repeats)
-                )
-                _print_skip_summary(result)
-                recorded = skip["mechanism_ratio"]
-                floor = recorded * (1.0 - options.tolerance)
-                measured = result["mechanism_ratio"]
-                print(
-                    f"recorded cycle-skip speedup {recorded:.2f}x, floor "
-                    f"{floor:.2f}x, measured {measured:.2f}x"
-                )
-                if measured < floor:
-                    print(
-                        "FAIL: cycle-skip speedup on the gated mechanism "
-                        f"cells regressed more than {options.tolerance:.0%} "
-                        "below BENCH_core.json"
-                    )
-                    status = 1
-                else:
-                    print("OK: cycle-skip speedup within tolerance")
-            return status
+                return 1
+            print("OK: cycle-skip speedup within tolerance")
+            return 0
         measurement = measure(repeats=options.repeats)
         _print_summary("measured", measurement)
         recorded = payload["current"]["committed_ips"]

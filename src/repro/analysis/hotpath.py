@@ -13,7 +13,7 @@ the ~1.9x kernel speedup and giving it back.  Two rules:
   ``tests/test_processor.py``), and processors accumulate run-scoped
   SMT/observer state dynamically.
 * ``HOT002`` — stage tick code (methods of ``Stage`` subclasses, the
-  two cycle schedulers, and the array kernel's column structures in
+  cycle scheduler, and the kernel's column structures in
   ``repro/pipeline/arrays.py``) must not build closures (lambda /
   nested def), open ``try`` blocks, or call ``sum()``: each is an
   allocation or a setup/teardown cost paid per cycle per thread.
@@ -53,16 +53,6 @@ SLOTS_ALLOWLIST = frozenset({
     ("repro/pipeline/stages/execute_writeback.py", "ExecuteWritebackStage"),
     ("repro/pipeline/stages/fetch.py", "FetchStage"),
     ("repro/pipeline/stages/select_issue.py", "SelectIssueStage"),
-    # The pinned object-kernel snapshot mirrors the five live stages
-    # above verbatim (same tick-rebinding extension point); it must stay
-    # byte-for-byte comparable to the code it snapshots, so it inherits
-    # their allowlisting rather than growing __slots__ the original
-    # never had.
-    ("repro/pipeline/stages/objectkernel.py", "ObjectCommitRecoverStage"),
-    ("repro/pipeline/stages/objectkernel.py", "ObjectDecodeRenameStage"),
-    ("repro/pipeline/stages/objectkernel.py", "ObjectExecuteWritebackStage"),
-    ("repro/pipeline/stages/objectkernel.py", "ObjectFetchStage"),
-    ("repro/pipeline/stages/objectkernel.py", "ObjectSelectIssueStage"),
 })
 
 # Scoped HOT002 exemptions: (path, "Class.method") pairs for methods
@@ -151,9 +141,7 @@ def check_slots(index: ProjectIndex) -> List[Violation]:
 
 
 def _is_stage_class(node: ast.ClassDef) -> bool:
-    # Both cycle schedulers: the live one and the pinned object-kernel
-    # snapshot get the same scrutiny.
-    if node.name in ("CycleScheduler", "ObjectCycleScheduler"):
+    if node.name == "CycleScheduler":
         return True
     for base in node.bases:
         name = base.attr if isinstance(base, ast.Attribute) else (
@@ -168,7 +156,7 @@ def _is_stage_class(node: ast.ClassDef) -> bool:
 def check_stage_methods(index: ProjectIndex) -> List[Violation]:
     violations: List[Violation] = []
     for info in index.modules:
-        # The array kernel's column structures are tick code too: every
+        # The kernel's column structures are tick code too: every
         # class in repro/pipeline/arrays.py is driven from stage loops.
         arrays_module = info.path == "repro/pipeline/arrays.py"
         if not arrays_module and not info.path.startswith(

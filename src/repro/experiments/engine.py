@@ -558,11 +558,10 @@ def smt_baseline_cells(cell: SmtCell) -> List[SimCell]:
 # Configuration fields that cannot change a simulation result and so must
 # not enter content addresses: ``sanitize`` only toggles invariant checks
 # (a sanitized run is bit-identical or raises), ``telemetry`` only attaches
-# the read-only probe bus, ``kernel`` only selects the bit-identical
-# array/object stage representation (tests/test_kernel_equivalence.py),
-# and hashing any of them would split the cache by debug/observability/
-# representation mode.
-_NON_RESULT_FIELDS = frozenset({"sanitize", "telemetry", "kernel", "cycle_skip"})
+# the read-only probe bus, ``cycle_skip`` only fast-forwards cycles with a
+# bit-identical outcome (tests/test_kernel_equivalence.py), and hashing any
+# of them would split the cache by debug/observability/skip mode.
+_NON_RESULT_FIELDS = frozenset({"sanitize", "telemetry", "cycle_skip"})
 
 
 def _config_items(config: ProcessorConfig) -> List[Tuple[str, object]]:

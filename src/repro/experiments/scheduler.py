@@ -88,6 +88,30 @@ def shutdown_shared_pool() -> None:
 atexit.register(shutdown_shared_pool)
 
 
+def run_cell(cell):
+    """Simulate one cell; a failure is re-raised naming the cell.
+
+    The :class:`ExperimentError` carries the cell's label, its benchmark
+    (or SMT mix), its seed, its content fingerprint and the original
+    exception's type and message, all in one string argument so it
+    survives pickling back from a pool worker.
+    """
+    # Imported lazily: engine.py imports this module.
+    from repro.experiments.engine import execute_cell, fingerprint_of
+
+    try:
+        return execute_cell(cell)
+    except Exception as error:
+        benchmark = getattr(cell, "benchmark", None)
+        workload = f"benchmark {benchmark}" if benchmark else f"mix {cell.mix}"
+        label = getattr(cell, "effective_label", None) or cell.policy
+        raise ExperimentError(
+            f"cell {label!r} failed on {workload}, seed "
+            f"{cell.effective_seed}, fingerprint {fingerprint_of(cell)}: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+
+
 def execute_batch(cells: List) -> Dict:
     """Process-pool work function: simulate a batch of cells in order.
 
@@ -96,14 +120,14 @@ def execute_batch(cells: List) -> Dict:
     (probe snapshots of instrumented runs — buffered here, drained, and
     republished by the parent's sink), and the worker-side wall time of
     the batch (perf-counter seconds; comparable only as a duration).
+    A failing cell raises as in :func:`run_cell`.
     """
     # Imported lazily: engine.py imports this module.
-    from repro.experiments.engine import execute_cell
     from repro.telemetry import events as telemetry_events
 
     start = perf_time()
     telemetry_events.worker_mode()
-    results = [execute_cell(cell) for cell in cells]
+    results = [run_cell(cell) for cell in cells]
     return {
         "results": results,
         "events": telemetry_events.drain(),
@@ -291,13 +315,11 @@ class SweepScheduler:
                         settle(index, cell, result)
                 yield from flush()
         else:
-            from repro.experiments.engine import execute_cell
-
             for batch in batches:
                 self.batches_dispatched += 1
                 start = perf_time()
                 for index, cell in batch:
-                    settle(index, cell, execute_cell(cell))
+                    settle(index, cell, run_cell(cell))
                 telemetry_publish(
                     "batch-complete",
                     cells=len(batch),

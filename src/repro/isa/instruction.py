@@ -94,11 +94,10 @@ class DynamicInstruction:
     * timing: the cycle each pipeline event happened
     * speculation: ``on_wrong_path`` (known at fetch — the front-end knows
       whether it is fetching beyond an unresolved misprediction), ``squashed``
-    * power: ``unit_accesses`` maps power-unit index → access count, so a
+    * power: no stored tally — the stage kernel reconstructs an
+      instruction's per-unit accesses on demand from the flags above
+      (see :func:`repro.pipeline.arrays.materialize_tally`), so a
       squashed instruction's activity can be moved to the wasted pool.
-      The array stage kernel leaves it unset (``None`` via the standalone
-      constructor) and reconstructs tallies on demand from the flags
-      above — see :func:`repro.pipeline.arrays.materialize_tally`.
     """
 
     __slots__ = (
@@ -133,18 +132,14 @@ class DynamicInstruction:
         "issued",
         "completed",
         # set at writeback when this instruction's result broadcast woke
-        # at least one dependent (array kernel: a window-wakeup access is
-        # derived from it instead of a stored tally increment)
+        # at least one dependent (a window-wakeup access is derived from
+        # it by ``materialize_tally``)
         "woke",
-        # set at issue on loads: the D-cache access missed L1 (array
-        # kernel: the L2 access is derived from it; read only behind an
+        # set at issue on loads: the D-cache access missed L1 (the L2
+        # access is derived from it; read only behind an
         # ``issued and is_load`` guard)
         "dcache_missed",
         "throttle_token",
-        # cycle this instruction becomes visible to the consumer of the
-        # front-end latch it currently sits in (set by the producing stage
-        # before every latch insertion)
-        "latch_ready",
         # memory
         "mem_address",
         # timing marks (cycle numbers; stamped by the stages only while a
@@ -159,8 +154,6 @@ class DynamicInstruction:
         # speculation provenance
         "on_wrong_path",
         "squashed",
-        # power accounting: list indexed by PowerUnit value
-        "unit_accesses",
     )
 
     def __init__(
@@ -186,8 +179,6 @@ class DynamicInstruction:
         self.on_wrong_path = on_wrong_path
         self.squashed = False
 
-        self.unit_accesses = None  # lazily attached by the power model
-
         # Lazily-populated slots (left unset for speed — the fetch loop
         # instantiates this class inline, slot by slot, hundreds of
         # thousands of times per run; this constructor mirrors its store
@@ -205,8 +196,8 @@ class DynamicInstruction:
         #   and only read at commit (wrong-path work never commits);
         # * ``mem_address`` is stamped at fetch on memory instructions and
         #   only read behind ``is_load``/``is_store`` guards;
-        # * ``phys_sources``/``ready_sources``/``latch_ready`` are written
-        #   at rename/dispatch/latch-insertion before any read.
+        # * ``phys_sources``/``ready_sources`` are written at
+        #   rename/dispatch before any read.
         if static.is_branch:
             self.pc = static.address
             self.predicted_taken = False

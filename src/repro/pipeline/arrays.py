@@ -1,7 +1,7 @@
-"""Flat array state for the stage kernel ("array" kernel representation).
+"""Flat array state for the stage kernel.
 
-The default stage kernel keeps its hot per-cycle state in flat parallel
-columns instead of per-instruction attribute traffic:
+The stage kernel keeps its hot per-cycle state in flat parallel columns
+instead of per-instruction attribute traffic:
 
 * :class:`LatchArray` — a front-end latch as two parallel lists
   (``instrs``, ``stamps``) plus a ``head`` index.  The producing stage
@@ -18,15 +18,15 @@ columns instead of per-instruction attribute traffic:
   under the shipped configurations — the ring is sized from the worst
   static + memory latency — but kept correct anyway) fall back to the
   ``far_buckets`` dict.
-* :func:`materialize_tally` — the array kernel stores *no* per-unit
-  access tally on in-flight instructions.  An instruction's tally is a
+* :func:`materialize_tally` — the kernel stores *no* per-unit access
+  tally on in-flight instructions.  An instruction's tally is a
   pure function of its static flags and a few dynamic bits (``issued``,
   ``completed``, ``woke``, ``dcache_missed``, ``phys_dest``), so the two
   cold paths that need one (per-thread energy attribution at retirement,
   and backend squash accounting) reconstruct it on demand.  The
-  reconstruction mirrors, unit by unit, exactly the increments the
-  object kernel performs in its stage loops, so the accumulated floats
-  are bit-identical.
+  reconstruction counts, unit by unit, exactly the accesses the stages
+  charge to the per-cycle activity array, so the wasted and useful pools
+  add up to the same floats the goldens pin.
 
 Slot recycling: a latch slot is "recycled" by the head index — consumed
 entries are left in place until the columns either drain completely
@@ -62,12 +62,21 @@ COMPACT_THRESHOLD = 512
 class LatchArray:
     """A front-end latch as parallel ``instrs``/``stamps`` columns.
 
-    Contract (mirrors :class:`~repro.pipeline.stages.latch.PipeLatch`):
-    the producer appends ``instrs[i]`` and its ready cycle ``stamps[i]``
-    together; stamps are monotonically non-decreasing from ``head`` to
-    the tail (single producer, constant latency), so the consumer may
-    take the longest prefix with ``stamps[i] <= now`` in one scan; only
-    squash recovery clears the latch wholesale.
+    Models the front end's staging flip-flops between exactly two stages
+    (fetch→decode or decode→rename).  The producing stage stamps each
+    instruction's ready cycle; the consuming stage may take it once the
+    stamp is ``<= now`` — that is how the configurable fetch→decode and
+    decode→rename depths of the paper's Figure 6 sweep are realised.
+    The columns are public and the two stages mutate them directly in
+    their hot loops; the contract they uphold:
+
+    * the producer appends ``instrs[i]`` and its ready cycle
+      ``stamps[i]`` together, only after computing the stamp;
+    * stamps are monotonically non-decreasing from ``head`` to the tail
+      (single producer, constant latency), so the consumer may take the
+      longest prefix with ``stamps[i] <= now`` in one scan and commits
+      it with :meth:`advance`;
+    * only squash recovery clears the latch wholesale (:meth:`clear`).
     """
 
     __slots__ = ("instrs", "stamps", "head")
@@ -92,9 +101,8 @@ class LatchArray:
     def iter_with_stamps(self):
         """Yield ``(instr, ready_cycle)`` pairs, head to tail.
 
-        The shared latch-inspection protocol: the sanitizer verifies
-        stamp monotonicity through this iterator on both latch kinds
-        without knowing where the stamp is stored.
+        The latch-inspection protocol: the sanitizer verifies stamp
+        monotonicity and sequence order through this iterator.
         """
         head = self.head
         return zip(self.instrs[head:], self.stamps[head:])
@@ -123,12 +131,17 @@ class LatchArray:
 class CompletionWheel:
     """The execute→writeback latch as a power-of-2 timing ring.
 
-    ``buckets[cycle & mask]`` holds the instructions completing at
-    ``cycle``; the attribute keeps the ``buckets`` name so the stage
-    contract checker (CON001) maps accesses to the ``completions``
-    surface for both latch kinds.  Ring validity: the issue stage only
-    schedules ``latency <= mask`` into the ring (longer latencies — none
-    under shipped configurations — go to ``far_buckets``), and writeback
+    Issued instructions are binned by absolute completion cycle, and
+    writeback drains exactly one bin per cycle.  The contract the two
+    mutating stages uphold: select/issue appends an instruction to the
+    bin of its completion cycle; execute/writeback takes exactly the
+    current cycle's bin.  ``buckets[cycle & mask]`` holds the
+    instructions completing at ``cycle``; the attribute keeps the
+    ``buckets`` name so the stage contract checker (CON001) maps
+    accesses to the ``completions`` surface.  Ring validity: the issue
+    stage only schedules ``latency <= mask`` into the ring (longer
+    latencies — none under shipped configurations — go to
+    ``far_buckets``), and writeback
     drains a slot at exactly its cycle, so a slot never holds two live
     cycles at once and a non-empty slot within the horizon identifies
     its event cycle exactly (the cycle-skip scan relies on this).
@@ -192,7 +205,7 @@ def materialize_tally(
 ) -> List[int]:
     """Reconstruct an instruction's per-unit access tally from its flags.
 
-    Mirrors the object kernel's per-stage increments exactly:
+    Counts exactly the accesses the stages charge per instruction:
 
     * fetch — one I-cache access for everyone, one predictor access for
       any control instruction;

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from repro.errors import ConfigurationError
 
@@ -39,17 +40,6 @@ def _cycle_skip_default() -> bool:
     is set to 0 (the skip-on/skip-off A/B needs both sides in one process;
     env-var based for the same worker-inheritance reason as the others)."""
     return os.environ.get("REPRO_CYCLE_SKIP", "") not in ("0",)
-
-
-def _kernel_default() -> str:
-    """Default of ``ProcessorConfig.kernel``: the REPRO_KERNEL env var.
-
-    ``array`` (the default) selects the array-backed stage kernel;
-    ``object`` selects the pinned pre-array snapshot
-    (:mod:`repro.pipeline.stages.objectkernel`).  Env-var based for the
-    same worker-inheritance reason as ``REPRO_SANITIZE``.
-    """
-    return os.environ.get("REPRO_KERNEL", "") or "array"
 
 
 @dataclass
@@ -131,18 +121,13 @@ class ProcessorConfig:
     # kernel's own statistics — so it is excluded from cache fingerprints.
     telemetry: bool = field(default_factory=_telemetry_default)
 
-    # Stage-kernel representation: "array" (flat latch/completion arrays,
-    # cycle-skip fast-forward) or "object" (the pinned pre-array snapshot
-    # in repro/pipeline/stages/objectkernel.py).  Never affects results —
-    # the kernels are bit-identical (tests/test_kernel_equivalence.py and
-    # the 38 golden fingerprints enforce it) — so it is excluded from
-    # cache fingerprints like sanitize/telemetry.
-    kernel: str = field(default_factory=_kernel_default)
+    # Not a field: a read-only constant the perfbench self-test still asserts.
+    kernel: ClassVar[str] = "array"
 
-    # Cycle-skip fast-forward (array kernel's next-event engine).  Never
-    # affects results — a fast-forwarded run is bit-identical to a
-    # stepped one (the kernel-equivalence property and the 38 goldens
-    # enforce it) — so it is excluded from cache fingerprints.  Off
+    # Cycle-skip fast-forward (the stage kernel's next-event engine).
+    # Never affects results — a fast-forwarded run is bit-identical to a
+    # stepped one (the kernel-equivalence goldens and the 38 parity
+    # goldens enforce it) — so it is excluded from cache fingerprints.  Off
     # (REPRO_CYCLE_SKIP=0) exists for the skip-on/skip-off benchmark A/B
     # and for bisecting a suspected skip bug.
     cycle_skip: bool = field(default_factory=_cycle_skip_default)
@@ -174,10 +159,6 @@ class ProcessorConfig:
             raise ConfigurationError("extra latencies must be non-negative")
         if self.frequency_hz <= 0:
             raise ConfigurationError("frequency must be positive")
-        if self.kernel not in ("array", "object"):
-            raise ConfigurationError(
-                f"kernel must be 'array' or 'object', got {self.kernel!r}"
-            )
 
     # ------------------------------------------------------------------
     # Derived geometry

@@ -68,7 +68,6 @@ from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.renamer import RegisterRenamer
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.stages.latch import CompletionLatch, PipeLatch
 from repro.pipeline.stages.scheduler import CycleScheduler
 from repro.pipeline.stats import SimStats
 from repro.power.model import ClockGatingStyle, PowerModel
@@ -226,23 +225,15 @@ class ThreadContext:
         self.unresolved_mispredicts = 0
         self.fetch_buffer = fetch_buffer
 
-        # In-order front-end latches (fetch->decode, decode->rename),
-        # built to match the configured stage-kernel representation: flat
-        # instrs/stamps columns for the array kernel, per-instruction
-        # deques for the pinned object kernel.  The backing containers
-        # are mutated in place and never rebound, so the stage hot loops
-        # alias them directly.  ``fetch_entries``/``decode_entries`` stay
-        # the public iteration/len view either way (probes, tests).
-        if config.kernel == "object":
-            self.fetch_latch = PipeLatch()
-            self.decode_latch = PipeLatch()
-            self.fetch_entries = self.fetch_latch.entries
-            self.decode_entries = self.decode_latch.entries
-        else:
-            self.fetch_latch = LatchArray()
-            self.decode_latch = LatchArray()
-            self.fetch_entries = self.fetch_latch
-            self.decode_entries = self.decode_latch
+        # In-order front-end latches (fetch->decode, decode->rename): flat
+        # instrs/stamps columns, mutated in place and never rebound, so
+        # the stage hot loops alias them directly.
+        # ``fetch_entries``/``decode_entries`` are the public
+        # iteration/len view (probes, tests).
+        self.fetch_latch = LatchArray()
+        self.decode_latch = LatchArray()
+        self.fetch_entries = self.fetch_latch
+        self.decode_entries = self.decode_latch
 
         # Back-end partition.
         self.renamer = RegisterRenamer()
@@ -363,15 +354,10 @@ class Processor:
         self.seq = 0
 
         self.fu_pool = FunctionalUnitPool(config)
-        # Execute -> writeback latch: a power-of-2 timing ring for the
-        # array kernel, the original dict of buckets for the pinned
-        # object kernel.
-        if config.kernel == "object":
-            self.completions = CompletionLatch()
-        else:
-            self.completions = CompletionWheel(
-                completion_span(config, self.memory.tlb.miss_penalty)
-            )
+        # Execute -> writeback latch: a power-of-2 timing ring.
+        self.completions = CompletionWheel(
+            completion_span(config, self.memory.tlb.miss_penalty)
+        )
 
         # Incremental occupancy: total ROB/IQ/LSQ entries over all threads,
         # updated by the stages at dispatch/issue/commit/squash.
@@ -401,15 +387,7 @@ class Processor:
             self.total_rob_size = self.shared_caps[0]
         else:
             self.total_rob_size = sum(thread.rob.size for thread in self.threads)
-        if self.config.kernel == "object":
-            # The pinned pre-array snapshot (A/B benchmarking and the
-            # kernel-equivalence tests); lazy import keeps it off the
-            # default path entirely.
-            from repro.pipeline.stages.objectkernel import ObjectCycleScheduler
-
-            self.scheduler = ObjectCycleScheduler(self)
-        else:
-            self.scheduler = CycleScheduler(self)
+        self.scheduler = CycleScheduler(self)
         # The checked stepper is chosen once here, so the per-cycle loop
         # carries no mode branch and a run with both modes off costs
         # nothing extra.

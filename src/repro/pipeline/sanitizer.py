@@ -22,8 +22,7 @@ the incremental bookkeeping the hot loops maintain:
 * ``latch-monotone`` — ready stamps never decrease from head to tail of
   a front-end latch (entries are stamped before insertion and drain in
   order); read through the latch's ``iter_with_stamps`` protocol, which
-  covers both the array kernel's stamp column and the object kernel's
-  on-instruction stamp.
+  pairs each instruction with its entry in the latch's stamp column.
 * ``latch-order`` — sequence numbers strictly increase within a latch.
 * ``energy-ledger`` — with per-thread attribution on, the per-thread
   retirement ledger sums back to the shared totals: wasted joules to
@@ -131,10 +130,8 @@ def check_invariants(kernel, stage: str, cycle: int) -> None:
 
 
 def _check_latch(thread, latch, latch_name: str, stage: str, cycle: int) -> None:
-    # ``iter_with_stamps`` is the shared latch-inspection protocol: the
-    # array latch keeps the ready stamp in its own column, the object
-    # latch on the instruction; the sanitizer checks both without
-    # knowing which.
+    # ``iter_with_stamps`` pairs each entry with its ready stamp, which
+    # the latch keeps in its own column rather than on the instruction.
     last_ready = -1
     last_seq = -1
     for instr, ready in latch.iter_with_stamps():

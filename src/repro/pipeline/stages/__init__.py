@@ -1,7 +1,7 @@
 """The stage-pipeline kernel: one component per pipeline region.
 
 The processor's per-cycle loop is composed of five stage components with
-explicit latch interfaces (see :mod:`repro.pipeline.stages.latch`), driven
+explicit latch interfaces (see :mod:`repro.pipeline.arrays`), driven
 in reverse pipeline order by the
 :class:`~repro.pipeline.stages.scheduler.CycleScheduler`:
 
@@ -24,14 +24,11 @@ from repro.pipeline.stages.commit import CommitRecoverStage
 from repro.pipeline.stages.decode_rename import DecodeRenameStage
 from repro.pipeline.stages.execute_writeback import ExecuteWritebackStage
 from repro.pipeline.stages.fetch import FetchStage
-from repro.pipeline.stages.latch import CompletionLatch, PipeLatch
 from repro.pipeline.stages.scheduler import CycleScheduler
 from repro.pipeline.stages.select_issue import SelectIssueStage
 
 __all__ = [
     "Stage",
-    "PipeLatch",
-    "CompletionLatch",
     "CycleScheduler",
     "FetchStage",
     "DecodeRenameStage",

@@ -7,7 +7,7 @@ performing the architectural side effects: store D-cache access, LSQ
 release, predictor/estimator/BTB training for conditional branches, and
 power crediting of the retired instruction.
 
-The array kernel stores no per-instruction access tally; the two cold
+The kernel stores no per-instruction access tally; the two cold
 crediting paths that need one (per-thread energy attribution, squash
 accounting) reconstruct it on demand with
 :func:`repro.pipeline.arrays.materialize_tally`, and front-end latch
@@ -270,8 +270,8 @@ class CommitRecoverStage(Stage):
         # with no tally at all (``accesses * energy`` with
         # ``accesses == 1`` is exactly ``energy``, so the shortcut
         # accumulates bit-identical floats); back-end residents
-        # materialize their tally and walk it ascending-unit, matching
-        # the object kernel's attribution order.
+        # materialize their tally and walk it ascending-unit, the
+        # attribution order the equivalence goldens fix.
         if not in_backend:
             icache_energy = energy_per_access[_ICACHE]
             bpred_energy = energy_per_access[_BPRED]

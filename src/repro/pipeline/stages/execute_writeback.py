@@ -9,8 +9,8 @@ branches — notifying the thread's speculation controller and invoking the
 commit stage's recovery path for mispredictions.
 
 The drain is one masked ring index and a slot rebind; a broadcast that
-woke dependents records ``instr.woke`` (the array kernel derives the
-window-wakeup power access from the flag instead of a stored tally).
+woke dependents records ``instr.woke`` (the window-wakeup power access
+is derived from the flag by ``materialize_tally``).
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ calls :meth:`PowerModel.end_cycle`.  Styles:
 * ``cc3`` — linear with usage, **10% of max when idle** (the paper's
   configuration, its footnote 1).
 
-Attribution: each access also lands on the owning
-:class:`~repro.isa.instruction.DynamicInstruction`'s tally.  When the
-pipeline squashes an instruction it calls :meth:`credit_squashed`, moving
-that tally into the wasted pool; committed instructions' tallies are
-confirmed useful via :meth:`credit_committed`.
+Attribution: every access also belongs to one
+:class:`~repro.isa.instruction.DynamicInstruction`, whose per-unit tally
+the pipeline reconstructs when it retires or squashes it.  A squashed
+instruction's tally goes to the wasted pool via :meth:`credit_squashed`;
+a committed one's is confirmed useful via :meth:`credit_committed`.
 
 Wasted energy follows the paper's Table 1 accounting: a unit's wasted
 share of overall power is its total energy (idle component included)
@@ -42,11 +42,6 @@ _CLOCK = PowerUnit.CLOCK
 _COUNT_TABLE_SIZE = 64
 
 _ZERO_ACTIVITY = [0] * NUM_UNITS
-
-# Default for the retirement-credit ``tally`` parameter: read the tally
-# stored on the instruction (object kernel).  The array kernel stores no
-# tally and passes a materialized one explicitly.
-_FROM_INSTR: list = []
 
 # (max_watts, ports, cycle_s, style, idle) -> derived constant tables.
 _DERIVED_CACHE: dict = {}
@@ -194,11 +189,6 @@ class PowerModel:
     def new_activity(self) -> List[int]:
         """Return a fresh per-unit activity array for one cycle."""
         return [0] * NUM_UNITS
-
-    def attach(self, instruction: DynamicInstruction) -> None:
-        """Give an instruction its per-unit access tally."""
-        if instruction.unit_accesses is None:
-            instruction.unit_accesses = [0] * NUM_UNITS
 
     def end_cycle(self, activity: List[int], occupancy: float) -> None:
         """Account one cycle of unit activity.
@@ -376,27 +366,23 @@ class PowerModel:
         self,
         instruction: DynamicInstruction,
         now_cycle: int,
-        tally: List[int] = _FROM_INSTR,
+        tally: List[int],
     ) -> None:
         """Move a squashed instruction's access energy to the wasted pool.
 
-        ``tally`` defaults to the tally stored on the instruction; the
-        array kernel (which stores none) passes the reconstruction from
-        :func:`repro.pipeline.arrays.materialize_tally` instead.
+        ``tally`` is the instruction's per-unit access count, as
+        reconstructed by :func:`repro.pipeline.arrays.materialize_tally`.
         """
-        if tally is _FROM_INSTR:
-            tally = instruction.unit_accesses
         instr_energy = 0.0
-        if tally is not None:
-            energy_per_access = self._energy_per_access
-            wasted = self.wasted_energy
-            squashed = self.squashed_accesses
-            for unit, count in enumerate(tally):
-                if count:
-                    energy = count * energy_per_access[unit]
-                    wasted[unit] += energy
-                    squashed[unit] += count
-                    instr_energy += energy
+        energy_per_access = self._energy_per_access
+        wasted = self.wasted_energy
+        squashed = self.squashed_accesses
+        for unit, count in enumerate(tally):
+            if count:
+                energy = count * energy_per_access[unit]
+                wasted[unit] += energy
+                squashed[unit] += count
+                instr_energy += energy
         if self.attribute_threads:
             entry = self._ledger_of(instruction)
             entry[1] += instr_energy
@@ -409,18 +395,15 @@ class PowerModel:
         self,
         instruction: DynamicInstruction,
         now_cycle: int,
-        tally: List[int] = _FROM_INSTR,
+        tally: List[int],
     ) -> None:
         """Record a committed instruction's residency (clock attribution)
         and, when per-thread attribution is on, credit its access energy
         to its thread's useful pool.  ``tally`` as in
         :meth:`credit_squashed`."""
         if self.attribute_threads:
-            if tally is _FROM_INSTR:
-                tally = instruction.unit_accesses
             entry = self._ledger_of(instruction)
-            if tally is not None:
-                entry[0] += self._tally_energy(tally)
+            entry[0] += self._tally_energy(tally)
             entry[2] += 1
         fetch_cycle = instruction.fetch_cycle
         if fetch_cycle >= 0 and now_cycle > fetch_cycle:

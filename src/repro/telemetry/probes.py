@@ -116,9 +116,8 @@ class ProbeBus:
         self.iq_occupancy_sum += kernel.iq_count
         self.lsq_occupancy_sum += kernel.lsq_count
         # Writeback volume must be read before the writeback stage drains
-        # this cycle's completion bucket (``pending_at`` is the shared
-        # probe API of the completion wheel and the object kernel's
-        # bucket latch).
+        # this cycle's completion bucket (``pending_at`` is the completion
+        # wheel's probe API).
         self._pending_writebacks = kernel.completions.pending_at(cycle)
         thread_rob = self.thread_rob_sum
         for index, thread in enumerate(kernel.threads):

@@ -1,8 +1,8 @@
 """The next-event cycle-skip engine and its satellites.
 
-The kernel-equivalence property (``test_kernel_equivalence.py``) proves
-a skipping array kernel matches the never-skipping object kernel; this
-file tests the machinery underneath and around it:
+The kernel-equivalence goldens (``test_kernel_equivalence.py``) prove a
+skipping run and a stepped run both match the pinned per-trial digests;
+this file tests the machinery underneath and around it:
 
 * the controller ``next_active_cycle`` / ``close_gated_window`` contract
   (O(1) wheel probes, side-effect-free probing, batched side effects);

@@ -1,26 +1,34 @@
-"""Property test: the array and object stage kernels are interchangeable.
+"""Property test: the stage kernel matches pinned goldens with and without cycle skip.
 
-The golden parity sweep (``test_stage_kernel_parity.py``) pins both
-kernels to 38 known fingerprints on the shipped benchmark generators.
-This test goes beyond the goldens: randomized micro-programs (drawn
-program shapes and seeds) on randomized core geometries are run through
-*both* kernel representations, and every observable — the committed
-instruction sequence, the squash sequence, the full statistics
-dictionary, the power ledgers — must match bit for bit.  A fingerprint
-over the canonical JSON of the whole payload guards anything the
-itemised asserts miss.
+Randomized micro-programs (drawn program shapes and seeds) on randomized
+core geometries are run through the stage kernel twice, once with the
+cycle-skip fast-forward on and once with it off, and every observable —
+the committed instruction sequence, the squash sequence, the full
+statistics dictionary, the probe groups, the power ledgers — must match
+the digest pinned for that trial in
+``goldens/kernel_equivalence_fingerprints.json``.  A fingerprint over
+the canonical JSON of the whole payload guards anything the per-key
+digests miss.  The golden parity sweep (``test_stage_kernel_parity.py``)
+pins the shipped benchmark generators; these trials cover shapes and
+geometries those never reach.
 
 Each trial is deterministic (the trial seed fixes the program, the
 geometry and the mechanism), so a failure reproduces by running its
-trial id alone.
+trial id alone.  Regenerate the goldens (only legitimate when a PR
+deliberately changes simulator behaviour, never for a pure refactor)::
+
+    PYTHONPATH=src python tests/test_kernel_equivalence.py --regenerate
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import random
 from dataclasses import replace
+from typing import Dict
 
 import pytest
 
@@ -31,9 +39,14 @@ from repro.program.generator import ProgramGenerator, ProgramShape
 from repro.smt.core import SmtProcessor
 from repro.smt.policies import make_fetch_policy
 
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "goldens", "kernel_equivalence_fingerprints.json"
+)
+
 _TRIALS = tuple(range(8))
 _INSTRUCTIONS = 1200
 _WARMUP = 300
+_CYCLE_SKIP_MODES = (True, False)
 
 # Mechanisms drawn per trial: the empty baseline, a fetch-gating
 # throttle (exercises throttled-cycle accounting), the strongest
@@ -78,9 +91,9 @@ def _draw_config(rng: random.Random):
         fetch_width=rng.choice((4, 8)),
         issue_width=rng.choice((4, 8)),
         max_taken_branches_per_cycle=rng.choice((1, 2)),
-        # One trial in four runs both kernels under sanitize and/or
-        # telemetry, so the checked stepper (with each hook, and its
-        # fast-forward path) gets property coverage beside ``step``.
+        # One trial in four runs under sanitize and/or telemetry, so the
+        # checked stepper (with each hook, and its fast-forward path)
+        # gets property coverage beside ``step``.
         sanitize=rng.random() < 0.25,
         telemetry=rng.random() < 0.25,
     )
@@ -103,11 +116,11 @@ class _CommitRecorder:
 
 
 def _probe_groups(processor):
-    """The kernel-independent probe groups of an instrumented run.
+    """The skip-independent probe groups of an instrumented run.
 
-    The snapshot's ``skip`` block is deliberately excluded: the object
-    kernel never fast-forwards, so skip telemetry differs between the
-    kernels by construction while every other group must match.
+    The snapshot's ``skip`` block is deliberately excluded: it counts
+    fast-forwarded cycles, which differ between ``cycle_skip`` on and off
+    by construction, while every other group must match.
     """
     if processor.probes is None:
         return None
@@ -120,11 +133,51 @@ def _probe_groups(processor):
     }
 
 
-def _run_kernel(trial: int, kernel: str):
-    """One deterministic trial on the given kernel representation."""
+def _digest(value) -> str:
+    """SHA-256 over canonical JSON (``repr``-exact floats)."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _golden_entry(payload) -> Dict:
+    """Per-key digests plus the whole-payload fingerprint of one run."""
+    return {
+        "keys": {key: _digest(value) for key, value in payload.items()},
+        "fingerprint": _digest(payload),
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def _load_goldens() -> Dict[str, Dict]:
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)["trials"]
+
+
+def _assert_matches_golden(name: str, label: str, payload) -> None:
+    """Compare one run to its pinned entry, first differing key first."""
+    goldens = _load_goldens()
+    assert name in goldens, f"no golden for {name}; regenerate deliberately"
+    expected = goldens[name]
+    actual = _golden_entry(payload)
+    assert set(actual["keys"]) == set(expected["keys"]), (
+        f"{label}: payload keys differ from the pinned golden"
+    )
+    # Key order is the payload's: commits, squashes, stats, ... so a
+    # divergence names the first differing observable.
+    for key, digest in actual["keys"].items():
+        assert digest == expected["keys"][key], (
+            f"{label}: {key} diverges from the pinned golden"
+        )
+    assert actual["fingerprint"] == expected["fingerprint"], (
+        f"{label}: full result payload diverges from the pinned golden"
+    )
+
+
+def _run_trial(trial: int, cycle_skip: bool):
+    """One deterministic trial, with the fast-forward on or off."""
     rng = random.Random(0x5EED0 + trial)
     shape = _draw_shape(rng)
-    config = replace(_draw_config(rng), kernel=kernel)
+    config = replace(_draw_config(rng), cycle_skip=cycle_skip)
     spec = rng.choice(_MECHANISMS)
     program = ProgramGenerator(shape, seed=1000 + trial, name=f"prop{trial}").generate()
     controller = make_controller(spec) if spec is not None else None
@@ -148,30 +201,12 @@ def _run_kernel(trial: int, kernel: str):
     return payload, spec
 
 
-def _fingerprint(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("trial", _TRIALS)
 def test_random_micro_programs_commit_identically(trial):
-    object_payload, spec = _run_kernel(trial, "object")
-    array_payload, _ = _run_kernel(trial, "array")
-    label = f"trial {trial} ({spec or 'baseline'})"
-    # Itemised asserts first: a divergence names the first differing
-    # observable instead of just a hash mismatch.
-    assert object_payload["commits"] == array_payload["commits"], (
-        f"{label}: committed instruction sequences diverge between kernels"
-    )
-    assert object_payload["squashes"] == array_payload["squashes"], (
-        f"{label}: squash sequences diverge between kernels"
-    )
-    assert object_payload["stats"] == array_payload["stats"], (
-        f"{label}: statistics diverge between kernels"
-    )
-    assert _fingerprint(object_payload) == _fingerprint(array_payload), (
-        f"{label}: full result payloads diverge between kernels"
-    )
+    for cycle_skip in _CYCLE_SKIP_MODES:
+        payload, spec = _run_trial(trial, cycle_skip)
+        label = f"trial {trial} ({spec or 'baseline'}, cycle_skip={cycle_skip})"
+        _assert_matches_golden(f"solo:{trial}", label, payload)
 
 
 def test_trials_cover_every_mechanism_and_a_checked_stepper():
@@ -189,7 +224,7 @@ def test_trials_cover_every_mechanism_and_a_checked_stepper():
 
 
 def test_commits_are_observed_and_nonempty():
-    payload, _ = _run_kernel(0, "array")
+    payload, _ = _run_trial(0, True)
     assert len(payload["commits"]) >= _INSTRUCTIONS
     seqs = [seq for seq, _, _ in payload["commits"]]
     assert seqs == sorted(seqs), "commit sequence must be program-ordered"
@@ -202,8 +237,8 @@ def test_commits_are_observed_and_nonempty():
 # fetch and its interaction with recovery; short-block-heavy shapes (1-2
 # instruction blocks) put a branch in almost every fetch group, so
 # packet boundaries, I-cache line crossings and redirects dominate.
-# Each trial runs the array kernel and the pinned object-kernel
-# reference, and both must agree bit for bit.
+# Each trial runs with the fast-forward on and off, and both runs must
+# match the pinned golden bit for bit.
 # ---------------------------------------------------------------------------
 
 _ADVERSARIAL_TRIALS = tuple(range(6))
@@ -246,12 +281,12 @@ def _draw_adversarial_shape(rng: random.Random, style: str) -> ProgramShape:
     )
 
 
-def _adversarial_trial(trial: int, kernel: str):
-    """One deterministic adversarial-shape trial on the given kernel."""
+def _adversarial_trial(trial: int, cycle_skip: bool):
+    """One deterministic adversarial-shape trial."""
     rng = random.Random(0xBA7C4 + trial)
     style = _ADVERSARIAL_STYLES[trial % len(_ADVERSARIAL_STYLES)]
     shape = _draw_adversarial_shape(rng, style)
-    config = replace(_draw_config(rng), kernel=kernel)
+    config = replace(_draw_config(rng), cycle_skip=cycle_skip)
     spec = rng.choice(_MECHANISMS)
     program = ProgramGenerator(
         shape, seed=3000 + trial, name=f"batch{trial}"
@@ -275,22 +310,13 @@ def _adversarial_trial(trial: int, kernel: str):
 
 @pytest.mark.parametrize("trial", _ADVERSARIAL_TRIALS)
 def test_adversarial_shapes_commit_identically(trial):
-    array, combo = _adversarial_trial(trial, "array")
-    reference, _ = _adversarial_trial(trial, "object")
-    style, spec = combo
-    label = f"adversarial trial {trial} ({style}, {spec or 'baseline'})"
-    assert array["commits"] == reference["commits"], (
-        f"{label}: committed sequences diverge between kernels"
-    )
-    assert array["squashes"] == reference["squashes"], (
-        f"{label}: squash sequences diverge between kernels"
-    )
-    assert array["stats"] == reference["stats"], (
-        f"{label}: statistics diverge between kernels"
-    )
-    assert _fingerprint(array) == _fingerprint(reference), (
-        f"{label}: array kernel diverges from the object reference"
-    )
+    for cycle_skip in _CYCLE_SKIP_MODES:
+        payload, (style, spec) = _adversarial_trial(trial, cycle_skip)
+        label = (
+            f"adversarial trial {trial} ({style}, {spec or 'baseline'}, "
+            f"cycle_skip={cycle_skip})"
+        )
+        _assert_matches_golden(f"adversarial:{trial}", label, payload)
 
 
 def test_adversarial_trials_cover_both_styles_and_wrong_path_density():
@@ -300,7 +326,7 @@ def test_adversarial_trials_cover_both_styles_and_wrong_path_density():
         for trial in _ADVERSARIAL_TRIALS
     }
     assert styles == set(_ADVERSARIAL_STYLES)
-    payload, _ = _adversarial_trial(0, "array")
+    payload, _ = _adversarial_trial(0, True)
     assert payload["stats"]["fetched_wrong_path"] > 0, (
         "the wrong-path-heavy shape must actually fetch wrong-path work"
     )
@@ -309,12 +335,12 @@ def test_adversarial_trials_cover_both_styles_and_wrong_path_density():
 # ---------------------------------------------------------------------------
 # SMT equivalence: the fast-forward's machine-wide quiescence rules.
 #
-# A 2-thread core on the array kernel (which may skip) must match the
-# object kernel (which never skips) bit for bit — including per-thread
-# attribution, controller counters, the policy's gated-cycle counters
-# and the probe bus's throttle-level residency.  Mechanism, fetch policy
-# and stepper variant are assigned round-robin over the trials so every
-# interesting combination is guaranteed coverage (no draw collapse).
+# A 2-thread core must match its pinned golden bit for bit with the
+# fast-forward on and off — including per-thread attribution, controller
+# counters, the policy's gated-cycle counters and the probe bus's
+# throttle-level residency.  Mechanism, fetch policy and stepper variant
+# are assigned round-robin over the trials so every interesting
+# combination is guaranteed coverage (no draw collapse).
 # ---------------------------------------------------------------------------
 
 _SMT_TRIALS = tuple(range(6))
@@ -322,13 +348,13 @@ _SMT_MECHANISMS = (None, ("throttle", "C2"), ("throttle", "A2"), ("gating", 2))
 _SMT_POLICIES = ("round-robin", "icount", "confidence-gating")
 
 
-def _run_smt_kernel(trial: int, kernel: str):
-    """One deterministic 2-thread trial on the given kernel."""
+def _run_smt_trial(trial: int, cycle_skip: bool):
+    """One deterministic 2-thread trial."""
     rng = random.Random(0x5A1D0 + trial)
     shapes = (_draw_shape(rng), _draw_shape(rng))
     config = replace(
         _draw_config(rng),
-        kernel=kernel,
+        cycle_skip=cycle_skip,
         # Deterministic stepper coverage: half the trials instrumented,
         # a third sanitized (trial 5 runs both).
         telemetry=trial % 2 == 1,
@@ -387,31 +413,13 @@ def _run_smt_kernel(trial: int, kernel: str):
 
 @pytest.mark.parametrize("trial", _SMT_TRIALS)
 def test_random_smt_micro_programs_commit_identically(trial):
-    object_payload, combo = _run_smt_kernel(trial, "object")
-    array_payload, _ = _run_smt_kernel(trial, "array")
-    spec, policy = combo
-    label = f"smt trial {trial} ({spec or 'baseline'}, {policy})"
-    assert object_payload["commits"] == array_payload["commits"], (
-        f"{label}: committed instruction sequences diverge between kernels"
-    )
-    assert object_payload["squashes"] == array_payload["squashes"], (
-        f"{label}: squash sequences diverge between kernels"
-    )
-    assert object_payload["stats"] == array_payload["stats"], (
-        f"{label}: statistics diverge between kernels"
-    )
-    assert object_payload["threads"] == array_payload["threads"], (
-        f"{label}: per-thread attribution diverges between kernels"
-    )
-    assert object_payload["controllers"] == array_payload["controllers"], (
-        f"{label}: controller gated-cycle counters diverge between kernels"
-    )
-    assert object_payload["probes"] == array_payload["probes"], (
-        f"{label}: probe groups (incl. throttle residency) diverge"
-    )
-    assert _fingerprint(object_payload) == _fingerprint(array_payload), (
-        f"{label}: full result payloads diverge between kernels"
-    )
+    for cycle_skip in _CYCLE_SKIP_MODES:
+        payload, (spec, policy) = _run_smt_trial(trial, cycle_skip)
+        label = (
+            f"smt trial {trial} ({spec or 'baseline'}, {policy}, "
+            f"cycle_skip={cycle_skip})"
+        )
+        _assert_matches_golden(f"smt:{trial}", label, payload)
 
 
 def test_smt_trials_cover_mechanisms_policies_and_checked_steppers():
@@ -430,3 +438,41 @@ def test_smt_trials_cover_mechanisms_policies_and_checked_steppers():
     assert ("throttle", "C2") in mechanisms, "C2 throttling must be exercised"
     assert "confidence-gating" in policies, "the gating policy must be exercised"
     assert telemetry and sanitize, "both checked-stepper hooks must be exercised"
+
+
+def _regenerate() -> None:
+    """Record every trial with the fast-forward off (the stepped path)."""
+    trials: Dict[str, Dict] = {}
+    for trial in _TRIALS:
+        trials[f"solo:{trial}"] = _golden_entry(_run_trial(trial, False)[0])
+    for trial in _ADVERSARIAL_TRIALS:
+        trials[f"adversarial:{trial}"] = _golden_entry(
+            _adversarial_trial(trial, False)[0]
+        )
+    for trial in _SMT_TRIALS:
+        trials[f"smt:{trial}"] = _golden_entry(_run_smt_trial(trial, False)[0])
+    payload = {
+        "description": (
+            "Bit-exact per-observable digests of the randomized kernel "
+            "equivalence trials, recorded with cycle skip off; the stage "
+            "kernel must reproduce every digest with cycle skip on and off. "
+            "Regenerate only when a change deliberately alters simulator "
+            "behaviour."
+        ),
+        "instructions": _INSTRUCTIONS,
+        "warmup": _WARMUP,
+        "trials": trials,
+    }
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(trials)} trial entries to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regenerate" in sys.argv:
+        _regenerate()
+    else:
+        print(__doc__)

@@ -84,10 +84,10 @@ def test_clock_uses_occupancy():
 def test_squashed_attribution_moves_energy_to_wasted():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
     instr = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
-    model.attach(instr)
-    instr.unit_accesses[PowerUnit.ALU] = 2
+    tally = [0] * NUM_UNITS
+    tally[PowerUnit.ALU] = 2
     instr.fetch_cycle = 0
-    model.credit_squashed(instr, now_cycle=5)
+    model.credit_squashed(instr, now_cycle=5, tally=tally)
     expected = 2 * (10.0 * 1e-9 * 0.9 / DEFAULT_PORTS[PowerUnit.ALU])
     assert math.isclose(model.wasted_energy[PowerUnit.ALU], expected)
     assert model.wasted_instr_cycles == 5
@@ -97,7 +97,7 @@ def test_committed_instruction_counts_clock_cycles():
     model = PowerModel(_flat_table())
     instr = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
     instr.fetch_cycle = 2
-    model.credit_committed(instr, now_cycle=10)
+    model.credit_committed(instr, now_cycle=10, tally=[0] * NUM_UNITS)
     assert model.committed_instr_cycles == 8
 
 
@@ -106,12 +106,11 @@ def test_wasted_clock_energy_proportional_to_wrong_cycles():
     # one cycle of full clock activity
     model.end_cycle(model.new_activity(), occupancy=1.0)
     squashed = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
-    model.attach(squashed)
     squashed.fetch_cycle = 0
-    model.credit_squashed(squashed, now_cycle=3)
+    model.credit_squashed(squashed, now_cycle=3, tally=[0] * NUM_UNITS)
     committed = DynamicInstruction(1, StaticInstruction(4, Opcode.ADD, dest=3))
     committed.fetch_cycle = 0
-    model.credit_committed(committed, now_cycle=9)
+    model.credit_committed(committed, now_cycle=9, tally=[0] * NUM_UNITS)
     # 3 wrong cycles of 12 retired-instruction cycles; the paper's
     # convention attributes the unit's *total* energy proportionally.
     expected_fraction = 3 / 12

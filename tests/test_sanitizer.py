@@ -87,7 +87,7 @@ def test_latch_timestamp_regression_is_caught():
             break
     else:
         pytest.fail("fetch latch never reached two entries")
-    # The array kernel keeps the ready stamp in the latch's own column.
+    # The kernel keeps the ready stamp in the latch's own column.
     latch = thread.fetch_latch
     latch.stamps[latch.head] = 10**9
     with pytest.raises(SanitizerError) as exc_info:

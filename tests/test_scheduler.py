@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.engine import ResultCache, make_cell
+from repro.experiments.engine import ResultCache, fingerprint_of, make_cell
 from repro.experiments.scheduler import (
     SweepScheduler,
     affinity_key,
@@ -191,6 +191,19 @@ def test_cache_info_formats_tier_hit_rates(tmp_path, capsys):
 def test_scheduler_rejects_zero_jobs():
     with pytest.raises(ExperimentError):
         SweepScheduler(jobs=0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_cell_is_named_in_the_error(jobs):
+    bad = _cell("gcc", ("throttle", "Z9"))
+    cells = [_cell("go"), _cell("parser"), bad]
+    with pytest.raises(ExperimentError) as info:
+        SweepScheduler(jobs=jobs).run(cells)
+    message = str(info.value)
+    assert "cell 'Z9'" in message and "benchmark gcc" in message
+    assert f"seed {bad.effective_seed}" in message
+    assert fingerprint_of(bad) in message
+    assert "ExperimentError: unknown experiment 'Z9'" in message
 
 
 # --- the shared pool ---------------------------------------------------------
