@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Front-end supply microbenchmark: compiled packets vs the seed walkers.
 
-Measures raw record-generation throughput of the two bit-identical
-instruction supplies, isolated from the rest of the pipeline:
+Measures raw record-generation throughput of ``CompiledSupply`` against
+the seed walkers it is bit-identical to, isolated from the rest of the
+pipeline (the ``live_*`` keys are the walkers):
 
 * **true path** — records generated per second through ``get``/
   ``prune_before`` (the seed ``TruePathOracle`` vs ``CompiledSupply``'s
   pre-lowered block tables);
 * **wrong path** — records walked per second from misprediction-style
-  cursors (per-instruction ``fetch_one`` vs stamped per-block packets).
+  cursors (a ``WrongPathNavigator.fetch_one`` packet loop vs stamped
+  per-block packets).
 
 Results live next to the core-throughput record in ``BENCH_core.json``
 under the ``"frontend"`` key, and ``--check`` is wired into the same CI
@@ -26,9 +28,11 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Dict, List, Optional
 
-from repro.frontend.supply import CompiledSupply, LiveSupply
+from repro.frontend.supply import CompiledSupply, _packet_via_navigator
+from repro.program.walker import TruePathOracle, WrongPathNavigator
 from repro.workloads.suite import benchmark_program, benchmark_spec
 
 DEFAULT_RESULT_PATH = os.path.join(
@@ -51,7 +55,7 @@ def _true_path_rate(supply) -> float:
     return _TRUE_RECORDS / (time.perf_counter() - start)
 
 
-def _wrong_path_rate(supply, num_blocks: int) -> float:
+def _wrong_path_rate(start_cursor, wrong_packet, num_blocks: int) -> float:
     walked = 0
     start = time.perf_counter()
     block = 0
@@ -59,10 +63,10 @@ def _wrong_path_rate(supply, num_blocks: int) -> float:
     while walked < _WRONG_RECORDS:
         # A fresh divergence every 64 records, like real misprediction
         # bursts scattered over the program.
-        cursor = supply.start_cursor(block % num_blocks, salt)
+        cursor = start_cursor(block % num_blocks, salt)
         burst = 0
         while burst < 64:
-            records, cursor = supply.wrong_packet(cursor)
+            records, cursor = wrong_packet(cursor)
             burst += len(records)
         walked += burst
         block += 7
@@ -78,15 +82,21 @@ def measure(repeats: int = 2) -> Dict:
         for name in _BENCHMARKS:
             seed = benchmark_spec(name).seed
             num_blocks = len(benchmark_program(name).blocks)
-            live_true += _true_path_rate(LiveSupply(benchmark_program(name), seed))
+            live_true += _true_path_rate(
+                TruePathOracle(benchmark_program(name), seed)
+            )
             compiled_true += _true_path_rate(
                 CompiledSupply(benchmark_program(name), seed)
             )
+            navigator = WrongPathNavigator(benchmark_program(name), seed)
             live_wrong += _wrong_path_rate(
-                LiveSupply(benchmark_program(name), seed), num_blocks
+                navigator.start_cursor,
+                partial(_packet_via_navigator, navigator),
+                num_blocks,
             )
+            compiled = CompiledSupply(benchmark_program(name), seed)
             compiled_wrong += _wrong_path_rate(
-                CompiledSupply(benchmark_program(name), seed), num_blocks
+                compiled.start_cursor, compiled.wrong_packet, num_blocks
             )
         count = len(_BENCHMARKS)
         sample = {
@@ -112,12 +122,12 @@ def measure(repeats: int = 2) -> Dict:
 
 def _print(measurement: Dict) -> None:
     print(
-        f"true path:  live {measurement['live_true_rps']:>12,.0f} rec/s   "
+        f"true path:  walkers {measurement['live_true_rps']:>12,.0f} rec/s   "
         f"compiled {measurement['compiled_true_rps']:>12,.0f} rec/s   "
         f"({measurement['true_speedup']:.2f}x)"
     )
     print(
-        f"wrong path: live {measurement['live_wrong_rps']:>12,.0f} rec/s   "
+        f"wrong path: walkers {measurement['live_wrong_rps']:>12,.0f} rec/s   "
         f"compiled {measurement['compiled_wrong_rps']:>12,.0f} rec/s   "
         f"({measurement['wrong_speedup']:.2f}x)"
     )

@@ -9,7 +9,8 @@ confidence-blind round-robin arbitration.
 """
 
 from benchmarks.conftest import bench_cache, bench_instructions, bench_jobs, bench_warmup, run_once
-from repro.experiments.engine import build_engine, make_smt_cell, smt_baseline_cells
+from repro.experiments.engine import make_smt_cell, smt_baseline_cells
+from repro.experiments.scheduler import SweepScheduler
 from repro.report.smt import format_smt_report
 from repro.smt.metrics import harmonic_fairness, weighted_speedup
 from repro.smt.policies import POLICY_NAMES
@@ -18,7 +19,7 @@ _MIXES = ("mix2-branchy", "mix4-diverse")
 
 
 def _run_mixes():
-    engine = build_engine(jobs=bench_jobs(), cache=bench_cache())
+    scheduler = SweepScheduler(jobs=bench_jobs(), cache=bench_cache())
     cells = {}
     batch = []
     for mix in _MIXES:
@@ -38,7 +39,7 @@ def _run_mixes():
     for mix, ref_cells in references.items():
         offsets[mix] = len(batch)
         batch.extend(ref_cells)
-    results = engine.run(batch)
+    results = scheduler.run(batch)
     rows = {}
     for (mix, policy), (index, cell) in cells.items():
         result = results[index]

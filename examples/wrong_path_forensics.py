@@ -35,7 +35,7 @@ def main() -> None:
     spec = benchmark_spec(name)
     # The processor builds a CompiledSupply by default; construct it
     # explicitly here so the example shows the injection point (a
-    # LiveSupply or TraceSupply drops in the same way).
+    # TraceSupply drops in the same way).
     program = spec.build_program()
     supply = CompiledSupply(program, spec.seed)
     processor = Processor(table3_config(), program, seed=spec.seed, supply=supply)

@@ -29,13 +29,13 @@ Quickstart::
     throttled = runner.run("go", ("throttle", "C2"))
     print(compare(baseline, throttled))
 
-SMT mixes run through the same execution engine::
+SMT mixes run through the same sweep scheduler::
 
-    from repro import build_engine, make_smt_cell, smt_baseline_cells
+    from repro import ResultCache, SweepScheduler, make_smt_cell, smt_baseline_cells
 
-    engine = build_engine(jobs=4, cache_dir="~/.cache/repro")
+    scheduler = SweepScheduler(jobs=4, cache=ResultCache("repro-cache"))
     cell = make_smt_cell("mix2-branchy", policy="confidence-gating")
-    mix_result, *alone = engine.run([cell] + smt_baseline_cells(cell))
+    mix_result, *alone = scheduler.run_cells([cell] + smt_baseline_cells(cell))
 """
 
 from repro.bpred import GSharePredictor
@@ -67,11 +67,9 @@ from repro.errors import (
 )
 from repro.experiments.campaign import CampaignResult, run_campaign
 from repro.experiments.engine import (
-    ExecutionEngine,
     ResultCache,
     SimCell,
     SmtCell,
-    build_engine,
     make_cell,
     make_smt_cell,
     make_trace_cell,
@@ -79,15 +77,10 @@ from repro.experiments.engine import (
     simulate_smt,
     smt_baseline_cells,
 )
-from repro.frontend import (
-    CompiledSupply,
-    InstructionSupply,
-    LiveSupply,
-    TraceSupply,
-    build_supply,
-)
+from repro.frontend import CompiledSupply, TraceSupply
 from repro.experiments.results import ComparisonResult, SimulationResult, compare
 from repro.experiments.runner import ExperimentRunner, make_controller, run_benchmark
+from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline import Processor, ProcessorConfig, table3_config
 from repro.power import ClockGatingStyle, PowerModel, PowerUnit, default_unit_powers
 from repro.smt import (
@@ -148,11 +141,8 @@ __all__ = [
     "benchmark_program",
     "load_suite",
     # instruction supply
-    "InstructionSupply",
     "CompiledSupply",
-    "LiveSupply",
     "TraceSupply",
-    "build_supply",
     "make_trace_cell",
     # experiments
     "ExperimentRunner",
@@ -164,9 +154,8 @@ __all__ = [
     "SimCell",
     "make_cell",
     "simulate",
-    "ExecutionEngine",
     "ResultCache",
-    "build_engine",
+    "SweepScheduler",
     "CampaignResult",
     "run_campaign",
     # studies

@@ -40,12 +40,10 @@ SURFACES = (
 )
 
 # Attribute name -> surface.  These are the canonical access paths the
-# kernel exposes (ThreadContext aliases included).
+# kernel exposes.
 ATTR_TO_SURFACE = {
     "fetch_latch": "fetch_latch",
-    "fetch_entries": "fetch_latch",
     "decode_latch": "decode_latch",
-    "decode_entries": "decode_latch",
     "rob": "rob",
     "rob_entries": "rob",
     "iq": "iq",

@@ -59,8 +59,9 @@ from repro.experiments.ablations import (
     mshr_sensitivity,
 )
 from repro.experiments.campaign import format_campaign, run_campaign
-from repro.experiments.engine import ResultCache, build_engine
+from repro.experiments.engine import ResultCache
 from repro.experiments.runner import ExperimentRunner, run_benchmark
+from repro.experiments.scheduler import SweepScheduler
 from repro.report.ascii import figure_bars, sweep_lines
 from repro.report.export import figure_to_csv, figure_to_json
 from repro.smt.mixes import MIX_NAMES, load_mixes
@@ -331,7 +332,6 @@ def _cmd_smt(options, cache: Optional[ResultCache]) -> None:
                 f"{', '.join(mix.benchmarks)} — {mix.description}"
             )
         raise SystemExit(2)
-    from repro.experiments.scheduler import SweepScheduler
     from repro.studies.library import smt_mix_study
     from repro.studies.spec import StudyContext, run_study
 
@@ -426,7 +426,6 @@ def _cmd_trace(options) -> None:
 
 def _cmd_study(options, cache: Optional[ResultCache], benchmarks) -> None:
     """``repro study list`` / ``repro study run NAME [NAME ...]``."""
-    from repro.experiments.scheduler import SweepScheduler
     from repro.studies import StudyContext, all_studies, get_study, run_study
 
     usage = (
@@ -636,7 +635,7 @@ def _cmd_campaign(options, cache: Optional[ResultCache], benchmarks) -> None:
         seeds=3 if options.seeds is None else options.seeds,
         instructions=options.instructions or 8_000,
         warmup=options.warmup,
-        engine=build_engine(jobs=options.jobs, cache=cache),
+        executor=SweepScheduler(jobs=options.jobs, cache=cache),
     )
     print(format_campaign(result))
     if options.save:

@@ -3,11 +3,9 @@ and figures (``python -m repro list`` prints the experiment index)."""
 
 from repro.experiments.campaign import CampaignResult, run_campaign, summarize
 from repro.experiments.engine import (
-    ExecutionEngine,
     ResultCache,
     SimCell,
     SmtCell,
-    build_engine,
     cell_fingerprint,
     make_cell,
     make_smt_cell,
@@ -53,11 +51,9 @@ __all__ = [
     "policy_spec",
     "cell_fingerprint",
     "ResultCache",
-    "ExecutionEngine",
     "SweepScheduler",
     "plan_batches",
     "shared_pool",
-    "build_engine",
     "CampaignResult",
     "run_campaign",
     "summarize",

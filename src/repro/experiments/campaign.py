@@ -8,11 +8,11 @@ mean with a Student-t confidence interval — the difference between "C2
 saves 11.5% energy" and "C2 saves 11.5% ± 1.2% energy".
 
 Campaigns execute through the
-:class:`~repro.experiments.engine.ExecutionEngine`: ``jobs`` > 1 fans the
-(benchmark x mechanism x seed) cells out across processes, and
+:class:`~repro.experiments.scheduler.SweepScheduler`: ``jobs`` > 1 fans
+the (benchmark x mechanism x seed) cells out across processes, and
 ``cache_dir`` persists every cell result on disk so an interrupted sweep
 resumes where it stopped.  Cells are enumerated in a deterministic order
-and the engine preserves it, so a parallel campaign serialises
+and the scheduler preserves it, so a parallel campaign serialises
 byte-identically to a serial one.
 
 Campaign results serialise to JSON so long sweeps survive interpreter
@@ -29,11 +29,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.engine import (
     ControllerSpec,
-    ExecutionEngine,
+    ResultCache,
     SimCell,
-    build_engine,
     make_cell,
 )
+from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline.config import ProcessorConfig
 from repro.workloads.suite import benchmark_spec
 
@@ -173,9 +173,9 @@ def campaign_cells(
 
     Returns ``((variant, benchmark, label-or-None-for-baseline), cell)``
     pairs; the ordering (variant-major, then benchmark, then baseline
-    before each experiment) is part of the campaign contract — the engine
-    preserves it, which is what makes ``jobs=N`` output byte-identical to
-    a serial run.
+    before each experiment) is part of the campaign contract — the
+    scheduler preserves it, which is what makes ``jobs=N`` output
+    byte-identical to a serial run.
     """
     pairs: List[Tuple[Tuple[int, str, Optional[str]], SimCell]] = []
     for variant in range(seeds):
@@ -207,7 +207,7 @@ def run_campaign(
     name: str = "campaign",
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    engine: Optional[ExecutionEngine] = None,
+    executor=None,
 ) -> CampaignResult:
     """Run every (experiment, benchmark) cell across program-seed variants.
 
@@ -218,15 +218,19 @@ def run_campaign(
 
     ``jobs`` > 1 simulates cells in parallel processes; ``cache_dir``
     persists per-cell results so a rerun (or an interrupted sweep) only
-    simulates what is missing.  Pass an ``engine`` directly to share a
-    cache/pool across campaigns or to inspect its counters.
+    simulates what is missing.  Pass an ``executor`` (any object with
+    ``run_cells``, such as a :class:`SweepScheduler`) to share a cache
+    across campaigns or to inspect its counters; it replaces ``jobs`` and
+    ``cache_dir``.
     """
     from repro.studies.library import campaign_study
     from repro.studies.spec import StudyContext, run_study
 
     if seeds < 1:
         raise ExperimentError("need at least one seed")
-    engine = engine or build_engine(jobs=jobs, cache_dir=cache_dir)
+    if executor is None:
+        cache = ResultCache(cache_dir) if cache_dir else None
+        executor = SweepScheduler(jobs=jobs, cache=cache)
     context = StudyContext(
         benchmarks=tuple(benchmarks) if benchmarks is not None else None,
         instructions=instructions,
@@ -235,7 +239,7 @@ def run_campaign(
         seeds=seeds,
     )
     study = campaign_study(experiments, name=name)
-    return run_study(study, context, executor=engine).artifact
+    return run_study(study, context, executor=executor).artifact
 
 
 def format_campaign(

@@ -15,16 +15,13 @@ calibrated default" (``benchmark_spec(name).seed``).  Campaign seed
 variants therefore regenerate the program *and* reseed the processor from
 the same value — the two legacy paths disagreed on the processor half.
 
-On top of :func:`simulate` the module layers
-
-* :class:`ResultCache` — a content-addressed on-disk JSON cache keyed on
-  :func:`cell_fingerprint` (a SHA-256 over the full cell, including every
-  :class:`~repro.pipeline.config.ProcessorConfig` field), so interrupted
-  campaigns resume and repeated figure runs are near-instant; and
-* :class:`ExecutionEngine` — process-based parallel fan-out over cells via
-  :class:`concurrent.futures.ProcessPoolExecutor` with deterministic
-  result ordering (results always come back in submission order, so a
-  ``jobs=8`` campaign serialises byte-identically to a serial one).
+On top of :func:`simulate` the module layers :class:`ResultCache` — a
+content-addressed on-disk JSON cache keyed on :func:`cell_fingerprint` (a
+SHA-256 over the full cell, including every
+:class:`~repro.pipeline.config.ProcessorConfig` field), so interrupted
+campaigns resume and repeated figure runs are near-instant.  Parallel
+fan-out lives in :class:`~repro.experiments.scheduler.SweepScheduler`,
+the one executor sweeps run through.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.gating import PipelineGatingController
 from repro.core.levels import BandwidthLevel
@@ -44,7 +41,6 @@ from repro.core.oracle import OracleController, OracleMode
 from repro.core.policy import ThrottleAction, ThrottlePolicy, experiment_policy
 from repro.core.throttler import NullController, SelectiveThrottler, SpeculationController
 from repro.errors import ExperimentError
-from repro.experiments.scheduler import SweepScheduler
 from repro.experiments.results import SimulationResult
 from repro.pipeline.config import ProcessorConfig, table3_config
 from repro.pipeline.processor import Processor
@@ -196,13 +192,10 @@ class SimCell:
     and the parallel fan-out safe.  ``label`` is display-only and is
     deliberately excluded from the fingerprint.
 
-    ``supply`` selects the front-end instruction source: ``"compiled"``
-    (the pre-lowered packet supply, the default) or ``"live"`` (the seed
-    per-instruction walkers) — the two are bit-identical and exist for
-    parity testing and profiling.  ``trace`` names a recorded v2 trace
-    file to replay instead; the cell's benchmark and seed must match the
-    trace header (use :func:`make_trace_cell`), and the trace's *content
-    digest* joins the fingerprint so a re-recorded file misses cleanly.
+    ``trace`` names a recorded v2 trace file to replay as the true path;
+    the cell's benchmark and seed must match the trace header (use
+    :func:`make_trace_cell`), and the trace's *content digest* joins the
+    fingerprint so a re-recorded file misses cleanly.
     """
 
     benchmark: str
@@ -213,7 +206,6 @@ class SimCell:
     seed: Optional[int] = None
     clock_gating: str = ClockGatingStyle.CC3.value
     label: Optional[str] = None
-    supply: str = "compiled"
     trace: Optional[str] = None
 
     @property
@@ -237,15 +229,9 @@ def make_cell(
     seed: Optional[int] = None,
     clock_gating: str = ClockGatingStyle.CC3.value,
     label: Optional[str] = None,
-    supply: str = "compiled",
     trace: Optional[str] = None,
 ) -> SimCell:
     """Build a :class:`SimCell`, filling library defaults for blanks."""
-    if supply not in ("compiled", "live"):
-        raise ExperimentError(
-            f"unknown supply kind {supply!r}; known: compiled, live "
-            "(pass trace= for a trace-backed cell)"
-        )
     return SimCell(
         benchmark=benchmark,
         controller_spec=tuple(controller_spec),
@@ -255,7 +241,6 @@ def make_cell(
         seed=seed,
         clock_gating=clock_gating,
         label=label,
-        supply=supply,
         trace=trace,
     )
 
@@ -291,7 +276,6 @@ def make_trace_cell(
         seed=header.seed,
         clock_gating=clock_gating,
         label=label or f"trace:{header.benchmark}",
-        supply="compiled",
         trace=trace_path,
     )
 
@@ -336,7 +320,7 @@ def build_processor(cell: SimCell) -> Processor:
     Split out of :func:`simulate` so instrumentation harnesses — the
     stage-timer mode of ``tools/profile_run.py``, tests that inspect
     kernel state mid-run — get exactly the simulate-path machine
-    (controller/estimator pairing, seed convention, supply selection)
+    (controller/estimator pairing, seed convention, trace replay)
     without duplicating the recipe.
     """
     seed = cell.effective_seed
@@ -362,16 +346,7 @@ def build_processor(cell: SimCell) -> Processor:
             )
         program = supply.program
     else:
-        if cell.supply not in ("compiled", "live"):
-            raise ExperimentError(
-                f"unknown supply kind {cell.supply!r}; known: compiled, "
-                "live (trace replays set the cell's trace field)"
-            )
         program = _program_for(spec)
-        if cell.supply == "live":
-            from repro.frontend.supply import LiveSupply
-
-            supply = LiveSupply(program, seed)
     controller = make_controller(cell.controller_spec)
     return Processor(
         config,
@@ -605,11 +580,9 @@ def cell_fingerprint(cell: SimCell) -> str:
         "instructions": cell.instructions,
         "warmup": cell.warmup,
     }
-    # Non-default supplies join the fingerprint only when used, so every
-    # pre-existing cache entry keeps its address.  A trace cell hashes the
-    # trace file's *content*: replaying a re-recorded file is a clean miss.
-    if cell.supply != "compiled":
-        payload["supply"] = cell.supply
+    # The trace joins the fingerprint only when used, so every generated-
+    # program cell keeps its address.  A trace cell hashes the trace
+    # file's *content*: replaying a re-recorded file is a clean miss.
     if cell.trace:
         payload["trace_sha256"] = _file_sha256(cell.trace)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -656,10 +629,25 @@ def fingerprint_of(cell) -> str:
 
 
 def execute_cell(cell):
-    """Simulate any cell kind (the engine's process-pool work function)."""
+    """Simulate any cell kind (the scheduler's per-cell work function)."""
     if isinstance(cell, SmtCell):
         return simulate_smt(cell)
     return simulate(cell)
+
+
+def relabel(result, cell):
+    """``result`` under ``cell``'s display label.
+
+    Labels are display-only and excluded from fingerprints, so one
+    simulated result serves every cell with its content address; each
+    consumer (scheduler duplicates, the result cache, the runner's memo)
+    reapplies the requesting cell's label here.  SMT results carry no
+    display label and pass through unchanged.
+    """
+    label = getattr(cell, "effective_label", None)
+    if label is None or result.label == label:
+        return result
+    return replace(result, label=label)
 
 
 def result_to_dict(result: SimulationResult) -> Dict:
@@ -747,11 +735,7 @@ class ResultCache:
     def _materialize(payload, cell, is_smt: bool):
         if is_smt:
             return smt_result_from_dict(payload["result"])
-        result = result_from_dict(payload["result"])
-        # The label is display-only and not part of the fingerprint.
-        if result.label != cell.effective_label:
-            result = replace(result, label=cell.effective_label)
-        return result
+        return relabel(result_from_dict(payload["result"]), cell)
 
     def _remember(self, fingerprint: str, payload) -> None:
         if self.memory_entries == 0:
@@ -982,70 +966,3 @@ class ResultCache:
         if dropped:
             self._memory.clear()
         return dropped
-
-
-# ----------------------------------------------------------------------
-# Parallel execution
-# ----------------------------------------------------------------------
-
-class ExecutionEngine:
-    """Compatibility facade over the batched :class:`SweepScheduler`.
-
-    Every driver used to talk to this class directly; it now delegates to
-    a scheduler, so old call sites transparently get affinity batching,
-    the shared warm pool and ordered streaming.  Results are always
-    returned in submission order regardless of completion order, and
-    ``executed`` counts actual simulations (cache hits excluded), which
-    is what campaign resume tests assert on.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        batch_cells: Optional[int] = None,
-    ) -> None:
-        self.scheduler = SweepScheduler(
-            jobs=jobs, cache=cache, batch_cells=batch_cells
-        )
-
-    @property
-    def jobs(self) -> int:
-        return self.scheduler.jobs
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        return self.scheduler.cache
-
-    @property
-    def executed(self) -> int:
-        return self.scheduler.executed
-
-    def run_cell(self, cell: SimCell) -> SimulationResult:
-        return self.run([cell])[0]
-
-    def run(self, cells: Sequence) -> List:
-        """Simulate every cell, returning results in submission order.
-
-        Batches may mix cell kinds: single-thread :class:`SimCell` and
-        :class:`SmtCell` entries share the pool and the cache.
-        """
-        return self.scheduler.run(cells)
-
-    # The executor protocol shared with ExperimentRunner / SweepScheduler.
-    run_cells = run
-
-    def stream(self, cells: Sequence) -> Iterator[Tuple[int, object]]:
-        """Ordered streaming over a batch (see ``SweepScheduler.stream``)."""
-        return self.scheduler.stream(cells)
-
-
-def build_engine(
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    cache: Optional[ResultCache] = None,
-) -> ExecutionEngine:
-    """An engine with an optional directory-backed result cache."""
-    if cache is None and cache_dir:
-        cache = ResultCache(cache_dir)
-    return ExecutionEngine(jobs=jobs, cache=cache)

@@ -15,9 +15,10 @@ A :class:`ControllerSpec` names one mechanism:
 
 Execution itself lives in :mod:`repro.experiments.engine` — this module
 is the convenience layer: :func:`run_benchmark` for one-off runs and
-:class:`ExperimentRunner`, which memoises results per full cell
-fingerprint (every figure compares many mechanisms against the same
-baseline) and can fan batches out across processes via the engine.
+:class:`ExperimentRunner`, which memoises results per cell fingerprint
+(every figure compares many mechanisms against the same baseline) and
+fans batches out across processes through its
+:class:`~repro.experiments.scheduler.SweepScheduler`.
 
 Run lengths default to :func:`default_instructions` /
 :func:`default_warmup`, overridable with the environment variables
@@ -27,29 +28,23 @@ higher-fidelity (slower) reproductions.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.engine import (
     ControllerSpec,
-    ExecutionEngine,
     ResultCache,
     SimCell,
-    config_fingerprint,
-    confidence_kind_for,
     default_instructions,
     default_warmup,
-    label_of,
+    fingerprint_of,
     make_cell,
     make_controller,
+    relabel,
     simulate,
 )
 from repro.experiments.results import SimulationResult
+from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline.config import ProcessorConfig, table3_config
-
-# Backwards-compatible aliases (pre-engine private names).
-_confidence_kind_for = confidence_kind_for
-_label_of = label_of
 
 
 def run_benchmark(
@@ -82,16 +77,11 @@ def run_benchmark(
     )
 
 
-def _config_key(config: ProcessorConfig) -> Tuple:
-    """A hashable fingerprint of everything that affects a run."""
-    return config_fingerprint(config)
-
-
 class ExperimentRunner:
     """Runs (benchmark x mechanism) simulations with baseline memoisation.
 
     ``jobs`` and ``cache`` configure the underlying
-    :class:`~repro.experiments.engine.ExecutionEngine`: batches submitted
+    :class:`~repro.experiments.scheduler.SweepScheduler`: batches submitted
     through :meth:`prefetch` fan out over processes, and an on-disk
     :class:`~repro.experiments.engine.ResultCache` persists results
     across interpreter restarts.
@@ -108,8 +98,8 @@ class ExperimentRunner:
         self.config = config or table3_config()
         self.instructions = instructions or default_instructions()
         self.warmup = default_warmup() if warmup is None else warmup
-        self.engine = ExecutionEngine(jobs=jobs, cache=cache)
-        self._cache: Dict[Tuple, SimulationResult] = {}
+        self.scheduler = SweepScheduler(jobs=jobs, cache=cache)
+        self._cache: Dict[str, object] = {}
 
     def _cell(
         self,
@@ -127,61 +117,32 @@ class ExperimentRunner:
             label=label,
         )
 
-    def _key(self, cell) -> Tuple:
-        if isinstance(cell, SimCell):
-            return (cell.benchmark, cell.controller_spec,
-                    _config_key(cell.config), cell.instructions, cell.warmup,
-                    cell.effective_seed, cell.clock_gating)
-        # Other cell kinds (SmtCell) memoise on their content address.
-        from repro.experiments.engine import fingerprint_of
-
-        return ("fingerprint", fingerprint_of(cell))
-
     def run_cells(self, cells: Sequence) -> List:
-        """Run a batch of cells: memo first, then one engine batch.
+        """Run a batch of cells: memo first, then one scheduler batch.
 
         This is the executor protocol study plans run through (shared
         with :class:`~repro.experiments.scheduler.SweepScheduler`).
         Batches may mix cell kinds — :class:`SimCell` and ``SmtCell``
-        share the memo and the engine.  The memo always holds the
-        default-labelled result of a cell; custom display labels are
-        applied to copies on the way out, so a relabelled request can
-        never corrupt later lookups.
+        share the memo and the scheduler.  The memo is keyed by content
+        fingerprint and stores results as they were settled; every hit
+        is relabelled for the requesting cell, so a custom display label
+        never leaks into later lookups.
         """
         out: List = [None] * len(cells)
-        pending: List[Tuple[int, object]] = []
+        pending: List[Tuple[int, str, object]] = []
         for index, cell in enumerate(cells):
-            hit = self._cache.get(self._key(cell))
+            key = fingerprint_of(cell)
+            hit = self._cache.get(key)
             if hit is not None:
-                out[index] = self._labelled(hit, cell)
+                out[index] = relabel(hit, cell)
             else:
-                pending.append((index, cell))
+                pending.append((index, key, cell))
         if pending:
-            fresh = self.engine.run([cell for _, cell in pending])
-            for (index, cell), result in zip(pending, fresh):
-                self._cache[self._key(cell)] = self._default_labelled(
-                    result, cell
-                )
+            fresh = self.scheduler.run([cell for _, _, cell in pending])
+            for (index, key, _), result in zip(pending, fresh):
+                self._cache[key] = result
                 out[index] = result
         return out
-
-    @staticmethod
-    def _labelled(result, cell):
-        """A memo hit, under the requesting cell's display label."""
-        label = getattr(cell, "effective_label", None)
-        if label is None or getattr(result, "label", label) == label:
-            return result
-        return replace_label(result, label)
-
-    @staticmethod
-    def _default_labelled(result, cell):
-        """The memo-stored form: always the cell's default label."""
-        if not isinstance(cell, SimCell):
-            return result
-        default = label_of(cell.controller_spec)
-        return result if result.label == default else replace_label(
-            result, default
-        )
 
     def run(
         self,
@@ -199,9 +160,9 @@ class ExperimentRunner:
         requests: Iterable[Tuple[str, ControllerSpec]],
         config: Optional[ProcessorConfig] = None,
     ) -> List[SimulationResult]:
-        """Run a batch of (benchmark, spec) cells through the engine.
+        """Run a batch of (benchmark, spec) cells through the scheduler.
 
-        Uncached cells run in one engine batch — in parallel when the
+        Uncached cells run in one scheduler batch — in parallel when the
         runner was built with ``jobs`` > 1 — and land in the memo, so
         subsequent :meth:`run` calls on the same cells are free.  Results
         come back in request order.
@@ -211,8 +172,3 @@ class ExperimentRunner:
     def baseline(self, benchmark: str, config: Optional[ProcessorConfig] = None):
         """The memoised baseline run of a benchmark."""
         return self.run(benchmark, ("baseline",), config=config)
-
-
-def replace_label(result: SimulationResult, label: str) -> SimulationResult:
-    """Copy a result under a different display label."""
-    return dc_replace(result, label=label)

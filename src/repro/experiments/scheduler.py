@@ -39,6 +39,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
+from repro.telemetry import events as telemetry_events
 from repro.telemetry.clock import perf_time
 from repro.telemetry.events import publish as telemetry_publish
 from repro.telemetry.events import replay as telemetry_replay
@@ -96,7 +97,8 @@ def run_cell(cell):
     exception's type and message, all in one string argument so it
     survives pickling back from a pool worker.
     """
-    # Imported lazily: engine.py imports this module.
+    # Looked up per call, so instrumentation that wraps
+    # ``engine.execute_cell`` sees every cell.
     from repro.experiments.engine import execute_cell, fingerprint_of
 
     try:
@@ -122,9 +124,6 @@ def execute_batch(cells: List) -> Dict:
     the batch (perf-counter seconds; comparable only as a duration).
     A failing cell raises as in :func:`run_cell`.
     """
-    # Imported lazily: engine.py imports this module.
-    from repro.telemetry import events as telemetry_events
-
     start = perf_time()
     telemetry_events.worker_mode()
     results = [run_cell(cell) for cell in cells]
@@ -236,7 +235,7 @@ class SweepScheduler:
             out[index] = result
         return out
 
-    # The executor protocol shared with ExperimentRunner / ExecutionEngine.
+    # The executor protocol shared with ExperimentRunner.
     run_cells = run
 
     def stream(self, cells: Iterable) -> Iterator[Tuple[int, object]]:
@@ -246,7 +245,7 @@ class SweepScheduler:
         delivered); uncached cells execute in affinity batches, and each
         completed batch releases the longest ready prefix.
         """
-        from repro.experiments.engine import fingerprint_of
+        from repro.experiments.engine import fingerprint_of, relabel
 
         cells = list(cells)
         total = len(cells)
@@ -281,7 +280,7 @@ class SweepScheduler:
                 self.cache.put(cell, result)
             ready[index] = result
             for follower in followers.get(index, ()):
-                ready[follower] = _relabelled(result, cells[follower])
+                ready[follower] = relabel(result, cells[follower])
 
         batches = plan_batches(pending, self.jobs, self.batch_cells)
         self._publish_plan(total, len(ready), pending, batches)
@@ -347,13 +346,3 @@ class SweepScheduler:
             batch_sizes=[len(batch) for batch in batches],
             affinity_groups=list(group_sizes.values()),
         )
-
-
-def _relabelled(result, cell):
-    """A duplicate cell's copy of a result, under its own display label."""
-    label = getattr(cell, "effective_label", None)
-    if label is not None and getattr(result, "label", label) != label:
-        from dataclasses import replace
-
-        return replace(result, label=label)
-    return result

@@ -1,39 +1,30 @@
 """The front-end instruction-supply layer.
 
 Everything the fetch stage consumes — true-path records, wrong-path
-packets, trace replays — flows through one :class:`InstructionSupply`
-contract with three implementations:
+packets, trace replays — flows through one front-end path:
 
-* :class:`~repro.frontend.supply.CompiledSupply` — the default: every CFG
-  basic block is pre-lowered once into a flat, reusable packet (shared
-  constant records plus lazily-stamped dynamic slots), so fetch consumes
-  whole blocks instead of paying a Python call per instruction;
-* :class:`~repro.frontend.supply.LiveSupply` — the seed reference: the
-  original per-instruction :class:`~repro.program.walker.TruePathOracle` /
-  :class:`~repro.program.walker.WrongPathNavigator` walk behind the packet
-  interface (bit-identical to the compiled supply; parity-tested);
-* :class:`~repro.frontend.supply.TraceSupply` — replays a recorded
-  true-path trace through the full pipeline while wrong paths still walk
-  the CFG, so a replay is bit-identical to the live run it was recorded
-  from.
+* :class:`~repro.frontend.supply.CompiledSupply` — every CFG basic block
+  is pre-lowered once into a flat, reusable packet (shared constant
+  records plus lazily-stamped dynamic slots), so fetch consumes whole
+  blocks instead of paying a Python call per instruction;
+* :class:`~repro.frontend.supply.TraceSupply` — the same supply with the
+  true path replayed from a recorded trace while wrong paths still walk
+  the CFG, so a replay is bit-identical to the run it was recorded from.
+
+The per-instruction seed walkers
+(:class:`~repro.program.walker.TruePathOracle`,
+:class:`~repro.program.walker.WrongPathNavigator`) are the reference the
+compiled streams are parity-tested against.
 """
 
 from repro.frontend.supply import (
     CompiledSupply,
-    InstructionSupply,
-    LiveSupply,
-    SUPPLY_KINDS,
     TraceSupply,
-    build_supply,
     resolve_trace_records,
 )
 
 __all__ = [
     "CompiledSupply",
-    "InstructionSupply",
-    "LiveSupply",
-    "SUPPLY_KINDS",
     "TraceSupply",
-    "build_supply",
     "resolve_trace_records",
 ]

@@ -1,8 +1,8 @@
-"""Instruction supplies: precompiled block packets behind one contract.
+"""Instruction supplies: precompiled block packets for the fetch stage.
 
 The fetch stage used to pay one Python call per fetched instruction —
 ``TruePathOracle.get`` on the true path, ``WrongPathNavigator.fetch_one``
-down wrong paths.  An :class:`InstructionSupply` replaces both with a
+down wrong paths.  :class:`CompiledSupply` replaces both with a
 block-granular contract:
 
 * **true path** — an indexable ring of
@@ -15,6 +15,9 @@ block-granular contract:
   (or the first control instruction), plus the cursor the walk continues
   from.  Cursors keep the seed walker's ``(block_id, index, stack, step)``
   shape, so branch-recovery state is unchanged.
+
+:class:`TraceSupply` is the one variant: it serves the true path from a
+recorded trace instead of generating it.
 
 **Pre-lowering.**  ``CompiledSupply`` compiles each basic block once into
 a packet template: records that never change (non-memory body
@@ -29,9 +32,11 @@ step per stamp.  Table compilation is cached on the ``Program`` instance,
 so the many cells of a figure sweep that share a memoised program compile
 once.
 
-Bit-exactness against the seed walker is enforced by
-``tests/test_frontend_supply.py`` (stream parity on every calibrated
-benchmark plus adversarial CFG shapes) and, end to end, by the 38 golden
+The seed walkers (:class:`~repro.program.walker.TruePathOracle`,
+:class:`~repro.program.walker.WrongPathNavigator`) stay the reference
+implementation.  Bit-exactness against them is enforced by
+``tests/test_frontend_supply.py`` (stream parity on calibrated
+benchmarks plus adversarial CFG shapes) and, end to end, by the 38 golden
 fingerprints of ``tests/test_stage_kernel_parity.py``.
 """
 
@@ -44,13 +49,10 @@ from repro.program.cfg import Program, TerminatorKind
 from repro.program.walker import (
     DynamicRecord,
     HISTORY_BITS,
-    TruePathOracle,
     WrongPathNavigator,
     WrongPathCursor,
 )
 from repro.utils.rng import derive_seed, stateless_hash_step as _hash_step
-
-SUPPLY_KINDS = ("compiled", "live", "trace")
 
 _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
@@ -74,44 +76,6 @@ _KIND_CODES = {
 }
 
 
-class InstructionSupply:
-    """The contract between the fetch stage and its instruction source.
-
-    Implementations provide the true-path ring (``_records``/``_base``
-    plus :meth:`get` / :meth:`prune_before` — the seed oracle's surface)
-    and the wrong-path packet walk (:meth:`start_cursor` /
-    :meth:`wrong_packet`).  All implementations are bit-identical on the
-    record streams they serve; they differ only in speed and source.
-    """
-
-    kind = "abstract"
-
-    __slots__ = ("program",)
-
-    def get(self, stream_index: int) -> DynamicRecord:
-        """Return the true-path record at an absolute stream index."""
-        raise NotImplementedError
-
-    def prune_before(self, stream_index: int) -> None:
-        """Drop true-path records older than ``stream_index``."""
-        raise NotImplementedError
-
-    def start_cursor(self, block_id: int, salt: int) -> WrongPathCursor:
-        """Cursor for entering a wrong path at the top of ``block_id``."""
-        raise NotImplementedError
-
-    def wrong_packet(self, cursor: WrongPathCursor):
-        """Return ``(records, end_cursor)`` for the wrong path at ``cursor``.
-
-        ``records`` is a non-empty list of ``(static, taken, target_block,
-        mem_address)`` tuples covering the cursor's block up to and
-        including its terminator (or the first control instruction);
-        ``end_cursor`` is where the walk continues.  Only the last record
-        of a packet may be a control instruction.
-        """
-        raise NotImplementedError
-
-
 def _packet_via_navigator(navigator: WrongPathNavigator, cursor):
     """Reference packet builder: one ``fetch_one`` call per record."""
     records = []
@@ -124,44 +88,6 @@ def _packet_via_navigator(navigator: WrongPathNavigator, cursor):
         # (the successor cursor re-enters at instruction index 0).
         if static.is_branch or cursor[1] == 0:
             return records, cursor
-
-
-class LiveSupply(InstructionSupply):
-    """The seed walkers behind the packet contract (reference implementation).
-
-    Wraps one :class:`TruePathOracle` and one :class:`WrongPathNavigator`
-    per thread; every record still costs a Python call, which is exactly
-    what makes this the oracle for supply-parity tests and the baseline
-    of ``benchmarks/bench_frontend_supply.py``.
-    """
-
-    kind = "live"
-
-    __slots__ = ("_oracle", "_navigator", "_records")
-
-    def __init__(self, program: Program, seed: int) -> None:
-        self.program = program
-        self._oracle = TruePathOracle(program, seed)
-        self._navigator = WrongPathNavigator(program, seed)
-        # The oracle mutates its ring in place (append/del) and never
-        # rebinds it, so the list can be aliased for the fetch fast path.
-        self._records = self._oracle._records
-
-    @property
-    def _base(self) -> int:
-        return self._oracle._base
-
-    def get(self, stream_index: int) -> DynamicRecord:
-        return self._oracle.get(stream_index)
-
-    def prune_before(self, stream_index: int) -> None:
-        self._oracle.prune_before(stream_index)
-
-    def start_cursor(self, block_id: int, salt: int) -> WrongPathCursor:
-        return self._navigator.start_cursor(block_id, salt)
-
-    def wrong_packet(self, cursor):
-        return _packet_via_navigator(self._navigator, cursor)
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +349,17 @@ class CompiledTables:
         return entry
 
 
-class CompiledSupply(InstructionSupply):
-    """The default supply: pre-lowered per-block packets, stamped lazily.
+class CompiledSupply:
+    """The fetch stage's instruction source: pre-lowered per-block packets.
 
-    Serves streams bit-identical to :class:`LiveSupply` — the true-path
-    walk advances the same behaviour state in the same order, and every
-    wrong-path stamp reproduces the seed walker's stateless hashes — while
+    Provides the true-path ring (``_records``/``_base`` plus :meth:`get`
+    / :meth:`prune_before` — the seed oracle's surface) and the
+    wrong-path packet walk (:meth:`start_cursor` / :meth:`wrong_packet`).
+    Both streams are bit-identical to the seed walkers'
+    (:class:`~repro.program.walker.TruePathOracle`,
+    :class:`~repro.program.walker.WrongPathNavigator`): the true-path walk
+    advances the same behaviour state in the same order, and every
+    wrong-path stamp reproduces the navigator's stateless hashes — while
     doing per-*block* instead of per-*instruction* Python work.
 
     Like the seed oracle, constructing a supply takes ownership of the
@@ -436,12 +367,10 @@ class CompiledSupply(InstructionSupply):
     supply per concurrent walker.
     """
 
-    kind = "compiled"
-
     __slots__ = (
-        "seed", "_tables", "_wp_seed", "_wp_cache", "_nblocks", "_records",
-        "_base", "_block_id", "_stack", "global_history", "_visit_counts",
-        "_fallback",
+        "program", "seed", "_tables", "_wp_seed", "_wp_cache", "_nblocks",
+        "_records", "_base", "_block_id", "_stack", "global_history",
+        "_visit_counts", "_fallback",
     )
 
     def __init__(self, program: Program, seed: int) -> None:
@@ -592,7 +521,15 @@ class CompiledSupply(InstructionSupply):
         return (block_id, 0, (), salt & 0xFFFF)
 
     def wrong_packet(self, cursor):
-        """Stamp one block's wrong-path packet from its pre-lowered table."""
+        """Return ``(records, end_cursor)`` for the wrong path at ``cursor``.
+
+        ``records`` is a non-empty list of ``(static, taken, target_block,
+        mem_address)`` tuples covering the cursor's block up to and
+        including its terminator (or the first control instruction);
+        ``end_cursor`` is where the walk continues.  Only the last record
+        of a packet may be a control instruction.  Regular blocks are
+        stamped from their pre-lowered table.
+        """
         block_id, index, stack, step = cursor
         if index:
             return self._wrong_packet_slow(cursor)
@@ -681,8 +618,6 @@ class TraceSupply(CompiledSupply):
     ahead of commit).
     """
 
-    kind = "trace"
-
     __slots__ = ("_limit",)
 
     def __init__(self, program: Program, seed: int, records) -> None:
@@ -750,15 +685,3 @@ def resolve_trace_records(program: Program, trace_records) -> List[DynamicRecord
             )
         )
     return records
-
-
-def build_supply(kind: str, program: Program, seed: int) -> InstructionSupply:
-    """Instantiate a non-trace supply by kind name."""
-    if kind == "compiled":
-        return CompiledSupply(program, seed)
-    if kind == "live":
-        return LiveSupply(program, seed)
-    raise WorkloadError(
-        f"unknown supply kind {kind!r}; known: compiled, live "
-        "(trace supplies are built from a trace file)"
-    )

@@ -59,7 +59,7 @@ from repro.confidence.selfconf import (
 )
 from repro.core.throttler import NullController, SpeculationController
 from repro.errors import ConfigurationError, SimulationError
-from repro.frontend.supply import CompiledSupply, InstructionSupply
+from repro.frontend.supply import CompiledSupply
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.arrays import CompletionWheel, LatchArray, completion_span
 from repro.pipeline.config import ProcessorConfig
@@ -153,8 +153,8 @@ class ThreadContext:
         "ctrl_has_squash_hook", "ctrl_blocks_wp_fetch",
         "fetch_mode", "true_index", "wp_cursor", "wp_packet", "wp_pos",
         "wp_salt", "fetch_stall_until", "unresolved_mispredicts",
-        "fetch_buffer", "fetch_latch", "decode_latch", "fetch_entries",
-        "decode_entries", "renamer", "rob", "rob_entries", "iq", "lsq",
+        "fetch_buffer", "fetch_latch", "decode_latch", "renamer", "rob",
+        "rob_entries", "iq", "lsq",
         "last_committed_true_index", "commits_since_prune",
         "lowconf_inflight", "committed", "fetched", "fetched_wrong_path",
         "squashed", "cond_branches_committed", "mispredictions_committed",
@@ -172,7 +172,7 @@ class ThreadContext:
         iq_size: int,
         lsq_size: int,
         fetch_buffer: int,
-        supply: Optional[InstructionSupply] = None,
+        supply: Optional[CompiledSupply] = None,
     ) -> None:
         self.thread_id = thread_id
         self.program = program
@@ -185,8 +185,7 @@ class ThreadContext:
         self.btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
         self.ras = ReturnAddressStack(config.ras_depth)
         # The front-end instruction source: pre-lowered block packets by
-        # default; a pre-built LiveSupply or TraceSupply may be injected
-        # (trace replay, supply-parity profiling).
+        # default; a pre-built TraceSupply may be injected (trace replay).
         self.supply = supply if supply is not None else CompiledSupply(program, seed)
 
         # Controller capability flags (see class docstring).
@@ -228,12 +227,8 @@ class ThreadContext:
         # In-order front-end latches (fetch->decode, decode->rename): flat
         # instrs/stamps columns, mutated in place and never rebound, so
         # the stage hot loops alias them directly.
-        # ``fetch_entries``/``decode_entries`` are the public
-        # iteration/len view (probes, tests).
         self.fetch_latch = LatchArray()
         self.decode_latch = LatchArray()
-        self.fetch_entries = self.fetch_latch
-        self.decode_entries = self.decode_latch
 
         # Back-end partition.
         self.renamer = RegisterRenamer()
@@ -300,7 +295,7 @@ class Processor:
         power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
         seed: int = 1,
-        supply: Optional[InstructionSupply] = None,
+        supply: Optional[CompiledSupply] = None,
     ) -> None:
         self._init_shared(config, power_table, clock_gating)
         self.seed = seed
@@ -427,7 +422,7 @@ class Processor:
         return self.threads[0].ras
 
     @property
-    def supply(self) -> InstructionSupply:
+    def supply(self) -> CompiledSupply:
         """Thread 0's instruction supply (true path + wrong-path packets).
 
         Exposes the seed oracle's true-path surface (``get`` /

@@ -1,7 +1,7 @@
 """Fetch: walk the predicted path and fill the fetch latch.
 
 The front-end fetches along its *predictions*: the thread's
-:class:`~repro.frontend.supply.InstructionSupply` serves true-path records
+:class:`~repro.frontend.supply.CompiledSupply` serves true-path records
 while predictions are correct, and a misprediction diverges fetch onto a
 wrong-path packet walk of the same CFG (real wrong-path code that fetches,
 decodes and executes until the branch resolves).  Per fetched line the

@@ -4,8 +4,10 @@ A :class:`~repro.program.cfg.Program` is a set of basic blocks whose
 conditional branches carry *behaviour models* (loops, biased branches,
 patterns, correlated branches).  The :class:`~repro.program.walker.TruePathOracle`
 lazily unrolls the architecturally correct dynamic instruction stream, while
-:class:`~repro.program.walker.WrongPathNavigator` serves speculative fetch
-down mispredicted paths without perturbing true-path state.
+:class:`~repro.program.walker.WrongPathNavigator` walks mispredicted paths
+without perturbing true-path state.  These walkers are the reference the
+pipeline's front end (:class:`~repro.frontend.supply.CompiledSupply`, which
+serves the same streams a block at a time) is parity-tested against.
 """
 
 from repro.program.behavior import (

@@ -14,12 +14,14 @@ front-end at that cursor (a true-stream index, or a wrong-path position for
 branches that were themselves speculative).
 
 These walkers are the **seed reference implementation** of the front-end
-instruction-supply contract: the pipeline now fetches through
+instruction-supply contract: the pipeline fetches through
 :mod:`repro.frontend.supply`, whose ``CompiledSupply`` pre-lowers each
 basic block into reusable packets serving bit-identical streams (parity
-is enforced by ``tests/test_frontend_supply.py``), while ``LiveSupply``
-wraps these classes unchanged.  Any semantic change here must be
-mirrored in the compiled tables — the parity suite will catch it.
+is enforced by ``tests/test_frontend_supply.py``).  The oracle still
+drives calibration, and the compiled supply falls back to the navigator
+for mid-block cursors and irregular blocks.  Any semantic change here
+must be mirrored in the compiled tables — the parity suite will catch
+it.
 """
 
 from __future__ import annotations

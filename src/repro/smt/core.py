@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.throttler import NullController, SpeculationController
 from repro.errors import ConfigurationError, SimulationError
-from repro.frontend.supply import InstructionSupply
+from repro.frontend.supply import CompiledSupply
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, ThreadContext
 from repro.pipeline.stats import SimStats
@@ -60,7 +60,7 @@ class SmtProcessor(Processor):
         sharing: str = "partitioned",
         power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
-        supplies: Optional[Sequence[InstructionSupply]] = None,
+        supplies: Optional[Sequence[CompiledSupply]] = None,
     ) -> None:
         count = len(programs)
         if count < 1:

@@ -20,9 +20,9 @@ A :class:`StudySpec` is the one description of an experiment sweep:
 Execution is *not* part of the spec: :func:`run_study` hands the compiled
 plan to any executor exposing ``run_cells(cells) -> results`` — a
 :class:`~repro.experiments.scheduler.SweepScheduler` (batched, parallel,
-cached), an :class:`~repro.experiments.engine.ExecutionEngine`, or an
-:class:`~repro.experiments.runner.ExperimentRunner` (adds an in-process
-memo, which the figure drivers use to share baselines across studies).
+cached) or an :class:`~repro.experiments.runner.ExperimentRunner` (adds
+an in-process memo over its scheduler, which the figure drivers use to
+share baselines across studies).
 """
 
 from __future__ import annotations

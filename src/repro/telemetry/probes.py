@@ -121,8 +121,8 @@ class ProbeBus:
         self._pending_writebacks = kernel.completions.pending_at(cycle)
         thread_rob = self.thread_rob_sum
         for index, thread in enumerate(kernel.threads):
-            self.fetch_latch_sum += len(thread.fetch_entries)
-            self.decode_latch_sum += len(thread.decode_entries)
+            self.fetch_latch_sum += len(thread.fetch_latch)
+            self.decode_latch_sum += len(thread.decode_latch)
             thread_rob[index] += len(thread.rob_entries)
         residency = self.throttle_residency
         for controller in self._throttlers:

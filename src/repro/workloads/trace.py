@@ -97,8 +97,8 @@ class TraceRecorder:
 
     Accepts anything with the true-path oracle surface (``get`` /
     ``prune_before``): the seed :class:`~repro.program.walker.
-    TruePathOracle` or any :class:`~repro.frontend.supply.
-    InstructionSupply` — the streams are bit-identical.
+    TruePathOracle` or a :class:`~repro.frontend.supply.CompiledSupply`
+    — the streams are bit-identical.
     """
 
     def __init__(self, oracle) -> None:

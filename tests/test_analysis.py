@@ -306,8 +306,8 @@ def test_con001_undeclared_write(tmp_path):
             "    CONTRACT = {'reads': (), 'writes': ('fetch_latch',)}\n"
             "    def tick(self, cycle, activity):\n"
             "        for thread in self.kernel.threads:\n"
-            "            thread.fetch_entries.append(1)\n"
-            "            thread.decode_entries.append(2)\n"
+            "            thread.fetch_latch.append(1)\n"
+            "            thread.decode_latch.append(2)\n"
         ),
     })
     violations = run_rule(index, "CON001")
@@ -349,9 +349,9 @@ def test_con001_conforming_stage_with_aliases(tmp_path):
             "        self.buckets = kernel.completions.buckets\n"
             "    def tick(self, cycle, activity):\n"
             "        for thread in self.kernel.threads:\n"
-            "            pipe = thread.fetch_entries\n"
+            "            pipe = thread.fetch_latch\n"
             "            popleft = pipe.popleft\n"
-            "            depth = len(thread.decode_entries)\n"
+            "            depth = len(thread.decode_latch)\n"
             "            bucket = self.buckets.get(cycle)\n"
             "            if bucket is not None:\n"
             "                bucket.append(depth)\n"

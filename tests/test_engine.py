@@ -20,17 +20,17 @@ import pytest
 
 from repro.experiments.campaign import campaign_cells, run_campaign
 from repro.experiments.engine import (
-    ExecutionEngine,
     ResultCache,
-    build_engine,
     cell_fingerprint,
+    config_fingerprint,
     make_cell,
     result_from_dict,
     result_to_dict,
     simulate,
 )
 from repro.experiments.results import SimulationResult
-from repro.experiments.runner import ExperimentRunner, _config_key, run_benchmark
+from repro.experiments.runner import ExperimentRunner, run_benchmark
+from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline.config import table3_config
 from repro.workloads.suite import benchmark_spec
 
@@ -164,15 +164,17 @@ def test_config_key_never_collides_across_distinct_configs():
         configs.append(table3_config().with_table_sizes(kb))
     configs.append(replace(table3_config(), mshr_count=2))
     configs.append(replace(table3_config(), confidence_kind="jrs"))
-    assert len({_config_key(config) for config in configs}) == len(configs)
+    assert len({config_fingerprint(config) for config in configs}) == len(configs)
 
 
 def test_config_key_equal_for_equivalent_configs():
     # Sweeps that land back on the baseline must share its key, or the
     # runner would re-simulate identical machines.
-    assert _config_key(table3_config().with_depth(14)) == _config_key(table3_config())
-    assert _config_key(table3_config().with_table_sizes(16)) == _config_key(
-        table3_config()
+    assert config_fingerprint(table3_config().with_depth(14)) == (
+        config_fingerprint(table3_config())
+    )
+    assert config_fingerprint(table3_config().with_table_sizes(16)) == (
+        config_fingerprint(table3_config())
     )
 
 
@@ -242,21 +244,21 @@ def test_policy_spec_cells_run_through_the_engine():
     assert via_policy == named  # same policy, same label, same simulation
 
 
-# --- the engine --------------------------------------------------------------
+# --- the scheduler and the runner's memo -------------------------------------
 
 def test_engine_preserves_submission_order():
-    engine = ExecutionEngine()
+    scheduler = SweepScheduler()
     cells = [_cell(controller_spec=("baseline",)), _cell()]
-    results = engine.run(cells)
+    results = scheduler.run_cells(cells)
     assert [r.label for r in results] == ["baseline", "A5"]
-    assert engine.executed == 2
+    assert scheduler.executed == 2
 
 
 def test_engine_rejects_zero_jobs():
     from repro.errors import ExperimentError
 
     with pytest.raises(ExperimentError):
-        ExecutionEngine(jobs=0)
+        SweepScheduler(jobs=0)
 
 
 def test_runner_memo_does_not_leak_custom_labels():
@@ -264,17 +266,37 @@ def test_runner_memo_does_not_leak_custom_labels():
     labelled = runner.run("gzip", ("throttle", "A5"), label="pretty")
     assert labelled.label == "pretty"
     assert runner.run("gzip", ("throttle", "A5")).label == "A5"
-    assert runner.engine.executed == 1  # same memo entry served both
+    assert runner.scheduler.executed == 1  # same memo entry served both
 
 
 def test_runner_prefetch_warms_the_memo():
     runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
     results = runner.prefetch([("gzip", ("baseline",)), ("gzip", ("throttle", "A5"))])
     assert [r.label for r in results] == ["baseline", "A5"]
-    assert runner.engine.executed == 2
+    assert runner.scheduler.executed == 2
     runner.baseline("gzip")
     runner.run("gzip", ("throttle", "A5"))
-    assert runner.engine.executed == 2  # both served from the memo
+    assert runner.scheduler.executed == 2  # both served from the memo
+
+
+def test_runner_memo_keys_trace_cells_by_their_trace(tmp_path):
+    # A trace cell shares its benchmark, spec, config, run lengths and
+    # seed with the generated-program cell it was recorded from; only the
+    # trace tells them apart.  The memo must not serve one for the other.
+    from repro.errors import ExperimentError
+    from repro.experiments.engine import make_trace_cell
+    from repro.workloads.trace import record_benchmark_trace
+
+    path = str(tmp_path / "go.trace")
+    record_benchmark_trace("go", path, 500)
+    runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
+    runner.run("go", ("baseline",))
+    trace_cell = make_trace_cell(
+        path, instructions=_INSTRUCTIONS, warmup=_WARMUP
+    )
+    with pytest.raises(ExperimentError, match="trace exhausted"):
+        runner.run_cells([trace_cell])
+    assert runner.scheduler.executed == 1
 
 
 # --- campaign scaling contracts ----------------------------------------------
@@ -305,13 +327,13 @@ def test_parallel_campaign_is_byte_identical_to_serial(
 def test_warm_cache_campaign_simulates_nothing(
     tmp_path, serial_campaign, campaign_kwargs
 ):
-    cold = build_engine(cache_dir=str(tmp_path))
-    first = run_campaign(engine=cold, **campaign_kwargs)
+    cold = SweepScheduler(cache=ResultCache(str(tmp_path)))
+    first = run_campaign(executor=cold, **campaign_kwargs)
     assert cold.executed == 4  # 2 seeds x (baseline + A5)
     assert cold.cache.hits == 0
 
-    warm = build_engine(cache_dir=str(tmp_path))
-    second = run_campaign(engine=warm, **campaign_kwargs)
+    warm = SweepScheduler(cache=ResultCache(str(tmp_path)))
+    second = run_campaign(executor=warm, **campaign_kwargs)
     assert warm.executed == 0
     assert warm.cache.hits == 4
     assert second.to_json() == first.to_json() == serial_campaign.to_json()

@@ -1,10 +1,11 @@
-"""The instruction-supply layer: compiled/live parity and edge goldens.
+"""The instruction-supply layer: parity with the seed walkers and edge goldens.
 
 Three kinds of guarantees:
 
 * **stream parity** — :class:`CompiledSupply` serves record streams (true
-  path and wrong-path packets) bit-identical to the seed walkers behind
-  :class:`LiveSupply`, on calibrated benchmarks and adversarial CFGs;
+  path and wrong-path packets) bit-identical to the seed walkers
+  (:class:`TruePathOracle`, :class:`WrongPathNavigator`), on calibrated
+  benchmarks and adversarial CFGs;
 * **golden wrong-path edges** — RET with an empty speculative stack,
   walks into CFG sink blocks, speculative call-stack max-depth
   truncation, and empty fall-through chains are pinned as SHA-256 stream
@@ -21,9 +22,8 @@ import pytest
 from repro.errors import WorkloadError
 from repro.frontend.supply import (
     CompiledSupply,
-    LiveSupply,
     TraceSupply,
-    build_supply,
+    _packet_via_navigator,
     resolve_trace_records,
 )
 from repro.isa.instruction import StaticInstruction
@@ -74,6 +74,7 @@ def test_wrong_packets_match_seed_navigator(bench_name):
     compiled = CompiledSupply(benchmark_program(bench_name), spec.seed)
     for block_id in range(0, len(program.blocks), 5):
         cursor = navigator.start_cursor(block_id, salt=block_id * 31 + 7)
+        assert cursor == compiled.start_cursor(block_id, salt=block_id * 31 + 7)
         reference = []
         ref_cursor = cursor
         for _ in range(80):
@@ -90,13 +91,15 @@ def test_wrong_packets_match_seed_navigator(bench_name):
 
 
 def test_live_supply_packets_match_compiled():
+    """Packet by packet, the navigator walked one ``fetch_one`` at a time
+    and the compiled supply agree on records *and* continuation cursors."""
     spec = benchmark_spec("twolf")
-    live = LiveSupply(benchmark_program("twolf"), spec.seed)
+    navigator = WrongPathNavigator(benchmark_program("twolf"), spec.seed)
     compiled = CompiledSupply(benchmark_program("twolf"), spec.seed)
-    cursor = live.start_cursor(3, 99)
+    cursor = navigator.start_cursor(3, 99)
     assert cursor == compiled.start_cursor(3, 99)
     for _ in range(40):
-        live_records, live_end = live.wrong_packet(cursor)
+        live_records, live_end = _packet_via_navigator(navigator, cursor)
         comp_records, comp_end = compiled.wrong_packet(cursor)
         assert [(r[0].address, r[1], r[2], r[3]) for r in live_records] == [
             (r[0].address, r[1], r[2], r[3]) for r in comp_records
@@ -104,18 +107,11 @@ def test_live_supply_packets_match_compiled():
         assert live_end == comp_end
         cursor = live_end
     # True-path surfaces agree too.
-    a, b = live.get(123), compiled.get(123)
+    oracle = TruePathOracle(benchmark_program("twolf"), spec.seed)
+    a, b = oracle.get(123), compiled.get(123)
     assert (a.static.address, a.taken, a.target_block, a.mem_address) == (
         b.static.address, b.taken, b.target_block, b.mem_address
     )
-
-
-def test_build_supply_kinds():
-    spec = benchmark_spec("gzip")
-    assert build_supply("compiled", benchmark_program("gzip"), spec.seed).kind == "compiled"
-    assert build_supply("live", benchmark_program("gzip"), spec.seed).kind == "live"
-    with pytest.raises(WorkloadError):
-        build_supply("nope", benchmark_program("gzip"), spec.seed)
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +174,13 @@ _EDGE_GOLDENS = {
 }
 
 
-def _stream_fingerprint(supply_like, start_block: int, salt: int, count: int) -> str:
-    cursor = supply_like.start_cursor(start_block, salt)
+def _stream_fingerprint(
+    start_cursor, wrong_packet, start_block: int, salt: int, count: int
+) -> str:
+    cursor = start_cursor(start_block, salt)
     walked = []
     while len(walked) < count:
-        records, cursor = supply_like.wrong_packet(cursor)
+        records, cursor = wrong_packet(cursor)
         for static, taken, target, mem in records:
             walked.append(
                 (static.address, static.opcode.value, bool(taken), target, mem)
@@ -194,14 +192,21 @@ def _stream_fingerprint(supply_like, start_block: int, salt: int, count: int) ->
 def test_wrong_path_edges_match_goldens_compiled(case):
     block, salt, count, expected = _EDGE_GOLDENS[case]
     compiled = CompiledSupply(_edge_program(), _EDGE_SEED)
-    assert _stream_fingerprint(compiled, block, salt, count) == expected
+    assert _stream_fingerprint(
+        compiled.start_cursor, compiled.wrong_packet, block, salt, count
+    ) == expected
 
 
 @pytest.mark.parametrize("case", sorted(_EDGE_GOLDENS))
 def test_wrong_path_edges_match_goldens_live(case):
+    """The same goldens on the seed navigator, one ``fetch_one`` per record."""
     block, salt, count, expected = _EDGE_GOLDENS[case]
-    live = LiveSupply(_edge_program(), _EDGE_SEED)
-    assert _stream_fingerprint(live, block, salt, count) == expected
+    navigator = WrongPathNavigator(_edge_program(), _EDGE_SEED)
+    assert _stream_fingerprint(
+        navigator.start_cursor,
+        lambda cursor: _packet_via_navigator(navigator, cursor),
+        block, salt, count,
+    ) == expected
 
 
 def test_call_depth_truncates_at_64():
@@ -219,12 +224,12 @@ def test_true_path_ret_with_empty_call_stack_raises():
 
     program = _edge_program()
     # Entering at block 0 (a RET) with no prior CALL must fail on the
-    # true path — and identically on both supplies.
+    # true path — and identically on the supply and the seed oracle.
     b0_first = Program(program.blocks, entry_block=0, name="ret-first")
     b0_first._finalized = True  # blocks already validated/addressed
-    for supply in (CompiledSupply(b0_first, 1), LiveSupply(b0_first, 1)):
+    for walker in (CompiledSupply(b0_first, 1), TruePathOracle(b0_first, 1)):
         with pytest.raises(ProgramError, match="empty call stack"):
-            supply.get(5)
+            walker.get(5)
 
 
 # ----------------------------------------------------------------------
@@ -257,18 +262,3 @@ def test_resolve_trace_records_rejects_mismatches():
                          target_block=-1, mem_address=0)]
     with pytest.raises(WorkloadError, match="record 1"):
         resolve_trace_records(program, bogus)
-
-
-def test_live_supply_full_pipeline_matches_compiled():
-    """The engine's supply="live" path is bit-identical to the default
-    compiled supply end to end (pins the fetch stage's ring-alias and
-    ``_base``-property integration, which stream-level parity misses)."""
-    import json
-
-    from repro.experiments.engine import make_cell, result_to_dict, simulate
-
-    compiled = simulate(make_cell("go", instructions=1500, warmup=400))
-    live = simulate(make_cell("go", instructions=1500, warmup=400, supply="live"))
-    assert json.dumps(result_to_dict(compiled), sort_keys=True) == json.dumps(
-        result_to_dict(live), sort_keys=True
-    )

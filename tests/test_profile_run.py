@@ -62,3 +62,18 @@ def test_profile_rate_counts_the_measured_window(profile_run, capsys):
     line = re.search(r"measured window: committed (\d+) instructions", out)
     assert line, out
     assert 600 <= int(line.group(1)) < 600 + 8  # commit-width overshoot
+
+
+def test_trace_flag_alone_profiles_the_trace(profile_run, capsys, tmp_path):
+    # --trace needs no companion flag: the recorded true path is what
+    # gets profiled, not the generated program of --benchmark.
+    from repro.workloads.trace import record_benchmark_trace
+
+    path = str(tmp_path / "parser.trace")
+    record_benchmark_trace("parser", path, 3_000)
+    assert profile_run.main([
+        "--trace", path, "--instructions", "600", "--warmup", "200",
+        "--top", "3",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"profiling trace {path} (parser)" in out, out

@@ -83,7 +83,7 @@ def test_latch_timestamp_regression_is_caught():
     # latch_ready monotonicity (FIFO order would be lost).
     for _ in range(3000):
         processor.step()
-        if len(thread.fetch_entries) >= 2:
+        if len(thread.fetch_latch) >= 2:
             break
     else:
         pytest.fail("fetch latch never reached two entries")

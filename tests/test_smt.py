@@ -8,13 +8,13 @@ import pytest
 from repro.errors import ConfigurationError, ExperimentError, WorkloadError
 from repro.experiments.engine import (
     ResultCache,
-    build_engine,
     make_cell,
     make_smt_cell,
     simulate_smt,
     smt_baseline_cells,
     smt_cell_fingerprint,
 )
+from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline.config import table3_config
 from repro.pipeline.processor import Processor
 from repro.report.smt import format_smt_report
@@ -316,15 +316,15 @@ def test_smt_fingerprint_separates_cells():
 
 def test_engine_runs_mixed_batches_through_one_cache(tmp_path):
     cache = ResultCache(str(tmp_path))
-    engine = build_engine(cache=cache)
+    scheduler = SweepScheduler(cache=cache)
     smt_cell = make_smt_cell("mix2-steady", instructions=400, warmup=100)
     cells = [smt_cell] + smt_baseline_cells(smt_cell)
-    first = engine.run(cells)
-    assert engine.executed == 3
+    first = scheduler.run_cells(cells)
+    assert scheduler.executed == 3
     assert cache.stores == 3
 
-    warm = build_engine(cache=ResultCache(str(tmp_path)))
-    second = warm.run(cells)
+    warm = SweepScheduler(cache=ResultCache(str(tmp_path)))
+    second = warm.run_cells(cells)
     assert warm.executed == 0  # everything served from disk
     assert smt_result_to_dict(second[0]) == smt_result_to_dict(first[0])
     assert second[1:] == first[1:]
@@ -354,13 +354,12 @@ def test_baseline_cells_reuse_derived_thread_seeds():
 
 def test_smt_report_is_deterministic_and_complete(tmp_path):
     cell = make_smt_cell("mix2-steady", instructions=400, warmup=100)
-    engine = build_engine()
-    results = engine.run([cell] + smt_baseline_cells(cell))
+    results = SweepScheduler().run_cells([cell] + smt_baseline_cells(cell))
     report = format_smt_report(results[0], results[1:])
     assert "weighted speedup" in report
     assert "harmonic fairness" in report
     assert "parser" in report and "bzip2" in report
-    again = build_engine().run([cell] + smt_baseline_cells(cell))
+    again = SweepScheduler().run_cells([cell] + smt_baseline_cells(cell))
     assert format_smt_report(again[0], again[1:]) == report
     with pytest.raises(ExperimentError):
         format_smt_report(results[0], results[1:2])

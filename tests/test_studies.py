@@ -154,9 +154,9 @@ def test_smt_study_runs_through_an_experiment_runner():
     assert run.artifact["mix"].nthreads == 2
     assert len(run.artifact["alone"]) == 2
     # A rerun is served from the runner's memo.
-    executed = runner.engine.executed
+    executed = runner.scheduler.executed
     run_study(smt_mix_study("mix2-twins"), _CTX, executor=runner)
-    assert runner.engine.executed == executed
+    assert runner.scheduler.executed == executed
 
 
 def test_with_options_overrides_without_mutating():

@@ -44,7 +44,6 @@ def _generate() -> dict:
     from repro.experiments import tables as tab
     from repro.experiments.campaign import format_campaign, run_campaign
     from repro.experiments.engine import (
-        build_engine,
         make_smt_cell,
         result_to_dict,
         smt_baseline_cells,
@@ -55,6 +54,7 @@ def _generate() -> dict:
         search_policies,
     )
     from repro.experiments.runner import ExperimentRunner, run_benchmark
+    from repro.experiments.scheduler import SweepScheduler
     from repro.report.smt import format_smt_report
 
     out = {}
@@ -131,9 +131,8 @@ def _generate() -> dict:
     )
 
     # --- SMT mix report ----------------------------------------------------
-    engine = build_engine()
     cell = make_smt_cell("mix2-branchy", instructions=1_200, warmup=300)
-    results = engine.run([cell] + smt_baseline_cells(cell))
+    results = SweepScheduler().run_cells([cell] + smt_baseline_cells(cell))
     out["smt-mix"] = format_smt_report(results[0], results[1:])
 
     return out

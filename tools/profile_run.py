@@ -7,6 +7,7 @@ Future performance PRs should start from data, not intuition::
     PYTHONPATH=src python tools/profile_run.py --benchmark gcc \
         --experiment C2 --instructions 40000 --top 30
     PYTHONPATH=src python tools/profile_run.py --mix mix2-branchy  # SMT core
+    PYTHONPATH=src python tools/profile_run.py --trace go.trace.gz  # replay
     PYTHONPATH=src python tools/profile_run.py --save run.pstats
 
 The machine is built by :func:`repro.experiments.engine.build_processor`
@@ -57,7 +58,6 @@ from repro.smt.mixes import MIX_NAMES
 from repro.workloads.suite import BENCHMARK_NAMES
 
 SORT_KEYS = ("cumulative", "cumtime", "tottime", "ncalls")
-SUPPLY_CHOICES = ("compiled", "live", "trace")
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -79,14 +79,10 @@ def _make_parser() -> argparse.ArgumentParser:
         help="profile an SMT mix instead of a single-thread benchmark",
     )
     parser.add_argument(
-        "--supply", default="compiled", choices=SUPPLY_CHOICES,
-        help="front-end instruction supply: the pre-lowered packet supply "
-        "(default), the seed per-instruction walkers, or a trace replay "
-        "(needs --trace)",
-    )
-    parser.add_argument(
-        "--trace", default=None,
-        help="recorded v2 trace file for --supply trace",
+        "--trace", default=None, metavar="PATH",
+        help="replay a recorded v2 trace as the true path instead of "
+        "generating the benchmark's program (the trace header names the "
+        "benchmark and seed)",
     )
     parser.add_argument(
         "--instructions", type=int, default=None,
@@ -256,20 +252,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_TELEMETRY"] = "1"
 
     if options.mix:
-        if options.supply != "compiled" or options.trace:
-            raise SystemExit(
-                "--supply/--trace select single-thread supplies; they do "
-                "not combine with --mix"
-            )
+        if options.trace:
+            raise SystemExit("--trace replays a single-thread run; it does "
+                             "not combine with --mix")
         cell = make_smt_cell(
             options.mix,
             instructions=options.instructions,
             warmup=options.warmup,
         )
         label = f"mix {cell.mix}"
-    elif options.supply == "trace":
-        if not options.trace:
-            raise SystemExit("--supply trace needs --trace PATH")
+    elif options.trace:
         cell = make_trace_cell(
             options.trace,
             controller_spec=_controller_spec(options.experiment),
@@ -283,9 +275,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             controller_spec=_controller_spec(options.experiment),
             instructions=options.instructions,
             warmup=options.warmup,
-            supply=options.supply,
         )
-        label = f"{cell.benchmark} under {cell.effective_label} ({options.supply} supply)"
+        label = f"{cell.benchmark} under {cell.effective_label}"
 
     processor = build_smt_processor(cell) if options.mix else build_processor(cell)
     if options.stage_timers or options.skip_stats:
