@@ -27,6 +27,7 @@ the one executor sweeps run through.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -552,11 +553,42 @@ def config_fingerprint(config: ProcessorConfig) -> Tuple:
     return tuple(_config_items(config))
 
 
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def source_digest(root: str) -> str:
+    """SHA-256 over the sorted (relative path, bytes) of every ``.py``
+    file under ``root``."""
+    paths = sorted(
+        os.path.relpath(os.path.join(folder, name), root).replace(os.sep, "/")
+        for folder, _, names in os.walk(root)
+        for name in names
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as handle:
+            source = handle.read()
+        digest.update(f"{path}\0{len(source)}\0".encode("utf-8") + source)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _package_digest() -> str:
+    # Once per process, ~2 ms.  Every module of the package is hashed,
+    # not only those a simulation reaches: no import-graph analysis at
+    # start-up.
+    return source_digest(_PACKAGE_ROOT)
+
+
 def _code_version() -> str:
+    """The code component of every cache key: the package version plus a
+    digest of the package source, so any edit to the simulator's code
+    makes a persistent cache miss."""
     # Imported lazily: repro/__init__ imports this module at package load.
     from repro import __version__
 
-    return __version__
+    return f"{__version__}+{_package_digest()}"
 
 
 def cell_fingerprint(cell: SimCell) -> str:
@@ -564,10 +596,9 @@ def cell_fingerprint(cell: SimCell) -> str:
 
     Hashes a canonical JSON encoding of the benchmark, controller spec,
     every ``ProcessorConfig`` field, the effective seed, the clock-gating
-    style, both run lengths and the package version, so any change that
-    could alter the simulation invalidates the cache entry.  Simulator
-    behavior changes must ship with a version bump for a persistent
-    cache directory to notice them.
+    style, both run lengths and the code version (the package version and
+    a digest of its source), so any change that could alter the
+    simulation invalidates the cache entry.
     """
     payload = {
         "schema": _CACHE_SCHEMA,

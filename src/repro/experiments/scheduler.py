@@ -205,7 +205,7 @@ class SweepScheduler:
     ``jobs`` = 1 executes the same batch plan inline (so batching itself
     is exercised either way, and parallel output is byte-identical to
     serial).  ``batch_cells`` overrides the automatic batch size — mostly
-    for tests and the batching benchmark.
+    for tests that force many small batches.
 
     ``executed`` counts actual simulations (cache hits and in-call
     duplicates excluded); ``batches_dispatched`` counts scheduled batches.

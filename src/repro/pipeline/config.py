@@ -37,8 +37,8 @@ def _telemetry_default() -> bool:
 
 def _cycle_skip_default() -> bool:
     """Default of ``ProcessorConfig.cycle_skip``: on unless REPRO_CYCLE_SKIP
-    is set to 0 (the skip-on/skip-off A/B needs both sides in one process;
-    env-var based for the same worker-inheritance reason as the others)."""
+    is set to 0 (the stepped no-skip reference; env-var based for the same
+    worker-inheritance reason as the others)."""
     return os.environ.get("REPRO_CYCLE_SKIP", "") not in ("0",)
 
 
@@ -128,8 +128,9 @@ class ProcessorConfig:
     # Never affects results — a fast-forwarded run is bit-identical to a
     # stepped one (the kernel-equivalence goldens and the 38 parity
     # goldens enforce it) — so it is excluded from cache fingerprints.  Off
-    # (REPRO_CYCLE_SKIP=0) exists for the skip-on/skip-off benchmark A/B
-    # and for bisecting a suspected skip bug.
+    # (REPRO_CYCLE_SKIP=0) is the stepped no-skip reference: CI's golden
+    # run, the cost ledger's skip-off cell, and bisecting a suspected skip
+    # bug.
     cycle_skip: bool = field(default_factory=_cycle_skip_default)
 
     def __post_init__(self) -> None:

@@ -34,8 +34,9 @@ side effects advance in closed form through
 ``SpeculationController.close_gated_window``), so a fast-forwarded run
 is bit-identical to a stepped one — on single-thread *and* SMT cores,
 gated or not.  ``ProcessorConfig.cycle_skip`` (REPRO_CYCLE_SKIP=0)
-disables the engine for A/B measurement; results are identical either
-way.
+disables the engine, leaving the stepped path as the no-skip reference
+that the equivalence goldens and the cost ledger's skip-off cell run;
+results are identical either way.
 
 **Two steppers.**  ``step`` is the plain cycle and carries no mode
 branch; ``step_checked`` is the same cycle with the sanitizer's

@@ -1,4 +1,4 @@
-"""Per-stage wall-time attribution (``profile_run.py --stage-timers``).
+"""Per-stage wall-time attribution and per-module call counts.
 
 :class:`StageTimers` rebinds each stage component's ``tick`` on the
 *instance* with a wrapper that accumulates wall seconds — the documented
@@ -19,10 +19,17 @@ the probe bus's counters reset there::
     processor.run(cell.instructions)
     for name, seconds, calls in timers.report():
         ...
+
+:func:`repro_call_counts` is the counting rule of ``profile_run.py``'s
+call table and of the cost ledger (``tests/test_cost_ledger.py``):
+cProfile call counts of the ``repro`` package per module file, which
+repeat exactly where wall time does not.
 """
 
 from __future__ import annotations
 
+import os
+import pstats
 from typing import Dict, List, Tuple
 
 from repro.telemetry.clock import perf_time
@@ -70,3 +77,31 @@ class StageTimers:
     @property
     def total_seconds(self) -> float:
         return sum(self.seconds.values())
+
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# CPython 3.12 inlines these comprehensions into their enclosing frame
+# (PEP 709), so earlier interpreters count calls 3.12 never makes.
+# Generator expressions keep their own frame everywhere and are counted.
+_INLINED_FRAMES = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
+
+
+def repro_call_counts(stats: pstats.Stats) -> Dict[str, Dict[str, int]]:
+    """``{module file: {function name: ncalls}}`` of the ``repro`` package.
+
+    Module files are relative to the package root
+    (``pipeline/stages/fetch.py``); same-named functions of one module
+    share a count.  Leaving out inlined-comprehension frames makes the
+    counts identical across CPython 3.10-3.12 and hash seeds.
+    """
+    prefix = _PACKAGE_ROOT + os.sep
+    counts: Dict[str, Dict[str, int]] = {}
+    for (filename, _, function), row in stats.stats.items():
+        path = os.path.abspath(filename)
+        if not path.startswith(prefix) or function in _INLINED_FRAMES:
+            continue
+        module = path[len(prefix):].replace(os.sep, "/")
+        per_function = counts.setdefault(module, {})
+        per_function[function] = per_function.get(function, 0) + row[1]
+    return counts

@@ -14,6 +14,7 @@ to serial ones, and a warm cache performs zero new simulations.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import fields, replace
 
 import pytest
@@ -27,6 +28,7 @@ from repro.experiments.engine import (
     result_from_dict,
     result_to_dict,
     simulate,
+    source_digest,
 )
 from repro.experiments.results import SimulationResult
 from repro.experiments.runner import ExperimentRunner, run_benchmark
@@ -144,6 +146,26 @@ def test_fingerprint_changes_with_package_version(monkeypatch):
 
     before = cell_fingerprint(_cell())
     monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+    assert cell_fingerprint(_cell()) != before
+
+
+def test_source_digest_follows_every_byte_of_the_package(tmp_path, monkeypatch):
+    # The code half of the cache key: a copy of the package tree hashes
+    # the same, and a one-byte edit to any module moves the digest and
+    # with it every cache key.
+    from repro.experiments import engine
+
+    package = engine._PACKAGE_ROOT
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_digest(copy) == source_digest(package)
+    commit = copy / "pipeline" / "stages" / "commit.py"
+    source = bytearray(commit.read_bytes())
+    source[-1] ^= 1
+    commit.write_bytes(bytes(source))
+    assert source_digest(copy) != source_digest(package)
+    before = cell_fingerprint(_cell())
+    monkeypatch.setattr(engine, "_package_digest", lambda: source_digest(copy))
     assert cell_fingerprint(_cell()) != before
 
 

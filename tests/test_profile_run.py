@@ -54,6 +54,13 @@ def test_stage_timer_ticks_cover_only_the_measured_window(profile_run, capsys):
 
 
 def test_profile_rate_counts_the_measured_window(profile_run, capsys):
+    import cProfile
+    import pstats
+
+    from repro.experiments import engine
+    from repro.telemetry.timers import repro_call_counts
+
+    engine._PROGRAM_MEMO.clear()  # both runs below compile the program afresh
     assert profile_run.main([
         "--benchmark", "go", "--instructions", "600", "--warmup", "600",
         "--top", "3",
@@ -62,6 +69,19 @@ def test_profile_rate_counts_the_measured_window(profile_run, capsys):
     line = re.search(r"measured window: committed (\d+) instructions", out)
     assert line, out
     assert 600 <= int(line.group(1)) < 600 + 8  # commit-width overshoot
+
+    # The closing call table totals what the ledger helper counts over
+    # the measured window alone, in a fresh run after the same warm-up.
+    engine._PROGRAM_MEMO.clear()
+    cell = engine.make_cell("go", instructions=600, warmup=600)
+    processor = engine.build_processor(cell)
+    profile_run.warm_up(processor, cell)
+    profile = cProfile.Profile()
+    profile.runcall(processor.run, cell.instructions)
+    calls = repro_call_counts(pstats.Stats(profile))
+    total = re.search(r"^  total\s+(\d+)\s", out, re.MULTILINE)
+    assert total, out
+    assert int(total.group(1)) == sum(sum(row.values()) for row in calls.values())
 
 
 def test_trace_flag_alone_profiles_the_trace(profile_run, capsys, tmp_path):

@@ -15,8 +15,11 @@ The machine is built by :func:`repro.experiments.engine.build_processor`
 figure, table and campaign simulates.  Every report covers one window,
 the **measured window**: the warm-up runs first, unprofiled and untimed,
 then the measurement resets and only the measured instructions are
-profiled, timed and counted.  ``--save`` writes the raw pstats file for
-snakeviz/gprof2dot.
+profiled, timed and counted.  The report ends with the ``repro``
+package's calls per committed instruction, module by module — the
+counting rule of the cost ledger (``tests/test_cost_ledger.py``), whose
+counts repeat exactly where wall time does not.  ``--save`` writes the
+raw pstats file for snakeviz/gprof2dot.
 
 ``--stage-timers`` swaps cProfile for the telemetry layer: each stage's
 ``tick`` is wrapped with a wall-clock accumulator
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import json
 import os
 import pstats
 import sys
@@ -55,6 +57,7 @@ from repro.experiments.engine import (
     make_trace_cell,
 )
 from repro.smt.mixes import MIX_NAMES
+from repro.telemetry.timers import repro_call_counts
 from repro.workloads.suite import BENCHMARK_NAMES
 
 SORT_KEYS = ("cumulative", "cumtime", "tottime", "ncalls")
@@ -104,12 +107,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--save", default=None,
         help="also write the raw profile to this pstats file",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write a machine-readable hotspot export: the --top "
-        "functions by self time (tottime), with ncalls, cumtime and "
-        "each function's share of total self time",
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -301,54 +298,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     wall = stats.total_tt
     print(f"measured window: committed {committed} instructions in "
           f"{wall:.2f}s profiled ({committed / wall:,.0f} instr/s)\n")
+    calls = repro_call_counts(stats)  # before strip_dirs: needs full paths
     stats.strip_dirs().sort_stats(options.sort).print_stats(options.top)
+    _print_call_counts(calls, committed)
     if options.save:
         stats.dump_stats(options.save)
         print(f"wrote {options.save}")
-    if options.json:
-        payload = hotspot_export(stats, options.top, label, committed, wall)
-        with open(options.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {options.json}")
     return 0
 
 
-def hotspot_export(
-    stats: pstats.Stats, top: int, label: str, committed: int, wall: float
-) -> dict:
-    """The ``--json`` payload: the top leaves of the profile by self time.
-
-    Self time (``tottime``) attributes cost to the function whose frames
-    actually burned it, so the export is the machine-readable answer to
-    "where does the wall clock go" over the measured window — the view
-    A/B comparisons of stage costs diff against.
-    """
-    total_tt = sum(row[2] for row in stats.stats.values()) or 1.0
-    leaves = sorted(
-        stats.stats.items(), key=lambda item: item[1][2], reverse=True
-    )
-    hotspots = [
-        {
-            "file": file,
-            "line": line,
-            "function": function,
-            "ncalls": nc,
-            "primitive_calls": cc,
-            "tottime": tt,
-            "cumtime": ct,
-            "tottime_share": tt / total_tt,
-        }
-        for (file, line, function), (cc, nc, tt, ct, _) in leaves[:top]
-    ]
-    return {
-        "schema": 1,
-        "label": label,
-        "committed": committed,
-        "seconds": wall,
-        "total_tottime": total_tt,
-        "hotspots": hotspots,
-    }
+def _print_call_counts(calls: dict, committed: int) -> None:
+    """Per-module ``repro`` calls per committed instruction, busiest first."""
+    totals = {module: sum(functions.values()) for module, functions in calls.items()}
+    print(f"repro calls per committed instruction, measured window "
+          f"({committed} instructions):")
+    print(f"  {'module':<36s} {'calls':>10s} {'per instr':>9s}")
+    for module, count in sorted(totals.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {module:<36s} {count:>10d} {count / committed:>9.2f}")
+    total = sum(totals.values())
+    print(f"  {'total':<36s} {total:>10d} {total / committed:>9.2f}")
 
 
 if __name__ == "__main__":
