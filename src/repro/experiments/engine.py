@@ -288,8 +288,10 @@ def make_trace_cell(
 # sequential re-run on a memoised instance is bit-identical to a fresh
 # build — figure drivers and benchmarks simulate the same program under
 # many mechanisms, and generation was a measurable slice of short cells.
-# (The SMT path is excluded: concurrent hardware threads need private
-# Program instances.)
+# The SMT path shares the memo per thread (key: benchmark and the derived
+# thread seed); only two threads of one core with the same key get a
+# private instance, because concurrent hardware threads cannot share
+# behaviour state.
 #
 # Bounded as a true LRU: scheduler workers live for a whole multi-study
 # run now (the shared pool), and an unbounded memo — or the old
@@ -461,7 +463,13 @@ def build_smt_processor(cell: SmtCell) -> SmtProcessor:
     spec = mix_spec(cell.mix)
     base_seed = cell.effective_seed
     seeds = spec.thread_seeds(base_seed)
-    programs = spec.build_programs(base_seed)
+    programs = []
+    for thread_spec in spec.thread_specs(base_seed):
+        program = _program_for(thread_spec)
+        if any(program is other for other in programs):
+            # Two threads of one core need private behaviour state.
+            program = thread_spec.build_program()
+        programs.append(program)
     return SmtProcessor(
         cell.config,
         programs,

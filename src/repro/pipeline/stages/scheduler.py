@@ -10,17 +10,24 @@ by ROB occupancy from the kernel's incremental counter — no per-cycle
 rescan of the threads), and the cycle counter advances.
 
 **Cycle-skip fast-forward (the next-event engine).**  When the whole
-machine is provably inert — every thread's latch columns empty, no ready
-instruction, no completed ROB head, and nothing due out of the
-completion wheel this cycle — every stage tick is a no-op and the cycle
-close is the power model's idle accumulation.  The scheduler then jumps
-to the earliest *event* that could make any stage do work again, and
-closes the skipped stretch in one batch.  Two event sources compose:
+machine is provably inert, every stage tick is a no-op and the cycle
+close is the power model's idle accumulation.  Inert means *empty*
+(nothing in flight that can move) or *blocked*: latch heads in transit,
+rename stalled on a full ROB/IQ/LSQ or an SMT shared cap, ready loads
+waiting for an MSHR, fetch idle behind a full buffer, a stall or a
+closed gate — with no completed ROB head and nothing due out of the
+completion wheel this cycle.  The scheduler then jumps to the earliest
+*event* that could make any stage do work again, and closes the skipped
+stretch in one batch.  Four event sources compose:
 
 * **wheel events** — the next non-empty completion-ring slot (a scan
   bounded by the wheel horizon identifies its cycle exactly; far-bucket
   events clamp from above);
-* **fetch reopen events** — per thread, the first cycle its fetch could
+* **latch-transit events** — the stamp of an in-transit latch head;
+* **MSHR releases** — the earliest fill release of an MSHR-blocked
+  machine;
+* **fetch reopen events** — per thread with room in its fetch buffer,
+  the first cycle its fetch could
   run: the end of a redirect/I-cache stall, the controller's next
   fetch-gate slot (``SpeculationController.next_active_cycle``, an O(1)
   wheel probe for the bandwidth-level throttles, "never without a hook"
@@ -28,12 +35,12 @@ closes the skipped stretch in one batch.  Two event sources compose:
   core under the confidence-gating policy — the thread's bandwidth-level
   duty cycle.
 
-The batch bookkeeping reuses the per-cycle arithmetic (the power model
-loops its own ``end_cycle``; the stall/throttle counters and controller
-side effects advance in closed form through
-``SpeculationController.close_gated_window``), so a fast-forwarded run
-is bit-identical to a stepped one — on single-thread *and* SMT cores,
-gated or not.  ``ProcessorConfig.cycle_skip`` (REPRO_CYCLE_SKIP=0)
+The batch close is bit-identical to stepping: the power model closes
+each idle accumulator in closed form (``PowerModel.end_idle_cycles``),
+and the stall/throttle counters and controller side effects advance in
+closed form through ``SpeculationController.close_gated_window`` — on
+single-thread *and* SMT cores, gated or not.
+``ProcessorConfig.cycle_skip`` (REPRO_CYCLE_SKIP=0)
 disables the engine, leaving the stepped path as the no-skip reference
 that the equivalence goldens and the cost ledger's skip-off cell run;
 results are identical either way.
@@ -53,6 +60,7 @@ the kernel.
 from __future__ import annotations
 
 from repro.core.levels import ACTIVE_WHEEL_MASKS, NEVER_ACTIVE
+from repro.isa.opcodes import FU_MEM_READ as _FU_MEM_READ
 from repro.pipeline.sanitizer import check_cycle_end, check_invariants
 from repro.pipeline.stages.commit import CommitRecoverStage
 from repro.pipeline.stages.decode_rename import DecodeRenameStage
@@ -147,9 +155,12 @@ class CycleScheduler:
         # is still initialising.  Construction happens long after.
         from repro.smt.policies import ConfidenceGatingPolicy
 
+        # A 1-thread core's fetch stage bypasses the policy altogether.
         policy = kernel.fetch_policy
         self._conf_policy = (
-            policy if isinstance(policy, ConfidenceGatingPolicy) else None
+            policy
+            if len(threads) > 1 and isinstance(policy, ConfidenceGatingPolicy)
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -199,46 +210,132 @@ class CycleScheduler:
         """Plan and close one fast-forward window; 0 when any stage might
         do work before the next event.
 
-        The quiescence guards prove every stage is a no-op: empty latch
-        columns (rename and decode idle), empty ready lists (select/issue
-        idle — the deferred FU-pool refresh is observable only through
-        claims), uncompleted ROB heads (commit idle) and an empty wheel
-        slot at the current cycle (writeback idle) — for *every* thread,
-        which on an SMT core is exactly the machine-wide inertness the
-        shared wheel and fetch port require.
+        The quiescence guards prove every stage a no-op on every thread,
+        for an empty machine and for a *blocked* one alike:
+
+        * writeback — no wheel event at the current cycle (the entry
+          gate tests the ring slot, this method the far buckets);
+        * commit — no completed ROB head;
+        * decode — the fetch-latch head (if any) is in transit: its stamp
+          lies in the future and becomes an event.  A due head always
+          steps (decode moves it, or a decode throttle counts a cycle);
+        * rename — the decode-latch head (if any) is in transit, or it is
+          due but structurally blocked: the thread's ROB or IQ partition
+          is full, its LSQ is full and the head is a memory op, or an SMT
+          shared cap is reached.  Only a wheel event frees these;
+        * select/issue — no ready instruction, or every ready instruction
+          is a live load and every MSHR is held past this cycle
+          (*MSHR-blocked*): the window then ends at the earliest fill
+          release.  A ready list still to be sorted steps once, so the
+          stage's sort is never deferred across a window.  Ready
+          instructions a no-select controller blocks step, since the
+          stage counts each blocked one every cycle;
+        * fetch — a thread with a full fetch buffer does nothing and has
+          no reopen event (on an SMT core it fails eligibility before any
+          gate probe); any other thread contributes its reopen cycle
+          (``_next_fetch_cycle``).
+
+        On an SMT core this is exactly the machine-wide inertness the
+        shared wheel, FU pool and fetch port require.
         """
-        threads = self._threads
-        for thread in threads:
-            if thread.fetch_latch.instrs or thread.decode_latch.instrs:
-                return 0
-            if thread.iq.ready_list:
-                return 0
-            entries = thread.rob_entries
-            if entries and entries[0].completed:
-                return 0
         ring = self._ring
         mask = self._mask
-        if ring[cycle & mask]:
-            return 0
         far = self._far
         if far and cycle in far:
             return 0
+        threads = self._threads
+        kernel = self.kernel
+        # Earliest non-wheel event, capped at the wheel horizon.
+        limit = cycle + mask
+        mshr_wait = False
+        for thread in threads:
+            entries = thread.rob_entries
+            if entries and entries[0].completed:
+                return 0
+            latch = thread.fetch_latch
+            head = latch.head
+            if head < len(latch.instrs):
+                at = latch.stamps[head]
+                if at <= cycle:
+                    return 0
+                if at < limit:
+                    limit = at
+            iq = thread.iq
+            ready = iq.ready_list
+            if ready:
+                if not iq.ready_sorted:
+                    return 0
+                # A no-select controller that blocks a ready instruction
+                # counts it every cycle: step.  Its probe is pure, and its
+                # state is frozen while no hook fires.
+                blocks_selection = (
+                    thread.controller.blocks_selection
+                    if thread.ctrl_blocks_selection else None
+                )
+                for instr in ready:
+                    if instr.squashed or instr.static.fu_code != _FU_MEM_READ:
+                        return 0
+                    if blocks_selection is not None and blocks_selection(instr):
+                        return 0
+                mshr_wait = True
+            latch = thread.decode_latch
+            head = latch.head
+            if head < len(latch.instrs):
+                at = latch.stamps[head]
+                if at > cycle:
+                    if at < limit:
+                        limit = at
+                else:
+                    instr = latch.instrs[head]
+                    if instr.squashed:
+                        return 0
+                    is_mem = instr.static.is_mem
+                    caps = kernel.shared_caps
+                    if not (
+                        len(entries) >= thread.rob.size
+                        or iq.count >= iq.size
+                        or (is_mem and thread.lsq.occupied >= thread.lsq.size)
+                        or (caps is not None and (
+                            kernel.rob_count >= caps[0]
+                            or kernel.iq_count >= caps[1]
+                            or (is_mem and kernel.lsq_count >= caps[2])
+                        ))
+                    ):
+                        return 0
+        if mshr_wait:
+            # Loads claim an MSHR only while fewer than ``mshr_count``
+            # fills are outstanding; the earliest release bounds the wait.
+            fu_pool = kernel.fu_pool
+            held = 0
+            for until in fu_pool._mshr_release:
+                if until > cycle:
+                    held += 1
+                    if until < limit:
+                        limit = until
+            if held < fu_pool._mshr_count:
+                return 0
         # The earliest cycle any thread's fetch could run again bounds
         # the window; a thread already fetchable means no window at all.
-        next_fetch = NEVER_ACTIVE
+        # A full fetch buffer only drains on another event.
+        open_threads = []
         for thread in threads:
+            fetch_latch = thread.fetch_latch
+            decode_latch = thread.decode_latch
+            if (
+                len(fetch_latch.instrs) - fetch_latch.head
+                + len(decode_latch.instrs) - decode_latch.head
+                >= thread.fetch_buffer
+            ):
+                continue
             at = self._next_fetch_cycle(thread, cycle)
             if at <= cycle:
                 return 0
-            if at < next_fetch:
-                next_fetch = at
+            if at < limit:
+                limit = at
+            open_threads.append(thread)
         # The wheel event scan: within the horizon a non-empty ring slot
         # identifies its event cycle exactly (issue never schedules past
         # ``mask`` cycles out); far-bucket events clamp from above.
-        limit = next_fetch
-        bound = cycle + mask
-        if limit > bound:
-            limit = bound
         end = cycle + 1
         while end < limit and not ring[end & mask]:
             end += 1
@@ -247,7 +344,7 @@ class CycleScheduler:
                 if cycle < key < end:
                     end = key
         count = end - cycle
-        self._close_window(cycle, count)
+        self._close_window(cycle, count, open_threads)
         return count
 
     def _probe_active_mask(self, controller, start: int) -> int:
@@ -262,12 +359,19 @@ class CycleScheduler:
                 active_mask |= 1 << (at & 3)
         return active_mask
 
-    def _close_window(self, cycle: int, count: int) -> None:
+    def _close_window(self, cycle: int, count: int, open_threads) -> None:
         """Close ``count`` skipped cycles in one batch, bit-identical to
         stepping them: constant occupancy, zero activity, and the
         per-cycle stall/throttle accounting of every thread's fetch
         regime (stall counters, gating-controller side effects, SMT
-        policy gated-cycle counters) advanced in closed form."""
+        policy gated-cycle counters) advanced in closed form.
+
+        ``open_threads`` are the threads with room in their fetch buffer.
+        The others fetch nothing for the whole window; on a solo core
+        their fetch gate is still consulted every cycle and may reopen
+        mid-window, so its closed cycles are counted from its wheel
+        schedule.
+        """
         kernel = self.kernel
         power = kernel.power
         in_flight = kernel.rob_count
@@ -281,26 +385,33 @@ class CycleScheduler:
             # order: a redirect/I-cache stall cycle bumps the redirect
             # counter and never consults the controller; past the stall
             # a gating controller is consulted (and counts a throttled
-            # cycle) every cycle.
-            stalled = min(end, solo.fetch_stall_until) - cycle
-            if stalled > 0:
-                stats.redirect_stall_cycles += stalled
-            else:
-                stalled = 0
-            if self._solo_gates:
-                throttled = count - stalled
-                if throttled:
-                    stats.fetch_throttled_cycles += throttled
-                    solo.controller.close_gated_window(throttled)
+            # cycle) every cycle its gate is closed.
+            start = solo.fetch_stall_until
+            if start > end:
+                start = end
+            elif start < cycle:
+                start = cycle
+            if start > cycle:
+                stats.redirect_stall_cycles += start - cycle
+            probed = end - start
+            if self._solo_gates and probed:
+                controller = solo.controller
+                if not open_threads and controller.next_active_cycle(start) < end:
+                    # Only a full buffer keeps the window open past the
+                    # gate's reopening.
+                    active_mask = self._probe_active_mask(controller, start)
+                    probed -= _wheel_count(active_mask, start, probed)
+                if probed:
+                    stats.fetch_throttled_cycles += probed
+                    controller.close_gated_window(probed)
         else:
             # SMT: an idle cycle picks no thread, so the machine-level
             # stall counters stay untouched (exactly as stepped); what
             # must advance are the per-thread side effects of the
-            # arbitration probes — the policy consults every non-stalled
-            # thread's fetch gate each cycle (front-end latches are
-            # empty across the window, so the buffer check never trips).
+            # arbitration probes — the policy consults the fetch gate of
+            # every thread that is neither stalled nor full each cycle.
             policy = self._conf_policy
-            for thread in self._threads:
+            for thread in open_threads:
                 start = thread.fetch_stall_until
                 if start < cycle:
                     start = cycle
@@ -336,19 +447,35 @@ class CycleScheduler:
         """The skip-entry gate: cycles fast-forwarded from ``cycle``, 0
         when this cycle must be stepped.
 
-        A solo thread only tries a window when its fetch is idle for a
-        cheap-to-test reason (redirect/I-cache stall, a closed fetch
-        gate with empty front-end latches, or the oracle's wrong-path
-        wait); an SMT core tries every cycle, its quiescence being
-        machine-wide.
+        Any core steps while writeback has work.  A solo thread only
+        tries a window when commit and decode have none and its fetch is
+        idle for a cheap-to-test reason (redirect/I-cache stall, a full
+        fetch buffer, a closed fetch gate, or the oracle's wrong-path
+        wait); an SMT core tries every cycle with no wheel event, its
+        quiescence being machine-wide.  The gate runs on every stepped
+        cycle, so its tests are slot and ``len`` loads, apart from the
+        gate probe.
         """
+        if self._ring[cycle & self._mask]:
+            return 0
         solo = self._solo
         if solo is not None:
+            # Commit or decode has work: step.  ``_try_skip`` proves
+            # these too, but a failed call costs more than the test.
+            entries = solo.rob_entries
+            if entries and entries[0].completed:
+                return 0
+            fetch_latch = solo.fetch_latch
+            head = fetch_latch.head
+            tail = len(fetch_latch.instrs)
+            if head < tail and fetch_latch.stamps[head] <= cycle:
+                return 0
+            decode_latch = solo.decode_latch
             if (
                 cycle < solo.fetch_stall_until
+                or (tail - head + len(decode_latch.instrs) - decode_latch.head
+                    >= solo.fetch_buffer)
                 or (self._solo_gates
-                    and not solo.fetch_latch.instrs
-                    and not solo.decode_latch.instrs
                     and solo.controller.next_active_cycle(cycle) != cycle)
                 or (self._solo_oracle and solo.fetch_mode == "wrong")
             ):

@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 from repro.errors import WorkloadError
 from repro.program.cfg import Program
 from repro.utils.rng import derive_thread_seed
+from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import benchmark_spec
 
 
@@ -49,13 +50,16 @@ class MixSpec:
         return [derive_thread_seed(base, thread_id)
                 for thread_id in range(len(self.benchmarks))]
 
+    def thread_specs(self, base_seed: int = None) -> List[WorkloadSpec]:
+        """The workload spec of each thread: its benchmark at its seed."""
+        return [
+            replace(benchmark_spec(benchmark), seed=seed)
+            for benchmark, seed in zip(self.benchmarks, self.thread_seeds(base_seed))
+        ]
+
     def build_programs(self, base_seed: int = None) -> List[Program]:
         """Generate one program instance per thread (deterministic)."""
-        programs = []
-        for benchmark, seed in zip(self.benchmarks, self.thread_seeds(base_seed)):
-            spec = replace(benchmark_spec(benchmark), seed=seed)
-            programs.append(spec.build_program())
-        return programs
+        return [spec.build_program() for spec in self.thread_specs(base_seed)]
 
 
 _MIXES: Dict[str, MixSpec] = {}

@@ -32,8 +32,8 @@ throttle         per-cycle residency of the effective fetch bandwidth
 threads          per-thread committed/fetched/wrong-path/squashed plus
                  a per-thread ROB occupancy sum (the SMT split)
 skip             cycles covered by the scheduler's next-event
-                 fast-forward, window count, and a power-of-two
-                 window-length histogram
+                 fast-forward, window count, blocked-window count, and
+                 a power-of-two window-length histogram
 ===============  =====================================================
 
 Counters cover the *measured* window: ``Processor.reset_measurement``
@@ -70,7 +70,7 @@ class ProbeBus:
         # Per-thread ROB occupancy sums (index = thread id).
         "thread_rob_sum",
         # Cycle-skip fast-forward accounting (next-event engine).
-        "skipped_cycles", "skip_windows", "skip_length_hist",
+        "skipped_cycles", "skip_windows", "blocked_windows", "skip_length_hist",
         # Writeback volume sampled before the stage drains its bucket.
         "_pending_writebacks", "writeback_drained", "writeback_active_cycles",
         # Stage instruction counters and active-cycle counters.
@@ -221,19 +221,22 @@ class ProbeBus:
         """Account a fast-forwarded window of provably idle cycles.
 
         The scheduler's next-event engine only fires when every
-        per-cycle sample is constant across the window — latches empty,
-        nothing pending in the completion wheel, occupancies and
-        throttle levels frozen (no stage runs, so no controller hook
-        fires) — so the bus takes each sample once and scales it by
-        ``count``.  The scheduler has already closed the window's
-        stall/throttle statistics in batch before calling here, so the
-        two fetch idle-regime counters are folded in by *differencing*
-        against their last-seen values — exactly the ``end_cycle``
-        bookkeeping, valid for any mix of redirect-stalled and
-        fetch-gated cycles (and a no-op on SMT windows, where an idle
-        cycle picks no thread and moves no machine-level counter) — so
-        a run ending on a skip still reconciles.  The window also feeds
-        the skip telemetry: total skipped cycles, window count, and a
+        per-cycle sample is constant across the window — occupancies,
+        latch contents and throttle levels frozen (no stage moves an
+        instruction, so no controller hook fires), nothing pending in
+        the completion wheel — so the bus takes each sample once and
+        scales it by ``count``.  A *blocked* window (the machine is not
+        empty: a latch or a ready list holds instructions that cannot
+        move) scales its latch occupancies like any other sample.  The
+        scheduler has already closed the window's stall/throttle
+        statistics in batch before calling here, so the two fetch
+        idle-regime counters are folded in by *differencing* against
+        their last-seen values — exactly the ``end_cycle`` bookkeeping,
+        valid for any mix of redirect-stalled and fetch-gated cycles (and
+        a no-op on SMT windows, where an idle cycle picks no thread and
+        moves no machine-level counter) — so a run ending on a skip still
+        reconciles.  The window also feeds the skip telemetry: total
+        skipped cycles, window count, blocked-window count, and a
         power-of-two window-length histogram.
         """
         self.cycles += count
@@ -246,8 +249,17 @@ class ProbeBus:
         self.iq_occupancy_sum += kernel.iq_count * count
         self.lsq_occupancy_sum += kernel.lsq_count * count
         thread_rob = self.thread_rob_sum
+        blocked = False
         for index, thread in enumerate(kernel.threads):
             thread_rob[index] += len(thread.rob_entries) * count
+            fetch_latched = len(thread.fetch_latch)
+            decode_latched = len(thread.decode_latch)
+            self.fetch_latch_sum += fetch_latched * count
+            self.decode_latch_sum += decode_latched * count
+            if fetch_latched or decode_latched or thread.iq.ready_list:
+                blocked = True
+        if blocked:
+            self.blocked_windows += 1
         residency = self.throttle_residency
         for controller in self._throttlers:
             residency[controller._fetch_level] += count
@@ -285,6 +297,7 @@ class ProbeBus:
         self.thread_rob_sum = [0] * self.nthreads
         self.skipped_cycles = 0
         self.skip_windows = 0
+        self.blocked_windows = 0
         self.skip_length_hist = {}
         self._pending_writebacks = 0
         self.writeback_drained = 0
@@ -387,6 +400,9 @@ class ProbeBus:
             "skip": {
                 "skipped_cycles": self.skipped_cycles,
                 "windows": self.skip_windows,
+                # Windows the machine was blocked, not empty: a latch or
+                # a ready list held instructions that could not move.
+                "blocked_windows": self.blocked_windows,
                 # Window lengths bucketed by power of two (key = bucket
                 # lower bound); JSON object keys must be strings.
                 "length_hist": {

@@ -8,7 +8,8 @@ this file tests the machinery underneath and around it:
   (O(1) wheel probes, side-effect-free probing, batched side effects);
 * skip-on vs skip-off bit-identity through ``ProcessorConfig.cycle_skip``
   on the gated and SMT configurations the old quiescence detector had to
-  bypass;
+  bypass, and on blocked machines (full ROB/IQ/LSQ, loads waiting for an
+  MSHR, latch heads in transit) whose windows the probe bus counts;
 * probe-bus reconciliation across skipped windows (stall/throttle
   counters, throttle residency, the skip histogram);
 * the result cache's in-memory LRU tier and size-bounded disk eviction.
@@ -93,8 +94,45 @@ def _program(seed: int, name: str):
     return ProgramGenerator(ProgramShape(), seed=seed, name=name).generate()
 
 
-def _solo_observables(spec, cycle_skip: bool, telemetry: bool = False):
-    config = replace(table3_config(), cycle_skip=cycle_skip, telemetry=telemetry)
+# A blocked machine: long misses behind a single MSHR and small windows,
+# so the ROB/IQ/LSQ fill, the front-end latches back up and ready loads
+# wait for the MSHR.  The skip must fast-forward these stalls too.
+_BLOCKED = dict(memory_latency=400, mshr_count=1, rob_size=32, iq_size=16, lsq_size=8)
+
+
+def _config(cycle_skip: bool, telemetry, geometry):
+    """Table 3 with ``geometry``; ``telemetry=None`` keeps the
+    REPRO_TELEMETRY default, so CI can run these under the probe bus."""
+    config = replace(table3_config(), cycle_skip=cycle_skip, **geometry)
+    if telemetry is not None:
+        config = replace(config, telemetry=telemetry)
+    return config
+
+
+def _counters(stats) -> dict:
+    """Every ``SimStats`` counter, the stall and throttle ones included
+    (``as_dict`` summarises only the instruction flow)."""
+    return {
+        name: getattr(stats, name)
+        for name in type(stats).__slots__
+        if name != "confidence"
+    }
+
+
+def _blocked_windows(processor) -> int:
+    return processor.probes.snapshot()["skip"]["blocked_windows"]
+
+
+def _probes_without_skip(processor) -> dict:
+    """The probe snapshot minus its ``skip`` block, which only a
+    skipping run fills; every other counter must match a stepped run."""
+    snapshot = processor.probes.snapshot()
+    del snapshot["skip"]
+    return snapshot
+
+
+def _solo_observables(spec, cycle_skip: bool, telemetry=None, geometry=()):
+    config = _config(cycle_skip, telemetry, dict(geometry))
     controller = make_controller(spec) if spec is not None else None
     processor = Processor(
         config, _program(11, "skipab"), controller=controller, seed=5
@@ -102,6 +140,7 @@ def _solo_observables(spec, cycle_skip: bool, telemetry: bool = False):
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
     return processor, {
         "stats": stats.as_dict(),
+        "counters": _counters(stats),
         "cycles": processor.cycle,
         "gated": getattr(controller, "gated_cycles", None),
         "energy": processor.power.total_energy(),
@@ -109,19 +148,27 @@ def _solo_observables(spec, cycle_skip: bool, telemetry: bool = False):
     }
 
 
-def _smt_observables(spec, policy: str, cycle_skip: bool, telemetry: bool = False):
-    config = replace(table3_config(), cycle_skip=cycle_skip, telemetry=telemetry)
-    programs = [_program(21, "skipsmtA"), _program(22, "skipsmtB")]
+def _smt_observables(
+    spec, policy: str, cycle_skip: bool, telemetry=None, geometry=(),
+    nthreads: int = 2, sharing: str = "partitioned",
+    instructions: int = _INSTRUCTIONS, warmup: int = _WARMUP,
+):
+    config = _config(cycle_skip, telemetry, dict(geometry))
+    programs = [
+        _program(21 + index, f"skipsmt{'ABCD'[index]}") for index in range(nthreads)
+    ]
     controllers = (
         [make_controller(spec) for _ in programs] if spec is not None else None
     )
     processor = SmtProcessor(
-        config, programs, seeds=[31, 32], controllers=controllers,
-        fetch_policy=make_fetch_policy(policy),
+        config, programs, seeds=[31 + index for index in range(nthreads)],
+        controllers=controllers, fetch_policy=make_fetch_policy(policy),
+        sharing=sharing,
     )
-    stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
+    stats = processor.run(instructions, warmup_instructions=warmup)
     return processor, {
         "stats": stats.as_dict(),
+        "counters": _counters(stats),
         "cycles": processor.cycle,
         "threads": [
             (thread.committed, thread.fetched, thread.squashed,
@@ -139,12 +186,26 @@ def _smt_observables(spec, policy: str, cycle_skip: bool, telemetry: bool = Fals
 
 @pytest.mark.parametrize("spec", (
     None, ("throttle", "C2"), ("throttle", "A2"), ("gating", 2),
-    ("oracle", "fetch"),
+    ("oracle", "fetch"), ("gating", 1), ("throttle", "A6"), ("throttle", "B5"),
 ))
 def test_solo_skip_on_equals_skip_off(spec):
     _, on = _solo_observables(spec, cycle_skip=True)
     _, off = _solo_observables(spec, cycle_skip=False)
     assert on == off, f"{spec}: cycle_skip changed observable results"
+    # The blocked machine under the probe bus, which counts the windows
+    # that fast-forward a non-empty latch or ready list and scales its
+    # occupancy sums across them.
+    processor, on = _solo_observables(
+        spec, cycle_skip=True, telemetry=True, geometry=_BLOCKED
+    )
+    stepped, off = _solo_observables(
+        spec, cycle_skip=False, telemetry=True, geometry=_BLOCKED
+    )
+    assert on == off, f"{spec}: cycle_skip changed a blocked machine's results"
+    assert _probes_without_skip(processor) == _probes_without_skip(stepped), (
+        f"{spec}: cycle_skip changed a blocked machine's probe counters"
+    )
+    assert _blocked_windows(processor) > 0, f"{spec}: no blocked window skipped"
 
 
 class _GatedFetchOracle(OracleController):
@@ -186,6 +247,28 @@ def test_smt_skip_on_equals_skip_off(spec, policy):
     _, on = _smt_observables(spec, policy, cycle_skip=True)
     _, off = _smt_observables(spec, policy, cycle_skip=False)
     assert on == off, f"{spec}/{policy}: cycle_skip changed observable results"
+    blocked = 0
+    for nthreads in (2, 4):
+        for sharing in ("partitioned", "shared"):
+            shape = dict(
+                geometry=_BLOCKED, nthreads=nthreads, sharing=sharing,
+                instructions=120, warmup=40,
+            )
+            processor, on = _smt_observables(
+                spec, policy, cycle_skip=True, telemetry=True, **shape
+            )
+            stepped, off = _smt_observables(
+                spec, policy, cycle_skip=False, telemetry=True, **shape
+            )
+            label = f"{spec}/{policy}, {nthreads} threads {sharing}"
+            assert on == off, (
+                f"{label}: cycle_skip changed a blocked machine's results"
+            )
+            assert _probes_without_skip(processor) == _probes_without_skip(
+                stepped
+            ), f"{label}: cycle_skip changed a blocked machine's probe counters"
+            blocked += _blocked_windows(processor)
+    assert blocked > 0, f"{spec}/{policy}: no blocked window skipped"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Tests for the power model and its clock-gating styles."""
 
 import math
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.isa.instruction import DynamicInstruction, StaticInstruction
 from repro.isa.opcodes import Opcode
-from repro.power.model import ClockGatingStyle, PowerModel
+from repro.power.model import ClockGatingStyle, PowerModel, repeated_add
 from repro.power.units import (
     NUM_UNITS,
     TABLE1_SHARES,
@@ -169,3 +170,73 @@ def test_average_utilization_tracks_usage():
     utilization = model.average_utilization()
     assert math.isclose(utilization[PowerUnit.DCACHE], 0.25)
     assert math.isclose(utilization[PowerUnit.CLOCK], 0.25)
+
+
+# ----------------------------------------------------------------------
+# Closed-form idle close: repeated_add against the plain add loop
+# ----------------------------------------------------------------------
+
+def _add_loop(value, delta, count):
+    """The reference: ``count`` float adds, stopping once stuck."""
+    for _ in range(count):
+        summed = value + delta
+        if summed == value:
+            break
+        value = summed
+    return value
+
+
+def _repeated_add_cases():
+    rng = random.Random(2003)
+    cases = [
+        (0.0, 0.3, 1000),            # zero start
+        (0.0, 0.0, 50),              # zero delta: stuck at once
+        (1e16, 1.0, 1000),           # stuck: x + e == x (a tie, rounds to even)
+        (2.0 ** 53, 1.0, 7),         # stuck at the first add
+        (1.0, 2.0 ** -53, 100),      # tie at every add inside [1, 2)
+        (1.0 + 2.0 ** -52, 2.0 ** -53, 100),  # tie rounding up, then stuck
+        (0.75, 0.1, 10_000),         # many binade crossings
+        (2.0 - 2.0 ** -52, 2.0 ** -52, 40),   # lands exactly on a binade edge
+    ]
+    for _ in range(400):
+        exponent = rng.randint(-60, 60)
+        value = rng.uniform(1.0, 2.0) * 2.0 ** exponent
+        # Deltas from far below half an ulp up to a whole binade.
+        delta = value * 2.0 ** -rng.randint(0, 58) * rng.uniform(0.5, 1.0)
+        cases.append((value, delta, rng.choice((0, 1, 2, 3, 31, 32, 33, 5000))))
+        # Constructed ties: an odd multiple of half the value's ulp.
+        ulp = math.ulp(value)
+        tie = rng.choice((1, 3, 5, 1023)) * ulp / 2
+        cases.append((value, tie, rng.choice((1, 2, 64, 2000))))
+        # Just below a binade edge, so the jump must stop at the edge.
+        edge = 2.0 ** (exponent + 1)
+        below = edge - rng.randint(1, 64) * math.ulp(edge / 2)
+        cases.append((below, rng.randint(1, 9) * ulp / 3, 500))
+    return cases
+
+
+def test_repeated_add_is_bit_identical_to_the_add_loop():
+    for value, delta, count in _repeated_add_cases():
+        expected = _add_loop(value, delta, count)
+        actual = repeated_add(value, delta, count)
+        assert actual == expected and math.copysign(1.0, actual) == math.copysign(
+            1.0, expected
+        ), (value.hex(), delta.hex(), count)
+
+
+@pytest.mark.parametrize("count", (1, 2, 31, 32, 1000))
+def test_idle_window_close_equals_stepped_idle_cycles(count):
+    table = default_unit_powers()
+    stepped = PowerModel(table)
+    batched = PowerModel(table)
+    for model in (stepped, batched):
+        activity = model.new_activity()
+        activity[PowerUnit.ALU] = 3
+        model.end_cycle(activity, occupancy=0.5)
+    for _ in range(count):
+        stepped.end_cycle(stepped.new_activity(), occupancy=37 / 128)
+    batched.end_idle_cycles(37 / 128, count)
+    assert batched.cycles == stepped.cycles
+    assert batched.unit_energy == stepped.unit_energy
+    assert batched.dynamic_energy == stepped.dynamic_energy
+    assert batched.usage_sum == stepped.usage_sum

@@ -97,3 +97,16 @@ def test_trace_flag_alone_profiles_the_trace(profile_run, capsys, tmp_path):
     ]) == 0
     out = capsys.readouterr().out
     assert f"profiling trace {path} (parser)" in out, out
+
+
+def test_skip_stats_report_the_blocked_share(profile_run, capsys):
+    assert profile_run.main([
+        "--skip-stats", "--experiment", "C2", "--benchmark", "go",
+        "--instructions", "800", "--warmup", "200",
+    ]) == 0
+    out = capsys.readouterr().out
+    windows = int(re.search(r"across (\d+) windows", out).group(1))
+    blocked = re.search(r"(\d+) of (\d+) windows \([\d.]+%\) blocked", out)
+    assert blocked, out
+    assert int(blocked.group(2)) == windows
+    assert 0 < int(blocked.group(1)) <= windows, out

@@ -45,23 +45,35 @@ def _program(benchmark: str, seed: int):
 # ----------------------------------------------------------------------
 
 def test_single_thread_smt_matches_baseline_processor_exactly():
-    seed = 4242
-    baseline = Processor(table3_config(), _program("go", seed), seed=seed)
-    baseline.run(3000, warmup_instructions=500)
-
-    for policy in ("round-robin", "icount", "confidence-gating"):
-        smt = SmtProcessor(
-            table3_config(), [_program("go", seed)], [seed],
-            fetch_policy=make_fetch_policy(policy),
-        )
-        smt.run(3000, warmup_instructions=500)
-        assert smt.stats.committed == baseline.stats.committed, policy
-        assert smt.stats.cycles == baseline.stats.cycles, policy
-        assert smt.stats.fetched == baseline.stats.fetched, policy
-        assert smt.stats.squashed == baseline.stats.squashed, policy
-        assert smt.power.total_energy() == pytest.approx(
-            baseline.power.total_energy()
-        ), policy
+    # A 1-thread core's fetch bypasses the policy, so the cycle skip must
+    # not apply one either (confidence gating's duty cycle once delayed
+    # the skip's fetch reopening on these configurations).
+    for benchmark, seed, memory_latency in (
+        ("go", 4242, 18), ("go", 1, 18), ("gcc", 7, 18), ("compress", 4242, 200),
+    ):
+        # Each processor resets the program's behaviour state when it
+        # takes ownership, so the runs share one instance.
+        program = _program(benchmark, seed)
+        for cycle_skip in (True, False):
+            config = replace(
+                table3_config(), memory_latency=memory_latency, cycle_skip=cycle_skip
+            )
+            baseline = Processor(config, program, seed=seed)
+            baseline.run(3000, warmup_instructions=500)
+            for policy in ("round-robin", "icount", "confidence-gating"):
+                label = (benchmark, seed, memory_latency, cycle_skip, policy)
+                smt = SmtProcessor(
+                    config, [program], [seed],
+                    fetch_policy=make_fetch_policy(policy),
+                )
+                smt.run(3000, warmup_instructions=500)
+                assert smt.stats.committed == baseline.stats.committed, label
+                assert smt.stats.cycles == baseline.stats.cycles, label
+                assert smt.stats.fetched == baseline.stats.fetched, label
+                assert smt.stats.squashed == baseline.stats.squashed, label
+                assert smt.power.total_energy() == pytest.approx(
+                    baseline.power.total_energy()
+                ), label
 
 
 def test_single_thread_shared_mode_also_matches():
@@ -295,6 +307,28 @@ def test_smt_result_round_trips_through_dict():
     assert smt_result_from_dict(smt_result_to_dict(result)) == result
     assert result.nthreads == 2
     assert result.energy_per_instruction_nj > 0.0
+
+
+def test_simulate_smt_builds_each_program_once(monkeypatch):
+    from collections import OrderedDict
+
+    from repro.experiments import engine
+    from repro.workloads.spec import WorkloadSpec
+
+    builds = []
+    build_program = WorkloadSpec.build_program
+
+    def counting_build(spec):
+        builds.append((spec.name, spec.seed))
+        return build_program(spec)
+
+    monkeypatch.setattr(WorkloadSpec, "build_program", counting_build)
+    monkeypatch.setattr(engine, "_PROGRAM_MEMO", OrderedDict())
+    cell = make_smt_cell("mix2-branchy", instructions=400, warmup=100)
+    first = simulate_smt(cell)
+    second = simulate_smt(cell)
+    assert len(builds) == len(set(builds)) == 2, builds
+    assert smt_result_to_dict(second) == smt_result_to_dict(first)
 
 
 # ----------------------------------------------------------------------

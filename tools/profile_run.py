@@ -32,8 +32,9 @@ busy or just ticking?" without tracing overhead::
 
 ``--skip-stats`` (combinable with ``--stage-timers``) reports what the
 scheduler's next-event cycle skip covered, from the probe bus's skip
-counters: the skipped-cycle fraction and a power-of-two window-length
-histogram::
+counters: the skipped-cycle fraction, the share of windows that
+fast-forwarded a blocked (not empty) machine, and a power-of-two
+window-length histogram::
 
     PYTHONPATH=src python tools/profile_run.py --skip-stats --experiment C2
 """
@@ -198,6 +199,11 @@ def _print_skip_stats(snapshot: dict, label: str) -> None:
     if not windows or not hist:
         print("  (no windows — the machine never went provably idle)")
         return
+    blocked = skip["blocked_windows"]
+    print(
+        f"  {blocked} of {windows} windows ({blocked / windows * 100:.1f}%) "
+        "blocked: a latch or ready list held instructions that could not move"
+    )
     print(f"  mean window {skipped / windows:.1f} cycles; length histogram:")
     peak = max(hist.values())
     for bucket in sorted(hist, key=int):
