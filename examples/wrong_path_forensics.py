@@ -40,7 +40,7 @@ def main() -> None:
     supply = CompiledSupply(program, spec.seed)
     processor = Processor(table3_config(), program, seed=spec.seed, supply=supply)
     tracer = PipelineTracer(capacity=20_000)
-    processor.observer = tracer
+    processor.attach_tracer(tracer)
     processor.run(6_000, warmup_instructions=1_000)
 
     traces = tracer.traces()

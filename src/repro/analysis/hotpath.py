@@ -11,7 +11,7 @@ the ~1.9x kernel speedup and giving it back.  Two rules:
   below — stages keep ``__dict__`` because replacing ``tick`` on a stage
   *instance* is a documented extension point (see
   ``tests/test_processor.py``), and processors accumulate run-scoped
-  SMT/observer state dynamically.
+  SMT state and rebind their stepper (``attach_tracer``) dynamically.
 * ``HOT002`` — stage tick code (methods of ``Stage`` subclasses, the
   cycle scheduler, and the kernel's column structures in
   ``repro/pipeline/arrays.py``) must not build closures (lambda /
@@ -43,7 +43,7 @@ HOT_PACKAGE_PREFIXES = (
 # intentionally keep a ``__dict__``.
 SLOTS_ALLOWLIST = frozenset({
     # Subclasses (SmtProcessor) and callers attach run-scoped state
-    # (shared_caps, observers) dynamically.
+    # (shared_caps; attach_tracer rebinds _step) dynamically.
     ("repro/pipeline/processor.py", "Processor"),
     # Rebinding ``tick`` on a stage instance is a documented extension
     # point exercised by tests/test_processor.py.

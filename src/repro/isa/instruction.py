@@ -142,15 +142,9 @@ class DynamicInstruction:
         "throttle_token",
         # memory
         "mem_address",
-        # timing marks (cycle numbers; stamped by the stages only while a
-        # pipeline observer is attached — read via getattr with a -1
-        # default)
+        # fetch cycle (read at commit and squash for clock-residency
+        # energy, and by pipetraces)
         "fetch_cycle",
-        "decode_cycle",
-        "rename_cycle",
-        "issue_cycle",
-        "complete_cycle",
-        "commit_cycle",
         # speculation provenance
         "on_wrong_path",
         "squashed",
@@ -188,10 +182,9 @@ class DynamicInstruction:
         #   cursors, ``pc``) is only set/read on control instructions
         #   (every read sits behind an ``is_branch``/``is_cond_branch``
         #   guard), so non-branches skip those stores entirely;
-        # * per-stage timing marks (``decode_cycle`` .. ``commit_cycle``)
-        #   are stamped by the stages only while a pipeline observer is
-        #   attached (they exist for pipetraces); cold readers use
-        #   ``getattr`` defaults for stages an instruction never reached;
+        # * later stage cycles are not stored on the instruction at all:
+        #   a pipetrace recovers them by diffing the kernel around each
+        #   stage tick (``repro.tracing.PipelineTracer``);
         # * ``true_index`` is stamped at fetch on true-path instructions
         #   and only read at commit (wrong-path work never commits);
         # * ``mem_address`` is stamped at fetch on memory instructions and

@@ -364,9 +364,9 @@ class Processor:
         # SMT hooks; the single-thread machine leaves them inert.
         self.fetch_policy = None
         self.shared_caps: Optional[Tuple[int, int, int]] = None
-        # Optional observer with on_commit(instr, cycle) / on_squash(instr,
-        # cycle) callbacks (see repro.tracing); None costs nothing.
-        self.observer = None
+        # The pipetrace recorder; set by attach_tracer, None otherwise
+        # (and then never read: only the checked stepper touches it).
+        self.tracer = None
         # The telemetry probe bus; built in _finish_threads when
         # config.telemetry is set, None otherwise (and then never read:
         # only the checked stepper touches it).
@@ -392,6 +392,16 @@ class Processor:
             self._step = self.scheduler.step_checked
         else:
             self._step = self.scheduler.step
+
+    def attach_tracer(self, tracer) -> None:
+        """Record a pipetrace of this run (``repro.tracing.PipelineTracer``).
+
+        The tracer diffs the kernel around each stage tick, so attaching
+        it binds the checked stepper; the plain stepper never sees it.
+        """
+        tracer.bind(self)
+        self.tracer = tracer
+        self._step = self.scheduler.step_checked
 
     # ------------------------------------------------------------------
     # Single-thread aliases (the overwhelmingly common configuration)

@@ -78,6 +78,13 @@ class CommitRecoverStage(Stage):
             thread = threads[(cycle + offset) % count]
             budget -= self._commit_thread(thread, cycle, activity, budget)
 
+    def thread_order(self, cycle: int):
+        """The threads in the order ``tick`` offers them the commit width
+        at ``cycle`` (a cold mirror of its rotation, for trace readers)."""
+        threads = self.kernel.threads
+        count = len(threads)
+        return [threads[(cycle + offset) % count] for offset in range(count)]
+
     def _commit_thread(self, thread, cycle: int, activity, budget: int) -> int:
         entries = thread.rob_entries
         # Nothing committable: skip all hoisting (most stall cycles).
@@ -86,7 +93,6 @@ class CommitRecoverStage(Stage):
         kernel = self.kernel
         power = kernel.power
         memory = kernel.memory
-        observer = kernel.observer
         # Single-thread machines never attribute energy per thread, so the
         # commit credit reduces to the clock-residency sum — inlined here
         # (same arithmetic as PowerModel.credit_committed).
@@ -106,8 +112,6 @@ class CommitRecoverStage(Stage):
             if not head.completed:
                 break
             entries.popleft()
-            if observer is not None:
-                head.commit_cycle = cycle
             if head.phys_dest >= 0:
                 regfile_writes += 1
             static = head.static
@@ -134,8 +138,6 @@ class CommitRecoverStage(Stage):
                 fetch_cycle = head.fetch_cycle
                 if fetch_cycle >= 0 and cycle > fetch_cycle:
                     residency += cycle - fetch_cycle
-            if observer is not None:
-                observer.on_commit(head, cycle)
             committed += 1
             # Only true-path instructions commit, and every one carries
             # its stream index.
@@ -243,13 +245,12 @@ class CommitRecoverStage(Stage):
         Mirrors, per instruction: the squash flag, the power model's
         wasted-energy credit (``PowerModel.credit_squashed`` — inlined for
         the common no-per-thread-ledger case, squashes being the
-        second-hottest event in misprediction-heavy runs), observer and
-        controller notifications, and — for back-end residents — rename/
+        second-hottest event in misprediction-heavy runs), controller
+        notifications, and — for back-end residents — rename/
         IQ/LSQ deallocation.
         """
         kernel = self.kernel
         power = kernel.power
-        observer = kernel.observer
         attribute = power.attribute_threads
         energy_per_access = power._energy_per_access
         wasted = power.wasted_energy
@@ -291,8 +292,6 @@ class CommitRecoverStage(Stage):
                     fetch_cycle = instr.fetch_cycle
                     if cycle > fetch_cycle >= 0:
                         wasted_cycles += cycle - fetch_cycle
-                if observer is not None:
-                    observer.on_squash(instr, cycle)
                 if instr.static.is_cond_branch:
                     if instr.lowconf:
                         instr.lowconf = False
@@ -320,8 +319,6 @@ class CommitRecoverStage(Stage):
                     fetch_cycle = instr.fetch_cycle
                     if cycle > fetch_cycle >= 0:
                         wasted_cycles += cycle - fetch_cycle
-                if observer is not None:
-                    observer.on_squash(instr, cycle)
                 static = instr.static
                 if static.is_cond_branch:
                     if instr.lowconf:

@@ -17,7 +17,7 @@ rename drains the decode latch before decode refills it):
 
 Both latches are :class:`~repro.pipeline.arrays.LatchArray` columns:
 rename walks ``instrs``/``stamps`` by head index, and the decode move —
-which touches no per-instruction state unless gated or observed — takes
+which touches no per-instruction state unless gated — takes
 the whole elapsed-stamp run en bloc with a ``bisect`` on the stamp
 column and two list ``extend`` calls.
 """
@@ -126,7 +126,6 @@ class DecodeRenameStage(Stage):
         has_shared_caps = shared_caps is not None
         append_rob = rob_entries.append
         append_ready = iq_ready.append
-        stamp = kernel.observer is not None
         renamed = 0
         mem_renamed = 0
         regfile_reads = 0
@@ -151,8 +150,6 @@ class DecodeRenameStage(Stage):
                 ):
                     break
             head += 1
-            if stamp:
-                instr.rename_cycle = cycle
             # Back-end slots (issue/completion state, physical dest) are
             # first read after dispatch, so they are stamped here rather
             # than on every fetched instruction (wrong-path work squashed
@@ -239,11 +236,10 @@ class DecodeRenameStage(Stage):
         out = thread.decode_latch
         ready_cycle = cycle + self.decode_to_rename_latency
         gated = thread.ctrl_blocks_decode
-        stamp = kernel.observer is not None
         limit = head + budget
         if limit > tail:
             limit = tail
-        if not gated and not stamp:
+        if not gated:
             # En-bloc fast path: the elapsed-stamp prefix moves in two
             # list extends.  Stamps are monotone (single producer at a
             # constant latency), so the common whole-window case is one
@@ -279,8 +275,6 @@ class DecodeRenameStage(Stage):
                     kernel.stats.decode_throttled_cycles += 1
                 break
             head += 1
-            if stamp:
-                instr.decode_cycle = cycle
             out_instrs.append(instr)
             out_stamps.append(ready_cycle)
             moved += 1

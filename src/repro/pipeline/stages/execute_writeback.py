@@ -73,15 +73,12 @@ class ExecuteWritebackStage(Stage):
             pending_tags = thread.renamer.pending_tags
             iq = thread.iq
             waiters = iq.waiters
-            stamp = self.kernel.observer is not None
             broadcasts = 0
             wakeups = 0
             for instr in events:
                 if instr.squashed:
                     continue
                 instr.completed = True
-                if stamp:
-                    instr.complete_cycle = cycle
                 tag = instr.phys_dest
                 if tag >= 0:
                     pending_tags.discard(tag)  # mark_completed
@@ -115,14 +112,11 @@ class ExecuteWritebackStage(Stage):
                 if wakeups:
                     activity[_WINDOW] += wakeups
             return
-        stamp = self.kernel.observer is not None
         for instr in events:
             if instr.squashed:
                 continue
             thread = threads[instr.thread_id]
             instr.completed = True
-            if stamp:
-                instr.complete_cycle = cycle
             tag = instr.phys_dest
             if tag >= 0:
                 # RegisterRenamer.mark_completed, inlined.

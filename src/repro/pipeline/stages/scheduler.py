@@ -46,11 +46,14 @@ that the equivalence goldens and the cost ledger's skip-off cell run;
 results are identical either way.
 
 **Two steppers.**  ``step`` is the plain cycle and carries no mode
-branch; ``step_checked`` is the same cycle with the sanitizer's
-invariant checks and the telemetry probe bus's sampling as optional
-hooks.  ``Processor._finish_threads`` binds one of them once, at
-construction.  Both enter through the same fast-forward gate
-(``_fast_forward``).
+branch; ``step_checked`` is the same cycle with three optional hooks:
+the sanitizer's invariant checks, the telemetry probe bus's sampling,
+and the pipetrace recorder (``repro.tracing.PipelineTracer``), which
+snapshots the kernel before each stage tick and diffs it after.
+``Processor._finish_threads`` binds one stepper once, at construction,
+and ``Processor.attach_tracer`` rebinds the checked one; the stages
+themselves know nothing of any hook.  Both steppers enter through the
+same fast-forward gate (``_fast_forward``).
 
 The scheduler holds the stage components as plain attributes, so tests
 and future scenarios can wrap or replace a single stage without touching
@@ -510,25 +513,29 @@ class CycleScheduler:
 
     def step_checked(self) -> None:
         """``step`` with the checked modes' hooks: invariant checks after
-        every stage tick (``config.sanitize``) and the probe bus's
-        per-cycle sampling (``config.telemetry``), either or both.
+        every stage tick (``config.sanitize``), the probe bus's per-cycle
+        sampling (``config.telemetry``) and the pipetrace recorder's
+        snapshot before and diff after every stage tick
+        (``Processor.attach_tracer``), in any combination.
 
         ``Processor._finish_threads`` binds the kernel's ``_step`` to this
-        method instead of ``step`` when either mode is set, so the plain
-        ``step`` carries no mode branch and a run with both modes off
-        pays nothing.  The stage sequence and the cycle close mirror
-        ``step`` exactly; neither hook writes simulation state, so a
-        checked run is bit-identical or raises
-        :class:`~repro.errors.SanitizerError`.  The bus samples occupancy
-        at cycle top and differences the kernel's statistics at cycle
-        bottom (see :class:`repro.telemetry.probes.ProbeBus`).  A
-        fast-forwarded stretch is sampled once and scaled
-        (``ProbeBus.idle_cycles``) and checked once at its last cycle —
-        the structures are untouched across the batch, so one sample and
-        one check cover every cycle of it.
+        method instead of ``step`` when the sanitizer or telemetry is
+        set, and ``attach_tracer`` rebinds it, so the plain ``step``
+        carries no mode branch and a run with every hook off pays
+        nothing.  The stage sequence and the cycle close mirror ``step``
+        exactly; no hook writes simulation state, so a checked run is
+        bit-identical or raises :class:`~repro.errors.SanitizerError`.
+        The bus samples occupancy at cycle top and differences the
+        kernel's statistics at cycle bottom (see
+        :class:`repro.telemetry.probes.ProbeBus`).  A fast-forwarded
+        stretch is sampled once and scaled (``ProbeBus.idle_cycles``) and
+        checked once at its last cycle — the structures are untouched
+        across the batch, so one sample and one check cover every cycle
+        of it, and no instruction moves for the tracer to record.
         """
         kernel = self.kernel
         probes = kernel.probes
+        tracer = kernel.tracer
         sanitize = kernel.config.sanitize
         cycle = kernel.cycle
         count = self._fast_forward(cycle)
@@ -545,7 +552,11 @@ class CycleScheduler:
         for stage in (
             self.commit, self.writeback, self.issue, self.decode_rename, self.fetch,
         ):
+            if tracer is not None:
+                tracer.before(stage, cycle)
             stage.tick(cycle, activity)
+            if tracer is not None:
+                tracer.after(stage, cycle)
             if sanitize:
                 check_invariants(kernel, stage.name, cycle)
         power = kernel.power

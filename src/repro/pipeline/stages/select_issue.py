@@ -108,7 +108,6 @@ class SelectIssueStage(Stage):
             ring = self.buckets
             ring_mask = self.ring_mask
             extra_exec = self.extra_exec_latency
-            stamp = kernel.observer is not None
             try_claim_code = self.try_claim_code
             code_available = self.code_available
             survivors = []
@@ -147,8 +146,6 @@ class SelectIssueStage(Stage):
                     continue
                 instr.issued = True
                 issued += 1
-                if stamp:
-                    instr.issue_cycle = cycle
                 latency = static.latency + extra_exec
                 if static.is_load:
                     mem_latency, l1_hit = memory.load_data(instr.mem_address)

@@ -12,6 +12,7 @@ lower case so a misprediction's shadow is visible at a glance.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Sequence
 
 from repro.tracing.tracer import InstructionTrace
@@ -71,20 +72,35 @@ def stage_occupancy_histogram(
 
 
 def wrong_path_shadow_report(traces: Sequence[InstructionTrace]) -> str:
-    """Summarise the wrong-path work following each mispredicted branch."""
+    """Summarise the wrong-path work behind each mispredicted branch.
+
+    A branch's wrong path is squashed — and so recorded — before the
+    branch commits, sometimes in parts by nested recoveries, so the shadow
+    is matched by sequence number, not by trace position: the wrong-path
+    records whose ``seq`` lies between the branch and the next committed
+    instruction (all later ones when none committed in the window).
+    """
+    committed = sorted(t.seq for t in traces if not t.squashed)
+    wrong_path = sorted(
+        (t.seq, t.issue_cycle >= 0) for t in traces if t.on_wrong_path
+    )
+    wrong_seqs = [seq for seq, _ in wrong_path]
     shadows: List[tuple] = []
-    current = None
     for trace in traces:
-        if trace.mispredicted and not trace.on_wrong_path and not trace.squashed:
-            if current is not None:
-                shadows.append(current)
-            current = [trace.seq, 0, 0]  # branch seq, wp fetched, wp issued
-        elif trace.on_wrong_path and current is not None:
-            current[1] += 1
-            if trace.issue_cycle >= 0:
-                current[2] += 1
-    if current is not None:
-        shadows.append(current)
+        if not trace.mispredicted or trace.on_wrong_path or trace.squashed:
+            continue
+        seq = trace.seq
+        first = bisect_right(wrong_seqs, seq)
+        after = bisect_right(committed, seq)
+        if after < len(committed):
+            end = bisect_left(wrong_seqs, committed[after], first)
+        else:
+            end = len(wrong_seqs)
+        issued = 0
+        for _, was_issued in wrong_path[first:end]:
+            if was_issued:
+                issued += 1
+        shadows.append((seq, end - first, issued))
     if not shadows:
         return "(no mispredicted branches in the trace window)"
     lines = [f"{'branch seq':>10s} {'wp fetched':>11s} {'wp issued':>10s}"]

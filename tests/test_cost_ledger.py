@@ -177,12 +177,14 @@ def test_cell_counts_match_the_ledger(name):
 
 @pytest.mark.parametrize("name", _SIMULATED)
 def test_plain_cells_pay_nothing_for_checked_modes(name):
-    # Sanitizer and telemetry off: the plain stepper is bound and no
-    # sanitizer or telemetry code runs in the measured window.
+    # Sanitizer and telemetry off, no tracer attached: the plain stepper
+    # is bound and no sanitizer, telemetry or tracing code runs in the
+    # measured window.
     entry = measure(name)
     assert entry["step_checked"] == 0
     assert "pipeline/sanitizer.py" not in entry["calls"]
     assert not any(module.startswith("telemetry/") for module in entry["calls"])
+    assert not any(module.startswith("tracing/") for module in entry["calls"])
 
 
 def test_cycle_skip_fast_forwards_without_changing_the_run():

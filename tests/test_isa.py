@@ -64,7 +64,12 @@ def test_dynamic_instruction_branch_only_slots():
     assert branch.predicted_taken is False
     load = DynamicInstruction(2, StaticInstruction(0x2000, Opcode.LOAD, dest=7))
     assert not hasattr(load, "pc")
-    assert not hasattr(load, "decode_cycle")
+    # Later stage cycles live in the pipetrace recorder, not on the
+    # instruction: only the fetch cycle is a slot.
+    for name in ("decode_cycle", "rename_cycle", "issue_cycle",
+                 "complete_cycle", "commit_cycle"):
+        assert name not in DynamicInstruction.__slots__
+    assert "fetch_cycle" in DynamicInstruction.__slots__
 
 
 def test_dynamic_instruction_properties_delegate():

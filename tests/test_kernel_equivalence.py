@@ -1,14 +1,20 @@
 """Property test: the stage kernel matches pinned goldens with and without cycle skip.
 
 Randomized micro-programs (drawn program shapes and seeds) on randomized
-core geometries are run through the stage kernel twice, once with the
-cycle-skip fast-forward on and once with it off, and every observable —
-the committed instruction sequence, the squash sequence, the full
-statistics dictionary, the probe groups, the power ledgers — must match
-the digest pinned for that trial in
-``goldens/kernel_equivalence_fingerprints.json``.  A fingerprint over
-the canonical JSON of the whole payload guards anything the per-key
-digests miss.  The golden parity sweep (``test_stage_kernel_parity.py``)
+core geometries are run through the stage kernel with the cycle-skip
+fast-forward on and off, and every observable — the committed
+instruction sequence, the squash sequence, the full statistics
+dictionary, the probe groups, the power ledgers — must match the digest
+pinned for that trial in ``goldens/kernel_equivalence_fingerprints.json``.
+A fingerprint over the canonical JSON of the whole payload guards
+anything the per-key digests miss.
+
+The commit and squash sequences come from a pipetrace
+(:class:`repro.tracing.PipelineTracer`), and attaching one binds the
+checked stepper.  So each (trial, skip) case runs twice: traced, for
+the whole payload and its fingerprint, and untraced on the trial's
+drawn stepper (plain ``step`` unless the draw sanitizes or
+instruments), for every key but the two event sequences.  The golden parity sweep (``test_stage_kernel_parity.py``)
 pins the shipped benchmark generators; these trials cover shapes and
 geometries those never reach.
 
@@ -38,6 +44,7 @@ from repro.pipeline.processor import Processor
 from repro.program.generator import ProgramGenerator, ProgramShape
 from repro.smt.core import SmtProcessor
 from repro.smt.policies import make_fetch_policy
+from repro.tracing import PipelineTracer
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "kernel_equivalence_fingerprints.json"
@@ -47,6 +54,11 @@ _TRIALS = tuple(range(8))
 _INSTRUCTIONS = 1200
 _WARMUP = 300
 _CYCLE_SKIP_MODES = (True, False)
+# The payload keys only a traced run produces.
+_EVENT_KEYS = ("commits", "squashes")
+# Far above any trial's retired-instruction count: the recorder keeps
+# every record.
+_EVENT_CAPACITY = 1 << 24
 
 # Mechanisms drawn per trial: the empty baseline, a fetch-gating
 # throttle (exercises throttled-cycle accounting), the strongest
@@ -100,19 +112,30 @@ def _draw_config(rng: random.Random):
 
 
 class _CommitRecorder:
-    """Observer collecting the committed and squashed event sequences."""
+    """Pipetrace consumer collecting the committed and squashed event
+    sequences of a run, or nothing for an untraced run."""
 
-    def __init__(self) -> None:
-        self.commits = []
-        self.squashes = []
+    def __init__(self, processor, traced: bool) -> None:
+        self.tracer = None
+        if traced:
+            self.tracer = PipelineTracer(capacity=_EVENT_CAPACITY)
+            processor.attach_tracer(self.tracer)
 
-    def on_commit(self, instr, cycle: int) -> None:
-        self.commits.append((instr.seq, instr.static.address, cycle))
-
-    def on_squash(self, instr, cycle: int) -> None:
-        self.squashes.append(
-            (instr.seq, instr.static.address, bool(instr.on_wrong_path), cycle)
-        )
+    def events(self) -> Dict:
+        """``commits``/``squashes`` in retirement order ({} untraced)."""
+        if self.tracer is None:
+            return {}
+        commits = []
+        squashes = []
+        for trace in self.tracer.traces():
+            if trace.squashed:
+                squashes.append((
+                    trace.seq, trace.pc, bool(trace.on_wrong_path),
+                    trace.retire_cycle,
+                ))
+            else:
+                commits.append((trace.seq, trace.pc, trace.retire_cycle))
+        return {"commits": commits, "squashes": squashes}
 
 
 def _probe_groups(processor):
@@ -154,12 +177,20 @@ def _load_goldens() -> Dict[str, Dict]:
 
 
 def _assert_matches_golden(name: str, label: str, payload) -> None:
-    """Compare one run to its pinned entry, first differing key first."""
+    """Compare one run to its pinned entry, first differing key first.
+
+    A traced payload must match every key and the whole-payload
+    fingerprint; an untraced one every key but the event sequences.
+    """
     goldens = _load_goldens()
     assert name in goldens, f"no golden for {name}; regenerate deliberately"
     expected = goldens[name]
     actual = _golden_entry(payload)
-    assert set(actual["keys"]) == set(expected["keys"]), (
+    traced = _EVENT_KEYS[0] in payload
+    expected_keys = set(expected["keys"])
+    if not traced:
+        expected_keys -= set(_EVENT_KEYS)
+    assert set(actual["keys"]) == expected_keys, (
         f"{label}: payload keys differ from the pinned golden"
     )
     # Key order is the payload's: commits, squashes, stats, ... so a
@@ -168,12 +199,13 @@ def _assert_matches_golden(name: str, label: str, payload) -> None:
         assert digest == expected["keys"][key], (
             f"{label}: {key} diverges from the pinned golden"
         )
-    assert actual["fingerprint"] == expected["fingerprint"], (
-        f"{label}: full result payload diverges from the pinned golden"
-    )
+    if traced:
+        assert actual["fingerprint"] == expected["fingerprint"], (
+            f"{label}: full result payload diverges from the pinned golden"
+        )
 
 
-def _run_trial(trial: int, cycle_skip: bool):
+def _run_trial(trial: int, cycle_skip: bool, traced: bool = True):
     """One deterministic trial, with the fast-forward on or off."""
     rng = random.Random(0x5EED0 + trial)
     shape = _draw_shape(rng)
@@ -182,13 +214,11 @@ def _run_trial(trial: int, cycle_skip: bool):
     program = ProgramGenerator(shape, seed=1000 + trial, name=f"prop{trial}").generate()
     controller = make_controller(spec) if spec is not None else None
     processor = Processor(config, program, controller=controller, seed=77 + trial)
-    recorder = _CommitRecorder()
-    processor.observer = recorder
+    recorder = _CommitRecorder(processor, traced)
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
     power = processor.power
     payload = {
-        "commits": recorder.commits,
-        "squashes": recorder.squashes,
+        **recorder.events(),
         "stats": stats.as_dict(),
         "cycles": processor.cycle,
         "probes": _probe_groups(processor),
@@ -201,11 +231,21 @@ def _run_trial(trial: int, cycle_skip: bool):
     return payload, spec
 
 
+_RUN_MODES = tuple(
+    (cycle_skip, traced)
+    for cycle_skip in _CYCLE_SKIP_MODES
+    for traced in (True, False)
+)
+
+
 @pytest.mark.parametrize("trial", _TRIALS)
 def test_random_micro_programs_commit_identically(trial):
-    for cycle_skip in _CYCLE_SKIP_MODES:
-        payload, spec = _run_trial(trial, cycle_skip)
-        label = f"trial {trial} ({spec or 'baseline'}, cycle_skip={cycle_skip})"
+    for cycle_skip, traced in _RUN_MODES:
+        payload, spec = _run_trial(trial, cycle_skip, traced)
+        label = (
+            f"trial {trial} ({spec or 'baseline'}, cycle_skip={cycle_skip}, "
+            f"traced={traced})"
+        )
         _assert_matches_golden(f"solo:{trial}", label, payload)
 
 
@@ -281,7 +321,7 @@ def _draw_adversarial_shape(rng: random.Random, style: str) -> ProgramShape:
     )
 
 
-def _adversarial_trial(trial: int, cycle_skip: bool):
+def _adversarial_trial(trial: int, cycle_skip: bool, traced: bool = True):
     """One deterministic adversarial-shape trial."""
     rng = random.Random(0xBA7C4 + trial)
     style = _ADVERSARIAL_STYLES[trial % len(_ADVERSARIAL_STYLES)]
@@ -293,12 +333,10 @@ def _adversarial_trial(trial: int, cycle_skip: bool):
     ).generate()
     controller = make_controller(spec) if spec is not None else None
     processor = Processor(config, program, controller=controller, seed=55 + trial)
-    recorder = _CommitRecorder()
-    processor.observer = recorder
+    recorder = _CommitRecorder(processor, traced)
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
     payload = {
-        "commits": recorder.commits,
-        "squashes": recorder.squashes,
+        **recorder.events(),
         "stats": stats.as_dict(),
         "cycles": processor.cycle,
         "probes": _probe_groups(processor),
@@ -310,11 +348,11 @@ def _adversarial_trial(trial: int, cycle_skip: bool):
 
 @pytest.mark.parametrize("trial", _ADVERSARIAL_TRIALS)
 def test_adversarial_shapes_commit_identically(trial):
-    for cycle_skip in _CYCLE_SKIP_MODES:
-        payload, (style, spec) = _adversarial_trial(trial, cycle_skip)
+    for cycle_skip, traced in _RUN_MODES:
+        payload, (style, spec) = _adversarial_trial(trial, cycle_skip, traced)
         label = (
             f"adversarial trial {trial} ({style}, {spec or 'baseline'}, "
-            f"cycle_skip={cycle_skip})"
+            f"cycle_skip={cycle_skip}, traced={traced})"
         )
         _assert_matches_golden(f"adversarial:{trial}", label, payload)
 
@@ -348,7 +386,7 @@ _SMT_MECHANISMS = (None, ("throttle", "C2"), ("throttle", "A2"), ("gating", 2))
 _SMT_POLICIES = ("round-robin", "icount", "confidence-gating")
 
 
-def _run_smt_trial(trial: int, cycle_skip: bool):
+def _run_smt_trial(trial: int, cycle_skip: bool, traced: bool = True):
     """One deterministic 2-thread trial."""
     rng = random.Random(0x5A1D0 + trial)
     shapes = (_draw_shape(rng), _draw_shape(rng))
@@ -378,13 +416,11 @@ def _run_smt_trial(trial: int, cycle_skip: bool):
         controllers=controllers,
         fetch_policy=make_fetch_policy(policy),
     )
-    recorder = _CommitRecorder()
-    processor.observer = recorder
+    recorder = _CommitRecorder(processor, traced)
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
     power = processor.power
     payload = {
-        "commits": recorder.commits,
-        "squashes": recorder.squashes,
+        **recorder.events(),
         "stats": stats.as_dict(),
         "cycles": processor.cycle,
         "threads": [
@@ -413,11 +449,11 @@ def _run_smt_trial(trial: int, cycle_skip: bool):
 
 @pytest.mark.parametrize("trial", _SMT_TRIALS)
 def test_random_smt_micro_programs_commit_identically(trial):
-    for cycle_skip in _CYCLE_SKIP_MODES:
-        payload, (spec, policy) = _run_smt_trial(trial, cycle_skip)
+    for cycle_skip, traced in _RUN_MODES:
+        payload, (spec, policy) = _run_smt_trial(trial, cycle_skip, traced)
         label = (
             f"smt trial {trial} ({spec or 'baseline'}, {policy}, "
-            f"cycle_skip={cycle_skip})"
+            f"cycle_skip={cycle_skip}, traced={traced})"
         )
         _assert_matches_golden(f"smt:{trial}", label, payload)
 
