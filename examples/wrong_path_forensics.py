@@ -39,11 +39,19 @@ def main() -> None:
     program = spec.build_program()
     supply = CompiledSupply(program, spec.seed)
     processor = Processor(table3_config(), program, seed=spec.seed, supply=supply)
-    tracer = PipelineTracer(capacity=20_000)
+    # The window must hold the whole run: a bounded tracer drops its
+    # oldest records first, and a branch whose wrong path was dropped
+    # would show an empty shadow.  go (the suite's worst mispredictor)
+    # retires about 32.7k records over these 7k commits.
+    tracer = PipelineTracer(capacity=100_000)
     processor.attach_tracer(tracer)
     processor.run(6_000, warmup_instructions=1_000)
+    # Free the kernel; the tracer keeps its records.
+    processor.close()
 
     traces = tracer.traces()
+    if len(traces) < tracer.committed_count + tracer.squashed_count:
+        raise SystemExit("the trace window overflowed; raise its capacity")
     branches = tracer.mispredicted_branches()
     print(f"{name}: {tracer.committed_count} committed, "
           f"{tracer.squashed_count} squashed in the traced window")

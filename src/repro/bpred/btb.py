@@ -19,8 +19,10 @@ class BranchTargetBuffer:
         self.sets = entries // ways
         self._set_bits = log2_exact(self.sets)
         self._set_mask = bit_mask(self._set_bits)
-        # Each set: list of [tag, target] in LRU order (front = MRU).
-        self._table = [[] for _ in range(self.sets)]
+        # Each set: list of (tag, target) in LRU order (front = MRU),
+        # allocated on first insert; an untouched set is the shared empty
+        # tuple.
+        self._table = [()] * self.sets
         self.lookups = 0
         self.hits = 0
 
@@ -45,8 +47,12 @@ class BranchTargetBuffer:
 
     def update(self, pc: int, target: int) -> None:
         """Install or refresh the target of a taken branch."""
-        entry_set = self._table[self._set_index(pc)]
+        index = self._set_index(pc)
+        entry_set = self._table[index]
         tag = self._tag(pc)
+        if not entry_set:
+            self._table[index] = [(tag, target)]
+            return
         for position, (entry_tag, _) in enumerate(entry_set):
             if entry_tag == tag:
                 entry_set.pop(position)

@@ -369,37 +369,40 @@ def simulate(cell: SimCell) -> SimulationResult:
     throttling counters) are defined here and nowhere else.
     """
     processor = build_processor(cell)
-    stats = processor.run(cell.instructions, warmup_instructions=cell.warmup)
-    if processor.probes is not None:
-        _publish_probe_snapshot("sim", cell.benchmark, cell, processor)
-    power = processor.power
+    try:
+        stats = processor.run(cell.instructions, warmup_instructions=cell.warmup)
+        if processor.probes is not None:
+            _publish_probe_snapshot("sim", cell.benchmark, cell, processor)
+        power = processor.power
 
-    total_energy = power.total_energy()
-    wasted_fraction = (
-        power.total_wasted_energy() / total_energy if total_energy else 0.0
-    )
-    return SimulationResult(
-        benchmark=cell.benchmark,
-        label=cell.effective_label,
-        instructions=stats.committed,
-        cycles=stats.cycles,
-        ipc=stats.ipc,
-        average_power_watts=power.average_power(),
-        energy_joules=total_energy,
-        execution_seconds=power.execution_seconds(),
-        miss_rate=stats.branch_miss_rate,
-        spec_metric=stats.confidence.spec(),
-        pvn_metric=stats.confidence.pvn(),
-        wrong_path_fetch_fraction=stats.wrong_path_fetch_fraction,
-        wasted_energy_fraction=wasted_fraction,
-        breakdown=power.breakdown(),
-        extra={
-            "fetch_throttled_cycles": stats.fetch_throttled_cycles,
-            "decode_throttled_cycles": stats.decode_throttled_cycles,
-            "selection_blocked": stats.selection_blocked,
-            "squashed": stats.squashed,
-        },
-    )
+        total_energy = power.total_energy()
+        wasted_fraction = (
+            power.total_wasted_energy() / total_energy if total_energy else 0.0
+        )
+        return SimulationResult(
+            benchmark=cell.benchmark,
+            label=cell.effective_label,
+            instructions=stats.committed,
+            cycles=stats.cycles,
+            ipc=stats.ipc,
+            average_power_watts=power.average_power(),
+            energy_joules=total_energy,
+            execution_seconds=power.execution_seconds(),
+            miss_rate=stats.branch_miss_rate,
+            spec_metric=stats.confidence.spec(),
+            pvn_metric=stats.confidence.pvn(),
+            wrong_path_fetch_fraction=stats.wrong_path_fetch_fraction,
+            wasted_energy_fraction=wasted_fraction,
+            breakdown=power.breakdown(),
+            extra={
+                "fetch_throttled_cycles": stats.fetch_throttled_cycles,
+                "decode_throttled_cycles": stats.decode_throttled_cycles,
+                "selection_blocked": stats.selection_blocked,
+                "squashed": stats.squashed,
+            },
+        )
+    finally:
+        processor.close()
 
 
 # ----------------------------------------------------------------------
@@ -483,10 +486,15 @@ def build_smt_processor(cell: SmtCell) -> SmtProcessor:
 def simulate_smt(cell: SmtCell) -> SmtResult:
     """Run one SMT mix cell and collect every measured quantity."""
     processor = build_smt_processor(cell)
-    processor.run(cell.instructions, warmup_instructions=cell.warmup)
-    if processor.probes is not None:
-        _publish_probe_snapshot("smt", cell.mix, cell, processor)
-    return collect_smt_result(processor, cell.mix, cell.policy, cell.instructions)
+    try:
+        processor.run(cell.instructions, warmup_instructions=cell.warmup)
+        if processor.probes is not None:
+            _publish_probe_snapshot("smt", cell.mix, cell, processor)
+        return collect_smt_result(
+            processor, cell.mix, cell.policy, cell.instructions
+        )
+    finally:
+        processor.close()
 
 
 def _publish_probe_snapshot(kind: str, workload: str, cell, processor) -> None:

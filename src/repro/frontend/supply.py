@@ -42,6 +42,7 @@ fingerprints of ``tests/test_stage_kernel_parity.py``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProgramError, SimulationError, WorkloadError
@@ -148,12 +149,16 @@ class CompiledTables:
     tables additionally bake in partial hash states of the derived
     wrong-path seed, so they are cached per seed.  Blocks are compiled
     lazily — short runs touch a fraction of a large program.
+
+    The tables reach their program through a weak proxy: the program
+    owns them, and a strong back-reference would make every program
+    whose supply was ever built cyclic garbage once dropped.
     """
 
     __slots__ = ("program", "_true", "_wp_by_seed")
 
     def __init__(self, program: Program) -> None:
-        self.program = program
+        self.program = weakref.proxy(program)
         self._true: Dict[int, _TrueBlock] = {}
         self._wp_by_seed: Dict[int, Dict[int, _WpBlock]] = {}
 

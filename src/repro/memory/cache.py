@@ -60,8 +60,10 @@ class Cache:
             raise ConfigurationError(f"{name}: set count must be a power of two")
         self._offset_bits = log2_exact(line_bytes)
         self._set_mask = bit_mask(log2_exact(self.num_sets))
-        # Per-set list of tags in LRU order (front = MRU).
-        self._sets = [[] for _ in range(self.num_sets)]
+        # Per-set list of tags in LRU order (front = MRU).  Sets are
+        # allocated on first touch: an untouched set is the shared empty
+        # tuple, so a fresh cache costs one list, not one per set.
+        self._sets = [()] * self.num_sets
         self.stats = CacheStats()
 
     def probe(self, address: int) -> bool:
@@ -73,10 +75,15 @@ class Cache:
     def access(self, address: int) -> bool:
         """Access the cache; allocate on miss.  Returns True on a hit."""
         line = address >> self._offset_bits
-        tag_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        tag_set = self._sets[index]
         self.stats.accesses += 1
+        if not tag_set:
+            self.stats.misses += 1
+            self._sets[index] = [line]
+            return False
         # MRU hit: the overwhelmingly common case, no LRU reordering.
-        if tag_set and tag_set[0] == line:
+        if tag_set[0] == line:
             return True
         try:
             position = tag_set.index(line)
@@ -94,11 +101,12 @@ class Cache:
     def invalidate_all(self) -> None:
         """Empty the cache (statistics are preserved).
 
-        Clears in place: the stage hot loops hold aliases of the set
-        array, which must stay valid across an invalidation.
+        Every set returns to the untouched empty tuple.  The set array
+        itself is slice-assigned, never rebound: the fetch stage's inlined
+        I-cache probe holds an alias of it, which must stay valid across
+        an invalidation.
         """
-        for tag_set in self._sets:
-            tag_set.clear()
+        self._sets[:] = [()] * self.num_sets
 
     def line_address(self, address: int) -> int:
         """Return the line-aligned address containing ``address``."""

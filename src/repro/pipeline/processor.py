@@ -126,6 +126,10 @@ def build_estimator(config: ProcessorConfig) -> Optional[ConfidenceEstimator]:
 _BASE = SpeculationController
 
 
+def _closed_step() -> None:
+    raise SimulationError("the processor is closed")
+
+
 class ThreadContext:
     """Everything one hardware thread owns.
 
@@ -402,6 +406,20 @@ class Processor:
         tracer.bind(self)
         self.tracer = tracer
         self._step = self.scheduler.step_checked
+
+    def close(self) -> None:
+        """Release the stage kernel; the statistics stay readable.
+
+        The scheduler, its stages, the bound stepper, the tracer and the
+        probe bus all point back at this processor, so a finished machine
+        would otherwise live on as cyclic garbage until a full collection.
+        Dropping them here lets reference counting free the whole machine
+        the moment its last user lets go.  A closed processor cannot step.
+        """
+        self.scheduler = None
+        self._step = _closed_step
+        self.tracer = None
+        self.probes = None
 
     # ------------------------------------------------------------------
     # Single-thread aliases (the overwhelmingly common configuration)

@@ -150,15 +150,6 @@ class PipelineTracer:
         self._marks: Dict[int, List[int]] = {}
         self._kernel = None
         self._snapshot = None
-        # (before, after) diff hooks by stage name; fetch needs none.
-        self._hooks = {
-            CommitRecoverStage.name: (self._commit_before, self._commit_after),
-            ExecuteWritebackStage.name: (
-                self._writeback_before, self._writeback_after,
-            ),
-            SelectIssueStage.name: (self._issue_before, self._issue_after),
-            DecodeRenameStage.name: (self._front_before, self._front_after),
-        }
 
     # Recording -----------------------------------------------------------
 
@@ -168,14 +159,14 @@ class PipelineTracer:
 
     def before(self, stage, cycle: int) -> None:
         """Snapshot what ``stage``'s tick at ``cycle`` may change."""
-        hooks = self._hooks.get(stage.name)
-        self._snapshot = hooks[0](cycle) if hooks is not None else None
+        hooks = _HOOKS.get(stage.name)
+        self._snapshot = hooks[0](self, cycle) if hooks is not None else None
 
     def after(self, stage, cycle: int) -> None:
         """Diff the snapshot taken by :meth:`before` against the kernel."""
-        hooks = self._hooks.get(stage.name)
+        hooks = _HOOKS.get(stage.name)
         if hooks is not None and self._snapshot is not None:
-            hooks[1](cycle, self._snapshot)
+            hooks[1](self, cycle, self._snapshot)
 
     def record(self, instruction: DynamicInstruction, cycle: int) -> None:
         """Retire ``instruction`` at ``cycle`` (committed or squashed, by
@@ -324,3 +315,22 @@ class PipelineTracer:
         self._traces.clear()
         self.committed_count = 0
         self.squashed_count = 0
+
+
+# (before, after) diff hooks by stage name; fetch needs none.  Plain
+# functions, not bound methods, so a tracer holds no reference to itself
+# and is freed by reference counting.
+_HOOKS = {
+    CommitRecoverStage.name: (
+        PipelineTracer._commit_before, PipelineTracer._commit_after,
+    ),
+    ExecuteWritebackStage.name: (
+        PipelineTracer._writeback_before, PipelineTracer._writeback_after,
+    ),
+    SelectIssueStage.name: (
+        PipelineTracer._issue_before, PipelineTracer._issue_after,
+    ),
+    DecodeRenameStage.name: (
+        PipelineTracer._front_before, PipelineTracer._front_after,
+    ),
+}

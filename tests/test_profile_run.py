@@ -110,3 +110,29 @@ def test_skip_stats_report_the_blocked_share(profile_run, capsys):
     assert blocked, out
     assert int(blocked.group(2)) == windows
     assert 0 < int(blocked.group(1)) <= windows, out
+
+
+_GC_LINE = re.compile(
+    r"cyclic GC collections, measured window: "
+    r"gen0 \d+ \([\d.]+ ms\), gen1 \d+ \([\d.]+ ms\), gen2 \d+ \([\d.]+ ms\)"
+)
+
+
+@pytest.mark.parametrize("mode", [["--top", "1"], ["--skip-stats"]])
+def test_every_report_ends_with_the_collector_line(profile_run, capsys, mode):
+    assert profile_run.main([
+        "--benchmark", "go", "--instructions", "600", "--warmup", "200", *mode,
+    ]) == 0
+    last = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
+    assert _GC_LINE.fullmatch(last), last
+
+
+def test_gc_meter_counts_collections_only_while_active(profile_run):
+    import gc
+
+    with profile_run.GcMeter() as meter:
+        gc.collect()
+    assert meter.collections[2] == 1
+    assert meter.seconds[2] > 0
+    gc.collect()
+    assert meter.collections[2] == 1

@@ -15,11 +15,13 @@ The machine is built by :func:`repro.experiments.engine.build_processor`
 figure, table and campaign simulates.  Every report covers one window,
 the **measured window**: the warm-up runs first, unprofiled and untimed,
 then the measurement resets and only the measured instructions are
-profiled, timed and counted.  The report ends with the ``repro``
+profiled, timed and counted.  The report closes with the ``repro``
 package's calls per committed instruction, module by module — the
 counting rule of the cost ledger (``tests/test_cost_ledger.py``), whose
-counts repeat exactly where wall time does not.  ``--save`` writes the
-raw pstats file for snakeviz/gprof2dot.
+counts repeat exactly where wall time does not.  Every report's last
+line is the cyclic collector's work over the same window: collections
+per generation and their pause time, from ``gc.callbacks``.  ``--save``
+writes the raw pstats file for snakeviz/gprof2dot.
 
 ``--stage-timers`` swaps cProfile for the telemetry layer: each stage's
 ``tick`` is wrapped with a wall-clock accumulator
@@ -43,9 +45,11 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
 import sys
+import time
 from typing import List, Optional
 
 from repro.experiments.engine import (
@@ -142,6 +146,43 @@ def warm_up(processor, cell) -> None:
         processor.reset_measurement()
 
 
+class GcMeter:
+    """Cyclic-GC collections and pause time per generation while active.
+
+    Fed by ``gc.callbacks``; use as a context manager around the window
+    to measure.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcMeter":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def report(self) -> str:
+        parts = ", ".join(
+            f"gen{generation} {count} ({seconds * 1e3:.2f} ms)"
+            for generation, (count, seconds) in enumerate(
+                zip(self.collections, self.seconds)
+            )
+        )
+        return f"cyclic GC collections, measured window: {parts}"
+
+
 def _run_telemetry_modes(
     processor, cell, label: str, stage_timers: bool, skip_stats: bool
 ) -> int:
@@ -152,13 +193,15 @@ def _run_telemetry_modes(
     # Attached at the window boundary, so tick counts and wall time cover
     # the measured window the probe bus reports on, and nothing else.
     timers = StageTimers(processor).attach() if stage_timers else None
-    processor.run(cell.instructions)
+    with GcMeter() as collector:
+        processor.run(cell.instructions)
 
     snapshot = processor.probes.snapshot()
     if timers is not None:
         _print_stage_timers(snapshot, timers, label)
     if skip_stats:
         _print_skip_stats(snapshot, label)
+    print(collector.report())
     return 0
 
 
@@ -295,9 +338,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     warm_up(processor, cell)
     profile = cProfile.Profile()
-    profile.enable()
-    processor.run(cell.instructions)
-    profile.disable()
+    with GcMeter() as collector:
+        profile.enable()
+        processor.run(cell.instructions)
+        profile.disable()
 
     committed = processor.stats.committed
     stats = pstats.Stats(profile, stream=sys.stdout)
@@ -310,6 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.save:
         stats.dump_stats(options.save)
         print(f"wrote {options.save}")
+    print(collector.report())
     return 0
 
 
