@@ -1,4 +1,4 @@
-"""Ablation benches beyond the paper (``repro.experiments.ablations``).
+"""Ablation benches beyond the paper (the ablation studies).
 
 Not reproductions of any paper figure — these isolate the design choices
 the paper asserts but does not measure: the four-level BPRU categorisation
@@ -6,22 +6,21 @@ the paper asserts but does not measure: the four-level BPRU categorisation
 clock-gating style and the MSHR count behind the oracle-fetch speedup.
 """
 
-from benchmarks.conftest import run_once
-from repro.experiments.ablations import (
-    clock_gating_styles,
-    escalation_rule,
-    estimator_swap,
-    gating_threshold_sweep,
-    mshr_sensitivity,
-)
-from repro.experiments.figures import format_figure
+from benchmarks.conftest import bench_context, run_study_once
+from repro.studies import get_study
+from repro.studies.library import mshr_study
 
 
-def test_ablation_estimator_swap(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: estimator_swap(runner))
+def _figure(benchmark, scheduler, capsys, name):
+    run = run_study_once(benchmark, scheduler, get_study(name))
     with capsys.disabled():
         print()
-        print(format_figure(figure))
+        print(run.render())
+    return run.artifact
+
+
+def test_ablation_estimator_swap(benchmark, scheduler, capsys):
+    figure = _figure(benchmark, scheduler, capsys, "estimator-swap")
     averages = figure.averages()
     # The perfect estimator bounds both realistic ones on every metric.
     perfect = averages["C2/perfect"]
@@ -36,11 +35,8 @@ def test_ablation_estimator_swap(benchmark, runner, capsys):
         benchmark.extra_info[label] = round(averages[label]["ed_improvement_pct"], 2)
 
 
-def test_ablation_escalation_rule(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: escalation_rule(runner))
-    with capsys.disabled():
-        print()
-        print(format_figure(figure))
+def test_ablation_escalation_rule(benchmark, scheduler, capsys):
+    figure = _figure(benchmark, scheduler, capsys, "escalation-rule")
     averages = figure.averages()
     escalate = averages["C2/escalate"]
     latest = averages["C2/latest-wins"]
@@ -51,11 +47,8 @@ def test_ablation_escalation_rule(benchmark, runner, capsys):
     benchmark.extra_info["latest_ed"] = round(latest["ed_improvement_pct"], 2)
 
 
-def test_ablation_gating_threshold(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: gating_threshold_sweep(runner))
-    with capsys.disabled():
-        print()
-        print(format_figure(figure))
+def test_ablation_gating_threshold(benchmark, scheduler, capsys):
+    figure = _figure(benchmark, scheduler, capsys, "gating-threshold")
     averages = figure.averages()
     # Higher thresholds gate less: speedup must be monotone non-decreasing
     # and power savings monotone non-increasing across the sweep.
@@ -65,21 +58,8 @@ def test_ablation_gating_threshold(benchmark, runner, capsys):
     assert all(b <= a + 0.5 for a, b in zip(powers, powers[1:]))
 
 
-def test_ablation_clock_gating_styles(benchmark, capsys):
-    from benchmarks.conftest import bench_instructions, bench_warmup
-
-    styles = run_once(
-        benchmark,
-        lambda: clock_gating_styles(bench_instructions(), bench_warmup()),
-    )
-    with capsys.disabled():
-        print()
-        print("clock-gating styles: suite averages")
-        for style, row in styles.items():
-            print(
-                f"  {style}: {row['average_power_watts']:6.1f} W, "
-                f"wasted {row['wasted_fraction'] * 100:5.1f}%"
-            )
+def test_ablation_clock_gating_styles(benchmark, scheduler, capsys):
+    styles = _figure(benchmark, scheduler, capsys, "clock-gating")
     # cc0 (no gating) burns the most power; cc2 (perfect gating) the least;
     # cc3 sits between cc2 and cc1 because of its 10% idle floor.
     assert styles["cc0"]["average_power_watts"] > styles["cc1"]["average_power_watts"]
@@ -87,25 +67,14 @@ def test_ablation_clock_gating_styles(benchmark, capsys):
     assert styles["cc2"]["average_power_watts"] <= styles["cc3"]["average_power_watts"]
 
 
-def test_ablation_mshr_sensitivity(benchmark, capsys):
-    from benchmarks.conftest import bench_instructions, bench_warmup
-
-    sweep = run_once(
-        benchmark,
-        lambda: mshr_sensitivity(
-            (2, 8, 16),
-            bench_instructions(),
-            bench_warmup(),
-            benchmarks=("go", "gcc", "twolf", "compress"),
-        ),
+def test_ablation_mshr_sensitivity(benchmark, scheduler, capsys):
+    run = run_study_once(
+        benchmark, scheduler, mshr_study((2, 8, 16)),
+        bench_context(("go", "gcc", "twolf", "compress")),
     )
+    sweep = run.artifact
     with capsys.disabled():
         print()
-        print("MSHR sensitivity (go/gcc/twolf/compress):")
-        for count, row in sweep.items():
-            print(
-                f"  mshr={count:2d}: baseline IPC {row['baseline_ipc']:.2f}, "
-                f"oracle-fetch speedup {row['oracle_fetch_speedup']:.3f}"
-            )
+        print(run.render())
     # More MSHRs help the baseline absorb wrong-path misses.
     assert sweep[16]["baseline_ipc"] >= sweep[2]["baseline_ipc"] - 0.02

@@ -3,15 +3,16 @@
 Paper averages: oracle fetch ~21% power, ~24% energy, ~28% E-D savings;
 savings ordering fetch > decode > select."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.figures import figure1, format_figure
+from benchmarks.conftest import run_study_once
+from repro.studies import get_study
 
 
-def test_figure1_oracle_savings(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: figure1(runner))
+def test_figure1_oracle_savings(benchmark, scheduler, capsys):
+    run = run_study_once(benchmark, scheduler, get_study("figure1"))
+    figure = run.artifact
     with capsys.disabled():
         print()
-        print(format_figure(figure))
+        print(run.render())
 
     averages = figure.averages()
     fetch = averages["oracle-fetch"]

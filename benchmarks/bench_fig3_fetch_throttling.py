@@ -4,15 +4,16 @@ Paper averages: A1-A3 nearly no slowdown with 5-9% energy savings;
 A5 the best tradeoff (11.7% energy, 8.6% E-D); A6/A7 save energy but
 destroy the E-D product (A6 ~12% slowdown)."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.figures import figure3, format_figure
+from benchmarks.conftest import run_study_once
+from repro.studies import get_study
 
 
-def test_figure3_fetch_throttling(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: figure3(runner))
+def test_figure3_fetch_throttling(benchmark, scheduler, capsys):
+    run = run_study_once(benchmark, scheduler, get_study("figure3"))
+    figure = run.artifact
     with capsys.disabled():
         print()
-        print(format_figure(figure))
+        print(run.render())
 
     averages = figure.averages()
     # Mild throttling (A1) must degrade performance less than full

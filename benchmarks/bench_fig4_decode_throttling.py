@@ -5,15 +5,16 @@ Paper: decode-only throttling (B1-B3) hurts performance quickly (B3 ~12%
 slowdown, negative E-D); combined fetch+decode (B7) edges out A5 on energy
 (11.9%) but loses on E-D (7.8% vs 8.6%)."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.figures import figure4, format_figure
+from benchmarks.conftest import run_study_once
+from repro.studies import get_study
 
 
-def test_figure4_decode_throttling(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: figure4(runner))
+def test_figure4_decode_throttling(benchmark, scheduler, capsys):
+    run = run_study_once(benchmark, scheduler, get_study("figure4"))
+    figure = run.artifact
     with capsys.disabled():
         print()
-        print(format_figure(figure))
+        print(run.render())
 
     averages = figure.averages()
     # Stalling decode (B3) must cost more performance than halving it (B1).

@@ -4,15 +4,16 @@ Paper: adding no-select costs ~2% performance and buys ~2% extra energy
 savings; C2 is the paper's best overall (13.5% energy, 8.5% E-D vs
 Pipeline Gating's 11.0% / 3.5%)."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.figures import figure5, format_figure
+from benchmarks.conftest import run_study_once
+from repro.studies import get_study
 
 
-def test_figure5_selection_throttling(benchmark, runner, capsys):
-    figure = run_once(benchmark, lambda: figure5(runner))
+def test_figure5_selection_throttling(benchmark, scheduler, capsys):
+    run = run_study_once(benchmark, scheduler, get_study("figure5"))
+    figure = run.artifact
     with capsys.disabled():
         print()
-        print(format_figure(figure))
+        print(run.render())
 
     averages = figure.averages()
     # The no-select variants trade a little speed for extra power savings.

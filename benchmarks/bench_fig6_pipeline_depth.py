@@ -3,20 +3,22 @@
 Paper: energy savings grow from ~11% at 6 stages to ~17% at 28; E-D
 improvement from ~5.4% to ~12%; slowdown roughly flat (5-6%)."""
 
-from benchmarks.conftest import bench_instructions, run_once
-from repro.experiments.figures import figure6, format_sweep
+from benchmarks.conftest import bench_instructions, run_study_once
+from repro.studies import StudyContext
+from repro.studies.library import depth_sweep_study
 
 DEPTHS = (6, 14, 28)
 
 
-def test_figure6_pipeline_depth(benchmark, capsys):
-    sweep = run_once(
-        benchmark,
-        lambda: figure6(depths=DEPTHS, instructions=bench_instructions()),
+def test_figure6_pipeline_depth(benchmark, scheduler, capsys):
+    run = run_study_once(
+        benchmark, scheduler, depth_sweep_study(DEPTHS),
+        StudyContext(instructions=bench_instructions()),
     )
+    sweep = run.artifact
     with capsys.disabled():
         print()
-        print(format_sweep("figure6 (C2)", sweep, "depth"))
+        print(run.render())
 
     # Deeper pipelines waste more energy on the wrong path, so Selective
     # Throttling recovers more (the paper's headline trend).

@@ -4,20 +4,22 @@ Paper: power savings shrink as tables grow (20.3% at 8 KB to 16.5% at
 64 KB) while energy savings and E-D improvement stay roughly flat
 (11-12% and 4-5%)."""
 
-from benchmarks.conftest import bench_instructions, run_once
-from repro.experiments.figures import figure7, format_sweep
+from benchmarks.conftest import bench_instructions, run_study_once
+from repro.studies import StudyContext
+from repro.studies.library import table_size_sweep_study
 
 SIZES = (8, 16, 64)
 
 
-def test_figure7_table_size(benchmark, capsys):
-    sweep = run_once(
-        benchmark,
-        lambda: figure7(total_sizes_kb=SIZES, instructions=bench_instructions()),
+def test_figure7_table_size(benchmark, scheduler, capsys):
+    run = run_study_once(
+        benchmark, scheduler, table_size_sweep_study(SIZES),
+        StudyContext(instructions=bench_instructions()),
     )
+    sweep = run.artifact
     with capsys.disabled():
         print()
-        print(format_sweep("figure7 (C2)", sweep, "total KB"))
+        print(run.render())
 
     # Larger tables predict better, leaving less waste to throttle away:
     # power savings must not grow with size.

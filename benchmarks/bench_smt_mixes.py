@@ -39,7 +39,7 @@ def _run_mixes():
     for mix, ref_cells in references.items():
         offsets[mix] = len(batch)
         batch.extend(ref_cells)
-    results = scheduler.run(batch)
+    results = scheduler.run_cells(batch)
     rows = {}
     for (mix, policy), (index, cell) in cells.items():
         result = results[index]

@@ -1,15 +1,16 @@
 """Table 1: overall power breakdown and the fraction wasted by
 mis-speculated instructions (paper: 56.4 W, 27.9% wasted)."""
 
-from benchmarks.conftest import run_once
-from repro.experiments.tables import format_table1, table1
+from benchmarks.conftest import run_study_once
+from repro.studies import get_study
 
 
-def test_table1_power_breakdown(benchmark, runner, capsys):
-    rows = run_once(benchmark, lambda: table1(runner))
+def test_table1_power_breakdown(benchmark, scheduler, capsys):
+    run = run_study_once(benchmark, scheduler, get_study("table1"))
+    rows = run.artifact
     with capsys.disabled():
         print()
-        print(format_table1(rows))
+        print(run.render())
 
     total = rows["total"]
     # Calibration anchors the baseline near the paper's 56.4 W.

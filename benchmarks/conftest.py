@@ -7,20 +7,22 @@ completes on a laptop; raise them for a higher-fidelity pass::
     REPRO_BENCH_INSTRUCTIONS=60000 REPRO_BENCH_WARMUP=20000 \
         pytest benchmarks/ --benchmark-only -s
 
-The harness runs on the execution engine: ``REPRO_BENCH_JOBS=8`` fans each
-figure's simulations out over processes, and ``REPRO_BENCH_CACHE_DIR=DIR``
-persists per-simulation results so reruns only time what changed.
+Each figure is its registered study run on a sweep scheduler:
+``REPRO_BENCH_JOBS=8`` fans each figure's simulations out over processes,
+and ``REPRO_BENCH_CACHE_DIR=DIR`` persists per-simulation results so
+reruns only time what changed.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
 from repro.experiments.engine import ResultCache
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.scheduler import SweepScheduler
+from repro.studies import StudyContext, StudyRun, StudySpec, run_study
 
 
 def bench_instructions() -> int:
@@ -44,15 +46,19 @@ def bench_cache() -> Optional[ResultCache]:
     return ResultCache(directory) if directory else None
 
 
-@pytest.fixture()
-def runner() -> ExperimentRunner:
-    """A fresh experiment runner at benchmark scale."""
-    return ExperimentRunner(
+def bench_context(benchmarks: Optional[Sequence[str]] = None) -> StudyContext:
+    """Benchmark-scale run lengths over ``benchmarks`` (default: all)."""
+    return StudyContext(
+        benchmarks=tuple(benchmarks) if benchmarks is not None else None,
         instructions=bench_instructions(),
         warmup=bench_warmup(),
-        jobs=bench_jobs(),
-        cache=bench_cache(),
     )
+
+
+@pytest.fixture()
+def scheduler() -> SweepScheduler:
+    """A fresh sweep scheduler with the harness's jobs and cache."""
+    return SweepScheduler(jobs=bench_jobs(), cache=bench_cache())
 
 
 def run_once(benchmark, fn):
@@ -63,3 +69,16 @@ def run_once(benchmark, fn):
     benefit, so every figure is timed as a single round.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def run_study_once(
+    benchmark,
+    scheduler: SweepScheduler,
+    spec: StudySpec,
+    context: Optional[StudyContext] = None,
+) -> StudyRun:
+    """Run one study exactly once under pytest-benchmark timing."""
+    context = context or bench_context()
+    return run_once(
+        benchmark, lambda: run_study(spec, context, executor=scheduler)
+    )

@@ -14,12 +14,13 @@ Usage::
 import sys
 
 from repro.core.adaptive import AdaptiveThrottler
-from repro.experiments.campaign import format_campaign, run_campaign
-from repro.experiments.results import compare
-from repro.experiments.runner import run_benchmark
+from repro.experiments.campaign import format_campaign
+from repro.experiments.engine import make_cell, simulate
 from repro.pipeline.config import table3_config
 from repro.pipeline.processor import Processor
-from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
+from repro.studies import StudyContext, run_study
+from repro.studies.library import campaign_study
+from repro.workloads.suite import benchmark_spec
 
 BENCHMARKS = ("go", "gcc", "gzip", "twolf")
 
@@ -40,10 +41,10 @@ def main() -> None:
     print(f"{'bench':8s} {'rung':>4s} {'promote':>8s} {'demote':>7s} "
           f"{'precision':>10s} {'energy%':>8s} {'speedup':>8s}")
     for name in BENCHMARKS:
-        baseline = run_benchmark(
+        baseline = simulate(make_cell(
             name, ("baseline",), instructions=instructions,
             warmup=instructions // 3,
-        )
+        ))
         processor, throttler = run_adaptive(name, instructions)
         energy = 100 * (
             1 - processor.power.total_energy() / baseline.energy_joules
@@ -56,13 +57,13 @@ def main() -> None:
         )
 
     print("\nstatic policies for context (multi-seed, 95% intervals):")
-    campaign = run_campaign(
-        {"A1": ("throttle", "A1"), "C2": ("throttle", "C2")},
-        benchmarks=BENCHMARKS,
-        seeds=2,
-        instructions=instructions,
-        name="static-policies",
-    )
+    campaign = run_study(
+        campaign_study(
+            {"A1": ("throttle", "A1"), "C2": ("throttle", "C2")},
+            name="static-policies",
+        ),
+        StudyContext(benchmarks=BENCHMARKS, seeds=2, instructions=instructions),
+    ).artifact
     print(format_campaign(campaign, ("energy_savings_pct", "speedup")))
     print(
         "\nThe adaptive controller converges to aggressive rungs on codes"

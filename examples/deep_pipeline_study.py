@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import ExperimentRunner, compare, table3_config
+from repro import SweepScheduler, compare, make_cell, table3_config
 from repro.utils.stats import arithmetic_mean, geometric_mean
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -27,17 +27,18 @@ def main(argv) -> int:
 
     print(f"{'depth':>6s} {'front':>6s} {'IPC':>6s} {'wasted%':>8s} "
           f"{'C2 speedup':>11s} {'C2 energy%':>11s} {'C2 E-D%':>8s}")
+    scheduler = SweepScheduler()
     for depth in DEPTHS:
         config = table3_config().with_depth(depth)
-        runner = ExperimentRunner(config=config, instructions=instructions)
         ipcs, wasted, comparisons = [], [], []
         for benchmark in benchmarks:
-            baseline = runner.baseline(benchmark)
+            baseline, throttled = scheduler.run_cells([
+                make_cell(benchmark, spec, config=config, instructions=instructions)
+                for spec in (("baseline",), ("throttle", "C2"))
+            ])
             ipcs.append(baseline.ipc)
             wasted.append(baseline.wasted_energy_fraction)
-            comparisons.append(
-                compare(baseline, runner.run(benchmark, ("throttle", "C2")))
-            )
+            comparisons.append(compare(baseline, throttled))
         print(
             f"{depth:6d} {config.front_end_stages:6d} "
             f"{arithmetic_mean(ipcs):6.2f} "

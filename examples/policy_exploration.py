@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import ExperimentRunner, compare, list_experiments
+from repro import SweepScheduler, compare, list_experiments, make_cell
 from repro.core.policy import GATING_EXPERIMENTS
 
 
@@ -23,8 +23,10 @@ def main(argv) -> int:
     benchmark = argv[1] if len(argv) > 1 else "twolf"
     instructions = int(argv[2]) if len(argv) > 2 else 15_000
 
-    runner = ExperimentRunner(instructions=instructions)
-    baseline = runner.baseline(benchmark)
+    scheduler = SweepScheduler()
+    baseline = scheduler.run_cells(
+        [make_cell(benchmark, ("baseline",), instructions=instructions)]
+    )[0]
     print(
         f"{benchmark}: baseline IPC {baseline.ipc:.2f}, "
         f"{baseline.average_power_watts:.1f} W, "
@@ -40,10 +42,11 @@ def main(argv) -> int:
     for mode in ("fetch", "decode", "select"):
         specs[f"oracle-{mode}"] = ("oracle", mode)
 
-    results = []
-    for label, spec in specs.items():
-        candidate = runner.run(benchmark, spec, label=label)
-        results.append(compare(baseline, candidate))
+    candidates = scheduler.run_cells([
+        make_cell(benchmark, spec, instructions=instructions, label=label)
+        for label, spec in specs.items()
+    ])
+    results = [compare(baseline, candidate) for candidate in candidates]
 
     results.sort(key=lambda c: c.ed_improvement_pct, reverse=True)
     print()

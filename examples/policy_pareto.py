@@ -17,8 +17,9 @@ from repro.experiments.policy_search import (
     enumerate_policies,
     format_points,
     pareto_frontier,
-    search_policies,
 )
+from repro.studies import StudyContext, run_study
+from repro.studies.library import policy_study
 
 BENCHMARKS = ("go", "twolf", "gcc")
 
@@ -30,9 +31,10 @@ def main() -> None:
         f"evaluating {len(policies)} policies x {len(BENCHMARKS)} benchmarks "
         f"({instructions} instructions each)..."
     )
-    points = search_policies(
-        benchmarks=BENCHMARKS, instructions=instructions, policies=policies
-    )
+    points = run_study(
+        policy_study(policies, benchmarks=BENCHMARKS),
+        StudyContext(instructions=instructions, warmup=instructions // 3),
+    ).artifact
 
     print("\n=== top policies by energy-delay ===")
     print(format_points(points, limit=12))

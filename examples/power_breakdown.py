@@ -11,7 +11,7 @@ Usage::
 
 import sys
 
-from repro.experiments.runner import run_benchmark
+from repro.experiments.engine import make_cell, simulate
 from repro.power.units import TABLE1_SHARES, PowerUnit
 from repro.report.ascii import bar_chart
 from repro.workloads.suite import BENCHMARK_NAMES
@@ -23,13 +23,11 @@ def main() -> None:
         raise SystemExit(f"unknown benchmark; choose from {BENCHMARK_NAMES}")
     instructions = int(sys.argv[2]) if len(sys.argv) > 2 else 12_000
 
-    baseline = run_benchmark(
-        benchmark, ("baseline",), instructions=instructions,
-        warmup=instructions // 3,
-    )
-    throttled = run_benchmark(
-        benchmark, ("throttle", "C2"), instructions=instructions,
-        warmup=instructions // 3,
+    baseline, throttled = (
+        simulate(make_cell(
+            benchmark, spec, instructions=instructions, warmup=instructions // 3,
+        ))
+        for spec in (("baseline",), ("throttle", "C2"))
     )
 
     print(f"=== {benchmark}: baseline power breakdown ===")

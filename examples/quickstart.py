@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import sys
 
-from repro import ExperimentRunner, compare
+from repro import compare, make_cell, simulate
 
 
 def main(argv) -> int:
     benchmark = argv[1] if len(argv) > 1 else "go"
     instructions = int(argv[2]) if len(argv) > 2 else 20_000
 
-    runner = ExperimentRunner(instructions=instructions)
     print(f"Simulating {benchmark!r} for {instructions} instructions ...")
 
-    baseline = runner.baseline(benchmark)
+    baseline = simulate(make_cell(benchmark, ("baseline",), instructions=instructions))
     print(
         f"  baseline: IPC {baseline.ipc:.2f}, "
         f"{baseline.average_power_watts:.1f} W, "
@@ -33,7 +32,9 @@ def main(argv) -> int:
         f"on mis-speculated instructions"
     )
 
-    throttled = runner.run(benchmark, ("throttle", "C2"))
+    throttled = simulate(
+        make_cell(benchmark, ("throttle", "C2"), instructions=instructions)
+    )
     print(
         f"  C2:       IPC {throttled.ipc:.2f}, "
         f"{throttled.average_power_watts:.1f} W"

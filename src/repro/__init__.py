@@ -13,27 +13,38 @@ The package provides, from scratch:
   oracle limit studies (:mod:`repro.core`),
 * eight synthetic SPECint-like benchmarks calibrated to the paper's
   Table 2 (:mod:`repro.workloads`),
-* drivers regenerating every table and figure (:mod:`repro.experiments`),
+* every table, figure and ablation as a registered study
+  (:mod:`repro.studies`), run on one memoising, batched, parallel sweep
+  scheduler with a content-addressed result cache
+  (:mod:`repro.experiments`),
 * an N-thread SMT core with pluggable fetch policies — round-robin,
   ICOUNT, and confidence-driven thread fetch gating (the paper's
   throttling levels applied to thread selection) — evaluated on named
   multi-program mixes with weighted-speedup and harmonic-fairness
   reporting (:mod:`repro.smt`, CLI command ``smt``).
 
-Quickstart::
+Quickstart — one benchmark with and without C2::
 
-    from repro import ExperimentRunner, compare
+    from repro import compare, make_cell, simulate
 
-    runner = ExperimentRunner()
-    baseline = runner.baseline("go")
-    throttled = runner.run("go", ("throttle", "C2"))
+    baseline = simulate(make_cell("go", ("baseline",)))
+    throttled = simulate(make_cell("go", ("throttle", "C2")))
     print(compare(baseline, throttled))
 
-SMT mixes run through the same sweep scheduler::
+A paper figure is a registered study; studies run on a sweep scheduler,
+which memoises every cell it settles, so studies run one after another
+on one scheduler share their baselines::
 
-    from repro import ResultCache, SweepScheduler, make_smt_cell, smt_baseline_cells
+    from repro import ResultCache, StudyContext, SweepScheduler, get_study, run_study
 
     scheduler = SweepScheduler(jobs=4, cache=ResultCache("repro-cache"))
+    context = StudyContext(benchmarks=("go", "gcc"), instructions=8_000)
+    print(run_study(get_study("figure3"), context, executor=scheduler).render())
+
+SMT mixes run through the same scheduler::
+
+    from repro import make_smt_cell, smt_baseline_cells
+
     cell = make_smt_cell("mix2-branchy", policy="confidence-gating")
     mix_result, *alone = scheduler.run_cells([cell] + smt_baseline_cells(cell))
 """
@@ -65,12 +76,13 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.experiments.campaign import CampaignResult, run_campaign
+from repro.experiments.campaign import CampaignResult
 from repro.experiments.engine import (
     ResultCache,
     SimCell,
     SmtCell,
     make_cell,
+    make_controller,
     make_smt_cell,
     make_trace_cell,
     simulate,
@@ -79,7 +91,6 @@ from repro.experiments.engine import (
 )
 from repro.frontend import CompiledSupply, TraceSupply
 from repro.experiments.results import ComparisonResult, SimulationResult, compare
-from repro.experiments.runner import ExperimentRunner, make_controller, run_benchmark
 from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline import Processor, ProcessorConfig, table3_config
 from repro.power import ClockGatingStyle, PowerModel, PowerUnit, default_unit_powers
@@ -145,8 +156,6 @@ __all__ = [
     "TraceSupply",
     "make_trace_cell",
     # experiments
-    "ExperimentRunner",
-    "run_benchmark",
     "make_controller",
     "SimulationResult",
     "ComparisonResult",
@@ -157,7 +166,6 @@ __all__ = [
     "ResultCache",
     "SweepScheduler",
     "CampaignResult",
-    "run_campaign",
     # studies
     "StudySpec",
     "StudyContext",

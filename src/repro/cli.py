@@ -24,9 +24,13 @@ Examples::
     python -m repro telemetry export run.jsonl    # Prometheus text format
     python -m repro telemetry top run.jsonl --top 5
 
-``study run`` accepts several names and executes them all on one warm
-scheduler (shared process pool, shared cache), streaming per-cell
-progress to stderr while stdout stays byte-deterministic.
+Every paper command runs registered studies the way ``study run`` does:
+``figure3`` is ``study run figure3``, ``ablations`` is the five ablation
+studies, ``campaign``/``smt`` build one study from their arguments, and
+``run`` submits its baseline and candidate as one batch.  All studies of
+an invocation run on one warm scheduler (shared process pool, shared
+cache, shared memo), streaming per-cell progress to stderr while stdout
+stays byte-deterministic.
 
 Run lengths default to the library's simulation defaults; use
 ``--instructions``/``--warmup`` for quicker (or higher-fidelity) passes.
@@ -49,21 +53,11 @@ import sys
 from typing import List, Optional
 
 from repro.core.policy import experiment_policy
-from repro.experiments import figures as fig_mod
 from repro.experiments import tables as tab_mod
-from repro.experiments.ablations import (
-    clock_gating_styles,
-    escalation_rule,
-    estimator_swap,
-    gating_threshold_sweep,
-    mshr_sensitivity,
-)
-from repro.experiments.campaign import format_campaign, run_campaign
-from repro.experiments.engine import ResultCache
-from repro.experiments.runner import ExperimentRunner, run_benchmark
+from repro.experiments.engine import ResultCache, make_cell
+from repro.experiments.figures import FigureResult
 from repro.experiments.scheduler import SweepScheduler
 from repro.report.ascii import figure_bars, sweep_lines
-from repro.report.export import figure_to_csv, figure_to_json
 from repro.smt.mixes import MIX_NAMES, load_mixes
 from repro.smt.policies import POLICY_NAMES
 from repro.workloads.suite import BENCHMARK_NAMES
@@ -75,12 +69,10 @@ _BAR_METRICS = {
     "ed": "ed_improvement_pct",
 }
 
-_FIGURES = {
-    "figure1": fig_mod.figure1,
-    "figure3": fig_mod.figure3,
-    "figure4": fig_mod.figure4,
-    "figure5": fig_mod.figure5,
-}
+# Paper commands that are one registered study of the same name.
+_REGISTERED = (
+    "figure1", "figure3", "figure4", "figure5", "figure6", "figure7", "table1",
+)
 
 _COMMANDS = (
     "list", "table1", "table2", "table3",
@@ -150,7 +142,8 @@ def _make_parser() -> argparse.ArgumentParser:
         "default 3; study run: default from the study spec)",
     )
     parser.add_argument(
-        "--save", default=None, help="write campaign results to a JSON file"
+        "--save", default=None,
+        help="write campaign results to a JSON file (the study's JSON export)",
     )
     parser.add_argument(
         "--mix", default=None,
@@ -242,21 +235,6 @@ def _benchmark_list(argument: Optional[str]) -> Optional[List[str]]:
     return names
 
 
-def _emit_figure(figure, options) -> None:
-    print(fig_mod.format_figure(figure))
-    if options.bars:
-        print()
-        print(figure_bars(figure, _bar_metric(options.bars)))
-    if options.csv:
-        with open(options.csv, "w") as handle:
-            handle.write(figure_to_csv(figure))
-        print(f"wrote {options.csv}")
-    if options.json:
-        with open(options.json, "w") as handle:
-            handle.write(figure_to_json(figure))
-        print(f"wrote {options.json}")
-
-
 def _cmd_list() -> None:
     print("commands:")
     print("  table1 table2 table3        — the paper's tables")
@@ -283,15 +261,25 @@ def _cmd_list() -> None:
     print("scaling: --jobs N (parallel processes), --cache-dir DIR (resume)")
 
 
-def _cmd_run(options, runner: ExperimentRunner) -> None:
+def _cmd_run(options, scheduler: SweepScheduler) -> None:
     if len(options.args) < 2:
         raise SystemExit("usage: repro run BENCHMARK EXPERIMENT [estimator]")
     benchmark, experiment = options.args[0], options.args[1]
-    spec: tuple = ("throttle", experiment)
+    if benchmark not in BENCHMARK_NAMES:
+        raise SystemExit(f"unknown benchmark {benchmark!r}")
+    spec = _experiment_spec(experiment)
     if len(options.args) > 2:
-        spec = ("throttle", experiment, options.args[2])
-    baseline = runner.baseline(benchmark)
-    candidate = runner.run(benchmark, spec)
+        if spec[0] != "throttle":
+            raise SystemExit(
+                f"experiment {experiment!r} is Pipeline Gating; an estimator "
+                "override applies to throttle experiments only"
+            )
+        spec += (options.args[2],)
+    baseline, candidate = scheduler.run_cells([
+        make_cell(benchmark, controller_spec, instructions=options.instructions,
+                  warmup=options.warmup)
+        for controller_spec in (("baseline",), spec)
+    ])
     from repro.experiments.results import compare
 
     comparison = compare(baseline, candidate)
@@ -302,50 +290,6 @@ def _cmd_run(options, runner: ExperimentRunner) -> None:
     print(f"  power savings       {comparison.power_savings_pct:7.2f}%")
     print(f"  energy savings      {comparison.energy_savings_pct:7.2f}%")
     print(f"  E-D improvement     {comparison.ed_improvement_pct:7.2f}%")
-
-
-def _cmd_ablations(options, runner: ExperimentRunner, benchmarks) -> None:
-    print(fig_mod.format_figure(estimator_swap(runner, benchmarks=benchmarks)))
-    print()
-    print(fig_mod.format_figure(escalation_rule(runner, benchmarks=benchmarks)))
-    print()
-    print(fig_mod.format_figure(gating_threshold_sweep(runner, benchmarks=benchmarks)))
-    print()
-    from repro.studies.library import render_mshr_sweep, render_style_table
-
-    print(render_style_table(clock_gating_styles(
-        runner.instructions, runner.warmup, benchmarks=benchmarks
-    )))
-    print()
-    print(render_mshr_sweep(mshr_sensitivity(
-        (2, 8, 16), runner.instructions, runner.warmup, benchmarks=benchmarks
-    )))
-
-
-def _cmd_smt(options, cache: Optional[ResultCache]) -> None:
-    if not options.mix:
-        print("usage: repro smt --mix NAME [--policy P] [--sharing M] [--seed N]")
-        print("mixes:")
-        for mix in load_mixes().values():
-            print(
-                f"  {mix.name:<14s} {len(mix.benchmarks)} threads: "
-                f"{', '.join(mix.benchmarks)} — {mix.description}"
-            )
-        raise SystemExit(2)
-    from repro.studies.library import smt_mix_study
-    from repro.studies.spec import StudyContext, run_study
-
-    # One study: the mix plus its single-threaded references, batched
-    # through the same fan-out and content-addressed cache.
-    study = smt_mix_study(
-        options.mix, policy=options.policy, sharing=options.sharing,
-        seed=options.seed,
-    )
-    context = StudyContext(
-        instructions=options.instructions, warmup=options.warmup
-    )
-    scheduler = SweepScheduler(jobs=options.jobs, cache=cache)
-    print(run_study(study, context, executor=scheduler).render())
 
 
 def _cmd_trace(options) -> None:
@@ -424,9 +368,9 @@ def _cmd_trace(options) -> None:
     raise SystemExit(usage)
 
 
-def _cmd_study(options, cache: Optional[ResultCache], benchmarks) -> None:
+def _cmd_study(options, scheduler: SweepScheduler, benchmarks) -> None:
     """``repro study list`` / ``repro study run NAME [NAME ...]``."""
-    from repro.studies import StudyContext, all_studies, get_study, run_study
+    from repro.studies import all_studies, get_study
 
     usage = (
         "usage: repro study list\n"
@@ -449,31 +393,97 @@ def _cmd_study(options, cache: Optional[ResultCache], benchmarks) -> None:
 
     if action != "run" or len(options.args) < 2:
         raise SystemExit(usage)
-    names = options.args[1:]
-    specs = [get_study(name) for name in names]  # validate all up front
-    if (options.csv or options.json) and len(specs) > 1:
-        raise SystemExit("--csv/--json exports need exactly one study")
-    if options.csv and specs[0].to_csv is None:
-        raise SystemExit(f"study {specs[0].name!r} has no CSV export")
-    if options.json and specs[0].to_json is None:
-        raise SystemExit(f"study {specs[0].name!r} has no JSON export")
+    specs = [get_study(name) for name in options.args[1:]]
+    _run_studies(specs, options, scheduler, benchmarks)
+
+
+def _paper_specs(options) -> list:
+    """The studies a paper command runs (built with the CLI's parameters)."""
+    from repro.studies import get_study, library
+
+    command = options.command
+    if command in _REGISTERED:
+        return [get_study(command)]
+    if command == "ablations":
+        return [
+            get_study(name) for name in (
+                "estimator-swap", "escalation-rule", "gating-threshold",
+                "clock-gating",
+            )
+        ] + [library.mshr_study((2, 8, 16))]
+    if command == "campaign":
+        if not options.args:
+            raise SystemExit("usage: repro campaign EXPERIMENT [EXPERIMENT ...]")
+        return [library.campaign_study(
+            {name: _experiment_spec(name) for name in options.args}
+        )]
+    # smt
+    if not options.mix:
+        print("usage: repro smt --mix NAME [--policy P] [--sharing M] [--seed N]")
+        print("mixes:")
+        for mix in load_mixes().values():
+            print(
+                f"  {mix.name:<14s} {len(mix.benchmarks)} threads: "
+                f"{', '.join(mix.benchmarks)} — {mix.description}"
+            )
+        raise SystemExit(2)
+    return [library.smt_mix_study(
+        options.mix, policy=options.policy, sharing=options.sharing,
+        seed=options.seed,
+    )]
+
+
+def _bars(spec, artifact, metric: str) -> Optional[str]:
+    """Text bars of a figure or configuration-sweep artifact (else None)."""
+    if isinstance(artifact, FigureResult):
+        return figure_bars(artifact, metric)
+    if "transform" in spec.options:  # a figure 6/7 configuration sweep
+        # The x label is the unit's last word: "depth", "KB".
+        return sweep_lines(
+            artifact, (metric,), x_label=spec.axes[0].name.split()[-1]
+        )
+    return None
+
+
+def _run_studies(specs, options, scheduler: SweepScheduler, benchmarks) -> None:
+    """Run studies one after another on one scheduler and print each.
+
+    The scheduler's memo lets later studies reuse the cells earlier ones
+    settled (the ablation grids share their baselines).  ``--csv``,
+    ``--json`` and ``--save`` (the campaign's name for ``--json``) write
+    the single study's exports; ``--bars`` adds text bars to figure and
+    sweep artifacts.
+    """
+    from repro.studies import StudyContext, run_study
+
+    exports = [
+        (path, kind) for path, kind in (
+            (options.csv, "to_csv"), (options.json, "to_json"),
+            (options.save, "to_json"),
+        ) if path
+    ]
+    if exports and len(specs) > 1:
+        raise SystemExit("--csv/--json/--save exports need exactly one study")
+    for _, kind in exports:
+        if getattr(specs[0], kind) is None:
+            raise SystemExit(
+                f"study {specs[0].name!r} has no {kind[3:].upper()} export"
+            )
     context = StudyContext(
         benchmarks=tuple(benchmarks) if benchmarks is not None else None,
         instructions=options.instructions,
         warmup=options.warmup,
         seeds=options.seeds,
     )
-    # One scheduler for the whole run: every study shares the warm
-    # process pool, the cache and the affinity batcher.  Per-cell
-    # progress goes through the telemetry bus: a LiveView listener
-    # renders the classic stderr status line, and a --telemetry-out
-    # stream captures the same progression as structured events.
+    # Per-cell progress goes through the telemetry bus: a LiveView
+    # listener renders the classic stderr status line, and a
+    # --telemetry-out stream captures the same progression as
+    # structured events.
     from repro.telemetry.events import configure as telemetry_configure
     from repro.telemetry.events import publish as telemetry_publish
     from repro.telemetry.live import LiveView
 
     telemetry_configure(listener=LiveView(sys.stderr))
-    scheduler = SweepScheduler(jobs=options.jobs, cache=cache)
     for index, spec in enumerate(specs):
         def progress(done, total, _name=spec.name):
             telemetry_publish(
@@ -487,14 +497,16 @@ def _cmd_study(options, cache: Optional[ResultCache], benchmarks) -> None:
         if index:
             print()
         print(run.render())
-        if options.csv:
-            with open(options.csv, "w") as handle:
-                handle.write(spec.to_csv(run.artifact))
-            print(f"wrote {options.csv}")
-        if options.json:
-            with open(options.json, "w") as handle:
-                handle.write(spec.to_json(run.artifact))
-            print(f"wrote {options.json}")
+        bars = options.bars and _bars(
+            spec, run.artifact, _bar_metric(options.bars)
+        )
+        if bars:
+            print()
+            print(bars)
+        for path, kind in exports:
+            with open(path, "w") as handle:
+                handle.write(getattr(spec, kind)(run.artifact))
+            print(f"wrote {path}")
 
 
 def _cmd_check(options) -> int:
@@ -625,24 +637,6 @@ def _experiment_spec(name: str) -> tuple:
     return ("throttle", name)
 
 
-def _cmd_campaign(options, cache: Optional[ResultCache], benchmarks) -> None:
-    if not options.args:
-        raise SystemExit("usage: repro campaign EXPERIMENT [EXPERIMENT ...]")
-    experiments = {name: _experiment_spec(name) for name in options.args}
-    result = run_campaign(
-        experiments,
-        benchmarks=benchmarks,
-        seeds=3 if options.seeds is None else options.seeds,
-        instructions=options.instructions or 8_000,
-        warmup=options.warmup,
-        executor=SweepScheduler(jobs=options.jobs, cache=cache),
-    )
-    print(format_campaign(result))
-    if options.save:
-        result.save(options.save)
-        print(f"wrote {options.save}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     options = _make_parser().parse_args(argv)
     if options.sanitize:
@@ -713,48 +707,20 @@ def _dispatch(options) -> int:
     cache: Optional[ResultCache] = None
     if options.cache_dir and not options.no_cache:
         cache = ResultCache(options.cache_dir)
-    runner = ExperimentRunner(
-        instructions=options.instructions, warmup=options.warmup,
-        jobs=options.jobs, cache=cache,
-    )
+    # One scheduler per invocation: every study shares the warm process
+    # pool, the cache, the affinity batcher and the scheduler's memo.
+    scheduler = SweepScheduler(jobs=options.jobs, cache=cache)
 
-    if command == "table1":
-        print(tab_mod.format_table1(tab_mod.table1(runner)))
-    elif command == "table2":
+    if command == "table2":
         print(tab_mod.format_table2(tab_mod.table2()))
     elif command == "table3":
         print(tab_mod.format_table3())
-    elif command in _FIGURES:
-        figure = _FIGURES[command](runner, benchmarks=benchmarks)
-        _emit_figure(figure, options)
-    elif command == "figure6":
-        sweep = fig_mod.figure6(
-            instructions=options.instructions, benchmarks=benchmarks,
-            jobs=options.jobs, cache=cache,
-        )
-        print(fig_mod.format_sweep("figure6 (C2)", sweep, "depth"))
-        if options.bars:
-            print()
-            print(sweep_lines(sweep, (_bar_metric(options.bars),), x_label="depth"))
-    elif command == "figure7":
-        sweep = fig_mod.figure7(
-            instructions=options.instructions, benchmarks=benchmarks,
-            jobs=options.jobs, cache=cache,
-        )
-        print(fig_mod.format_sweep("figure7 (C2)", sweep, "total KB"))
-        if options.bars:
-            print()
-            print(sweep_lines(sweep, (_bar_metric(options.bars),), x_label="KB"))
     elif command == "run":
-        _cmd_run(options, runner)
-    elif command == "ablations":
-        _cmd_ablations(options, runner, benchmarks)
-    elif command == "campaign":
-        _cmd_campaign(options, cache, benchmarks)
-    elif command == "smt":
-        _cmd_smt(options, cache)
+        _cmd_run(options, scheduler)
     elif command == "study":
-        _cmd_study(options, cache, benchmarks)
+        _cmd_study(options, scheduler, benchmarks)
+    else:
+        _run_studies(_paper_specs(options), options, scheduler, benchmarks)
     return 0
 
 

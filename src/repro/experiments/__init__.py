@@ -1,13 +1,19 @@
-"""Experiment drivers: everything needed to regenerate the paper's tables
-and figures (``python -m repro list`` prints the experiment index)."""
+"""Experiment execution: simulation cells, the result cache, the sweep
+scheduler and the result types of the paper's tables and figures.  The
+experiments themselves are registered studies (:mod:`repro.studies`;
+``python -m repro study list`` prints them)."""
 
-from repro.experiments.campaign import CampaignResult, run_campaign, summarize
+from repro.experiments.campaign import CampaignResult, summarize
 from repro.experiments.engine import (
+    ControllerSpec,
     ResultCache,
     SimCell,
     SmtCell,
     cell_fingerprint,
+    default_instructions,
+    default_warmup,
     make_cell,
+    make_controller,
     make_smt_cell,
     policy_spec,
     simulate,
@@ -19,17 +25,8 @@ from repro.experiments.policy_search import (
     PolicyPoint,
     enumerate_policies,
     pareto_frontier,
-    search_policies,
 )
 from repro.experiments.results import ComparisonResult, SimulationResult, compare
-from repro.experiments.runner import (
-    ControllerSpec,
-    ExperimentRunner,
-    default_instructions,
-    default_warmup,
-    make_controller,
-    run_benchmark,
-)
 
 __all__ = [
     "SimulationResult",
@@ -37,8 +34,6 @@ __all__ = [
     "compare",
     "ControllerSpec",
     "make_controller",
-    "run_benchmark",
-    "ExperimentRunner",
     "default_instructions",
     "default_warmup",
     "SimCell",
@@ -55,10 +50,8 @@ __all__ = [
     "plan_batches",
     "shared_pool",
     "CampaignResult",
-    "run_campaign",
     "summarize",
     "PolicyPoint",
     "enumerate_policies",
-    "search_policies",
     "pareto_frontier",
 ]

@@ -7,13 +7,17 @@ result carries generator-seed variance; a campaign reruns each
 mean with a Student-t confidence interval — the difference between "C2
 saves 11.5% energy" and "C2 saves 11.5% ± 1.2% energy".
 
-Campaigns execute through the
-:class:`~repro.experiments.scheduler.SweepScheduler`: ``jobs`` > 1 fans
-the (benchmark x mechanism x seed) cells out across processes, and
-``cache_dir`` persists every cell result on disk so an interrupted sweep
-resumes where it stopped.  Cells are enumerated in a deterministic order
-and the scheduler preserves it, so a parallel campaign serialises
-byte-identically to a serial one.
+A campaign is a registered study (``campaign_study`` in
+:mod:`repro.studies.library`) and runs like every other one: through
+``run_study`` on a :class:`~repro.experiments.scheduler.SweepScheduler`,
+whose ``jobs`` > 1 fans the (benchmark x mechanism x seed) cells out
+across processes and whose :class:`~repro.experiments.engine.ResultCache`
+lets an interrupted sweep resume where it stopped.  Seed variant ``i``
+regenerates each benchmark's program from ``spec.seed + 1000 * i`` —
+same calibrated shape, different sampled code — so the spread measures
+workload-sampling variance, not simulator noise.  Cells are enumerated
+in a deterministic order and the scheduler preserves it, so a parallel
+campaign serialises byte-identically to a serial one.
 
 Campaign results serialise to JSON so long sweeps survive interpreter
 restarts and can be diffed across code versions.
@@ -27,13 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.engine import (
-    ControllerSpec,
-    ResultCache,
-    SimCell,
-    make_cell,
-)
-from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.engine import ControllerSpec, SimCell, make_cell
 from repro.pipeline.config import ProcessorConfig
 from repro.workloads.suite import benchmark_spec
 
@@ -195,51 +193,6 @@ def campaign_cells(
                               seed=base_seed, label=label),
                 ))
     return pairs
-
-
-def run_campaign(
-    experiments: Dict[str, ControllerSpec],
-    benchmarks: Optional[Sequence[str]] = None,
-    seeds: int = 3,
-    instructions: int = 8_000,
-    warmup: Optional[int] = None,
-    config: Optional[ProcessorConfig] = None,
-    name: str = "campaign",
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    executor=None,
-) -> CampaignResult:
-    """Run every (experiment, benchmark) cell across program-seed variants.
-
-    Seed variant ``i`` regenerates each benchmark's program from
-    ``spec.seed + 1000 * i`` — same calibrated shape, different sampled
-    code — so the spread measures workload-sampling variance, not
-    simulator noise (the simulator itself is deterministic).
-
-    ``jobs`` > 1 simulates cells in parallel processes; ``cache_dir``
-    persists per-cell results so a rerun (or an interrupted sweep) only
-    simulates what is missing.  Pass an ``executor`` (any object with
-    ``run_cells``, such as a :class:`SweepScheduler`) to share a cache
-    across campaigns or to inspect its counters; it replaces ``jobs`` and
-    ``cache_dir``.
-    """
-    from repro.studies.library import campaign_study
-    from repro.studies.spec import StudyContext, run_study
-
-    if seeds < 1:
-        raise ExperimentError("need at least one seed")
-    if executor is None:
-        cache = ResultCache(cache_dir) if cache_dir else None
-        executor = SweepScheduler(jobs=jobs, cache=cache)
-    context = StudyContext(
-        benchmarks=tuple(benchmarks) if benchmarks is not None else None,
-        instructions=instructions,
-        warmup=warmup,
-        config=config,
-        seeds=seeds,
-    )
-    study = campaign_study(experiments, name=name)
-    return run_study(study, context, executor=executor).artifact
 
 
 def format_campaign(

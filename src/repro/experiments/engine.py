@@ -1,12 +1,12 @@
 """The execution engine: one entry point for every simulation.
 
-Everything in ``experiments/`` that runs a simulation — ``run_benchmark``,
-:class:`~repro.experiments.runner.ExperimentRunner`, ``run_campaign`` and
-the figure drivers — funnels through :func:`simulate`, driven by a
-declarative :class:`SimCell` (benchmark, controller spec, configuration,
-seed, run lengths).  One code path means one set of collected metrics:
-campaign results carry the same ``extra`` throttling counters as single
-runs, and the seed convention is defined in exactly one place.
+Every simulation — a one-off ``simulate(make_cell(...))`` or a cell of a
+registered study run on the sweep scheduler — funnels through
+:func:`simulate`, driven by a declarative :class:`SimCell` (benchmark,
+controller spec, configuration, seed, run lengths).  One code path means
+one set of collected metrics: campaign results carry the same ``extra``
+throttling counters as single runs, and the seed convention is defined
+in exactly one place.
 
 **Seed convention.** ``SimCell.seed`` is *the* seed of a cell: it drives
 both program generation (the sampled synthetic benchmark) and the
@@ -286,7 +286,7 @@ def make_trace_cell(
 # behaviour RNGs, loop trip counters) is reset by ``Program.
 # reset_behaviors`` when a processor takes ownership of the program, so a
 # sequential re-run on a memoised instance is bit-identical to a fresh
-# build — figure drivers and benchmarks simulate the same program under
+# build — figure studies and benchmarks simulate the same program under
 # many mechanisms, and generation was a measurable slice of short cells.
 # The SMT path shares the memo per thread (key: benchmark and the derived
 # thread seed); only two threads of one core with the same key get a
@@ -687,7 +687,7 @@ def relabel(result, cell):
 
     Labels are display-only and excluded from fingerprints, so one
     simulated result serves every cell with its content address; each
-    consumer (scheduler duplicates, the result cache, the runner's memo)
+    consumer (the scheduler's memo and in-call duplicates, the result cache)
     reapplies the requesting cell's label here.  SMT results carry no
     display label and pass through unchanged.
     """

@@ -1,22 +1,22 @@
-"""Regeneration of the paper's figures (1, 3, 4, 5, 6, 7).
+"""The paper's figures (1, 3, 4, 5, 6, 7): result type and text forms.
 
-Every function returns a :class:`FigureResult`: per-benchmark
+A mechanism grid (figures 1/3/4/5 and the ablation grids) summarises to
+a :class:`FigureResult`: per-benchmark
 :class:`~repro.experiments.results.ComparisonResult` rows for every curve
-of the figure, plus suite averages — the numbers the paper plots.
-
-The figures are :class:`~repro.studies.spec.StudySpec` grids (see
-:mod:`repro.studies.library`); the functions here are thin entry points
-that execute the corresponding study through a runner's memo (figures
-1/3/4/5) or a batched scheduler (the figure 6/7 configuration sweeps).
+of the figure, plus suite averages — the numbers the paper plots.  A
+configuration sweep (figures 6/7) summarises to ``point -> suite
+averages``.  The figures themselves are registered
+:class:`~repro.studies.spec.StudySpec` grids (see
+:mod:`repro.studies.library`); run one with
+``run_study(get_study("figure3"), context)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from repro.experiments.results import ComparisonResult
-from repro.experiments.runner import ControllerSpec, ExperimentRunner
 from repro.utils.stats import arithmetic_mean, geometric_mean
 
 # Paper averages for quick shape checks (the benchmarks/bench_fig*.py
@@ -55,118 +55,6 @@ class FigureResult:
         return {label: self.average(label) for label in self.rows}
 
 
-def _run_figure_study(
-    study,
-    runner: Optional[ExperimentRunner] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> FigureResult:
-    """Execute a mechanism-grid study through a runner's memo."""
-    from repro.studies.spec import StudyContext, run_study
-
-    runner = runner or ExperimentRunner()
-    context = StudyContext(
-        benchmarks=tuple(benchmarks) if benchmarks is not None else None,
-        instructions=runner.instructions,
-        warmup=runner.warmup,
-        config=runner.config,
-    )
-    return run_study(study, context, executor=runner).artifact
-
-
-def _run_figure(
-    name: str,
-    experiments: Dict[str, ControllerSpec],
-    runner: Optional[ExperimentRunner] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> FigureResult:
-    """Build and execute an ad-hoc mechanism grid (one-off comparisons)."""
-    from repro.studies.library import grid_study
-
-    return _run_figure_study(grid_study(name, experiments), runner, benchmarks)
-
-
-def figure1(runner: Optional[ExperimentRunner] = None, **kwargs) -> FigureResult:
-    """Oracle fetch / decode / select limit studies (paper Figure 1)."""
-    from repro.studies.library import FIGURE1_EXPERIMENTS
-
-    return _run_figure("figure1", FIGURE1_EXPERIMENTS, runner, **kwargs)
-
-
-def figure3(runner: Optional[ExperimentRunner] = None, **kwargs) -> FigureResult:
-    """Fetch throttling A1-A6 plus Pipeline Gating A7 (paper Figure 3)."""
-    from repro.studies.library import FIGURE3_EXPERIMENTS
-
-    return _run_figure("figure3", FIGURE3_EXPERIMENTS, runner, **kwargs)
-
-
-def figure4(runner: Optional[ExperimentRunner] = None, **kwargs) -> FigureResult:
-    """Decode throttling B1-B8 plus Pipeline Gating B9 (paper Figure 4)."""
-    from repro.studies.library import FIGURE4_EXPERIMENTS
-
-    return _run_figure("figure4", FIGURE4_EXPERIMENTS, runner, **kwargs)
-
-
-def figure5(runner: Optional[ExperimentRunner] = None, **kwargs) -> FigureResult:
-    """Selection throttling C1-C6 plus Pipeline Gating C7 (paper Figure 5)."""
-    from repro.studies.library import FIGURE5_EXPERIMENTS
-
-    return _run_figure("figure5", FIGURE5_EXPERIMENTS, runner, **kwargs)
-
-
-def _run_config_sweep(study, instructions, benchmarks, jobs, cache):
-    """Execute a figure 6/7 sweep study in one batched scheduler pass."""
-    from repro.experiments.scheduler import SweepScheduler
-    from repro.studies.spec import StudyContext, run_study
-
-    context = StudyContext(
-        benchmarks=tuple(benchmarks) if benchmarks is not None else None,
-        instructions=instructions,
-    )
-    scheduler = SweepScheduler(jobs=jobs, cache=cache)
-    return run_study(study, context, executor=scheduler).artifact
-
-
-def figure6(
-    depths: Sequence[int] = (6, 10, 14, 20, 24, 28),
-    instructions: Optional[int] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache=None,
-) -> Dict[int, Dict[str, float]]:
-    """Pipeline-depth sweep of the best experiment C2 (paper Figure 6).
-
-    Returns ``depth -> suite-average metrics of C2 vs the same-depth
-    baseline``.  All depths compile into one study plan, so ``jobs`` > 1
-    parallelises across the whole sweep, not within one depth.
-    """
-    from repro.studies.library import depth_sweep_study
-
-    return _run_config_sweep(
-        depth_sweep_study(depths), instructions, benchmarks, jobs, cache
-    )
-
-
-def figure7(
-    total_sizes_kb: Sequence[int] = (8, 16, 32, 64),
-    instructions: Optional[int] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache=None,
-) -> Dict[int, Dict[str, float]]:
-    """Predictor+estimator size sweep of C2 (paper Figure 7).
-
-    Each point splits the total budget half/half between the gshare and the
-    BPRU estimator, comparing against a baseline whose gshare gets the same
-    predictor half (the paper compares equal total sizes).
-    """
-    from repro.studies.library import table_size_sweep_study
-
-    return _run_config_sweep(
-        table_size_sweep_study(total_sizes_kb), instructions, benchmarks,
-        jobs, cache,
-    )
-
-
 def format_figure(figure: FigureResult) -> str:
     """Render a figure's suite averages as an aligned text table."""
     lines = [
@@ -183,7 +71,7 @@ def format_figure(figure: FigureResult) -> str:
 
 
 def format_sweep(name: str, sweep: Dict[int, Dict[str, float]], unit: str) -> str:
-    """Render figure6()/figure7() sweeps as an aligned text table."""
+    """Render a figure 6/7 configuration sweep as an aligned text table."""
     lines = [
         f"{name}: suite averages per {unit}",
         f"{unit:>10s} {'speedup':>8s} {'power%':>8s} {'energy%':>8s} {'E-D%':>8s}",

@@ -3,8 +3,10 @@
 The paper hand-picks 22 points (A1-A6, B1-B8, C1-C6) out of the full
 policy space — every assignment of {full, half, quarter, stall} fetch and
 decode bandwidths plus the no-select bit to the LC and VLC levels.  This
-module enumerates that space, evaluates it, and extracts the Pareto
-frontier over (performance, energy), answering two questions the paper
+module enumerates that space and extracts the Pareto frontier over
+(performance, energy); ``policy_study`` in :mod:`repro.studies.library`
+evaluates a policy set (the registered ``policy-frontier`` study is the
+fetch-only subspace).  Together they answer two questions the paper
 leaves open:
 
 * is C2 actually Pareto-optimal on this substrate, or just good?
@@ -19,14 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.levels import BandwidthLevel
 from repro.core.policy import ThrottleAction, ThrottlePolicy
 from repro.errors import ExperimentError
-from repro.experiments.results import SimulationResult, compare
-from repro.pipeline.config import ProcessorConfig
-from repro.utils.stats import arithmetic_mean
+from repro.experiments.results import SimulationResult
 
 _BANDWIDTHS = (
     BandwidthLevel.FULL,
@@ -108,54 +108,6 @@ def _ed2_improvement(baseline: SimulationResult, candidate: SimulationResult) ->
     return 100.0 * (1.0 - cand / base)
 
 
-def evaluate_policy(
-    policy: ThrottlePolicy,
-    benchmarks: Sequence[str],
-    instructions: int,
-    warmup: int,
-    config: Optional[ProcessorConfig] = None,
-    baselines: Optional[Dict[str, SimulationResult]] = None,
-) -> PolicyPoint:
-    """Suite-average metrics of one policy against memoised baselines.
-
-    Cells are built through the engine's vocabulary (policies serialise
-    via :func:`~repro.experiments.engine.policy_spec`) and simulate
-    in-process, sharing the per-process program memo; ``baselines`` is
-    an optional cross-call memo for the baseline runs.  For pool- and
-    cache-backed evaluation of many policies use :func:`search_policies`,
-    which batches the whole set through the sweep scheduler.
-    """
-    from repro.experiments.engine import make_cell, policy_spec, simulate
-    from repro.studies.library import _bpru_config
-
-    config = _bpru_config(config)
-    rows = []
-    for name in benchmarks:
-        if baselines is not None and name in baselines:
-            baseline = baselines[name]
-        else:
-            baseline = simulate(make_cell(
-                name, ("baseline",), config=config,
-                instructions=instructions, warmup=warmup,
-            ))
-            if baselines is not None:
-                baselines[name] = baseline
-        candidate = simulate(make_cell(
-            name, policy_spec(policy), config=config,
-            instructions=instructions, warmup=warmup,
-        ))
-        comparison = compare(baseline, candidate)
-        rows.append((comparison, _ed2_improvement(baseline, candidate)))
-    return PolicyPoint(
-        policy_name=policy.name,
-        speedup=arithmetic_mean(c.speedup for c, _ in rows),
-        power_savings_pct=arithmetic_mean(c.power_savings_pct for c, _ in rows),
-        energy_savings_pct=arithmetic_mean(c.energy_savings_pct for c, _ in rows),
-        ed_improvement_pct=arithmetic_mean(c.ed_improvement_pct for c, _ in rows),
-        ed2_improvement_pct=arithmetic_mean(ed2 for _, ed2 in rows),
-    )
-
-
 def pareto_frontier(points: Sequence[PolicyPoint]) -> List[PolicyPoint]:
     """Non-dominated subset over (speedup, energy savings)."""
     if not points:
@@ -167,42 +119,6 @@ def pareto_frontier(points: Sequence[PolicyPoint]) -> List[PolicyPoint]:
     ]
     frontier.sort(key=lambda p: -p.speedup)
     return frontier
-
-
-def search_policies(
-    benchmarks: Sequence[str] = ("go", "twolf", "gcc"),
-    instructions: int = 4_000,
-    warmup: Optional[int] = None,
-    policies: Optional[Sequence[ThrottlePolicy]] = None,
-    config: Optional[ProcessorConfig] = None,
-    jobs: int = 1,
-    cache=None,
-) -> List[PolicyPoint]:
-    """Evaluate a policy set (default: the fetch-only subspace) everywhere.
-
-    The whole search compiles to one study plan — every (policy ×
-    benchmark) cell plus the shared baselines — and runs through a
-    batched :class:`~repro.experiments.scheduler.SweepScheduler`
-    (``jobs`` > 1 parallelises across the policy space).
-    """
-    from repro.experiments.scheduler import SweepScheduler
-    from repro.studies.library import policy_study
-    from repro.studies.spec import StudyContext, run_study
-
-    warmup = instructions // 3 if warmup is None else warmup
-    if policies is None:
-        policies = enumerate_policies(include_decode=False)
-    context = StudyContext(
-        benchmarks=tuple(benchmarks),
-        instructions=instructions,
-        warmup=warmup,
-        config=config,
-    )
-    scheduler = SweepScheduler(jobs=jobs, cache=cache)
-    return run_study(
-        policy_study(policies, benchmarks=benchmarks), context,
-        executor=scheduler,
-    ).artifact
 
 
 def format_points(points: Sequence[PolicyPoint], limit: int = 30) -> str:

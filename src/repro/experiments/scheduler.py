@@ -1,10 +1,9 @@
-"""Batched, streaming sweep scheduling — the engine's fan-out layer.
+"""Batched, streaming sweep scheduling — the one way experiments run.
 
-Every experiment driver compiles to a flat list of cells
+Every registered study compiles to a flat list of cells
 (:class:`~repro.experiments.engine.SimCell` /
 :class:`~repro.experiments.engine.SmtCell`) and hands it to a
-:class:`SweepScheduler`.  The scheduler owns three scaling decisions the
-drivers used to hand-roll (or not make at all):
+:class:`SweepScheduler`.  The scheduler owns three scaling decisions:
 
 * **Affinity batching.**  Cells are grouped by ``(kind, benchmark, seed)``
   and packed into per-worker batches, so every cell that simulates the
@@ -24,12 +23,16 @@ drivers used to hand-roll (or not make at all):
 * **One warm pool.**  Parallel batches run on a module-level shared
   :class:`~concurrent.futures.ProcessPoolExecutor` that survives across
   scheduler calls, so a multi-study run pays process start-up (and
-  re-warms worker memos) once instead of once per driver call.
+  re-warms worker memos) once instead of once per study.
 
-The scheduler also deduplicates identical cells within a call (same
-content fingerprint → one simulation, display labels reapplied per
-request) and consults/fills the optional on-disk
-:class:`~repro.experiments.engine.ResultCache`.
+The scheduler also memoises: a cell whose content fingerprint it has
+already settled — earlier in the same call or in any earlier call on the
+same instance — is served without simulating, with its display label
+reapplied per request.  So studies run one after another on one
+scheduler (``repro ablations``, ``repro study run A B``) share their
+baselines.  Before the memo it consults the optional on-disk
+:class:`~repro.experiments.engine.ResultCache`, which it fills with
+every simulated result.
 """
 
 from __future__ import annotations
@@ -207,8 +210,10 @@ class SweepScheduler:
     serial).  ``batch_cells`` overrides the automatic batch size — mostly
     for tests that force many small batches.
 
-    ``executed`` counts actual simulations (cache hits and in-call
+    ``executed`` counts actual simulations (cache hits and memoised
     duplicates excluded); ``batches_dispatched`` counts scheduled batches.
+    The memo lives as long as the instance: build a fresh scheduler for
+    a run that must not reuse earlier results.
     """
 
     def __init__(
@@ -224,26 +229,30 @@ class SweepScheduler:
         self.batch_cells = batch_cells
         self.executed = 0
         self.batches_dispatched = 0
+        # Content fingerprint -> result as it was simulated (its own label).
+        self._settled: Dict[str, object] = {}
 
     # -- execution ------------------------------------------------------
 
-    def run(self, cells: Sequence) -> List:
-        """Simulate every cell, returning results in submission order."""
+    def run_cells(self, cells: Sequence) -> List:
+        """Simulate every cell, returning results in submission order.
+
+        This is the executor protocol :func:`repro.studies.run_study`
+        drives.
+        """
         cells = list(cells)
         out: List = [None] * len(cells)
         for index, result in self.stream(cells):
             out[index] = result
         return out
 
-    # The executor protocol shared with ExperimentRunner.
-    run_cells = run
-
     def stream(self, cells: Iterable) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, result)`` in submission order as work completes.
 
-        Cache hits stream immediately (once every earlier index has been
-        delivered); uncached cells execute in affinity batches, and each
-        completed batch releases the longest ready prefix.
+        Cache and memo hits stream immediately (once every earlier index
+        has been delivered); the remaining cells execute in affinity
+        batches, and each completed batch releases the longest ready
+        prefix.
         """
         from repro.experiments.engine import fingerprint_of, relabel
 
@@ -253,12 +262,18 @@ class SweepScheduler:
         owners: Dict[str, int] = {}
         followers: Dict[int, List[int]] = {}
         pending: List[Tuple[int, object]] = []
+        cache_hits = 0
         for index, cell in enumerate(cells):
             cached = self.cache.get(cell) if self.cache else None
             if cached is not None:
                 ready[index] = cached
+                cache_hits += 1
                 continue
             fingerprint = fingerprint_of(cell)
+            settled = self._settled.get(fingerprint)
+            if settled is not None:
+                ready[index] = relabel(settled, cell)
+                continue
             owner = owners.get(fingerprint)
             if owner is None:
                 owners[fingerprint] = index
@@ -274,16 +289,19 @@ class SweepScheduler:
                 yield emit, ready.pop(emit)
                 emit += 1
 
+        fingerprints = {index: fingerprint for fingerprint, index in owners.items()}
+
         def settle(index: int, cell, result) -> None:
             self.executed += 1
             if self.cache is not None:
                 self.cache.put(cell, result)
+            self._settled[fingerprints[index]] = result
             ready[index] = result
             for follower in followers.get(index, ()):
                 ready[follower] = relabel(result, cells[follower])
 
         batches = plan_batches(pending, self.jobs, self.batch_cells)
-        self._publish_plan(total, len(ready), pending, batches)
+        self._publish_plan(total, cache_hits, pending, batches)
         if self.jobs > 1 and len(batches) > 1:
             pool = shared_pool(self.jobs)
             submitted = perf_time()

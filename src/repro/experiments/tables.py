@@ -1,7 +1,9 @@
 """Regeneration of the paper's tables.
 
-* :func:`table1` — overall power breakdown and the fraction of overall
-  power wasted by mis-speculated instructions (suite average, baseline).
+* Table 1 — overall power breakdown and the fraction of overall power
+  wasted by mis-speculated instructions (suite average, baseline).  It
+  is the registered ``table1`` study (:mod:`repro.studies.library`);
+  :func:`format_table1` renders its artifact.
 * :func:`table2` — benchmark characteristics of the synthetic suite next to
   the paper's reference values.
 * :func:`table3` — the simulated processor configuration.
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.experiments.runner import ExperimentRunner
 from repro.pipeline.config import ProcessorConfig, table3_config
 from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 
@@ -32,28 +33,8 @@ TABLE1_WASTED: Dict[str, float] = {
 TABLE1_TOTAL_WASTED = 0.279
 
 
-def table1(runner: Optional[ExperimentRunner] = None) -> Dict[str, Dict[str, float]]:
-    """Measure the Table-1 breakdown over the baseline suite.
-
-    Returns ``unit -> {share, wasted, paper_share, paper_wasted}`` plus a
-    ``total`` row with overall watts and the total wasted fraction.  The
-    baseline batch runs as the registered ``table1`` study through the
-    runner's memo and the batched scheduler beneath it.
-    """
-    from repro.studies.library import table1_study
-    from repro.studies.spec import StudyContext, run_study
-
-    runner = runner or ExperimentRunner()
-    context = StudyContext(
-        instructions=runner.instructions,
-        warmup=runner.warmup,
-        config=runner.config,
-    )
-    return run_study(table1_study(), context, executor=runner).artifact
-
-
 def format_table1(rows: Dict[str, Dict[str, float]]) -> str:
-    """Render table1() like the paper's Table 1 (ours vs paper)."""
+    """Render the ``table1`` study artifact like the paper's Table 1."""
     lines = [
         "Table 1: power breakdown and fraction wasted by mis-speculated instructions",
         f"{'block':10s} {'share':>8s} {'paper':>8s} {'wasted':>8s} {'paper':>8s}",

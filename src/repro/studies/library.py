@@ -1,19 +1,19 @@
 """Study builders and the registered study library.
 
-Every experiment driver in :mod:`repro.experiments` is expressed here as
-a :class:`~repro.studies.spec.StudySpec`: the paper's figures and Table 1,
-the ablations of :mod:`repro.experiments.ablations`, the multi-seed campaign, the throttle-policy
-frontier search, and the SMT mix reports — plus the paper-adjacent
-studies the scheduler makes affordable (the 4-thread mix grid, the
-shared-vs-partitioned back-end sweep, and the figure-level
-confidence × throttle cross sweep).
+Every experiment is a :class:`~repro.studies.spec.StudySpec` defined
+here: the paper's figures and Table 1, the ablations (estimator swap,
+escalation rule, gating threshold, clock-gating styles, MSHR count), the
+multi-seed campaign, the throttle-policy frontier search and the SMT mix
+reports — plus the paper-adjacent studies the scheduler makes affordable
+(the 4-thread mix grid, the shared-vs-partitioned back-end sweep, and
+the figure-level confidence × throttle cross sweep).
 
 Builders (``grid_study``, ``config_sweep_study``, ``campaign_study`` …)
-produce parameterised specs for the driver functions; the module-level
-``register`` calls publish the default instances that ``repro study
-list/run`` exposes.  Summaries reuse the exact aggregation types of the
-original drivers (``FigureResult``, ``CampaignResult``, ``PolicyPoint``),
-so formatted output is byte-identical to the pre-study code — pinned by
+produce parameterised specs; the module-level ``register`` calls publish
+the default instances that ``repro study list/run`` exposes, and the
+CLI's paper commands run either those or builder instances.  Summaries
+fold into the result types of :mod:`repro.experiments` (``FigureResult``,
+``CampaignResult``, ``PolicyPoint``); the formatted output is pinned by
 ``tests/test_study_parity.py``.
 """
 
@@ -50,7 +50,7 @@ from repro.utils.stats import arithmetic_mean
 from repro.workloads.suite import BENCHMARK_NAMES
 
 # ----------------------------------------------------------------------
-# The figure experiment grids (single source for drivers and registry)
+# The figure experiment grids
 # ----------------------------------------------------------------------
 
 FIGURE1_EXPERIMENTS: Dict[str, Tuple] = {
@@ -369,7 +369,7 @@ def _summarize_clock_gating(spec, ctx, plan, results) -> Dict[str, Dict[str, flo
 
 
 def render_style_table(styles) -> str:
-    """The clock-gating artifact's one text form (CLI and study render)."""
+    """The clock-gating artifact's text form."""
     lines = ["clock-gating styles: suite averages"]
     for style, row in styles.items():
         lines.append(
@@ -437,7 +437,7 @@ def _summarize_mshr(spec, ctx, plan, results) -> Dict[int, Dict[str, float]]:
 
 
 def render_mshr_sweep(sweep) -> str:
-    """The MSHR artifact's one text form (CLI and study render)."""
+    """The MSHR artifact's text form."""
     lines = ["MSHR sensitivity:"]
     for count, row in sweep.items():
         lines.append(
@@ -531,6 +531,7 @@ def campaign_study(
         compile=_compile_campaign,
         summarize=_summarize_campaign,
         render=format_campaign,
+        to_json=CampaignResult.to_json,
         options={
             "experiments": dict(experiments),
             "campaign_name": name,

@@ -15,14 +15,15 @@ A :class:`StudySpec` is the one description of an experiment sweep:
   artifact (a ``FigureResult``, a ``CampaignResult``, a sweep dict …),
   deriving the paper's comparison metrics;
 * **render** — formats the artifact as the deterministic text the CLI
-  prints (formatting hints live with the study, not the driver).
+  prints (formatting hints live with the study, not the CLI).
 
 Execution is *not* part of the spec: :func:`run_study` hands the compiled
-plan to any executor exposing ``run_cells(cells) -> results`` — a
-:class:`~repro.experiments.scheduler.SweepScheduler` (batched, parallel,
-cached) or an :class:`~repro.experiments.runner.ExperimentRunner` (adds
-an in-process memo over its scheduler, which the figure drivers use to
-share baselines across studies).
+plan to an executor exposing ``run_cells(cells) -> results`` — in
+practice a :class:`~repro.experiments.scheduler.SweepScheduler`
+(batched, parallel, cached, and memoised per instance, so studies run
+one after another on one scheduler share their baselines).  Every CLI
+paper command (``figure3``, ``table1``, ``ablations``, ``campaign``,
+``smt`` …) is one or more registered or built specs run this way.
 """
 
 from __future__ import annotations

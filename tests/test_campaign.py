@@ -10,9 +10,10 @@ from repro.experiments.campaign import (
     MetricSummary,
     _t_critical,
     format_campaign,
-    run_campaign,
     summarize,
 )
+from repro.studies import StudyContext, run_study
+from repro.studies.library import campaign_study
 
 
 def test_t_table_covers_moderate_sample_sizes():
@@ -76,13 +77,10 @@ def test_describe_mentions_sample_count():
 
 @pytest.fixture(scope="module")
 def small_campaign():
-    return run_campaign(
-        {"A5": ("throttle", "A5")},
-        benchmarks=("gzip",),
-        seeds=2,
-        instructions=2_000,
-        name="unit",
-    )
+    return run_study(
+        campaign_study({"A5": ("throttle", "A5")}, name="unit"),
+        StudyContext(benchmarks=("gzip",), seeds=2, instructions=2_000),
+    ).artifact
 
 
 def test_campaign_collects_one_sample_per_seed(small_campaign):
@@ -125,4 +123,6 @@ def test_format_campaign_renders_labels(small_campaign):
 
 def test_campaign_requires_a_seed():
     with pytest.raises(ExperimentError):
-        run_campaign({"A5": ("throttle", "A5")}, seeds=0)
+        run_study(
+            campaign_study({"A5": ("throttle", "A5")}), StudyContext(seeds=0)
+        )

@@ -139,3 +139,51 @@ def test_figure1_with_export(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["figure"] == "figure1"
     assert any(r["benchmark"] == "go" for r in payload["records"])
+
+
+_SHORT = ["--instructions", "300", "--warmup", "100", "--jobs", "1", "--no-cache"]
+
+
+@pytest.mark.parametrize("experiment, label", [
+    ("A7", "gating(th=2)"), ("C7", "gating(th=2)"), ("gating:3", "gating(th=3)"),
+])
+def test_run_command_accepts_gating_experiments(experiment, label, capsys):
+    # `run` parses its experiment like `campaign`: the per-figure Pipeline
+    # Gating entries and gating:N are gating specs, not throttle policies.
+    assert main(["run", "go", experiment] + _SHORT) == 0
+    out = capsys.readouterr().out
+    assert f"go under {label} (vs baseline):" in out
+    assert "speedup" in out
+
+
+def test_run_command_validates_the_experiment_before_simulating(monkeypatch):
+    from repro.errors import ExperimentError
+    from repro.experiments import engine
+
+    executed = []
+    real = engine.execute_cell
+    monkeypatch.setattr(
+        engine, "execute_cell", lambda cell: executed.append(cell) or real(cell)
+    )
+    with pytest.raises(ExperimentError, match="unknown experiment 'Z9'"):
+        main(["run", "go", "Z9"] + _SHORT)
+    with pytest.raises(SystemExit, match="throttle experiments only"):
+        main(["run", "go", "A7", "jrs"] + _SHORT)
+    assert executed == []
+
+
+def test_figure6_honours_warmup(capsys):
+    argv = ["figure6", "--benchmarks", "go", "--instructions", "300",
+            "--jobs", "1", "--no-cache"]
+    assert main(argv + ["--warmup", "100"]) == 0
+    short_warmup = capsys.readouterr().out
+    assert main(argv + ["--warmup", "300"]) == 0
+    assert capsys.readouterr().out != short_warmup
+
+
+def test_table1_command_is_the_table1_study(capsys):
+    argv = ["--benchmarks", "go"] + _SHORT
+    assert main(["table1"] + argv) == 0
+    command = capsys.readouterr().out
+    assert main(["study", "run", "table1"] + argv) == 0
+    assert capsys.readouterr().out == command

@@ -4,7 +4,7 @@ Covers the regressions the engine was built to kill:
 
 * campaign runs silently dropping the ``extra`` throttling counters that
   single runs carry;
-* the runner and the campaign disagreeing on which seed the processor
+* one-off runs and the campaign disagreeing on which seed the processor
   gets when a program seed is overridden;
 
 plus the cache fingerprint (no collisions, config changes invalidate) and
@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from repro.experiments.campaign import campaign_cells, run_campaign
+from repro.experiments.campaign import campaign_cells
 from repro.experiments.engine import (
     ResultCache,
     cell_fingerprint,
@@ -31,9 +31,10 @@ from repro.experiments.engine import (
     source_digest,
 )
 from repro.experiments.results import SimulationResult
-from repro.experiments.runner import ExperimentRunner, run_benchmark
 from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline.config import table3_config
+from repro.studies import StudyContext, run_study
+from repro.studies.library import campaign_study
 from repro.workloads.suite import benchmark_spec
 
 _INSTRUCTIONS = 1_200
@@ -66,31 +67,32 @@ def throttled_result():
 # --- one execution path for every entry point --------------------------------
 
 def test_runner_and_engine_results_are_identical(throttled_result):
-    via_runner = run_benchmark(
+    via_scheduler = SweepScheduler().run_cells([make_cell(
         "gzip", ("throttle", "A5"),
         instructions=_INSTRUCTIONS, warmup=_WARMUP,
-    )
-    assert via_runner == throttled_result
+    )])[0]
+    assert via_scheduler == throttled_result
 
 
-def test_campaign_cells_match_run_benchmark_field_for_field():
-    # The historical bug: the campaign's private copy of run_benchmark
+def test_campaign_cells_match_one_off_runs_field_for_field():
+    # The historical bug: the campaign's private copy of the one-off run
     # dropped `extra` and reseeded only half the simulation.  Every cell a
-    # campaign enumerates must now equal run_benchmark on the same cell.
+    # campaign enumerates must now equal a one-off run of the same cell
+    # built by make_cell from its defaults.
     pairs = campaign_cells(
         {"A5": ("throttle", "A5")}, ["gzip"], seeds=1,
         instructions=_INSTRUCTIONS, warmup=_WARMUP, config=table3_config(),
     )
     for (variant, benchmark, label), cell in pairs:
         via_campaign_path = simulate(cell)
-        via_runner = run_benchmark(
+        via_one_off = simulate(make_cell(
             benchmark, cell.controller_spec,
             instructions=_INSTRUCTIONS, warmup=_WARMUP,
             seed=cell.seed, label=label,
-        )
+        ))
         for spec_field in fields(SimulationResult):
             assert getattr(via_campaign_path, spec_field.name) == getattr(
-                via_runner, spec_field.name
+                via_one_off, spec_field.name
             ), spec_field.name
 
 
@@ -105,10 +107,7 @@ def test_seed_override_is_bit_identical_across_entry_points():
     # processor, whichever door the simulation enters through.
     seed = benchmark_spec("gzip").seed + 1000
     direct = simulate(_cell(seed=seed))
-    convenience = run_benchmark(
-        "gzip", ("throttle", "A5"),
-        instructions=_INSTRUCTIONS, warmup=_WARMUP, seed=seed,
-    )
+    convenience = SweepScheduler().run_cells([_cell(seed=seed)])[0]
     assert direct == convenience
     assert direct != simulate(_cell())  # and the override really reseeds
 
@@ -191,7 +190,7 @@ def test_config_key_never_collides_across_distinct_configs():
 
 def test_config_key_equal_for_equivalent_configs():
     # Sweeps that land back on the baseline must share its key, or the
-    # runner would re-simulate identical machines.
+    # scheduler would re-simulate identical machines.
     assert config_fingerprint(table3_config().with_depth(14)) == (
         config_fingerprint(table3_config())
     )
@@ -266,7 +265,7 @@ def test_policy_spec_cells_run_through_the_engine():
     assert via_policy == named  # same policy, same label, same simulation
 
 
-# --- the scheduler and the runner's memo -------------------------------------
+# --- the scheduler and its memo ----------------------------------------------
 
 def test_engine_preserves_submission_order():
     scheduler = SweepScheduler()
@@ -284,21 +283,21 @@ def test_engine_rejects_zero_jobs():
 
 
 def test_runner_memo_does_not_leak_custom_labels():
-    runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
-    labelled = runner.run("gzip", ("throttle", "A5"), label="pretty")
+    scheduler = SweepScheduler()
+    labelled = scheduler.run_cells([_cell(label="pretty")])[0]
     assert labelled.label == "pretty"
-    assert runner.run("gzip", ("throttle", "A5")).label == "A5"
-    assert runner.scheduler.executed == 1  # same memo entry served both
+    assert scheduler.run_cells([_cell()])[0].label == "A5"
+    assert scheduler.executed == 1  # same memo entry served both
 
 
 def test_runner_prefetch_warms_the_memo():
-    runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
-    results = runner.prefetch([("gzip", ("baseline",)), ("gzip", ("throttle", "A5"))])
+    scheduler = SweepScheduler()
+    results = scheduler.run_cells([_cell(controller_spec=("baseline",)), _cell()])
     assert [r.label for r in results] == ["baseline", "A5"]
-    assert runner.scheduler.executed == 2
-    runner.baseline("gzip")
-    runner.run("gzip", ("throttle", "A5"))
-    assert runner.scheduler.executed == 2  # both served from the memo
+    assert scheduler.executed == 2
+    scheduler.run_cells([_cell(controller_spec=("baseline",))])
+    scheduler.run_cells([_cell()])
+    assert scheduler.executed == 2  # both served from the memo
 
 
 def test_runner_memo_keys_trace_cells_by_their_trace(tmp_path):
@@ -311,14 +310,14 @@ def test_runner_memo_keys_trace_cells_by_their_trace(tmp_path):
 
     path = str(tmp_path / "go.trace")
     record_benchmark_trace("go", path, 500)
-    runner = ExperimentRunner(instructions=_INSTRUCTIONS, warmup=_WARMUP)
-    runner.run("go", ("baseline",))
+    scheduler = SweepScheduler()
+    scheduler.run_cells([_cell(benchmark="go", controller_spec=("baseline",))])
     trace_cell = make_trace_cell(
         path, instructions=_INSTRUCTIONS, warmup=_WARMUP
     )
     with pytest.raises(ExperimentError, match="trace exhausted"):
-        runner.run_cells([trace_cell])
-    assert runner.scheduler.executed == 1
+        scheduler.run_cells([trace_cell])
+    assert scheduler.executed == 1
 
 
 # --- campaign scaling contracts ----------------------------------------------
@@ -334,15 +333,24 @@ def campaign_kwargs():
     )
 
 
+def _campaign(kwargs, executor=None):
+    spec = campaign_study(kwargs["experiments"], name=kwargs["name"])
+    context = StudyContext(
+        benchmarks=kwargs["benchmarks"], seeds=kwargs["seeds"],
+        instructions=kwargs["instructions"],
+    )
+    return run_study(spec, context, executor=executor).artifact
+
+
 @pytest.fixture(scope="module")
 def serial_campaign(campaign_kwargs):
-    return run_campaign(**campaign_kwargs)
+    return _campaign(campaign_kwargs)
 
 
 def test_parallel_campaign_is_byte_identical_to_serial(
     serial_campaign, campaign_kwargs
 ):
-    parallel = run_campaign(jobs=2, **campaign_kwargs)
+    parallel = _campaign(campaign_kwargs, SweepScheduler(jobs=2))
     assert parallel.to_json() == serial_campaign.to_json()
 
 
@@ -350,12 +358,12 @@ def test_warm_cache_campaign_simulates_nothing(
     tmp_path, serial_campaign, campaign_kwargs
 ):
     cold = SweepScheduler(cache=ResultCache(str(tmp_path)))
-    first = run_campaign(executor=cold, **campaign_kwargs)
+    first = _campaign(campaign_kwargs, cold)
     assert cold.executed == 4  # 2 seeds x (baseline + A5)
     assert cold.cache.hits == 0
 
     warm = SweepScheduler(cache=ResultCache(str(tmp_path)))
-    second = run_campaign(executor=warm, **campaign_kwargs)
+    second = _campaign(campaign_kwargs, warm)
     assert warm.executed == 0
     assert warm.cache.hits == 4
     assert second.to_json() == first.to_json() == serial_campaign.to_json()

@@ -1,55 +1,69 @@
-"""Experiment-driver layer: runner memoisation and figure aggregation."""
+"""Experiment layer: the scheduler's memo and figure aggregation."""
 
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.figures import FigureResult, figure1, format_figure
+from repro.experiments.engine import make_cell, simulate
+from repro.experiments.figures import FigureResult, format_figure
 from repro.experiments.results import ComparisonResult, compare
-from repro.experiments.runner import ExperimentRunner, run_benchmark
+from repro.experiments.scheduler import SweepScheduler
+from repro.studies import StudyContext, get_study, run_study
+
+_INSTRUCTIONS = 1_500
+_WARMUP = 400
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(instructions=1_500, warmup=400)
+def scheduler():
+    return SweepScheduler()
 
 
-def test_baseline_is_memoised(runner):
-    first = runner.baseline("gzip")
-    second = runner.baseline("gzip")
+def _run(scheduler, benchmark, spec=("baseline",), label=None):
+    return scheduler.run_cells([make_cell(
+        benchmark, spec, instructions=_INSTRUCTIONS, warmup=_WARMUP,
+        label=label,
+    )])[0]
+
+
+def test_baseline_is_memoised(scheduler):
+    first = _run(scheduler, "gzip")
+    second = _run(scheduler, "gzip")
     assert first is second
 
 
-def test_different_specs_are_distinct_cache_entries(runner):
-    baseline = runner.run("gzip", ("baseline",))
-    throttled = runner.run("gzip", ("throttle", "A1"))
+def test_different_specs_are_distinct_cache_entries(scheduler):
+    baseline = _run(scheduler, "gzip", ("baseline",))
+    throttled = _run(scheduler, "gzip", ("throttle", "A1"))
     assert baseline is not throttled
     assert throttled.label == "A1"
 
 
-def test_label_override_does_not_corrupt_cache(runner):
-    original = runner.run("gzip", ("throttle", "A1"))
-    relabeled = runner.run("gzip", ("throttle", "A1"), label="renamed")
+def test_label_override_does_not_corrupt_cache(scheduler):
+    original = _run(scheduler, "gzip", ("throttle", "A1"))
+    relabeled = _run(scheduler, "gzip", ("throttle", "A1"), label="renamed")
     assert relabeled.label == "renamed"
-    again = runner.run("gzip", ("throttle", "A1"))
+    again = _run(scheduler, "gzip", ("throttle", "A1"))
     assert again.label == "A1"
     assert again.cycles == original.cycles
 
 
-def test_estimator_override_is_part_of_the_key(runner):
-    bpru = runner.run("gzip", ("throttle", "A1"))
-    jrs = runner.run("gzip", ("throttle", "A1", "jrs"))
+def test_estimator_override_is_part_of_the_key(scheduler):
+    bpru = _run(scheduler, "gzip", ("throttle", "A1"))
+    jrs = _run(scheduler, "gzip", ("throttle", "A1", "jrs"))
     assert bpru.cycles != jrs.cycles or bpru.energy_joules != jrs.energy_joules
 
 
-def test_compare_rejects_cross_benchmark(runner):
-    a = runner.baseline("gzip")
-    b = run_benchmark("go", ("baseline",), instructions=1_500, warmup=400)
+def test_compare_rejects_cross_benchmark(scheduler):
+    a = _run(scheduler, "gzip")
+    b = simulate(make_cell(
+        "go", ("baseline",), instructions=_INSTRUCTIONS, warmup=_WARMUP
+    ))
     with pytest.raises(ExperimentError):
         compare(a, b)
 
 
-def test_compare_identity_is_neutral(runner):
-    baseline = runner.baseline("gzip")
+def test_compare_identity_is_neutral(scheduler):
+    baseline = _run(scheduler, "gzip")
     comparison = compare(baseline, baseline)
     assert comparison.speedup == pytest.approx(1.0)
     assert comparison.energy_savings_pct == pytest.approx(0.0)
@@ -66,8 +80,11 @@ def test_figure_average_mixes_geometric_speedup():
     assert figure.average("X")["speedup"] == pytest.approx(1.0)
 
 
-def test_figure_subset_run_contains_only_requested(runner):
-    figure = figure1(runner, benchmarks=["gzip"])
+def test_figure_subset_run_contains_only_requested(scheduler):
+    context = StudyContext(
+        benchmarks=("gzip",), instructions=_INSTRUCTIONS, warmup=_WARMUP
+    )
+    figure = run_study(get_study("figure1"), context, executor=scheduler).artifact
     for per_benchmark in figure.rows.values():
         assert list(per_benchmark) == ["gzip"]
 
@@ -80,8 +97,8 @@ def test_format_figure_has_a_row_per_experiment():
     assert len(text.splitlines()) == 4  # title + header + 2 rows
 
 
-def test_oracle_runs_use_perfect_confidence(runner):
-    result = runner.run("gzip", ("oracle", "fetch"))
+def test_oracle_runs_use_perfect_confidence(scheduler):
+    result = _run(scheduler, "gzip", ("oracle", "fetch"))
     # Perfect labels: every misprediction is VLC, every correct VHC.
     assert result.spec_metric == pytest.approx(1.0)
     assert result.pvn_metric == pytest.approx(1.0)

@@ -1,4 +1,4 @@
-"""Tests for the experiment runner, comparison metrics and drivers."""
+"""Tests for one-off runs, the scheduler's memo and comparison metrics."""
 
 import pytest
 
@@ -6,14 +6,15 @@ from repro.core.gating import PipelineGatingController
 from repro.core.oracle import OracleController
 from repro.core.throttler import NullController, SelectiveThrottler
 from repro.errors import ExperimentError
-from repro.experiments.results import ComparisonResult, SimulationResult, compare
-from repro.experiments.runner import (
-    ExperimentRunner,
+from repro.experiments.engine import (
     default_instructions,
     default_warmup,
+    make_cell,
     make_controller,
-    run_benchmark,
+    simulate,
 )
+from repro.experiments.results import ComparisonResult, SimulationResult, compare
+from repro.experiments.scheduler import SweepScheduler
 
 
 def _result(benchmark="go", label="x", instructions=1000, cycles=1000,
@@ -94,7 +95,7 @@ def test_make_controller_rejects_unknown():
         make_controller(("magic",))
 
 
-# --- runner ------------------------------------------------------------------
+# --- one-off runs and the scheduler's memo -----------------------------------
 
 def test_defaults_read_environment(monkeypatch):
     monkeypatch.setenv("REPRO_SIM_INSTRUCTIONS", "1234")
@@ -103,8 +104,8 @@ def test_defaults_read_environment(monkeypatch):
     assert default_warmup() == 99
 
 
-def test_run_benchmark_produces_result():
-    result = run_benchmark("gzip", instructions=2000, warmup=500)
+def test_one_off_run_produces_result():
+    result = simulate(make_cell("gzip", instructions=2000, warmup=500))
     assert result.benchmark == "gzip"
     assert result.instructions >= 2000
     assert result.average_power_watts > 0
@@ -115,25 +116,31 @@ def test_run_benchmark_produces_result():
     )
 
 
+def _run(scheduler, spec, instructions, warmup):
+    return scheduler.run_cells([
+        make_cell("gzip", spec, instructions=instructions, warmup=warmup)
+    ])[0]
+
+
 def test_runner_caches_baseline():
-    runner = ExperimentRunner(instructions=1500, warmup=300)
-    first = runner.baseline("gzip")
-    second = runner.baseline("gzip")
+    scheduler = SweepScheduler()
+    first = _run(scheduler, ("baseline",), 1500, 300)
+    second = _run(scheduler, ("baseline",), 1500, 300)
     assert first is second
 
 
 def test_runner_distinguishes_controllers():
-    runner = ExperimentRunner(instructions=1500, warmup=300)
-    baseline = runner.baseline("gzip")
-    throttled = runner.run("gzip", ("throttle", "A6"))
+    scheduler = SweepScheduler()
+    baseline = _run(scheduler, ("baseline",), 1500, 300)
+    throttled = _run(scheduler, ("throttle", "A6"), 1500, 300)
     assert baseline is not throttled
     assert throttled.label == "A6"
 
 
 def test_runner_selects_estimator_per_mechanism():
-    runner = ExperimentRunner(instructions=1200, warmup=200)
-    gating = runner.run("gzip", ("gating", 2))
+    scheduler = SweepScheduler()
+    gating = _run(scheduler, ("gating", 2), 1200, 200)
     assert gating.label.startswith("gating")
-    oracle = runner.run("gzip", ("oracle", "fetch"))
+    oracle = _run(scheduler, ("oracle", "fetch"), 1200, 200)
     assert oracle.label == "oracle-fetch"
     assert oracle.wasted_energy_fraction == pytest.approx(0.0, abs=1e-9)

@@ -9,8 +9,9 @@ from repro.experiments.policy_search import (
     enumerate_policies,
     format_points,
     pareto_frontier,
-    search_policies,
 )
+from repro.studies import StudyContext, run_study
+from repro.studies.library import policy_study
 
 
 def test_enumeration_excludes_null_policy():
@@ -103,11 +104,10 @@ def test_format_points_orders_by_ed():
 
 def test_search_evaluates_small_space():
     policies = enumerate_policies(include_decode=False, include_no_select=False)
-    points = search_policies(
-        benchmarks=("gzip",),
-        instructions=1_500,
-        policies=policies[:3],
-    )
+    points = run_study(
+        policy_study(policies[:3], benchmarks=("gzip",)),
+        StudyContext(instructions=1_500, warmup=500),
+    ).artifact
     assert len(points) == 3
     for point in points:
         assert 0.2 < point.speedup <= 1.2

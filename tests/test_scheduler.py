@@ -94,7 +94,7 @@ def test_plan_batches_empty():
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return SweepScheduler().run(_grid())
+    return SweepScheduler().run_cells(_grid())
 
 
 @pytest.mark.parametrize("jobs,batch_cells", [
@@ -102,7 +102,7 @@ def serial_results():
 ])
 def test_batched_equals_serial(serial_results, jobs, batch_cells):
     scheduler = SweepScheduler(jobs=jobs, batch_cells=batch_cells)
-    assert scheduler.run(_grid()) == serial_results
+    assert scheduler.run_cells(_grid()) == serial_results
 
 
 def test_stream_yields_submission_order(serial_results):
@@ -117,7 +117,7 @@ def test_stream_yields_submission_order(serial_results):
 def test_duplicate_cells_simulate_once_with_labels_preserved():
     scheduler = SweepScheduler()
     cells = [_cell(), _cell(label="copy"), _cell()]
-    results = scheduler.run(cells)
+    results = scheduler.run_cells(cells)
     assert scheduler.executed == 1
     assert results[0] == results[2]
     assert results[1].label == "copy"
@@ -128,12 +128,12 @@ def test_duplicate_cells_simulate_once_with_labels_preserved():
 
 def test_cache_hits_simulate_nothing(tmp_path, serial_results):
     cold = SweepScheduler(cache=ResultCache(str(tmp_path)))
-    first = cold.run(_grid())
+    first = cold.run_cells(_grid())
     assert first == serial_results
     assert cold.executed == len(serial_results)
 
     warm = SweepScheduler(jobs=2, cache=ResultCache(str(tmp_path)))
-    second = warm.run(_grid())
+    second = warm.run_cells(_grid())
     assert second == serial_results
     assert warm.executed == 0
     assert warm.batches_dispatched == 0
@@ -149,11 +149,11 @@ def test_cache_stats_report_per_tier_hit_rates(tmp_path):
     assert stats["disk_hit_rate"] == 0.0
 
     cold = SweepScheduler(cache=cache)
-    cold.run(_grid())
+    cold.run_cells(_grid())
     # Same process: the second sweep hits the in-memory tier for every
     # cell, so the memory rate climbs while disk stays untouched.
     warm = SweepScheduler(cache=cache)
-    warm.run(_grid())
+    warm.run_cells(_grid())
     stats = cache.stats()
     assert stats["memory_hits"] > 0
     assert stats["memory_hit_rate"] == stats["memory_hits"] / (
@@ -166,7 +166,7 @@ def test_cache_stats_report_per_tier_hit_rates(tmp_path):
     # on the memory tier missing and must come out at 100%.
     disk_cache = ResultCache(str(tmp_path))
     disk = SweepScheduler(cache=disk_cache)
-    disk.run(_grid())
+    disk.run_cells(_grid())
     stats = disk_cache.stats()
     assert stats["disk_hits"] >= len(_grid())
     accesses = stats["hits"] + stats["misses"]
@@ -179,8 +179,8 @@ def test_cache_info_formats_tier_hit_rates(tmp_path, capsys):
 
     cache = ResultCache(str(tmp_path))
     warm = SweepScheduler(cache=cache)
-    warm.run(_grid())
-    warm.run(_grid())
+    warm.run_cells(_grid())
+    warm.run_cells(_grid())
     cache.flush_stats()
     assert cli.main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -198,7 +198,7 @@ def test_failing_cell_is_named_in_the_error(jobs):
     bad = _cell("gcc", ("throttle", "Z9"))
     cells = [_cell("go"), _cell("parser"), bad]
     with pytest.raises(ExperimentError) as info:
-        SweepScheduler(jobs=jobs).run(cells)
+        SweepScheduler(jobs=jobs).run_cells(cells)
     message = str(info.value)
     assert "cell 'Z9'" in message and "benchmark gcc" in message
     assert f"seed {bad.effective_seed}" in message
@@ -228,6 +228,6 @@ def test_shared_pool_is_replaced_after_a_worker_dies():
 
 def test_scheduler_counts_batches():
     scheduler = SweepScheduler(batch_cells=2)
-    scheduler.run(_grid())
+    scheduler.run_cells(_grid())
     # 2 affinity groups of 3 cells at batch size 2: [2]+[1] per group.
     assert scheduler.batches_dispatched == 4

@@ -112,21 +112,21 @@ def test_plan_rejects_mismatched_keys():
 # --- execution ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def figure1_run():
+def fig1_run():
     return run_study(get_study("figure1"), _CTX)
 
 
-def test_run_study_artifact_and_render(figure1_run):
-    assert set(figure1_run.artifact.rows) == {
+def test_run_study_artifact_and_render(fig1_run):
+    assert set(fig1_run.artifact.rows) == {
         "oracle-fetch", "oracle-decode", "oracle-select"
     }
-    text = figure1_run.render()
+    text = fig1_run.render()
     assert text.startswith("figure1: suite averages")
     # Deterministic: a rerun renders byte-identically.
     assert run_study(get_study("figure1"), _CTX).render() == text
 
 
-def test_run_study_progress_streams_every_cell(figure1_run):
+def test_run_study_progress_streams_every_cell(fig1_run):
     ticks = []
     run = run_study(
         get_study("figure1"), _CTX,
@@ -134,7 +134,7 @@ def test_run_study_progress_streams_every_cell(figure1_run):
         progress=lambda done, total: ticks.append((done, total)),
     )
     assert ticks == [(i + 1, 4) for i in range(4)]
-    assert run.render() == figure1_run.render()
+    assert run.render() == fig1_run.render()
 
 
 def test_custom_study_roundtrip():
@@ -147,16 +147,14 @@ def test_custom_study_roundtrip():
 
 
 def test_smt_study_runs_through_an_experiment_runner():
-    from repro.experiments.runner import ExperimentRunner
-
-    runner = ExperimentRunner(instructions=600, warmup=150)
-    run = run_study(smt_mix_study("mix2-twins"), _CTX, executor=runner)
+    scheduler = SweepScheduler()
+    run = run_study(smt_mix_study("mix2-twins"), _CTX, executor=scheduler)
     assert run.artifact["mix"].nthreads == 2
     assert len(run.artifact["alone"]) == 2
-    # A rerun is served from the runner's memo.
-    executed = runner.scheduler.executed
-    run_study(smt_mix_study("mix2-twins"), _CTX, executor=runner)
-    assert runner.scheduler.executed == executed
+    # A rerun is served from the scheduler's memo.
+    executed = scheduler.executed
+    run_study(smt_mix_study("mix2-twins"), _CTX, executor=scheduler)
+    assert scheduler.executed == executed
 
 
 def test_with_options_overrides_without_mutating():

@@ -1,11 +1,11 @@
-"""Byte-identical parity of every refactored experiment driver.
+"""Byte-identical parity of every experiment's formatted output.
 
-The study-layer refactor rewired all seven drivers (figures, tables,
-ablations, policy search, campaign, runner, SMT report) through
-``StudySpec`` + ``SweepScheduler``.  These tests pin each driver's
-*formatted output* against goldens captured on the pre-refactor code, so
-any behavioural drift — a different cell enumerated, a different seed
-convention, a float formatted through a different path — fails loudly.
+Every experiment (figures, tables, ablations, policy search, campaign,
+one-off run, SMT report) runs as a ``StudySpec`` on a ``SweepScheduler``.
+These tests pin each one's *formatted output* against goldens captured
+before the study layer existed, so any behavioural drift — a different
+cell enumerated, a different seed convention, a float formatted through
+a different path — fails loudly.
 
 The goldens live in ``tests/goldens/study_goldens.json``.  Re-pin (only
 when an intentional simulator change ships) with::
@@ -33,106 +33,96 @@ _BENCHMARKS = ("go", "gzip")
 
 
 def _generate() -> dict:
-    """Render every driver's formatted output at parity scale.
+    """Render every study's formatted output at parity scale.
 
-    Written purely against the public driver APIs, so the same code runs
-    on the pre-refactor tree (to pin) and the post-refactor tree (to
-    verify).
+    Written against the study API alone (``get_study``, the library
+    builders, ``run_study`` on one ``SweepScheduler``), so the same code
+    runs on any tree that has that API, to pin or to verify.
     """
-    from repro.experiments import ablations as abl
-    from repro.experiments import figures as fig
-    from repro.experiments import tables as tab
-    from repro.experiments.campaign import format_campaign, run_campaign
+    import repro.studies.library as lib
     from repro.experiments.engine import (
+        make_cell,
         make_smt_cell,
         result_to_dict,
+        simulate,
         smt_baseline_cells,
     )
-    from repro.experiments.policy_search import (
-        enumerate_policies,
-        format_points,
-        search_policies,
-    )
-    from repro.experiments.runner import ExperimentRunner, run_benchmark
+    from repro.experiments.policy_search import enumerate_policies, format_points
     from repro.experiments.scheduler import SweepScheduler
     from repro.report.smt import format_smt_report
+    from repro.studies import StudyContext, get_study, run_study
 
     out = {}
-    runner = ExperimentRunner(instructions=_INSTR, warmup=_WARMUP)
+    scheduler = SweepScheduler()
+
+    def run(spec, instructions=_INSTR, warmup=_WARMUP, **context):
+        context = StudyContext(instructions=instructions, warmup=warmup, **context)
+        return run_study(spec, context, executor=scheduler)
 
     # --- figures -----------------------------------------------------------
-    for name, driver in (
-        ("figure1", fig.figure1),
-        ("figure3", fig.figure3),
-        ("figure4", fig.figure4),
-        ("figure5", fig.figure5),
-    ):
-        out[name] = fig.format_figure(driver(runner, benchmarks=_BENCHMARKS))
-    out["figure6"] = fig.format_sweep(
-        "figure6 (C2)",
-        fig.figure6(depths=(6, 14), instructions=1_200, benchmarks=("gzip",)),
-        "depth",
-    )
-    out["figure7"] = fig.format_sweep(
-        "figure7 (C2)",
-        fig.figure7(total_sizes_kb=(8, 32), instructions=1_200, benchmarks=("gzip",)),
-        "total KB",
-    )
+    for name in ("figure1", "figure3", "figure4", "figure5"):
+        out[name] = run(get_study(name), benchmarks=_BENCHMARKS).render()
+    out["figure6"] = run(
+        lib.depth_sweep_study((6, 14)), instructions=1_200, warmup=None,
+        benchmarks=("gzip",),
+    ).render()
+    out["figure7"] = run(
+        lib.table_size_sweep_study((8, 32)), instructions=1_200, warmup=None,
+        benchmarks=("gzip",),
+    ).render()
 
     # --- tables ------------------------------------------------------------
-    out["table1"] = tab.format_table1(tab.table1(runner))
+    out["table1"] = run(get_study("table1")).render()
 
     # --- ablations ---------------------------------------------------------
-    out["estimator-swap"] = fig.format_figure(
-        abl.estimator_swap(runner, benchmarks=("go",))
-    )
-    out["escalation-rule"] = fig.format_figure(
-        abl.escalation_rule(runner, benchmarks=("go",))
-    )
-    out["gating-threshold"] = fig.format_figure(
-        abl.gating_threshold_sweep(runner, thresholds=(1, 3), benchmarks=("go",))
-    )
+    out["estimator-swap"] = run(
+        get_study("estimator-swap"), benchmarks=("go",)
+    ).render()
+    out["escalation-rule"] = run(
+        get_study("escalation-rule"), benchmarks=("go",)
+    ).render()
+    out["gating-threshold"] = run(
+        lib.gating_threshold_study((1, 3)), benchmarks=("go",)
+    ).render()
     out["clock-gating"] = json.dumps(
-        abl.clock_gating_styles(1_200, 300, benchmarks=("gzip",)),
+        run(get_study("clock-gating"), instructions=1_200, warmup=300,
+            benchmarks=("gzip",)).artifact,
         sort_keys=True, indent=1,
     )
     out["mshr"] = json.dumps(
-        abl.mshr_sensitivity((2, 8), 1_200, 300, benchmarks=("gzip",)),
+        run(lib.mshr_study((2, 8)), instructions=1_200, warmup=300,
+            benchmarks=("gzip",)).artifact,
         sort_keys=True, indent=1,
     )
 
     # --- campaign ----------------------------------------------------------
-    out["campaign"] = format_campaign(
-        run_campaign(
-            {"C2": ("throttle", "C2"), "A5": ("throttle", "A5")},
-            benchmarks=("gzip",),
-            seeds=2,
-            instructions=1_200,
-            name="parity",
-        )
-    )
+    out["campaign"] = run(
+        lib.campaign_study(
+            {"C2": ("throttle", "C2"), "A5": ("throttle", "A5")}, name="parity"
+        ),
+        instructions=1_200, warmup=None, benchmarks=("gzip",), seeds=2,
+    ).render()
 
     # --- policy search -----------------------------------------------------
     policies = enumerate_policies(include_decode=False, include_no_select=False)
     out["policy-search"] = format_points(
-        search_policies(
-            benchmarks=("gzip",), instructions=1_200, policies=policies[:4]
-        )
+        run(
+            lib.policy_study(policies[:4], benchmarks=("gzip",)),
+            instructions=1_200, warmup=400, benchmarks=("gzip",),
+        ).artifact
     )
 
-    # --- runner (one-off run, full result payload) -------------------------
+    # --- one-off run (full result payload) ---------------------------------
     out["run"] = json.dumps(
-        result_to_dict(
-            run_benchmark(
-                "go", ("throttle", "C2"), instructions=_INSTR, warmup=_WARMUP
-            )
-        ),
+        result_to_dict(simulate(make_cell(
+            "go", ("throttle", "C2"), instructions=_INSTR, warmup=_WARMUP
+        ))),
         sort_keys=True, indent=1,
     )
 
     # --- SMT mix report ----------------------------------------------------
     cell = make_smt_cell("mix2-branchy", instructions=1_200, warmup=300)
-    results = SweepScheduler().run_cells([cell] + smt_baseline_cells(cell))
+    results = scheduler.run_cells([cell] + smt_baseline_cells(cell))
     out["smt-mix"] = format_smt_report(results[0], results[1:])
 
     return out

@@ -263,7 +263,7 @@ def test_scheduler_publishes_plan_batch_and_cache_events(tmp_path):
         make_cell("go", ("throttle", "C2"), instructions=600, warmup=150),
     ]
     cache = ResultCache(str(tmp_path))
-    SweepScheduler(cache=cache).run(cells)
+    SweepScheduler(cache=cache).run_cells(cells)
     kinds = [event["event"] for event in tevents.drain()]
     assert kinds.count("batch-plan") == 1
     assert kinds.count("cache") == 1
@@ -272,7 +272,7 @@ def test_scheduler_publishes_plan_batch_and_cache_events(tmp_path):
     # Warm rerun: everything from cache, nothing simulated, cumulative
     # cache counters in the event.
     warm = SweepScheduler(cache=ResultCache(str(tmp_path)))
-    warm.run(cells)
+    warm.run_cells(cells)
     events = tevents.drain()
     assert warm.executed == 0
     cache_event = [e for e in events if e["event"] == "cache"][0]
@@ -288,7 +288,7 @@ def test_instrumented_cells_emit_stage_counters(monkeypatch, tmp_path):
 
     tevents.configure(buffering=True)
     cells = [make_cell("go", instructions=600, warmup=150)]
-    SweepScheduler(cache=ResultCache(str(tmp_path))).run(cells)
+    SweepScheduler(cache=ResultCache(str(tmp_path))).run_cells(cells)
     events = tevents.drain()
     counters = [e for e in events if e["event"] == "stage-counters"]
     assert len(counters) == 1
@@ -298,7 +298,7 @@ def test_instrumented_cells_emit_stage_counters(monkeypatch, tmp_path):
     assert validate_events(events) == []
 
     # A warm-cache cell is never simulated, so it emits no counters.
-    SweepScheduler(cache=ResultCache(str(tmp_path))).run(cells)
+    SweepScheduler(cache=ResultCache(str(tmp_path))).run_cells(cells)
     warm_kinds = [event["event"] for event in tevents.drain()]
     assert "stage-counters" not in warm_kinds
 
