@@ -3,8 +3,7 @@
 Paper: energy savings grow from ~11% at 6 stages to ~17% at 28; E-D
 improvement from ~5.4% to ~12%; slowdown roughly flat (5-6%)."""
 
-from benchmarks.conftest import bench_instructions, run_study_once
-from repro.studies import StudyContext
+from benchmarks.conftest import bench_context, run_study_once
 from repro.studies.library import depth_sweep_study
 
 DEPTHS = (6, 14, 28)
@@ -13,7 +12,7 @@ DEPTHS = (6, 14, 28)
 def test_figure6_pipeline_depth(benchmark, scheduler, capsys):
     run = run_study_once(
         benchmark, scheduler, depth_sweep_study(DEPTHS),
-        StudyContext(instructions=bench_instructions()),
+        bench_context(),
     )
     sweep = run.artifact
     with capsys.disabled():

@@ -4,8 +4,7 @@ Paper: power savings shrink as tables grow (20.3% at 8 KB to 16.5% at
 64 KB) while energy savings and E-D improvement stay roughly flat
 (11-12% and 4-5%)."""
 
-from benchmarks.conftest import bench_instructions, run_study_once
-from repro.studies import StudyContext
+from benchmarks.conftest import bench_context, run_study_once
 from repro.studies.library import table_size_sweep_study
 
 SIZES = (8, 16, 64)
@@ -14,7 +13,7 @@ SIZES = (8, 16, 64)
 def test_figure7_table_size(benchmark, scheduler, capsys):
     run = run_study_once(
         benchmark, scheduler, table_size_sweep_study(SIZES),
-        StudyContext(instructions=bench_instructions()),
+        bench_context(),
     )
     sweep = run.artifact
     with capsys.disabled():

@@ -53,10 +53,15 @@ import sys
 from typing import List, Optional
 
 from repro.core.policy import experiment_policy
+from repro.errors import ConfigurationError
 from repro.experiments import tables as tab_mod
-from repro.experiments.engine import ResultCache, make_cell
+from repro.experiments.engine import (
+    ResultCache, confidence_kind_for, make_cell, make_controller,
+)
 from repro.experiments.figures import FigureResult
 from repro.experiments.scheduler import SweepScheduler
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.processor import build_estimator
 from repro.report.ascii import figure_bars, sweep_lines
 from repro.smt.mixes import MIX_NAMES, load_mixes
 from repro.smt.policies import POLICY_NAMES
@@ -150,11 +155,11 @@ def _make_parser() -> argparse.ArgumentParser:
         help=f"SMT workload mix (smt only; one of: {', '.join(MIX_NAMES)})",
     )
     parser.add_argument(
-        "--policy", choices=POLICY_NAMES, default="confidence-gating",
+        "--policy", choices=POLICY_NAMES, default=None,
         help="SMT fetch policy (smt only; default: confidence-gating)",
     )
     parser.add_argument(
-        "--sharing", choices=("partitioned", "shared"), default="partitioned",
+        "--sharing", choices=("partitioned", "shared"), default=None,
         help="SMT back-end capacity mode (smt only; default: partitioned)",
     )
     parser.add_argument(
@@ -267,14 +272,7 @@ def _cmd_run(options, scheduler: SweepScheduler) -> None:
     benchmark, experiment = options.args[0], options.args[1]
     if benchmark not in BENCHMARK_NAMES:
         raise SystemExit(f"unknown benchmark {benchmark!r}")
-    spec = _experiment_spec(experiment)
-    if len(options.args) > 2:
-        if spec[0] != "throttle":
-            raise SystemExit(
-                f"experiment {experiment!r} is Pipeline Gating; an estimator "
-                "override applies to throttle experiments only"
-            )
-        spec += (options.args[2],)
+    spec = _experiment_spec(experiment, *options.args[2:3])
     baseline, candidate = scheduler.run_cells([
         make_cell(benchmark, controller_spec, instructions=options.instructions,
                   warmup=options.warmup)
@@ -428,7 +426,9 @@ def _paper_specs(options) -> list:
             )
         raise SystemExit(2)
     return [library.smt_mix_study(
-        options.mix, policy=options.policy, sharing=options.sharing,
+        options.mix,
+        policy=options.policy or "confidence-gating",
+        sharing=options.sharing or "partitioned",
         seed=options.seed,
     )]
 
@@ -562,14 +562,11 @@ def _cmd_cache(options) -> None:
         print(f"  oldest entry  {info['oldest_age_days']:.1f} days old")
         print(f"  newest entry  {info['newest_age_days']:.1f} days old")
         stats = cache.stats()
-        print(f"  hits          {stats['hits']}"
-              f" (memory {stats['memory_hits']}, disk {stats['disk_hits']})")
+        print(f"  hits          {stats['hits']}")
         print(f"  misses        {stats['misses']}")
         print(f"  stores        {stats['stores']}")
         print(f"  evictions     {stats['evictions']}")
-        print(f"  hit rate      {stats['hit_rate'] * 100:.1f}%"
-              f" (memory {stats['memory_hit_rate'] * 100:.1f}%,"
-              f" disk {stats['disk_hit_rate'] * 100:.1f}%)")
+        print(f"  hit rate      {stats['hit_rate'] * 100:.1f}%")
         return
     dropped = cache.prune(options.days, max_bytes=options.max_bytes)
     cache.flush_stats()
@@ -624,21 +621,51 @@ def _cmd_telemetry(options) -> int:
     return 0
 
 
-def _experiment_spec(name: str) -> tuple:
-    """Map a CLI experiment name to a controller spec.
+def _experiment_spec(name: str, estimator: Optional[str] = None) -> tuple:
+    """Map a CLI experiment name to a controller spec, built once to check.
 
     Policy names (A1-C6) become throttle specs; the per-figure Pipeline
-    Gating entries (A7, B9, C7) and ``gating:N`` become gating specs.
+    Gating entries (A7, B9, C7) and ``gating:N`` become gating specs.  An
+    ``estimator`` overrides a throttle spec's confidence estimator.  A
+    malformed threshold or estimator exits here, before any cell runs.
     """
-    if name.startswith("gating:"):
-        return ("gating", int(name.split(":", 1)[1]))
-    if experiment_policy(name) is None:
-        return ("gating", 2)
-    return ("throttle", name)
+    try:
+        if name.startswith("gating:"):
+            spec: tuple = ("gating", int(name.split(":", 1)[1]))
+        elif experiment_policy(name) is None:
+            spec = ("gating", 2)
+        else:
+            spec = ("throttle", name)
+        if estimator is not None:
+            if spec[0] != "throttle":
+                raise SystemExit(
+                    f"experiment {name!r} is Pipeline Gating; an estimator "
+                    "override applies to throttle experiments only"
+                )
+            spec += (estimator,)
+        make_controller(spec)
+        build_estimator(ProcessorConfig(confidence_kind=confidence_kind_for(spec)))
+    except (ValueError, ConfigurationError) as error:
+        raise SystemExit(f"bad experiment {name!r}: {error}") from None
+    return spec
+
+
+# Each flag that only some commands read, and the commands that read it.
+_FLAG_READERS = {
+    "mix": ("smt",), "policy": ("smt",), "sharing": ("smt",),
+    "seed": ("smt", "trace"), "seeds": ("campaign", "study run"),
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    options = _make_parser().parse_args(argv)
+    parser = _make_parser()
+    options = parser.parse_args(argv)
+    command = options.command
+    if command == "study" and options.args[:1] == ["run"]:
+        command = "study run"
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(options, flag) is not None and command not in readers:
+            parser.error(f"--{flag} applies to {' and '.join(readers)} only")
     if options.sanitize:
         # Before any simulation (and before the process pool forks/spawns
         # workers, which read it at config construction).

@@ -13,7 +13,7 @@ both program generation (the sampled synthetic benchmark) and the
 processor's internal randomness.  ``None`` means "the benchmark's
 calibrated default" (``benchmark_spec(name).seed``).  Campaign seed
 variants therefore regenerate the program *and* reseed the processor from
-the same value — the two legacy paths disagreed on the processor half.
+the same value.
 
 On top of :func:`simulate` the module layers :class:`ResultCache` — a
 content-addressed on-disk JSON cache keyed on :func:`cell_fingerprint` (a
@@ -26,7 +26,6 @@ the one executor sweeps run through.
 
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
 import json
@@ -294,11 +293,9 @@ def make_trace_cell(
 # behaviour state.
 #
 # Bounded as a true LRU: scheduler workers live for a whole multi-study
-# run now (the shared pool), and an unbounded memo — or the old
-# stop-caching-at-the-cap behaviour, which silently disabled the memo for
-# every cell after the first 64 (benchmark, seed) pairs of a long
-# campaign — would grow worker RSS with the sweep size.  The cap only
-# needs to cover one affinity batch plus the suite's calibrated defaults.
+# run (the shared pool), and an unbounded memo would grow worker RSS with
+# the sweep size.  The cap only needs to cover one affinity batch plus
+# the suite's calibrated defaults.
 _PROGRAM_MEMO: "OrderedDict[Tuple[str, int], Program]" = OrderedDict()
 _PROGRAM_MEMO_LIMIT = 32
 
@@ -712,22 +709,16 @@ def result_from_dict(payload: Dict) -> SimulationResult:
 # ----------------------------------------------------------------------
 
 class ResultCache:
-    """Content-addressed store of simulation results, two tiers deep.
+    """Content-addressed on-disk store of simulation results.
 
-    The durable tier is one ``<cache_dir>/<fingerprint>.json`` file per
-    entry; the fingerprint is the full :func:`cell_fingerprint`, so two
-    distinct cells can never share an entry and any config change misses
-    cleanly.  Entries are written atomically (write-then-rename) so an
-    interrupted campaign leaves no torn files behind.
-
-    In front of the disk sits a bounded in-memory LRU of parsed payloads
-    (``memory_entries`` deep, per instance): a sweep that revisits a cell
-    — repeated baselines across a campaign grid, a ``--check`` pass after
-    a run — pays the JSON parse once, not per visit.  Hits count per
-    tier (``memory_hits`` / ``disk_hits``; :attr:`hits` is their sum, so
-    existing consumers keep working), and payloads are deep-copied across
-    the tier boundary so a caller mutating a returned result can never
-    corrupt a later hit.
+    One ``<cache_dir>/<fingerprint>.json`` file per entry; the
+    fingerprint is the full :func:`cell_fingerprint`, so two distinct
+    cells can never share an entry and any config change misses cleanly.
+    Entries are written atomically (write-then-rename) so an interrupted
+    campaign leaves no torn files behind.  Every :meth:`get` reads and
+    parses the file, so each hit is a fresh object; in-process reuse is
+    the :class:`~repro.experiments.scheduler.SweepScheduler` memo's job,
+    which consults the disk only for fingerprints it has not settled.
 
     Session counters are per-instance and monotonic; :meth:`flush_stats`
     folds their growth since the last flush into a persistent
@@ -740,83 +731,41 @@ class ResultCache:
     """
 
     STATS_FILENAME = "_cache_stats.json"
-    DEFAULT_MEMORY_ENTRIES = 256
-    _PERSISTED = (
-        "hits", "memory_hits", "disk_hits", "misses", "stores", "evictions",
-    )
+    _PERSISTED = ("hits", "misses", "stores", "evictions")
 
-    def __init__(
-        self, directory: str, memory_entries: int = DEFAULT_MEMORY_ENTRIES
-    ) -> None:
-        if memory_entries < 0:
-            raise ExperimentError("memory_entries must be >= 0")
+    def __init__(self, directory: str) -> None:
         self.directory = directory
-        self.memory_entries = memory_entries
-        self._memory: "OrderedDict[str, Dict]" = OrderedDict()
-        self.memory_hits = 0
-        self.disk_hits = 0
+        self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
-        self.memory_evictions = 0
         self._flushed = {name: 0 for name in self._PERSISTED}
         os.makedirs(directory, exist_ok=True)
-
-    @property
-    def hits(self) -> int:
-        """Total hits across both tiers (the pre-tier counter's name)."""
-        return self.memory_hits + self.disk_hits
 
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"{fingerprint}.json")
 
-    @staticmethod
-    def _payload_matches(payload, is_smt: bool) -> bool:
-        if payload.get("schema") != _CACHE_SCHEMA:
-            return False
-        # Entries written before the SMT cell kind carry no marker: they
-        # are single-thread results.
-        return payload.get("kind", "sim") == ("smt" if is_smt else "sim")
-
-    @staticmethod
-    def _materialize(payload, cell, is_smt: bool):
-        if is_smt:
-            return smt_result_from_dict(payload["result"])
-        return relabel(result_from_dict(payload["result"]), cell)
-
-    def _remember(self, fingerprint: str, payload) -> None:
-        if self.memory_entries == 0:
-            return
-        memory = self._memory
-        if fingerprint in memory:
-            memory.move_to_end(fingerprint)
-        memory[fingerprint] = payload
-        while len(memory) > self.memory_entries:
-            memory.popitem(last=False)
-            self.memory_evictions += 1
-
     def get(self, cell):
         """The cached result of any cell kind, relabelled for this request."""
         is_smt = isinstance(cell, SmtCell)
-        fingerprint = fingerprint_of(cell)
-        payload = self._memory.get(fingerprint)
-        if payload is not None and self._payload_matches(payload, is_smt):
-            self._memory.move_to_end(fingerprint)
-            self.memory_hits += 1
-            return self._materialize(copy.deepcopy(payload), cell, is_smt)
-        path = self._path(fingerprint)
         try:
-            with open(path) as handle:
+            with open(self._path(fingerprint_of(cell))) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
+            payload = {}
+        # Entries written before the SMT cell kind carry no marker: they
+        # are single-thread results.
+        kind = "smt" if is_smt else "sim"
+        if (
+            payload.get("schema") != _CACHE_SCHEMA
+            or payload.get("kind", "sim") != kind
+        ):
             self.misses += 1
             return None
-        if not self._payload_matches(payload, is_smt):
-            self.misses += 1
-            return None
-        self.disk_hits += 1
-        self._remember(fingerprint, payload)
-        return self._materialize(copy.deepcopy(payload), cell, is_smt)
+        self.hits += 1
+        if is_smt:
+            return smt_result_from_dict(payload["result"])
+        return relabel(result_from_dict(payload["result"]), cell)
 
     def put(self, cell, result) -> None:
         fingerprint = fingerprint_of(cell)
@@ -844,7 +793,6 @@ class ResultCache:
             json.dump(payload, handle, indent=2)
         os.replace(tmp, path)
         self.stores += 1
-        self._remember(fingerprint, copy.deepcopy(payload))
 
     # -- persistent counters (telemetry + `repro cache info`) -----------
 
@@ -852,12 +800,7 @@ class ResultCache:
         return os.path.join(self.directory, self.STATS_FILENAME)
 
     def persistent_stats(self) -> Dict[str, int]:
-        """Lifetime counters from the on-disk sidecar (zeros if absent).
-
-        Sidecars written before the in-memory tier carry no per-tier
-        keys; those default to zero (their total still lives in
-        ``hits``), so old caches upgrade in place.
-        """
+        """Lifetime counters from the on-disk sidecar (zeros if absent)."""
         stats = {name: 0 for name in self._PERSISTED}
         try:
             with open(self._stats_path()) as handle:
@@ -872,15 +815,9 @@ class ResultCache:
 
     def flush_stats(self) -> Dict[str, int]:
         """Fold session counter growth into the sidecar; returns totals."""
-        current = {name: getattr(self, name) for name in self._PERSISTED}
-        deltas = {
-            name: current[name] - self._flushed[name]
-            for name in self._PERSISTED
-        }
-        self._flushed = current
-        totals = self.persistent_stats()
-        for key, delta in deltas.items():
-            totals[key] += delta
+        stats = self.stats()
+        totals = {name: stats[name] for name in self._PERSISTED}
+        self._flushed = {name: getattr(self, name) for name in self._PERSISTED}
         path = self._stats_path()
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as handle:
@@ -890,23 +827,12 @@ class ResultCache:
 
     def stats(self) -> Dict[str, float]:
         """Lifetime counters plus this session's unflushed growth."""
-        totals = self.persistent_stats()
+        stats: Dict[str, float] = dict(self.persistent_stats())
         for name in self._PERSISTED:
-            totals[name] += getattr(self, name) - self._flushed[name]
-        accesses = totals["hits"] + totals["misses"]
-        combined: Dict[str, float] = dict(totals)
-        combined["memory_evictions"] = self.memory_evictions
-        combined["hit_rate"] = totals["hits"] / accesses if accesses else 0.0
-        # Per-tier rates: the memory tier sees every access; the disk
-        # tier only sees what the memory tier missed.
-        combined["memory_hit_rate"] = (
-            totals["memory_hits"] / accesses if accesses else 0.0
-        )
-        disk_accesses = accesses - totals["memory_hits"]
-        combined["disk_hit_rate"] = (
-            totals["disk_hits"] / disk_accesses if disk_accesses else 0.0
-        )
-        return combined
+            stats[name] += getattr(self, name) - self._flushed[name]
+        accesses = stats["hits"] + stats["misses"]
+        stats["hit_rate"] = stats["hits"] / accesses if accesses else 0.0
+        return stats
 
     # -- maintenance (the `repro cache` subcommands) --------------------
 
@@ -954,8 +880,7 @@ class ResultCache:
 
         ``older_than_days`` drops entries last written more than N days
         ago; ``max_bytes`` then evicts the oldest surviving entries until
-        the directory's entry bytes fit the bound (LRU by mtime — the
-        disk-tier mirror of the in-memory tier's eviction order).  At
+        the directory's entry bytes fit the bound (LRU by mtime).  At
         least one bound is required.  The age pass also sweeps orphaned
         ``*.json.tmp.<pid>`` files past the cutoff — the leftovers of a
         run killed between write and rename — which :meth:`entries`
@@ -1008,8 +933,4 @@ class ResultCache:
                 total -= size
                 dropped += 1
         self.evictions += dropped
-        # Evicted fingerprints must not linger as in-memory hits: the
-        # tiers would disagree about what the cache holds.
-        if dropped:
-            self._memory.clear()
         return dropped

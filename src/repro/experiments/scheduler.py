@@ -9,9 +9,7 @@ Every registered study compiles to a flat list of cells
   and packed into per-worker batches, so every cell that simulates the
   same generated program lands in the same worker process — the
   per-process program memo and the compiled-supply tables cached on the
-  ``Program`` actually hit.  The old per-cell ``pool.map`` scattered the
-  eight mechanisms of a figure row across eight workers, and each one
-  regenerated (and re-lowered) the same program.
+  ``Program`` actually hit.
 
 * **Ordered streaming.**  :meth:`SweepScheduler.stream` yields
   ``(index, result)`` pairs in submission order *as batches complete*:
@@ -25,14 +23,13 @@ Every registered study compiles to a flat list of cells
   scheduler calls, so a multi-study run pays process start-up (and
   re-warms worker memos) once instead of once per study.
 
-The scheduler also memoises: a cell whose content fingerprint it has
-already settled — earlier in the same call or in any earlier call on the
-same instance — is served without simulating, with its display label
-reapplied per request.  So studies run one after another on one
-scheduler (``repro ablations``, ``repro study run A B``) share their
-baselines.  Before the memo it consults the optional on-disk
-:class:`~repro.experiments.engine.ResultCache`, which it fills with
-every simulated result.
+The scheduler is also the one in-process result memo.  It resolves a
+cell by content fingerprint from, in order: results settled by any call
+on the instance, a duplicate waiting in the same call, the optional
+on-disk :class:`~repro.experiments.engine.ResultCache` (read once per
+fingerprint; hits join the memo), and only then a simulation — each
+served with the requesting cell's label.  So studies run on one
+scheduler (``repro ablations``, ``repro study run A B``) share baselines.
 """
 
 from __future__ import annotations
@@ -229,7 +226,7 @@ class SweepScheduler:
         self.batch_cells = batch_cells
         self.executed = 0
         self.batches_dispatched = 0
-        # Content fingerprint -> result as it was simulated (its own label).
+        # Content fingerprint -> result as first settled (its own label).
         self._settled: Dict[str, object] = {}
 
     # -- execution ------------------------------------------------------
@@ -249,7 +246,7 @@ class SweepScheduler:
     def stream(self, cells: Iterable) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, result)`` in submission order as work completes.
 
-        Cache and memo hits stream immediately (once every earlier index
+        Memo and cache hits stream immediately (once every earlier index
         has been delivered); the remaining cells execute in affinity
         batches, and each completed batch releases the longest ready
         prefix.
@@ -264,22 +261,22 @@ class SweepScheduler:
         pending: List[Tuple[int, object]] = []
         cache_hits = 0
         for index, cell in enumerate(cells):
-            cached = self.cache.get(cell) if self.cache else None
-            if cached is not None:
-                ready[index] = cached
-                cache_hits += 1
-                continue
             fingerprint = fingerprint_of(cell)
             settled = self._settled.get(fingerprint)
             if settled is not None:
                 ready[index] = relabel(settled, cell)
                 continue
             owner = owners.get(fingerprint)
-            if owner is None:
-                owners[fingerprint] = index
-                pending.append((index, cell))
-            else:
+            if owner is not None:
                 followers.setdefault(owner, []).append(index)
+                continue
+            cached = self.cache.get(cell) if self.cache else None
+            if cached is not None:
+                self._settled[fingerprint] = ready[index] = cached
+                cache_hits += 1
+                continue
+            owners[fingerprint] = index
+            pending.append((index, cell))
 
         emit = 0
 

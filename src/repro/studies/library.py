@@ -261,7 +261,7 @@ def _compile_table1(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
 
 def _summarize_table1(spec, ctx, plan, results) -> Dict[str, Dict[str, float]]:
     from repro.experiments.tables import TABLE1_TOTAL_WASTED, TABLE1_WASTED
-    from repro.power.units import TABLE1_SHARES, PowerUnit
+    from repro.power.units import TABLE1_SHARES, TABLE1_TOTAL_WATTS, PowerUnit
 
     rows: Dict[str, Dict[str, float]] = {}
     for unit in PowerUnit:
@@ -276,7 +276,7 @@ def _summarize_table1(spec, ctx, plan, results) -> Dict[str, Dict[str, float]]:
         }
     rows["total"] = {
         "watts": arithmetic_mean(r.average_power_watts for r in results),
-        "paper_watts": 56.4,
+        "paper_watts": TABLE1_TOTAL_WATTS,
         "wasted": arithmetic_mean(r.wasted_energy_fraction for r in results),
         "paper_wasted": TABLE1_TOTAL_WASTED,
     }

@@ -172,6 +172,50 @@ def test_run_command_validates_the_experiment_before_simulating(monkeypatch):
     assert executed == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "go", "C2", "bogus"], "unknown confidence kind 'bogus'"),
+    (["run", "go", "gating:x"], "bad experiment .gating:x.: invalid literal"),
+    (["run", "go", "gating:0"], "gating threshold must be >= 1"),
+    (["campaign", "gating:x"], "bad experiment .gating:x.: invalid literal"),
+])
+def test_bad_controller_specs_exit_before_simulating(
+    argv, message, monkeypatch
+):
+    from repro.experiments import engine
+
+    executed = []
+    real = engine.execute_cell
+    monkeypatch.setattr(
+        engine, "execute_cell", lambda cell: executed.append(cell) or real(cell)
+    )
+    with pytest.raises(SystemExit, match=message):
+        main(argv + _SHORT)
+    assert executed == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["figure3"], ["--mix", "mix2-branchy"]),
+    (["figure3"], ["--seeds", "9"]),
+    (["run", "go", "C2"], ["--policy", "icount"]),
+    (["campaign", "C2"], ["--sharing", "shared"]),
+    (["campaign", "C2"], ["--seed", "5"]),
+    (["study", "list"], ["--seeds", "2"]),
+    (["table1"], ["--seed", "5"]),
+])
+def test_flags_the_command_does_not_read_are_rejected(
+    command, flag, monkeypatch, capsys
+):
+    from repro.experiments import engine
+
+    executed = []
+    monkeypatch.setattr(engine, "execute_cell", executed.append)
+    with pytest.raises(SystemExit) as info:
+        main(command + ["--benchmarks", "go"] + flag + _SHORT)
+    assert info.value.code == 2
+    assert f"{flag[0]} applies to" in capsys.readouterr().err
+    assert executed == []
+
+
 def test_figure6_honours_warmup(capsys):
     argv = ["figure6", "--benchmarks", "go", "--instructions", "300",
             "--jobs", "1", "--no-cache"]

@@ -139,53 +139,61 @@ def test_cache_hits_simulate_nothing(tmp_path, serial_results):
     assert warm.batches_dispatched == 0
 
 
-def test_cache_stats_report_per_tier_hit_rates(tmp_path):
+def test_rerun_on_one_scheduler_reads_no_disk(tmp_path, serial_results):
+    SweepScheduler(cache=ResultCache(str(tmp_path))).run_cells(_grid())
     cache = ResultCache(str(tmp_path))
+    scheduler = SweepScheduler(cache=cache)
+    assert scheduler.run_cells(_grid()) == serial_results
+    assert (cache.hits, cache.misses) == (len(_grid()), 0)
+    # The second call is served by the scheduler's memo alone.
+    assert scheduler.run_cells(_grid()) == serial_results
+    assert (cache.hits, cache.misses) == (len(_grid()), 0)
+    assert scheduler.executed == 0
+
+
+def test_duplicate_fingerprints_read_the_disk_once(tmp_path):
+    SweepScheduler(cache=ResultCache(str(tmp_path))).run_cells([_cell()])
+    cache = ResultCache(str(tmp_path))
+    scheduler = SweepScheduler(cache=cache)
+    labels = ["first", "second", "third"]
+    results = scheduler.run_cells([_cell(label=label) for label in labels])
+    assert cache.hits == 1 and cache.misses == 0
+    assert scheduler.executed == 0
+    assert [result.label for result in results] == labels
+
+
+def test_cache_stats_report_hit_rate(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    # Cold cache: a well-defined zero, not a division by zero.
+    assert cache.stats()["hit_rate"] == 0.0
+
+    SweepScheduler(cache=cache).run_cells(_grid())
     stats = cache.stats()
-    # Cold cache: every rate must be a well-defined zero, not a division
-    # by a zero denominator.
+    assert (stats["hits"], stats["misses"]) == (0, len(_grid()))
     assert stats["hit_rate"] == 0.0
-    assert stats["memory_hit_rate"] == 0.0
-    assert stats["disk_hit_rate"] == 0.0
 
-    cold = SweepScheduler(cache=cache)
-    cold.run_cells(_grid())
-    # Same process: the second sweep hits the in-memory tier for every
-    # cell, so the memory rate climbs while disk stays untouched.
-    warm = SweepScheduler(cache=cache)
-    warm.run_cells(_grid())
+    SweepScheduler(cache=cache).run_cells(_grid())
     stats = cache.stats()
-    assert stats["memory_hits"] > 0
-    assert stats["memory_hit_rate"] == stats["memory_hits"] / (
-        stats["hits"] + stats["misses"]
-    )
-    assert stats["disk_hits"] == 0 and stats["disk_hit_rate"] == 0.0
-
-    # A fresh ResultCache over the same directory has an empty memory
-    # tier, so the same grid now hits disk: the disk rate is conditional
-    # on the memory tier missing and must come out at 100%.
-    disk_cache = ResultCache(str(tmp_path))
-    disk = SweepScheduler(cache=disk_cache)
-    disk.run_cells(_grid())
-    stats = disk_cache.stats()
-    assert stats["disk_hits"] >= len(_grid())
-    accesses = stats["hits"] + stats["misses"]
-    disk_accesses = accesses - stats["memory_hits"]
-    assert stats["disk_hit_rate"] == stats["disk_hits"] / disk_accesses
+    assert (stats["hits"], stats["misses"]) == (len(_grid()), len(_grid()))
+    assert stats["hit_rate"] == 0.5
 
 
-def test_cache_info_formats_tier_hit_rates(tmp_path, capsys):
+def test_cache_info_formats_hit_rate(tmp_path, capsys):
     from repro import cli
 
     cache = ResultCache(str(tmp_path))
-    warm = SweepScheduler(cache=cache)
-    warm.run_cells(_grid())
-    warm.run_cells(_grid())
+    SweepScheduler(cache=cache).run_cells(_grid())
+    SweepScheduler(cache=cache).run_cells(_grid())
     cache.flush_stats()
     assert cli.main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    line = next(l for l in out.splitlines() if l.strip().startswith("hit rate"))
-    assert "memory" in line and "disk" in line and line.count("%") == 3
+    lines = {
+        line.split()[0]: line.split()[-1]
+        for line in out.splitlines() if line.startswith("  ")
+    }
+    assert lines["hits"] == str(len(_grid()))
+    assert lines["misses"] == str(len(_grid()))
+    assert lines["hit"] == "50.0%"
 
 
 def test_scheduler_rejects_zero_jobs():
