@@ -267,8 +267,9 @@ def _cmd_list() -> None:
 
 
 def _cmd_run(options, scheduler: SweepScheduler) -> None:
-    if len(options.args) < 2:
-        raise SystemExit("usage: repro run BENCHMARK EXPERIMENT [estimator]")
+    if not 2 <= len(options.args) <= 3:
+        print("usage: repro run BENCHMARK EXPERIMENT [ESTIMATOR]", file=sys.stderr)
+        raise SystemExit(2)
     benchmark, experiment = options.args[0], options.args[1]
     if benchmark not in BENCHMARK_NAMES:
         raise SystemExit(f"unknown benchmark {benchmark!r}")
@@ -653,7 +654,7 @@ def _experiment_spec(name: str, estimator: Optional[str] = None) -> tuple:
 # Each flag that only some commands read, and the commands that read it.
 _FLAG_READERS = {
     "mix": ("smt",), "policy": ("smt",), "sharing": ("smt",),
-    "seed": ("smt", "trace"), "seeds": ("campaign", "study run"),
+    "seed": ("smt", "trace record"), "seeds": ("campaign", "study run"),
 }
 
 
@@ -661,8 +662,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _make_parser()
     options = parser.parse_args(argv)
     command = options.command
-    if command == "study" and options.args[:1] == ["run"]:
-        command = "study run"
+    if command in ("study", "trace") and options.args:
+        command = f"{command} {options.args[0]}"
     for flag, readers in _FLAG_READERS.items():
         if getattr(options, flag) is not None and command not in readers:
             parser.error(f"--{flag} applies to {' and '.join(readers)} only")

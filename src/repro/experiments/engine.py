@@ -293,11 +293,15 @@ def make_trace_cell(
 # behaviour state.
 #
 # Bounded as a true LRU: scheduler workers live for a whole multi-study
-# run (the shared pool), and an unbounded memo would grow worker RSS with
-# the sweep size.  The cap only needs to cover one affinity batch plus
-# the suite's calibrated defaults.
+# run (the shared pool), and each memoised program holds about 1.2 MB, so
+# the cap bounds worker RSS whatever the sweep size.  The scheduler plans
+# one batch per affinity group (split only above ceil(cells / jobs)), so
+# a batch needs one program, and a study over the eight suite benchmarks
+# at their calibrated seeds fits.  A study that follows one over more
+# programs rebuilds what was evicted: after the 32-program campaign,
+# figure3 rebuilds all eight (about 45 ms each).
 _PROGRAM_MEMO: "OrderedDict[Tuple[str, int], Program]" = OrderedDict()
-_PROGRAM_MEMO_LIMIT = 32
+_PROGRAM_MEMO_LIMIT = 8
 
 
 def _program_for(spec) -> "Program":
@@ -745,11 +749,15 @@ class ResultCache:
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, f"{fingerprint}.json")
 
-    def get(self, cell):
-        """The cached result of any cell kind, relabelled for this request."""
+    def get(self, cell, fingerprint: Optional[str] = None):
+        """The cached result of any cell kind, relabelled for this request.
+
+        ``fingerprint`` is the cell's :func:`fingerprint_of`, when the
+        caller already has it (the scheduler keys its memo by it).
+        """
         is_smt = isinstance(cell, SmtCell)
         try:
-            with open(self._path(fingerprint_of(cell))) as handle:
+            with open(self._path(fingerprint or fingerprint_of(cell))) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
             payload = {}
@@ -767,8 +775,9 @@ class ResultCache:
             return smt_result_from_dict(payload["result"])
         return relabel(result_from_dict(payload["result"]), cell)
 
-    def put(self, cell, result) -> None:
-        fingerprint = fingerprint_of(cell)
+    def put(self, cell, result, fingerprint: Optional[str] = None) -> None:
+        """Store ``result`` as ``cell``'s entry (``fingerprint`` as in :meth:`get`)."""
+        fingerprint = fingerprint or fingerprint_of(cell)
         path = self._path(fingerprint)
         if isinstance(cell, SmtCell):
             payload = {

@@ -154,35 +154,35 @@ def plan_batches(
     jobs: int,
     batch_cells: Optional[int] = None,
 ) -> List[List[Tuple[int, object]]]:
-    """Pack ``(index, cell)`` pairs into affinity-preserving batches.
+    """Split ``(index, cell)`` pairs into affinity-preserving batches.
 
     Cells are grouped by :func:`affinity_key` (first-appearance order, so
-    the plan is deterministic), then groups are packed whole into batches
-    of about ``batch_cells`` cells (default: enough for ~2 batches per
-    worker, which balances load without splitting many groups).  A group
-    larger than the batch size is split — affinity is a throughput hint,
-    never a correctness requirement.
+    the plan is deterministic).  By default each group is one batch, so
+    a worker generates the group's program once and the pool hands out
+    work a program at a time; a group is split only when it is larger
+    than a worker's even share, ``ceil(cells / jobs)``.  An explicit
+    ``batch_cells`` instead packs whole groups into batches of about that
+    many cells, splitting larger groups.  Affinity is a throughput hint,
+    never a correctness requirement: any plan gives the same results.
     """
     if not pending:
         return []
     groups: Dict[Tuple, List[Tuple[int, object]]] = {}
-    order: List[Tuple] = []
     for index, cell in pending:
-        key = affinity_key(cell)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((index, cell))
+        groups.setdefault(affinity_key(cell), []).append((index, cell))
 
     if batch_cells is None:
-        target = max(1, -(-len(pending) // max(1, jobs * 2)))
-    else:
-        target = max(1, batch_cells)
+        share = -(-len(pending) // max(1, jobs))
+        return [
+            members[start:start + share]
+            for members in groups.values()
+            for start in range(0, len(members), share)
+        ]
 
+    target = max(1, batch_cells)
     batches: List[List[Tuple[int, object]]] = []
     current: List[Tuple[int, object]] = []
-    for key in order:
-        members = groups[key]
+    for members in groups.values():
         for start in range(0, len(members), target):
             chunk = members[start:start + target]
             if current and len(current) + len(chunk) > target:
@@ -204,7 +204,9 @@ class SweepScheduler:
     ``jobs`` > 1 fans affinity batches out over the shared process pool;
     ``jobs`` = 1 executes the same batch plan inline (so batching itself
     is exercised either way, and parallel output is byte-identical to
-    serial).  ``batch_cells`` overrides the automatic batch size — mostly
+    serial).  The plan is one batch per affinity group, split only above
+    ``ceil(cells / jobs)`` (:func:`plan_batches`); ``batch_cells``
+    overrides it with packed batches of about that many cells — mostly
     for tests that force many small batches.
 
     ``executed`` counts actual simulations (cache hits and memoised
@@ -270,7 +272,7 @@ class SweepScheduler:
             if owner is not None:
                 followers.setdefault(owner, []).append(index)
                 continue
-            cached = self.cache.get(cell) if self.cache else None
+            cached = self.cache.get(cell, fingerprint) if self.cache else None
             if cached is not None:
                 self._settled[fingerprint] = ready[index] = cached
                 cache_hits += 1
@@ -290,9 +292,10 @@ class SweepScheduler:
 
         def settle(index: int, cell, result) -> None:
             self.executed += 1
+            fingerprint = fingerprints[index]
             if self.cache is not None:
-                self.cache.put(cell, result)
-            self._settled[fingerprints[index]] = result
+                self.cache.put(cell, result, fingerprint)
+            self._settled[fingerprint] = result
             ready[index] = result
             for follower in followers.get(index, ()):
                 ready[follower] = relabel(result, cells[follower])

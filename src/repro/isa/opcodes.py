@@ -29,6 +29,12 @@ class OpClass(enum.Enum):
 class Opcode(enum.Enum):
     """The instruction set.  Deliberately small but covering every OpClass."""
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality.  It is computed in C, where Enum's default hashes
+    # the member name in Python on every dict lookup, and program generation
+    # looks up ``OPCODE_META`` once per static instruction.
+    __hash__ = object.__hash__
+
     ADD = "add"
     SUB = "sub"
     AND = "and"

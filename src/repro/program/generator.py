@@ -21,8 +21,10 @@ infinite cycle is main's outer loop, which is the intended steady state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from bisect import bisect_right
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, List, Tuple
 
 from repro.errors import ProgramError
 from repro.isa.instruction import StaticInstruction
@@ -35,7 +37,36 @@ from repro.program.behavior import (
     PatternBehavior,
 )
 from repro.program.cfg import BasicBlock, Program, TerminatorKind
-from repro.utils.rng import XorShiftRNG, derive_seed
+from repro.utils.rng import (
+    XorShiftRNG,
+    derive_seed,
+    draw_threshold,
+    weighted_thresholds,
+)
+
+# Enum members read through their class each cost a slow attribute lookup
+# (``EnumType.__getattr__`` puts every class attribute read on a slow
+# path), so the per-block and per-instruction code uses these constants.
+_LOAD, _STORE = Opcode.LOAD, Opcode.STORE
+_MUL, _DIV, _FADD, _FMUL = Opcode.MUL, Opcode.DIV, Opcode.FADD, Opcode.FMUL
+_ALU_OPCODES = (
+    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHIFT,
+    Opcode.CMP, Opcode.MOV,
+)
+_COND, _JUMP, _CALL, _RET, _FALL = (
+    TerminatorKind.COND, TerminatorKind.JUMP, TerminatorKind.CALL,
+    TerminatorKind.RET, TerminatorKind.FALL,
+)
+_TERMINATOR_OPCODES = {
+    _COND: Opcode.BR_COND,
+    _JUMP: Opcode.BR_UNCOND,
+    _CALL: Opcode.CALL,
+    _RET: Opcode.RET,
+}
+
+_MUL_CUT = draw_threshold(0.9)  # MUL rather than DIV
+_FADD_CUT = draw_threshold(0.6)  # FADD rather than FMUL
+_BEHAVIOR_KINDS = ("biased", "pattern", "correlated", "random", "bad")
 
 
 @dataclass
@@ -166,6 +197,8 @@ class ProgramShape:
             raise ProgramError("hard_chain_footprint must be a power of two")
         if self.hard_chain_registers < 1:
             raise ProgramError("need at least one condition-chain register")
+        if len(self.mem_footprint_weights) != len(self.mem_footprints):
+            raise ProgramError("need one weight per memory footprint")
 
 
 class ProgramGenerator:
@@ -182,6 +215,20 @@ class ProgramGenerator:
         self._chain_rng = XorShiftRNG(derive_seed(seed, "loadchain", name))
         self._last_load_dest = None
         self._behavior_counter = 0
+        # Raw-draw cut-offs of the fixed-weight and fixed-probability
+        # draws (see _fill_block), computed once instead of per draw.
+        self._kind_cuts = weighted_thresholds(
+            (shape.w_alu, shape.w_mul, shape.w_load, shape.w_store, shape.w_fp)
+        )
+        self._footprint_cuts = weighted_thresholds(shape.mem_footprint_weights)
+        self._behavior_cuts = weighted_thresholds(
+            (shape.w_biased, shape.w_pattern, shape.w_correlated, shape.w_random,
+             shape.w_bad)
+        )
+        self._locality_cut = draw_threshold(shape.dep_locality)
+        self._load_chain_cut = draw_threshold(shape.load_chain_fraction)
+        self._serial_cut = draw_threshold(shape.serial_chain_fraction)
+        self._restart_cut = draw_threshold(shape.serial_chain_restart)
         # Blocks whose conditional branch is mispredict-prone and therefore
         # receives a slow condition chain (see _install_condition_chain).
         self._hard_blocks: set = set()
@@ -217,7 +264,7 @@ class ProgramGenerator:
         blocks: List[BasicBlock],
     ) -> None:
         last_index = len(block_ids) - 1
-        recent_dests: List[int] = []
+        recent_dests: Deque[int] = deque(maxlen=self.shape.dep_window)
         self._last_load_dest = None  # pointer chains do not cross functions
         for position, block_id in enumerate(block_ids):
             if position == last_index:
@@ -235,9 +282,9 @@ class ProgramGenerator:
         if function_id == 0:
             # main loops forever: the steady state of the benchmark.
             return BasicBlock(
-                block_id, function_id, TerminatorKind.JUMP, taken_target=block_ids[0]
+                block_id, function_id, _JUMP, taken_target=block_ids[0]
             )
-        return BasicBlock(block_id, function_id, TerminatorKind.RET)
+        return BasicBlock(block_id, function_id, _RET)
 
     def _make_inner_block(
         self,
@@ -255,17 +302,14 @@ class ProgramGenerator:
             return self._make_cond_block(function_id, position, block_id, block_ids)
         roll -= shape.p_cond
 
-        callable_functions = [
-            entry
-            for target_id, entry in enumerate(function_entries)
-            if target_id > function_id
-        ]
+        # Calls only go to higher-numbered functions (the call DAG).
+        callable_functions = function_entries[function_id + 1:]
         if roll < shape.p_call and callable_functions:
             target = self._rng.choice(callable_functions)
             return BasicBlock(
                 block_id,
                 function_id,
-                TerminatorKind.CALL,
+                _CALL,
                 taken_target=target,
                 fall_target=next_block,
             )
@@ -274,11 +318,11 @@ class ProgramGenerator:
         if roll < shape.p_jump and position + 2 < len(block_ids):
             skip = self._rng.randint(position + 2, min(position + 4, len(block_ids) - 1))
             return BasicBlock(
-                block_id, function_id, TerminatorKind.JUMP, taken_target=block_ids[skip]
+                block_id, function_id, _JUMP, taken_target=block_ids[skip]
             )
 
         return BasicBlock(
-            block_id, function_id, TerminatorKind.FALL, fall_target=next_block
+            block_id, function_id, _FALL, fall_target=next_block
         )
 
     def _make_cond_block(
@@ -304,7 +348,7 @@ class ProgramGenerator:
             return BasicBlock(
                 block_id,
                 function_id,
-                TerminatorKind.COND,
+                _COND,
                 taken_target=head,
                 fall_target=next_block,
                 behavior=behavior,
@@ -323,7 +367,7 @@ class ProgramGenerator:
         return BasicBlock(
             block_id,
             function_id,
-            TerminatorKind.COND,
+            _COND,
             taken_target=target,
             fall_target=next_block,
             behavior=behavior,
@@ -331,11 +375,7 @@ class ProgramGenerator:
 
     def _make_forward_behavior(self):
         shape = self.shape
-        kind = self._rng.weighted_choice(
-            ("biased", "pattern", "correlated", "random", "bad"),
-            (shape.w_biased, shape.w_pattern, shape.w_correlated, shape.w_random,
-             shape.w_bad),
-        )
+        kind = _BEHAVIOR_KINDS[bisect_right(self._behavior_cuts, self._rng.next_u64())]
         seed = self._next_behavior_seed()
         if kind in ("biased", "bad"):
             lo, hi = shape.biased_strength if kind == "biased" else shape.bad_strength
@@ -364,25 +404,99 @@ class ProgramGenerator:
         self._behavior_counter += 1
         return derive_seed(self.seed, "behavior", self._behavior_counter)
 
-    def _fill_block(self, block: BasicBlock, recent_dests: List[int]) -> None:
-        """Populate a block with straight-line code plus its terminator."""
+    def _fill_block(self, block: BasicBlock, recent_dests: Deque[int]) -> None:
+        """Populate a block with straight-line code plus its terminator.
+
+        The body loop is the generator's hot path: a campaign sweep's 32
+        programs hold about 130,000 static instructions and a million
+        draws.  So it calls the bound ``next_u64`` of the main stream and
+        uses each raw draw ``x`` the way the :class:`XorShiftRNG` helpers
+        would: ``randint(lo, hi)`` is ``lo + x % (hi - lo + 1)``,
+        ``choice(s)`` is ``s[x % len(s)]``, and a fixed-probability
+        ``chance`` or weighted draw compares ``x`` with cut-offs computed
+        once per generator (:func:`~repro.utils.rng.draw_threshold`).  The
+        draws and their order are those of the helper calls, so the
+        programs are too.
+
+        Destinations come from the unreserved registers: ``NUM_ARCH_REGS
+        - 1`` carries the serial dependence chain and the next
+        ``hard_chain_registers`` the pointer-chase condition chains, which
+        ordinary destinations must not clobber.  A source is one of the
+        ``dep_window`` most recent destinations with probability
+        ``dep_locality`` (shaping extractable ILP), else any register.
+        """
         shape = self.shape
-        body_size = self._rng.randint(*shape.block_size)
-        for _ in range(body_size):
-            block.instructions.append(self._make_body_instruction(block, recent_dests))
-        terminator_opcode = {
-            TerminatorKind.COND: Opcode.BR_COND,
-            TerminatorKind.JUMP: Opcode.BR_UNCOND,
-            TerminatorKind.CALL: Opcode.CALL,
-            TerminatorKind.RET: Opcode.RET,
-        }.get(block.kind)
+        alu_cut, mul_cut, load_cut, store_cut, _ = self._kind_cuts
+        footprint_cuts = self._footprint_cuts
+        footprints = shape.mem_footprints
+        strides = shape.mem_strides
+        stride_count = len(strides)
+        regions = shape.mem_regions
+        locality_cut = self._locality_cut
+        dest_span = NUM_ARCH_REGS - 1 - shape.hard_chain_registers - FIRST_SCRATCH_REG
+        source_span = NUM_ARCH_REGS - FIRST_SCRATCH_REG
+        last_load_dest = self._last_load_dest
+        append = block.instructions.append
+        chain_draw = self._chain_rng.next_u64
+        load_chain_cut = self._load_chain_cut
+        draw = self._rng.next_u64
+
+        low, high = shape.block_size
+        for _ in range(low + draw() % (high - low + 1)):
+            kind = draw()
+            if kind < alu_cut:
+                opcode = _ALU_OPCODES[draw() % 8]
+                count = 0  # drawn after the destination
+            elif kind < mul_cut:
+                opcode = _MUL if draw() < _MUL_CUT else _DIV
+                count = 2
+            elif kind < load_cut:
+                opcode = _LOAD
+                count = 1
+            elif kind < store_cut:
+                opcode = _STORE
+                count = 2
+            else:
+                opcode = _FADD if draw() < _FADD_CUT else _FMUL
+                count = 2
+            dest = None
+            if opcode is not _STORE:
+                dest = FIRST_SCRATCH_REG + draw() % dest_span
+                recent_dests.append(dest)
+            if not count:
+                count = 1 + draw() % 2
+            # One or two sources, written out rather than looped over.
+            if recent_dests and draw() < locality_cut:
+                first = recent_dests[draw() % len(recent_dests)]
+            else:
+                first = FIRST_SCRATCH_REG + draw() % source_span
+            if count == 1:
+                sources = (first,)
+            elif recent_dests and draw() < locality_cut:
+                sources = (first, recent_dests[draw() % len(recent_dests)])
+            else:
+                sources = (first, FIRST_SCRATCH_REG + draw() % source_span)
+            if opcode is _LOAD or opcode is _STORE:
+                if opcode is _LOAD:
+                    if last_load_dest is not None and chain_draw() < load_chain_cut:
+                        sources = (last_load_dest,)
+                    last_load_dest = dest
+                region = draw() % regions
+                stride = strides[draw() % stride_count]
+                footprint = footprints[bisect_right(footprint_cuts, draw())]
+                append(StaticInstruction(
+                    0, opcode, dest, sources, -1, region, stride, footprint
+                ))
+            else:
+                append(StaticInstruction(0, opcode, dest, sources))
+        self._last_load_dest = last_load_dest
+
+        terminator_opcode = _TERMINATOR_OPCODES.get(block.kind)
         if terminator_opcode is not None:
-            sources: Tuple[int, ...] = ()
+            sources = ()
             if terminator_opcode is Opcode.BR_COND:
                 sources = (self._pick_branch_source(block, recent_dests),)
-            block.instructions.append(
-                StaticInstruction(0, terminator_opcode, dest=None, sources=sources)
-            )
+            append(StaticInstruction(0, terminator_opcode, None, sources))
         if isinstance(block.behavior, LoopBehavior):
             self._install_induction_chain(block)
         self._install_serial_chain(block)
@@ -418,77 +532,24 @@ class ProgramGenerator:
                 block_id=branch.block_id,
             )
 
-    def _pick_branch_source(self, block: BasicBlock, recent_dests: List[int]) -> int:
+    def _pick_branch_source(self, block: BasicBlock, recent_dests: Deque[int]) -> int:
         """Condition register of a branch.
 
         Forward (data-dependent) branches often test a freshly loaded value
         and therefore resolve late; loop back-edges test an induction
-        variable produced by ALU code and resolve quickly.
+        variable produced by ALU code and resolve quickly.  Otherwise the
+        source is drawn like a body instruction's (see :meth:`_fill_block`).
         """
+        rng = self._rng
         is_loop_edge = isinstance(block.behavior, LoopBehavior)
-        wants_load_source = self._rng.chance(self.shape.branch_load_dependence)
+        wants_load_source = rng.chance(self.shape.branch_load_dependence)
         if wants_load_source and not is_loop_edge:
             for instruction in reversed(block.instructions):
-                if instruction.opcode is Opcode.LOAD and instruction.dest is not None:
+                if instruction.opcode is _LOAD and instruction.dest is not None:
                     return instruction.dest
-        return self._pick_source(recent_dests)
-
-    def _make_body_instruction(
-        self, block: BasicBlock, recent_dests: List[int]
-    ) -> StaticInstruction:
-        shape = self.shape
-        kind = self._rng.weighted_choice(
-            ("alu", "mul", "load", "store", "fp"),
-            (shape.w_alu, shape.w_mul, shape.w_load, shape.w_store, shape.w_fp),
-        )
-        if kind == "alu":
-            opcode = self._rng.choice(
-                (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHIFT,
-                 Opcode.CMP, Opcode.MOV)
-            )
-            dest = self._pick_dest(recent_dests)
-            sources = tuple(
-                self._pick_source(recent_dests) for _ in range(self._rng.randint(1, 2))
-            )
-            return StaticInstruction(0, opcode, dest=dest, sources=sources)
-        if kind == "mul":
-            opcode = Opcode.MUL if self._rng.chance(0.9) else Opcode.DIV
-            dest = self._pick_dest(recent_dests)
-            sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-            return StaticInstruction(0, opcode, dest=dest, sources=sources)
-        if kind == "load":
-            dest = self._pick_dest(recent_dests)
-            sources = (self._pick_source(recent_dests),)
-            if (
-                self._last_load_dest is not None
-                and self._chain_rng.chance(shape.load_chain_fraction)
-            ):
-                sources = (self._last_load_dest,)
-            self._last_load_dest = dest
-            return StaticInstruction(
-                0,
-                Opcode.LOAD,
-                dest=dest,
-                sources=sources,
-                mem_region=self._rng.randint(0, shape.mem_regions - 1),
-                mem_stride=self._rng.choice(shape.mem_strides),
-                mem_footprint=self._pick_footprint(),
-            )
-        if kind == "store":
-            sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-            return StaticInstruction(
-                0,
-                Opcode.STORE,
-                dest=None,
-                sources=sources,
-                mem_region=self._rng.randint(0, shape.mem_regions - 1),
-                mem_stride=self._rng.choice(shape.mem_strides),
-                mem_footprint=self._pick_footprint(),
-            )
-        opcode = Opcode.FADD if self._rng.chance(0.6) else Opcode.FMUL
-        dest = self._pick_dest(recent_dests)
-        sources = (self._pick_source(recent_dests), self._pick_source(recent_dests))
-        return StaticInstruction(0, opcode, dest=dest, sources=sources)
+        if recent_dests and rng.chance(self.shape.dep_locality):
+            return rng.choice(recent_dests)
+        return rng.randint(FIRST_SCRATCH_REG, NUM_ARCH_REGS - 1)
 
     _SERIAL_REG = NUM_ARCH_REGS - 1
 
@@ -514,7 +575,7 @@ class ProgramGenerator:
 
         chain_load = None
         for instr in reversed(instructions[:-1]):
-            if instr.opcode is Opcode.LOAD:
+            if instr.opcode is _LOAD:
                 chain_load = instr
                 break
         if chain_load is None:
@@ -558,38 +619,23 @@ class ProgramGenerator:
         fraction = self.shape.serial_chain_fraction
         if fraction <= 0.0:
             return
-        for position, instr in enumerate(block.instructions):
-            if instr.is_branch or instr.dest is None:
+        serial_cut = self._serial_cut
+        restart_cut = self._restart_cut
+        serial = self._SERIAL_REG
+        fp_alu = OpClass.FP_ALU
+        chain_draw = self._chain_rng.next_u64
+        for instr in block.instructions:
+            dest = instr.dest
+            if dest is None or instr.is_branch:
                 continue
-            if instr.sources and instr.sources[0] == instr.dest == self._SERIAL_REG:
+            sources = instr.sources
+            if dest == serial and sources and sources[0] == serial:
                 continue  # the induction head keeps its private chain
-            if instr.opcode is Opcode.STORE or instr.op_class is OpClass.FP_ALU:
+            if instr.is_store or instr.op_class is fp_alu:
                 continue
-            if not self._chain_rng.chance(fraction):
+            if chain_draw() >= serial_cut:
                 continue
-            instr.dest = self._SERIAL_REG
-            if self._chain_rng.chance(self.shape.serial_chain_restart):
+            instr.dest = serial
+            if chain_draw() < restart_cut:
                 continue  # restart: write the chain register, read elsewhere
-            instr.sources = (self._SERIAL_REG,) + tuple(instr.sources[1:])
-
-    def _pick_footprint(self) -> int:
-        shape = self.shape
-        return self._rng.weighted_choice(shape.mem_footprints, shape.mem_footprint_weights)
-
-    def _pick_dest(self, recent_dests: List[int]) -> int:
-        # The top registers are reserved: NUM_ARCH_REGS - 1 carries the
-        # serial dependence chain and the next ``hard_chain_registers`` the
-        # pointer-chase condition chains; ordinary destinations must not
-        # break those chains by clobbering them.
-        dest = self._rng.randint(
-            FIRST_SCRATCH_REG, NUM_ARCH_REGS - 2 - self.shape.hard_chain_registers
-        )
-        recent_dests.append(dest)
-        if len(recent_dests) > self.shape.dep_window:
-            del recent_dests[0]
-        return dest
-
-    def _pick_source(self, recent_dests: List[int]) -> int:
-        if recent_dests and self._rng.chance(self.shape.dep_locality):
-            return self._rng.choice(recent_dests)
-        return self._rng.randint(FIRST_SCRATCH_REG, NUM_ARCH_REGS - 1)
+            instr.sources = (serial,) + sources[1:]

@@ -12,8 +12,12 @@ good statistical quality for simulation purposes, and trivially portable.
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+# ``(x >> 11) * _UNIT`` is the float in [0, 1) of a raw 64-bit draw ``x``.
+_UNIT = 1.0 / (1 << 53)
 
 
 def _splitmix64(value: int) -> int:
@@ -43,6 +47,47 @@ def derive_seed(base_seed: int, *labels: object) -> int:
         state = _splitmix64(state ^ material)
     # A zero state would trap xorshift at zero forever.
     return state or _SPLITMIX_GAMMA
+
+
+def draw_threshold(probability: float, scale: float = 1.0) -> int:
+    """The raw-draw cut-off of the test ``random() * scale < probability``.
+
+    A raw draw ``x`` of :meth:`XorShiftRNG.next_u64` becomes ``random()``
+    as ``(x >> 11) * 2**-53``; times ``scale`` that never falls as ``x``
+    grows, so the draws passing the test are exactly those below one
+    cut-off, found here by bisection over the 2**53 values ``random()``
+    can take.  ``rng.chance(p)`` is therefore ``rng.next_u64() <
+    draw_threshold(p)``: a hot caller with a fixed probability compares
+    integers instead of converting every draw to a float.
+    """
+    low, high = 0, 1 << 53
+    while low < high:
+        middle = (low + high) >> 1
+        if middle * _UNIT * scale < probability:
+            low = middle + 1
+        else:
+            high = middle
+    return low << 11
+
+
+def weighted_thresholds(weights: Sequence[float]) -> Tuple[int, ...]:
+    """Raw-draw cut-offs of a weighted draw over a fixed weight table.
+
+    :meth:`XorShiftRNG.weighted_choice` picks the first item whose running
+    weight sum exceeds ``random() * total``; with these cut-offs that is
+    item ``bisect_right(cuts, x)`` of a raw draw ``x``.  The last cut-off
+    lies past every draw, so an item is always picked.
+    """
+    total = float(sum(weights))
+    if total <= 0.0:
+        raise ValueError("weights must sum to a positive value")
+    cuts = []
+    cumulative = 0.0
+    for weight in weights:
+        cumulative += weight
+        cuts.append(draw_threshold(cumulative, total))
+    cuts[-1] = 1 << 64
+    return tuple(cuts)
 
 
 def derive_thread_seed(base_seed: int, thread_id: int) -> int:
@@ -77,11 +122,11 @@ class XorShiftRNG:
     def next_u64(self) -> int:
         """Return the next raw 64-bit value."""
         state = self._state
-        state ^= (state >> 12)
-        state ^= (state << 25) & _MASK64
-        state ^= (state >> 27)
+        state ^= state >> 12
+        state ^= (state & 0x7FFFFFFFFF) << 25  # (state << 25) & _MASK64
+        state ^= state >> 27
         self._state = state
-        return (state * 0x2545F4914F6CDD1D) & _MASK64
+        return state * 0x2545F4914F6CDD1D & 0xFFFFFFFFFFFFFFFF
 
     def random(self) -> float:
         """Return a float uniformly distributed in [0, 1)."""

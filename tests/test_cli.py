@@ -216,6 +216,38 @@ def test_flags_the_command_does_not_read_are_rejected(
     assert executed == []
 
 
+@pytest.mark.parametrize("args", [
+    ["go", "C2", "jrs", "extra"],
+    ["go", "C2", "jrs", "extra", "words"],
+    ["go"],
+])
+def test_run_rejects_a_wrong_number_of_arguments(args, monkeypatch, capsys):
+    from repro.experiments import engine
+
+    executed = []
+    monkeypatch.setattr(engine, "execute_cell", executed.append)
+    with pytest.raises(SystemExit) as info:
+        main(["run"] + args + _SHORT)
+    assert info.value.code == 2
+    assert "usage: repro run BENCHMARK EXPERIMENT [ESTIMATOR]" in capsys.readouterr().err
+    assert executed == []
+
+
+def test_only_trace_record_reads_seed(tmp_path, capsys):
+    path = str(tmp_path / "go.trace")
+    assert main(["trace", "record", "go", path, "--seed", "5",
+                 "--instructions", "600"]) == 0
+    assert "(seed 5)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "replay", path, "--seed", "5",
+              "--instructions", "300", "--warmup", "100"])
+    assert info.value.code == 2
+    assert "--seed applies to smt and trace record only" in capsys.readouterr().err
+    assert main(["trace", "replay", path, "--instructions", "300",
+                 "--warmup", "100"]) == 0
+    assert "seed 5" in capsys.readouterr().out
+
+
 def test_figure6_honours_warmup(capsys):
     argv = ["figure6", "--benchmarks", "go", "--instructions", "300",
             "--jobs", "1", "--no-cache"]

@@ -17,6 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments import engine
 from repro.experiments.engine import ResultCache, fingerprint_of, make_cell
 from repro.experiments.scheduler import (
     SweepScheduler,
@@ -86,6 +87,25 @@ def test_plan_batches_splits_oversized_groups():
     assert [len(batch) for batch in batches] == [2, 2, 1]
 
 
+def test_plan_batches_defaults_to_one_batch_per_affinity_group():
+    pending = list(enumerate(_grid()))  # 2 groups of 3 cells
+    for jobs in (1, 2):
+        batches = plan_batches(pending, jobs=jobs)
+        assert [
+            {affinity_key(cell) for _, cell in batch} for batch in batches
+        ] == [{affinity_key(_cell("gzip"))}, {affinity_key(_cell("go"))}]
+        assert [index for index, _ in batches[0]] == [0, 2, 4]
+
+
+def test_plan_batches_splits_a_group_only_above_a_workers_share():
+    # 5 cells of one program and 1 of another on 2 workers: the share is
+    # ceil(6 / 2) = 3, so the big group splits 3 + 2 and the other stays.
+    pending = list(enumerate([_cell() for _ in range(5)] + [_cell("go")]))
+    assert [len(batch) for batch in plan_batches(pending, jobs=2)] == [3, 2, 1]
+    assert [len(batch) for batch in plan_batches(pending, jobs=1)] == [5, 1]
+    assert [len(batch) for batch in plan_batches(pending, jobs=3)] == [2, 2, 1, 1]
+
+
 def test_plan_batches_empty():
     assert plan_batches([], jobs=4) == []
 
@@ -98,7 +118,7 @@ def serial_results():
 
 
 @pytest.mark.parametrize("jobs,batch_cells", [
-    (1, 1), (1, 2), (2, None), (2, 1), (3, 2),
+    (1, 1), (1, 2), (2, None), (2, 1), (3, None), (3, 2),
 ])
 def test_batched_equals_serial(serial_results, jobs, batch_cells):
     scheduler = SweepScheduler(jobs=jobs, batch_cells=batch_cells)
@@ -149,6 +169,41 @@ def test_rerun_on_one_scheduler_reads_no_disk(tmp_path, serial_results):
     assert scheduler.run_cells(_grid()) == serial_results
     assert (cache.hits, cache.misses) == (len(_grid()), 0)
     assert scheduler.executed == 0
+
+
+def test_disk_lookups_fingerprint_each_cell_once(tmp_path, monkeypatch):
+    # The scheduler hands the fingerprint it computed for its memo to the
+    # cache's get and put, so neither recomputes it.
+    calls = []
+    fingerprint = engine.cell_fingerprint
+
+    def counting(cell):
+        calls.append(cell)
+        return fingerprint(cell)
+
+    monkeypatch.setattr(engine, "cell_fingerprint", counting)
+    cells = [
+        make_cell(benchmark, spec, instructions=200, warmup=50)
+        for spec in (("baseline",), ("throttle", "A5"))
+        for benchmark in ("gzip", "go")
+    ]
+    SweepScheduler(cache=ResultCache(str(tmp_path))).run_cells(cells)
+    assert len(calls) == len(cells)  # cold: memo key, miss, store
+    calls.clear()
+    warm = SweepScheduler(cache=ResultCache(str(tmp_path)))
+    warm.run_cells(cells)
+    assert warm.executed == 0
+    assert len(calls) == len(cells)  # warm: memo key, hit
+
+
+def test_cache_get_and_put_still_take_a_cell_alone(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    cell = make_cell("gzip", ("baseline",), instructions=200, warmup=50)
+    assert cache.get(cell) is None
+    result = SweepScheduler().run_cells([cell])[0]
+    cache.put(cell, result)
+    assert cache.get(cell) == result
+    assert cache.get(cell, fingerprint_of(cell)) == result
 
 
 def test_duplicate_fingerprints_read_the_disk_once(tmp_path):

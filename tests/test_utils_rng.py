@@ -6,7 +6,9 @@ from repro.utils.rng import (
     XorShiftRNG,
     derive_seed,
     derive_thread_seed,
+    draw_threshold,
     stateless_hash,
+    weighted_thresholds,
 )
 
 
@@ -118,6 +120,71 @@ def test_weighted_choice_validation():
         rng.weighted_choice(("a",), (1.0, 2.0))
     with pytest.raises(ValueError):
         rng.weighted_choice(("a", "b"), (0.0, 0.0))
+
+
+def _state_before(value):
+    """The xorshift state whose next ``next_u64`` draw is ``value``."""
+    mask = (1 << 64) - 1
+    state = value * pow(0x2545F4914F6CDD1D, -1, 1 << 64) & mask
+    # Undo the three xorshift lines, last first.
+    for shift in (27, -25, 12):
+        undone = state
+        for _ in range(64 // abs(shift) + 1):
+            moved = undone >> shift if shift > 0 else undone << -shift & mask
+            undone = state ^ moved
+        state = undone
+    return state
+
+
+def _edge_draws():
+    """Raw draws at and beside every cut-off below, plus the extremes."""
+    unit = 1 << 11
+    edges = {0, unit - 1, (1 << 64) - 1}
+    for probability in (0.5, 0.9, 0.45, 1e-9, 1.0 - 2 ** -53):
+        cut = draw_threshold(probability)
+        edges.update({cut - unit, cut - 1, cut, cut + unit})
+    return sorted(value for value in edges if 0 <= value < 1 << 64)
+
+
+@pytest.mark.parametrize("probability", [
+    0.0, 1e-17, 1e-9, 0.04, 0.45, 0.5, 0.9, 1.0 - 2 ** -53, 1.0, 1.5, -0.1,
+])
+def test_draw_threshold_agrees_with_chance(probability):
+    cut = draw_threshold(probability)
+    reference, raw = XorShiftRNG(99), XorShiftRNG(99)
+    for _ in range(2000):
+        assert reference.chance(probability) == (raw.next_u64() < cut)
+    for value in _edge_draws():
+        assert ((value >> 11) * (1.0 / (1 << 53)) < probability) == (value < cut)
+
+
+@pytest.mark.parametrize("weights", [
+    (0.58, 0.03, 0.25, 0.12, 0.02),
+    (0.40, 0.30, 0.20, 0.10),
+    (0.45, 0.20, 0.15, 0.02, 0.08),
+    (1.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (3, 1),
+    (0.1, 0.2, 0.3),  # running sums that do not add up exactly
+])
+def test_weighted_thresholds_pick_what_weighted_choice_did(weights):
+    from bisect import bisect_right
+
+    cuts = weighted_thresholds(weights)
+    assert cuts[-1] == 1 << 64
+    rng = XorShiftRNG(7)
+    draws = [rng.next_u64() for _ in range(3000)] + _edge_draws()
+    for cut in cuts[:-1]:
+        draws.extend(value for value in (cut - 1, cut, cut + 1) if 0 <= value < 1 << 64)
+    indices = range(len(weights))
+    for value in draws:
+        state = _state_before(value)
+        if not state:
+            continue  # a zero state is never reached
+        rng.setstate(state)
+        assert rng.weighted_choice(indices, weights) == bisect_right(cuts, value)
+        rng.setstate(state)
+        assert rng.next_u64() == value
 
 
 def test_shuffle_is_permutation():
