@@ -19,7 +19,7 @@ grammar.  Four rule families ship:
 Entry points: :func:`run_check` (used by the CLI), the
 :class:`~repro.analysis.walker.ProjectIndex` (build one over any source
 tree, which is how the self-tests feed fixture snippets through real
-rules), and :mod:`~repro.analysis.baseline` for suppression files.
+rules).
 """
 
 from __future__ import annotations

@@ -3,10 +3,6 @@
 A rule is a named check over a :class:`~repro.analysis.walker.ProjectIndex`
 returning :class:`Violation` records.  Rules register themselves at import
 time via the :func:`rule` decorator; the CLI runs them all.
-
-Baseline keys deliberately omit line numbers: a suppression keyed on
-``(rule, path, symbol)`` survives unrelated edits to the same file, while
-moving the offending code to a different function invalidates it.
 """
 
 from __future__ import annotations
@@ -26,11 +22,6 @@ class Violation:
     line: int  # 1-based line of the offending node
     symbol: str  # enclosing function/method ("Class.method") or "<module>"
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        """Line-number-free identity used by suppression files."""
-        return f"{self.rule}::{self.path}::{self.symbol}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} [{self.symbol}] {self.message}"

@@ -9,32 +9,15 @@ from repro.analysis.registry import ALL_RULES, Violation
 JSON_SCHEMA = "repro-check/1"
 
 
-def render_text(
-    violations: Sequence[Violation],
-    suppressed: int = 0,
-    stale: Sequence[str] = (),
-) -> str:
+def render_text(violations: Sequence[Violation]) -> str:
     """Human-readable report, one finding per line, grep-friendly."""
     lines: List[str] = [violation.render() for violation in violations]
-    if stale:
-        lines.append("")
-        lines.append(f"stale baseline entries ({len(stale)}):")
-        lines.extend(f"  {key}" for key in stale)
     lines.append("")
-    summary = f"{len(violations)} violation(s)"
-    if suppressed:
-        summary += f", {suppressed} suppressed by baseline"
-    if stale:
-        summary += f", {len(stale)} stale baseline entr(y/ies)"
-    lines.append(summary)
+    lines.append(f"{len(violations)} violation(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    violations: Sequence[Violation],
-    suppressed: int = 0,
-    stale: Sequence[str] = (),
-) -> Dict:
+def render_json(violations: Sequence[Violation]) -> Dict:
     """Machine-readable report (stable schema for CI tooling)."""
     return {
         "schema": JSON_SCHEMA,
@@ -49,11 +32,8 @@ def render_json(
                 "line": violation.line,
                 "symbol": violation.symbol,
                 "message": violation.message,
-                "baseline_key": violation.baseline_key,
             }
             for violation in violations
         ],
         "count": len(violations),
-        "suppressed": suppressed,
-        "stale_baseline_keys": list(stale),
     }

@@ -138,8 +138,7 @@ def qualified_symbols(tree: ast.Module):
     """Yield ``(symbol, node)`` for every function/method, plus the module.
 
     ``symbol`` is the dotted in-module name (``Class.method``, ``func``,
-    or ``<module>`` for top-level statements) — the stable baseline key
-    component, robust to line-number churn.
+    or ``<module>`` for top-level statements).
     """
     yield "<module>", tree
     for node in tree.body:

@@ -206,15 +206,6 @@ def _make_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="check only: report format (default: text)",
     )
-    parser.add_argument(
-        "--baseline", default=None,
-        help="check only: suppression file of accepted findings",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None,
-        help="check only: accept all current findings into this file "
-        "and exit",
-    )
     return parser
 
 
@@ -515,28 +506,13 @@ def _cmd_check(options) -> int:
     import json as json_mod
 
     from repro.analysis import run_check
-    from repro.analysis.baseline import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
     from repro.analysis.report import render_json, render_text
 
     violations = run_check()
-    if options.write_baseline:
-        count = write_baseline(options.write_baseline, violations)
-        print(f"wrote {count} suppression(s) to {options.write_baseline}")
-        return 0
-    suppressed, stale = 0, []
-    if options.baseline:
-        keys = load_baseline(options.baseline)
-        violations, suppressed, stale = apply_baseline(violations, keys)
     if options.format == "json":
-        print(json_mod.dumps(
-            render_json(violations, suppressed, stale), indent=2
-        ))
+        print(json_mod.dumps(render_json(violations), indent=2))
     else:
-        print(render_text(violations, suppressed, stale))
+        print(render_text(violations))
     return 1 if violations else 0
 
 

@@ -16,22 +16,6 @@ from typing import Dict, List, Optional
 from repro.pipeline.config import ProcessorConfig, table3_config
 from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 
-# Paper Table 1, column "% of overall power wasted by mis-speculated instr."
-TABLE1_WASTED: Dict[str, float] = {
-    "icache": 0.064,
-    "bpred": 0.014,
-    "regfile": 0.002,
-    "rename": 0.005,
-    "window": 0.056,
-    "lsq": 0.002,
-    "alu": 0.010,
-    "dcache": 0.011,
-    "dcache2": 0.000,
-    "resultbus": 0.019,
-    "clock": 0.095,
-}
-TABLE1_TOTAL_WASTED = 0.279
-
 
 def format_table1(rows: Dict[str, Dict[str, float]]) -> str:
     """Render the ``table1`` study artifact like the paper's Table 1."""

@@ -56,6 +56,22 @@ TABLE1_SHARES: Dict[PowerUnit, float] = {
 
 TABLE1_TOTAL_WATTS = 56.4
 
+# Paper Table 1, column "% of overall power wasted by mis-speculated instr."
+TABLE1_WASTED: Dict[str, float] = {
+    "icache": 0.064,
+    "bpred": 0.014,
+    "regfile": 0.002,
+    "rename": 0.005,
+    "window": 0.056,
+    "lsq": 0.002,
+    "alu": 0.010,
+    "dcache": 0.011,
+    "dcache2": 0.000,
+    "resultbus": 0.019,
+    "clock": 0.095,
+}
+TABLE1_TOTAL_WASTED = 0.279
+
 # Ports per unit: the access count at which a unit reaches full power.
 DEFAULT_PORTS: Dict[PowerUnit, int] = {
     PowerUnit.ICACHE: 8,  # one access slot per fetched instruction

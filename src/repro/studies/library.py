@@ -260,8 +260,8 @@ def _compile_table1(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
 
 
 def _summarize_table1(spec, ctx, plan, results) -> Dict[str, Dict[str, float]]:
-    from repro.experiments.tables import TABLE1_TOTAL_WASTED, TABLE1_WASTED
-    from repro.power.units import TABLE1_SHARES, TABLE1_TOTAL_WATTS, PowerUnit
+    from repro.power.units import (TABLE1_SHARES, TABLE1_TOTAL_WASTED,
+                                   TABLE1_TOTAL_WATTS, TABLE1_WASTED, PowerUnit)
 
     rows: Dict[str, Dict[str, float]] = {}
     for unit in PowerUnit:

@@ -1,32 +1,28 @@
 """Functional calibration of the workload suite against Table 2.
 
-Replays each benchmark's true path through a bare gshare (no pipeline) and
-reports the measured misprediction rate and conditional-branch density next
-to the paper's targets.  Fast (~1 M instr/s), so it is the tool used when
-tuning the ProgramShape parameters in :mod:`repro.workloads.suite`.
-
-Run as a module::
-
-    python -m repro.workloads.calibrate [instructions]
+Replays a program's true path through a bare gshare (no pipeline) and
+measures the misprediction rate and conditional-branch density.  Fast
+(about 0.5 M instr/s on one core of a Xeon VM), so it is the loop
+``tools/tune_workloads.py`` uses when tuning the ProgramShape parameters in
+:mod:`repro.workloads.suite`; ``repro table2`` prints its results next to
+the paper's targets.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.bpred.gshare import GSharePredictor
+from repro.program.cfg import Program
 from repro.program.walker import TruePathOracle
-from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
+from repro.workloads.suite import benchmark_spec
 
 
-def measure_benchmark(
-    name: str, instructions: int = 200_000, size_kb: int = 8
-) -> Dict[str, float]:
-    """Measure gshare miss rate and branch density for one benchmark."""
-    spec = benchmark_spec(name)
-    program = spec.build_program()
-    oracle = TruePathOracle(program, spec.seed)
+def replay_gshare(
+    program: Program, seed: int, instructions: int, size_kb: int = 8
+) -> Tuple[int, int]:
+    """``(conditional branches, mispredictions)`` of a bare-gshare replay."""
+    oracle = TruePathOracle(program, seed)
     predictor = GSharePredictor(size_kb)
     branches = 0
     misses = 0
@@ -42,28 +38,18 @@ def measure_benchmark(
             predictor.train(static.address, record.taken, prediction.snapshot)
         if index % 4096 == 0:
             oracle.prune_before(max(0, index - 64))
+    return branches, misses
+
+
+def measure_benchmark(
+    name: str, instructions: int = 200_000, size_kb: int = 8
+) -> Dict[str, float]:
+    """Measure gshare miss rate and branch density for one benchmark."""
+    spec = benchmark_spec(name)
+    branches, misses = replay_gshare(
+        spec.build_program(), spec.seed, instructions, size_kb
+    )
     return {
         "miss_rate": misses / branches if branches else 0.0,
         "density": branches / instructions,
-        "target_miss_rate": spec.target_miss_rate,
-        "target_density": spec.branch_density,
     }
-
-
-def main(argv) -> int:
-    instructions = int(argv[1]) if len(argv) > 1 else 200_000
-    header = f"{'benchmark':10s} {'miss':>7s} {'target':>7s} {'density':>8s} {'target':>7s}"
-    print(header)
-    print("-" * len(header))
-    for name in BENCHMARK_NAMES:
-        result = measure_benchmark(name, instructions)
-        print(
-            f"{name:10s} {result['miss_rate']*100:6.1f}% "
-            f"{result['target_miss_rate']*100:6.1f}% "
-            f"{result['density']*100:7.1f}% {result['target_density']*100:6.1f}%"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))

@@ -7,9 +7,8 @@ distributions, bias strengths, history-correlation noise) were tuned so an
 8 KB gshare reaches approximately the Table 2 miss rate.  The reference
 columns of Table 2 are preserved in each spec for the reporting code.
 
-Calibration is empirical: ``python -m repro.workloads.calibrate`` replays
-each benchmark through a functional gshare model and prints measured vs
-target miss rates.
+Calibration is empirical: ``repro table2`` replays each benchmark through
+a functional gshare model and prints measured vs target miss rates.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Each rule gets a violating snippet, a conforming snippet and (where the
 rule has one) an allowlisted snippet, fed through
 :class:`~repro.analysis.walker.ProjectIndex` exactly as ``repro check``
-feeds the real tree.  Plus: baseline round-trip, JSON schema, and the
-gate that the repository's own ``src/`` is clean.
+feeds the real tree.  Plus: the report formats, and the gate that the
+repository's own ``src/`` is clean.
 """
 
 from __future__ import annotations
@@ -12,10 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.analysis import run_check
-from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.registry import ALL_RULES, Violation
 from repro.analysis.report import JSON_SCHEMA, render_json, render_text
 from repro.analysis.walker import ProjectIndex
@@ -421,7 +418,7 @@ def test_ser001_checks_keyword_arguments(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baselines and reports
+# Reports
 # ----------------------------------------------------------------------
 
 def _some_violations(tmp_path):
@@ -435,66 +432,30 @@ def _some_violations(tmp_path):
     return run_rule(index, "DET001")
 
 
-def test_baseline_round_trip(tmp_path):
-    violations = _some_violations(tmp_path)
-    assert violations
-    path = str(tmp_path / "baseline.json")
-    write_baseline(path, violations)
-    keys = load_baseline(path)
-    kept, suppressed, stale = apply_baseline(violations, keys)
-    assert kept == []
-    assert suppressed == len(violations)
-    assert stale == []
-
-
-def test_baseline_reports_stale_keys(tmp_path):
-    violations = _some_violations(tmp_path)
-    keys = {v.baseline_key for v in violations} | {"DET001::gone.py::old"}
-    kept, suppressed, stale = apply_baseline(violations, keys)
-    assert kept == []
-    assert stale == ["DET001::gone.py::old"]
-
-
-def test_baseline_key_is_line_free():
-    violation = Violation(
-        rule="DET001", path="pkg/mod.py", line=17, symbol="stamp",
-        message="m",
-    )
-    assert violation.baseline_key == "DET001::pkg/mod.py::stamp"
-    assert violation.render() == "pkg/mod.py:17: DET001 [stamp] m"
-
-
-def test_baseline_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.json"
-    path.write_text(json.dumps({"something": "else"}))
-    with pytest.raises(ValueError):
-        load_baseline(str(path))
-
-
 def test_json_report_schema(tmp_path):
     violations = _some_violations(tmp_path)
-    payload = render_json(violations, suppressed=2, stale=["K"])
+    payload = render_json(violations)
     assert payload["schema"] == JSON_SCHEMA
     assert payload["count"] == len(violations)
-    assert payload["suppressed"] == 2
-    assert payload["stale_baseline_keys"] == ["K"]
     assert {r["id"] for r in payload["rules"]} == {
         "DET001", "DET002", "DET003", "HOT001", "HOT002", "CON001", "SER001",
     }
     entry = payload["violations"][0]
-    assert set(entry) == {
-        "rule", "path", "line", "symbol", "message", "baseline_key",
-    }
+    assert set(entry) == {"rule", "path", "line", "symbol", "message"}
     json.dumps(payload)  # must be JSON-serialisable as-is
 
 
 def test_text_report_mentions_counts(tmp_path):
     violations = _some_violations(tmp_path)
-    text = render_text(violations, suppressed=1, stale=["K"])
-    assert "violation(s)" in text
-    assert "suppressed by baseline" in text
-    assert "stale" in text
+    text = render_text(violations)
+    assert text.endswith(f"\n{len(violations)} violation(s)")
     assert violations[0].render() in text
+    assert render_text([]) == "\n0 violation(s)"
+    violation = Violation(
+        rule="DET001", path="pkg/mod.py", line=17, symbol="stamp",
+        message="m",
+    )
+    assert violation.render() == "pkg/mod.py:17: DET001 [stamp] m"
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import os
 import re
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
-SCANNED_DIRS = ("src", "benchmarks", "examples", "tools", "docs", ".claude/skills")
+SCANNED_DIRS = ("src", "examples", "tools", "docs", ".claude/skills")
 SCANNED_FILES = ("README.md", ".github/workflows/ci.yml")
 MD_PATH = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
 # A repository script named with its directory, e.g. tools/profile_run.py.

@@ -1,8 +1,7 @@
-"""Every ``from repro… import name`` in examples/ and benchmarks/ resolves.
+"""Every ``from repro… import name`` in examples/ resolves.
 
-Neither directory runs in tier-1 (the examples take minutes, the
-benchmarks need the pytest-benchmark plugin), so an API removed from
-``src/`` would leave them broken unnoticed.  This check reads their
+The examples do not run in tier-1 (they take minutes), so an API removed
+from ``src/`` would leave them broken unnoticed.  This check reads their
 imports statically and resolves each name, without running anything.
 """
 
@@ -15,7 +14,7 @@ import os
 import pytest
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
-SCANNED_DIRS = ("examples", "benchmarks")
+SCANNED_DIRS = ("examples",)
 
 
 def _scripts():

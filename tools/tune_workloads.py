@@ -13,29 +13,14 @@ import json
 import random
 import sys
 
-from repro.bpred.gshare import GSharePredictor
 from repro.program.generator import ProgramGenerator
-from repro.program.walker import TruePathOracle
+from repro.workloads.calibrate import replay_gshare
 from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 
 
 def measure(shape, seed, instructions=120_000, name="tune"):
     program = ProgramGenerator(shape, seed, name=name).generate()
-    oracle = TruePathOracle(program, seed)
-    predictor = GSharePredictor(8)
-    branches = misses = 0
-    for index in range(instructions):
-        record = oracle.get(index)
-        static = record.static
-        if static.is_cond_branch:
-            branches += 1
-            prediction = predictor.predict(static.address)
-            if prediction.taken != record.taken:
-                misses += 1
-                predictor.restore(prediction.snapshot, record.taken)
-            predictor.train(static.address, record.taken, prediction.snapshot)
-        if index % 8192 == 0:
-            oracle.prune_before(max(0, index - 64))
+    branches, misses = replay_gshare(program, seed, instructions)
     return misses / max(1, branches), branches / instructions
 
 
