@@ -20,34 +20,33 @@ from repro import BENCHMARK_NAMES, GSharePredictor, benchmark_spec
 from repro.confidence.bpru import BPRUEstimator
 from repro.confidence.jrs import JRSEstimator
 from repro.confidence.metrics import ConfidenceMatrix
-from repro.program.walker import TruePathOracle
+from repro.frontend.supply import CompiledSupply
 
 
 def measure(name: str, instructions: int):
     spec = benchmark_spec(name)
     program = spec.build_program()
-    oracle = TruePathOracle(program, spec.seed)
+    supply = CompiledSupply(program, spec.seed)
     predictor = GSharePredictor(8)
     estimators = {"bpru": BPRUEstimator(8), "jrs": JRSEstimator(8, threshold=12)}
     matrices = {key: ConfidenceMatrix() for key in estimators}
 
     for index in range(instructions):
-        record = oracle.get(index)
-        static = record.static
+        static, taken, _, _ = supply.get(index)
         if static.is_cond_branch:
             prediction = predictor.predict(static.address)
-            correct = prediction.taken == record.taken
+            correct = prediction.taken == taken
             for key, estimator in estimators.items():
                 level = estimator.estimate(static.address, prediction, predictor)
                 matrices[key].record(level, correct)
                 estimator.train(
-                    static.address, correct, prediction.snapshot, taken=record.taken
+                    static.address, correct, prediction.snapshot, taken=taken
                 )
             if not correct:
-                predictor.restore(prediction.snapshot, record.taken)
-            predictor.train(static.address, record.taken, prediction.snapshot)
+                predictor.restore(prediction.snapshot, taken)
+            predictor.train(static.address, taken, prediction.snapshot)
         if index % 8192 == 0:
-            oracle.prune_before(max(0, index - 64))
+            supply.prune_before(max(0, index - 64))
     return matrices
 
 

@@ -62,9 +62,7 @@ MUTATOR_METHODS = frozenset({
     "popitem", "remove", "clear", "add", "discard", "sort", "reverse",
     "update", "setdefault",
     # domain mutators on the kernel structures
-    "push", "pop_head", "squash_younger", "restore", "release",
-    "allocate", "dispatch", "wakeup", "note_squashed", "forget_tag",
-    "forget", "mark_completed", "rename",
+    "squash_younger", "restore", "release", "wakeup",
 })
 
 

@@ -67,6 +67,8 @@ class AdaptiveThrottler(SpeculationController):
         if not 0 <= start_rung < len(policies):
             raise ConfigurationError(f"start rung {start_rung} out of range")
         self._rungs = [SelectiveThrottler(policy) for policy in policies]
+        self.throttles_decode = any(p.throttles_decode for p in policies)
+        self.throttles_selection = any(p.throttles_selection for p in policies)
         self.window = window
         self.promote_threshold = promote_threshold
         self.demote_threshold = demote_threshold

@@ -37,6 +37,8 @@ class OracleController(SpeculationController):
 
     def __init__(self, mode: OracleMode) -> None:
         self.mode = mode
+        self.throttles_decode = mode is OracleMode.DECODE
+        self.throttles_selection = mode is OracleMode.SELECT
 
     @property
     def blocks_wrong_path_fetch(self) -> bool:

@@ -92,6 +92,10 @@ class ThrottlePolicy:
             ConfidenceLevel.LC: lc,
             ConfidenceLevel.VLC: vlc,
         }
+        actions = self._actions.values()
+        # Whether any action throttles decode / arms the no-select bit.
+        self.throttles_decode = any(a.decode is not _FULL for a in actions)
+        self.throttles_selection = any(a.no_select for a in actions)
 
     def action_for(self, level: ConfidenceLevel) -> ThrottleAction:
         """The action armed when a branch with this confidence is fetched."""

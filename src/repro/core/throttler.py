@@ -33,9 +33,18 @@ _FULL_MASK = ACTIVE_WHEEL_MASKS[BandwidthLevel.FULL]
 
 
 class SpeculationController:
-    """Interface between the pipeline and a speculation-control mechanism."""
+    """Interface between the pipeline and a speculation-control mechanism.
+
+    ``throttles_decode`` / ``throttles_selection`` say whether
+    :meth:`blocks_decode` / :meth:`blocks_selection` can ever return True;
+    when they cannot, the decode and select stages skip the
+    per-instruction hook calls.  A controller that overrides either hook
+    sets the matching flag.
+    """
 
     name = "abstract"
+    throttles_decode = False
+    throttles_selection = False
 
     def on_branch_fetched(
         self, instruction: DynamicInstruction, level: ConfidenceLevel
@@ -133,6 +142,8 @@ class SelectiveThrottler(SpeculationController):
     def __init__(self, policy: ThrottlePolicy, escalate_only: bool = True) -> None:
         self.policy = policy
         self.escalate_only = escalate_only
+        self.throttles_decode = policy.throttles_decode
+        self.throttles_selection = policy.throttles_selection
         self._tokens: Dict[int, _Token] = {}
         # Aggregates recomputed on arm/release; the levels' 4-cycle wheel
         # masks are cached alongside so the per-cycle hooks do a bitmask

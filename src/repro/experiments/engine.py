@@ -753,27 +753,36 @@ class ResultCache:
         """The cached result of any cell kind, relabelled for this request.
 
         ``fingerprint`` is the cell's :func:`fingerprint_of`, when the
-        caller already has it (the scheduler keys its memo by it).
+        caller already has it (the scheduler keys its memo by it).  An
+        unreadable entry — missing, truncated, of another schema or cell
+        kind, or without a well-formed ``result`` — is a miss, and the
+        rerun's :meth:`put` replaces it.
         """
         is_smt = isinstance(cell, SmtCell)
+        # Entries written before the SMT cell kind carry no marker: they
+        # are single-thread results.
+        kind = "smt" if is_smt else "sim"
         try:
             with open(self._path(fingerprint or fingerprint_of(cell))) as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            payload = {}
-        # Entries written before the SMT cell kind carry no marker: they
-        # are single-thread results.
-        kind = "smt" if is_smt else "sim"
+            payload = None
+        result = None
         if (
-            payload.get("schema") != _CACHE_SCHEMA
-            or payload.get("kind", "sim") != kind
+            isinstance(payload, dict)
+            and payload.get("schema") == _CACHE_SCHEMA
+            and payload.get("kind", "sim") == kind
         ):
+            from_dict = smt_result_from_dict if is_smt else result_from_dict
+            try:
+                result = from_dict(payload["result"])
+            except (KeyError, TypeError):
+                pass
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
-        if is_smt:
-            return smt_result_from_dict(payload["result"])
-        return relabel(result_from_dict(payload["result"]), cell)
+        return result if is_smt else relabel(result, cell)
 
     def put(self, cell, result, fingerprint: Optional[str] = None) -> None:
         """Store ``result`` as ``cell``'s entry (``fingerprint`` as in :meth:`get`)."""

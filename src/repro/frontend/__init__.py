@@ -11,10 +11,8 @@ packets, trace replays — flows through one front-end path:
   true path replayed from a recorded trace while wrong paths still walk
   the CFG, so a replay is bit-identical to the run it was recorded from.
 
-The per-instruction seed walkers
-(:class:`~repro.program.walker.TruePathOracle`,
-:class:`~repro.program.walker.WrongPathNavigator`) are the reference the
-compiled streams are parity-tested against.
+Calibration (:func:`repro.workloads.calibrate.replay_gshare`) and trace
+recording walk the same supply, so there is one walk of a program.
 """
 
 from repro.frontend.supply import (

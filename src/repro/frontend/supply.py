@@ -1,42 +1,53 @@
-"""Instruction supplies: precompiled block packets for the fetch stage.
+"""Instruction supplies: the program walk the fetch stage consumes.
 
-The fetch stage used to pay one Python call per fetched instruction —
-``TruePathOracle.get`` on the true path, ``WrongPathNavigator.fetch_one``
-down wrong paths.  :class:`CompiledSupply` replaces both with a
-block-granular contract:
+:class:`CompiledSupply` is the simulator's one instruction walker.  It
+serves two streams, both generated a whole basic block at a time:
 
-* **true path** — an indexable ring of
-  :class:`~repro.program.walker.DynamicRecord` (``_records`` / ``_base``,
-  ``get``, ``prune_before``: the exact surface of the seed oracle, so
-  trace recorders and calibration code run on either), generated a whole
-  basic block at a time from pre-lowered tables;
+* **true path** — an indexable ring of ``(static, taken, target_block,
+  mem_address)`` tuples (``_records`` / ``_base``, ``get``,
+  ``prune_before``); the fetch stage indexes the ring directly, and
+  calibration and trace recording walk it through ``get``;
 * **wrong path** — ``wrong_packet(cursor)`` returns ``(records, end)``:
-  every record from the cursor up to and including the block's terminator
-  (or the first control instruction), plus the cursor the walk continues
-  from.  Cursors keep the seed walker's ``(block_id, index, stack, step)``
-  shape, so branch-recovery state is unchanged.
+  every record of the cursor's block up to and including its terminator,
+  plus the cursor the walk continues from.  A cursor is ``(block_id,
+  index, stack, step)``; since a block's only control instruction is its
+  last (:meth:`~repro.program.cfg.BasicBlock.validate`), every cursor the
+  walk hands out sits at the top of a block (``index`` 0).
 
 :class:`TraceSupply` is the one variant: it serves the true path from a
 recorded trace instead of generating it.
 
-**Pre-lowering.**  ``CompiledSupply`` compiles each basic block once into
-a packet template: records that never change (non-memory body
-instructions, unconditional jump/call terminators, zero-stride memory
-accesses) are built a single time and *shared* across every visit —
-records are immutable tuples, so aliasing is unobservable — while dynamic
-slots (strided memory, conditional/return terminators) are stamped per
-visit.  Wrong-path hashing exploits that
-:func:`~repro.utils.rng.stateless_hash` chains per argument: the
-per-static / per-block first stage is precomputed, leaving one splitmix
-step per stamp.  Table compilation is cached on the ``Program`` instance,
-so the many cells of a figure sweep that share a memoised program compile
-once.
+**True path.**  Branch outcomes come from the program's behaviour models,
+advanced in true-path order; the supply takes ownership of that state
+(``reset_behaviors``), so only one live supply may walk a ``Program``
+instance at a time.  A memory access walks its working set
+(``mem_footprint``) with the instruction's stride, one step per visit, so
+cache behaviour follows the footprint.
 
-The seed walkers (:class:`~repro.program.walker.TruePathOracle`,
-:class:`~repro.program.walker.WrongPathNavigator`) stay the reference
-implementation.  Bit-exactness against them is enforced by
-``tests/test_frontend_supply.py`` (stream parity on calibrated
-benchmarks plus adversarial CFG shapes) and, end to end, by the 38 golden
+**Wrong path.**  Walks are stateless: a branch outcome is a pure hash of
+(seed, block, step), so revisiting a wrong path yields the same stream
+while distinct divergences decorrelate, and speculative fetch can never
+corrupt true-path behaviour state.  A return with an empty speculative
+stack jumps to a hash-chosen block, the speculative call stack caps at 64
+entries, and data accesses scatter over the instruction's whole 1 MB
+region: down a wrong path the address register holds stale values, so
+speculative loads *pollute* the caches (the paper's §3) instead of
+prefetching the lines the true path is about to touch.
+
+**Pre-lowering.**  Each basic block is compiled once into a packet
+template: records that never change (non-memory body instructions,
+unconditional jump/call terminators, zero-stride memory accesses) are
+built a single time and *shared* across every visit — records are
+immutable tuples, so aliasing is unobservable — while dynamic slots
+(strided memory, conditional/return terminators) are stamped per visit.
+Wrong-path hashing exploits that :func:`~repro.utils.rng.stateless_hash`
+chains per argument: the per-static / per-block first stage is
+precomputed, leaving one splitmix step per stamp.  Table compilation is
+cached on the ``Program`` instance, so the many cells of a figure sweep
+that share a memoised program compile once.
+
+Both streams are pinned by SHA-256 goldens in
+``tests/test_frontend_supply.py`` and, end to end, by the 38 golden
 fingerprints of ``tests/test_stage_kernel_parity.py``.
 """
 
@@ -47,23 +58,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProgramError, SimulationError, WorkloadError
 from repro.program.cfg import Program, TerminatorKind
-from repro.program.walker import (
-    DynamicRecord,
-    HISTORY_BITS,
-    WrongPathNavigator,
-    WrongPathCursor,
-)
 from repro.utils.rng import derive_seed, stateless_hash_step as _hash_step
 
-_HISTORY_MASK = (1 << HISTORY_BITS) - 1
+# A wrong-path cursor: (block_id, instr_index, call_stack_tuple, step).
+WrongPathCursor = Tuple[int, int, Tuple[int, ...], int]
+
+# Width of the true-path global history the behaviour models read.
+_HISTORY_MASK = (1 << 32) - 1
 
 _MASK64 = (1 << 64) - 1
 
-# Wrong-path data accesses scatter over the whole 1 MB region (see
-# WrongPathNavigator._wrong_data_address).
+# Wrong-path data accesses scatter over the whole 1 MB region.
 _WP_SPAN_MASK = 0x10_0000 - 1
-
-_REC = DynamicRecord
 
 # Terminator kinds as small ints (enum identity checks are a hot-loop
 # regression; see docs/ARCHITECTURE.md "Performance invariants").
@@ -75,20 +81,6 @@ _KIND_CODES = {
     TerminatorKind.CALL: _K_CALL,
     TerminatorKind.RET: _K_RET,
 }
-
-
-def _packet_via_navigator(navigator: WrongPathNavigator, cursor):
-    """Reference packet builder: one ``fetch_one`` call per record."""
-    records = []
-    append = records.append
-    fetch_one = navigator.fetch_one
-    while True:
-        static, taken, target, cursor, mem_address = fetch_one(cursor)
-        append((static, taken, target, mem_address))
-        # A control instruction ends the packet; so does a block boundary
-        # (the successor cursor re-enters at instruction index 0).
-        if static.is_branch or cursor[1] == 0:
-            return records, cursor
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +105,6 @@ class _TrueBlock:
         "fall_target",
         "behavior",
         "term_static",
-        "term_mem",
         "dynamic",
         "variant_taken",
         "variant_not",
@@ -136,7 +127,6 @@ class _WpBlock:
         "fall_target",
         "term_static",
         "block_partial",
-        "regular",
         "variant_taken",
         "variant_not",
     )
@@ -176,21 +166,9 @@ class CompiledTables:
             cache = self._wp_by_seed[wp_seed] = {}
         return cache
 
-    # -- empty fall-through chain resolution (same guards as the walkers)
-
-    def _resolve_true(self, block_id: int):
-        block = self.program.block(block_id)
-        hops = 0
-        while not block.instructions:
-            if block.kind is not TerminatorKind.FALL:
-                raise ProgramError(f"empty non-FALL block {block.block_id}")
-            block = self.program.block(block.fall_target)
-            hops += 1
-            if hops > len(self.program.blocks):
-                raise ProgramError("cycle of empty fall-through blocks")
-        return block
-
-    def _resolve_wp(self, block_id: int):
+    def _resolve(self, block_id: int):
+        """The first non-empty block of the fall-through chain at
+        ``block_id`` (only FALL blocks may be empty)."""
         blocks = self.program.blocks
         block = blocks[block_id]
         hops = 0
@@ -211,7 +189,7 @@ class CompiledTables:
         return entry
 
     def _compile_true(self, block_id: int) -> _TrueBlock:
-        block = self._resolve_true(block_id)
+        block = self._resolve(block_id)
         statics = block.instructions
         n = len(statics)
         kind = _KIND_CODES[block.kind]
@@ -230,28 +208,16 @@ class CompiledTables:
                     # Zero-stride accesses hit a fixed offset of their
                     # working set: the record is a per-block constant.
                     address = base + (((static.address * 16) & mask) & ~0x3)
-                    template[idx] = _REC(static, False, -1, address)
+                    template[idx] = (static, False, -1, address)
                 else:
                     mem_ops.append(
                         (idx, static, static.address, static.mem_stride, mask, base)
                     )
             else:
-                template[idx] = _REC(static, False, -1, 0)
+                template[idx] = (static, False, -1, 0)
 
-        # Terminator lowering.  The walk treats a block's *last* record as
-        # its terminator whatever its opcode, so a (hand-built) memory
-        # terminator keeps its visit-addressed data access.
-        term_mem = None
-        if kind != _K_FALL:
-            if term.is_mem:
-                base = 0x1000_0000 + term.mem_region * 0x10_0000
-                mask = term.mem_footprint - 1
-                const = None
-                if term.mem_stride == 0:
-                    const = base + (((term.address * 16) & mask) & ~0x3)
-                term_mem = (term.address, term.mem_stride, mask, base, const)
-            elif kind == _K_JUMP or kind == _K_CALL:
-                template[n - 1] = _REC(term, True, block.taken_target, 0)
+        if kind == _K_JUMP or kind == _K_CALL:
+            template[n - 1] = (term, True, block.taken_target, 0)
 
         entry = _TrueBlock()
         entry.block_id = block.block_id
@@ -263,21 +229,18 @@ class CompiledTables:
         entry.fall_target = block.fall_target
         entry.behavior = block.behavior
         entry.term_static = term
-        entry.term_mem = term_mem
-        entry.dynamic = bool(
-            mem_ops or term_mem is not None or kind == _K_COND or kind == _K_RET
-        )
+        entry.dynamic = bool(mem_ops) or kind == _K_COND or kind == _K_RET
         entry.variant_taken = None
         entry.variant_not = None
-        if kind == _K_COND and not mem_ops and term_mem is None:
+        if kind == _K_COND and not mem_ops:
             # Memory-free conditional block: the whole record list is a
             # per-outcome constant.  Records are immutable and consumers
             # treat packets/rings as read-only, so both variants are
             # shared across every visit.
             taken = template.copy()
-            taken[n - 1] = _REC(term, True, block.taken_target, 0)
+            taken[n - 1] = (term, True, block.taken_target, 0)
             not_taken = template.copy()
-            not_taken[n - 1] = _REC(term, False, block.fall_target, 0)
+            not_taken[n - 1] = (term, False, block.fall_target, 0)
             entry.variant_taken = taken
             entry.variant_not = not_taken
         return entry
@@ -292,20 +255,12 @@ class CompiledTables:
         return entry
 
     def _compile_wp(self, block_id: int, wp_seed: int) -> _WpBlock:
-        block = self._resolve_wp(block_id)
+        block = self._resolve(block_id)
         statics = block.instructions
         n = len(statics)
         kind = _KIND_CODES[block.kind]
         term = statics[-1]
         seed_state = wp_seed & _MASK64
-
-        # The packet fast path assumes the one control instruction of a
-        # block is its terminator; hand-built blocks with control opcodes
-        # mid-block (or a memory terminator, whose record mixes a dynamic
-        # outcome with a dynamic address) fall back to the stepwise walk.
-        regular = all(not static.is_branch for static in statics[:-1])
-        if kind != _K_FALL and term.is_mem:
-            regular = False
 
         template: List[Optional[tuple]] = [None] * n
         mem_ops = []
@@ -316,7 +271,7 @@ class CompiledTables:
                     template[idx] = (term, True, block.taken_target, 0)
                 continue  # COND/RET outcome stamped per packet
             # Down a wrong path, the last record of a FALL block carries
-            # its fall-through target (mirroring the seed walker).
+            # its fall-through target.
             taken, target = (False, block.fall_target) if is_last else (False, -1)
             if static.is_mem:
                 mem_ops.append(
@@ -341,10 +296,9 @@ class CompiledTables:
         entry.fall_target = block.fall_target
         entry.term_static = term
         entry.block_partial = _hash_step(seed_state, block.block_id)
-        entry.regular = regular
         entry.variant_taken = None
         entry.variant_not = None
-        if regular and kind == _K_COND and not mem_ops:
+        if kind == _K_COND and not mem_ops:
             taken = template.copy()
             taken[n - 1] = (term, True, block.taken_target, 0)
             not_taken = template.copy()
@@ -358,24 +312,19 @@ class CompiledSupply:
     """The fetch stage's instruction source: pre-lowered per-block packets.
 
     Provides the true-path ring (``_records``/``_base`` plus :meth:`get`
-    / :meth:`prune_before` — the seed oracle's surface) and the
-    wrong-path packet walk (:meth:`start_cursor` / :meth:`wrong_packet`).
-    Both streams are bit-identical to the seed walkers'
-    (:class:`~repro.program.walker.TruePathOracle`,
-    :class:`~repro.program.walker.WrongPathNavigator`): the true-path walk
-    advances the same behaviour state in the same order, and every
-    wrong-path stamp reproduces the navigator's stateless hashes — while
-    doing per-*block* instead of per-*instruction* Python work.
+    / :meth:`prune_before`) and the wrong-path packet walk
+    (:meth:`start_cursor` / :meth:`wrong_packet`), both doing per-*block*
+    rather than per-*instruction* Python work.
 
-    Like the seed oracle, constructing a supply takes ownership of the
-    program's branch-behaviour state (``reset_behaviors``); build one
-    supply per concurrent walker.
+    Constructing a supply takes ownership of the program's
+    branch-behaviour state (``reset_behaviors``); build one supply per
+    concurrent walker.
     """
 
     __slots__ = (
-        "program", "seed", "_tables", "_wp_seed", "_wp_cache", "_nblocks",
+        "program", "_tables", "_wp_seed", "_wp_cache", "_nblocks",
         "_records", "_base", "_block_id", "_stack", "global_history",
-        "_visit_counts", "_fallback",
+        "_visit_counts",
     )
 
     def __init__(self, program: Program, seed: int) -> None:
@@ -383,24 +332,23 @@ class CompiledSupply:
             raise ProgramError("program must be finalized before walking")
         self.program = program
         program.reset_behaviors()
-        self.seed = seed
         self._tables = CompiledTables.of(program)
         self._wp_seed = derive_seed(seed, "wrongpath")
         self._wp_cache = self._tables.wp_cache(self._wp_seed)
         self._nblocks = len(program.blocks)
-        # True-path ring (same surface as TruePathOracle).
-        self._records: List[DynamicRecord] = []
+        # True-path ring and walk state: the next block to generate, the
+        # call stack, the global branch history and per-instruction
+        # memory visit counts.
+        self._records: List[tuple] = []
         self._base = 0
         self._block_id = program.entry_block
         self._stack: List[int] = []
         self.global_history = 0
         self._visit_counts: Dict[int, int] = {}
-        # Stepwise fallback for irregular blocks / mid-block cursors.
-        self._fallback: Optional[WrongPathNavigator] = None
 
     # -- true path ------------------------------------------------------
 
-    def get(self, stream_index: int) -> DynamicRecord:
+    def get(self, stream_index: int) -> tuple:
         """Return the record at an absolute stream index, generating as needed."""
         offset = stream_index - self._base
         records = self._records
@@ -422,9 +370,9 @@ class CompiledSupply:
 
     def _generate_blocks(self, count: int) -> None:
         """Extend the ring by at least ``count`` records, whole blocks at
-        a time (block granularity over the seed oracle's fixed look-ahead
-        is unobservable: generation has no external effects beyond the
-        behaviour state it advances in true-path order either way)."""
+        a time (generating ahead of the consumer is unobservable: the walk
+        has no external effects beyond the behaviour state it advances in
+        true-path order)."""
         records = self._records
         extend = records.extend
         tables = self._tables
@@ -470,7 +418,7 @@ class CompiledSupply:
             for idx, static, key, stride, mask, base in tb.mem_ops:
                 visit = visit_counts.get(key, 0)
                 visit_counts[key] = visit + 1
-                recs[idx] = _REC(
+                recs[idx] = (
                     static, False, -1, base + (((stride * visit) & mask) & ~0x3)
                 )
 
@@ -503,18 +451,7 @@ class CompiledSupply:
                 produced += tb.n
                 continue
 
-            term_mem = tb.term_mem
-            if term_mem is None:
-                mem_address = 0
-            else:
-                key, stride, mask, base, const = term_mem
-                if const is not None:
-                    mem_address = const
-                else:
-                    visit = visit_counts.get(key, 0)
-                    visit_counts[key] = visit + 1
-                    mem_address = base + (((stride * visit) & mask) & ~0x3)
-            recs[-1] = _REC(tb.term_static, taken, target, mem_address)
+            recs[-1] = (tb.term_static, taken, target, 0)
             extend(recs)
             produced += tb.n
         self._block_id = block_id
@@ -530,19 +467,15 @@ class CompiledSupply:
 
         ``records`` is a non-empty list of ``(static, taken, target_block,
         mem_address)`` tuples covering the cursor's block up to and
-        including its terminator (or the first control instruction);
-        ``end_cursor`` is where the walk continues.  Only the last record
-        of a packet may be a control instruction.  Regular blocks are
-        stamped from their pre-lowered table.
+        including its terminator, stamped from the block's pre-lowered
+        table; ``end_cursor`` is where the walk continues.  Only the last
+        record of a packet may be a control instruction.  The cursor's
+        ``index`` is always 0 (see the module docstring).
         """
-        block_id, index, stack, step = cursor
-        if index:
-            return self._wrong_packet_slow(cursor)
+        block_id, _, stack, step = cursor
         wpb = self._wp_cache.get(block_id)
         if wpb is None:
             wpb = self._tables.wp_block(block_id, self._wp_seed, self._wp_cache)
-        if not wpb.regular:
-            return self._wrong_packet_slow(cursor)
 
         n = wpb.n
         end_step = step + n
@@ -599,13 +532,6 @@ class CompiledSupply:
         # FALL: the template already carries the final record.
         return records, (wpb.fall_target, 0, stack, end_step)
 
-    def _wrong_packet_slow(self, cursor):
-        """Stepwise fallback: mid-block cursors and irregular blocks."""
-        navigator = self._fallback
-        if navigator is None:
-            navigator = self._fallback = WrongPathNavigator(self.program, self.seed)
-        return _packet_via_navigator(navigator, cursor)
-
 
 class TraceSupply(CompiledSupply):
     """Replay a recorded true-path trace through the full pipeline.
@@ -630,28 +556,16 @@ class TraceSupply(CompiledSupply):
         self._records = list(records)
         self._limit = len(self._records)
 
-    def get(self, stream_index: int) -> DynamicRecord:
-        offset = stream_index - self._base
-        records = self._records
-        if 0 <= offset < len(records):
-            return records[offset]
-        if offset < 0:
-            raise SimulationError(
-                f"true-path record {stream_index} was pruned (base={self._base})"
-            )
-        raise WorkloadError(
-            f"trace exhausted: the pipeline asked for true-path record "
-            f"{stream_index} but only {self._limit} were recorded; "
-            f"re-record with more headroom beyond the measured window"
-        )
-
     def _generate_blocks(self, count: int) -> None:
         raise WorkloadError(
-            "a trace supply cannot generate records beyond its recording"
+            f"trace exhausted: the pipeline asked for true-path record "
+            f"{self._base + len(self._records) + count - 1} but only "
+            f"{self._limit} were recorded; re-record with more headroom "
+            f"beyond the measured window"
         )
 
 
-def resolve_trace_records(program: Program, trace_records) -> List[DynamicRecord]:
+def resolve_trace_records(program: Program, trace_records) -> List[tuple]:
     """Bind parsed trace records to a program's static instructions.
 
     Each trace record names its static instruction by address; the
@@ -665,7 +579,7 @@ def resolve_trace_records(program: Program, trace_records) -> List[DynamicRecord
     for block in program.blocks:
         for static in block.instructions:
             statics_by_address[static.address] = static
-    records: List[DynamicRecord] = []
+    records: List[tuple] = []
     append = records.append
     for number, trace_record in enumerate(trace_records, start=1):
         static = statics_by_address.get(trace_record.address)
@@ -682,11 +596,7 @@ def resolve_trace_records(program: Program, trace_records) -> List[DynamicRecord
                 f"(trace/program mismatch)"
             )
         append(
-            _REC(
-                static,
-                trace_record.taken,
-                trace_record.target_block,
-                trace_record.mem_address,
-            )
+            (static, trace_record.taken, trace_record.target_block,
+             trace_record.mem_address)
         )
     return records

@@ -126,7 +126,6 @@ class DynamicInstruction:
         "true_index",
         # rename
         "phys_dest",
-        "phys_sources",
         # issue state
         "ready_sources",
         "issued",
@@ -189,8 +188,8 @@ class DynamicInstruction:
         #   and only read at commit (wrong-path work never commits);
         # * ``mem_address`` is stamped at fetch on memory instructions and
         #   only read behind ``is_load``/``is_store`` guards;
-        # * ``phys_sources``/``ready_sources`` are written at
-        #   rename/dispatch before any read.
+        # * ``ready_sources`` is written at rename/dispatch before any
+        #   read.
         if static.is_branch:
             self.pc = static.address
             self.predicted_taken = False

@@ -6,34 +6,33 @@ half of the paper's Figure 2).  Select walks ready instructions oldest
 first and issues up to the machine width, honouring functional-unit slots
 and asking the speculation controller whether an instruction's request
 signal is suppressed — the paper's no-select bit (Figure 2 right).
+
+The queue is plain public state.  Dispatch lives in
+:class:`~repro.pipeline.stages.decode_rename.DecodeRenameStage` and select
+in :class:`~repro.pipeline.stages.select_issue.SelectIssueStage`, both
+inlined into their stage loops; this class keeps only the two operations
+other code calls: :meth:`wakeup` (the writeback stage's per-tag path) and
+:meth:`squash_younger` (branch recovery).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import SimulationError
 from repro.isa.instruction import DynamicInstruction
-from repro.pipeline.resources import FunctionalUnitPool
-
-_BY_SEQ = attrgetter("seq")
 
 
 class IssueQueue:
     """Out-of-order window between dispatch and execute."""
 
-    __slots__ = ("size", "count", "ready_list", "waiters",
-                 "wakeup_broadcasts", "ready_sorted")
+    __slots__ = ("size", "count", "ready_list", "waiters", "ready_sorted")
 
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise SimulationError("issue queue size must be positive")
         self.size = size
-        # The queue state is public: the rename/dispatch and select/issue
-        # stage hot loops manipulate it in place (with this class's
-        # methods as the reference semantics for every mutation).
-        # Occupancy.
+        # Occupancy: dispatched, unissued instructions.
         self.count = 0
         # Ready, unissued instructions in arrival (~program) order.
         self.ready_list: List[DynamicInstruction] = []
@@ -45,37 +44,6 @@ class IssueQueue:
         self.ready_sorted = True
         # Tag -> instructions waiting on it.
         self.waiters: Dict[int, List[DynamicInstruction]] = {}
-        self.wakeup_broadcasts = 0
-
-    def __len__(self) -> int:
-        return self.count
-
-    @property
-    def full(self) -> bool:
-        """True when dispatch must stall."""
-        return self.count >= self.size
-
-    def dispatch(self, instruction: DynamicInstruction, wait_tags) -> None:
-        """Insert a renamed instruction with its pending source tags."""
-        if self.count >= self.size:
-            raise SimulationError("dispatch into a full issue queue")
-        self.count += 1
-        pending = 0
-        waiters = self.waiters
-        for tag in wait_tags:
-            pending += 1
-            bucket = waiters.get(tag)
-            if bucket is None:
-                waiters[tag] = [instruction]
-            else:
-                bucket.append(instruction)
-        instruction.ready_sources = pending
-        if pending == 0:
-            self.ready_list.append(instruction)
-            # The pipeline's inlined dispatch appends in fetch order and
-            # keeps the sorted flag; this standalone API accepts any
-            # order, so stay conservative.
-            self.ready_sorted = False
 
     def wakeup(self, tag: int) -> int:
         """Broadcast a completed tag; returns the number of comparisons."""
@@ -92,69 +60,17 @@ class IssueQueue:
                 ready.append(instruction)
                 self.ready_sorted = False
             woken += 1
-        self.wakeup_broadcasts += 1
         return woken
 
-    def select(
-        self,
-        issue_width: int,
-        fu_pool: FunctionalUnitPool,
-        blocks_selection: Optional[Callable[[DynamicInstruction], bool]] = None,
-    ) -> List[DynamicInstruction]:
-        """Pick up to ``issue_width`` ready instructions, oldest first.
-
-        ``blocks_selection`` is the controller's no-select hook; ``None``
-        means no controller suppresses request signals (the baseline), so
-        the per-instruction call is skipped entirely.
-        """
-        ready = self.ready_list
-        if not ready:
-            return []
-        if not self.ready_sorted and len(ready) > 1:
-            ready.sort(key=_BY_SEQ)
-        self.ready_sorted = True
-        try_claim_code = fu_pool.try_claim_code
-        selected: List[DynamicInstruction] = []
-        survivors: List[DynamicInstruction] = []
-        for instruction in ready:
-            if instruction.squashed or instruction.issued:
-                continue
-            if len(selected) >= issue_width:
-                survivors.append(instruction)
-                continue
-            if blocks_selection is not None and blocks_selection(instruction):
-                survivors.append(instruction)
-                continue
-            if not try_claim_code(instruction.static.fu_code):
-                survivors.append(instruction)
-                continue
-            instruction.issued = True
-            self.count -= 1
-            selected.append(instruction)
-        self.ready_list = survivors
-        return selected
-
     def squash_younger(self, seq: int) -> None:
-        """Drop every queued instruction younger than ``seq``.
+        """Drop every ready instruction younger than ``seq``.
 
         Entries are removed lazily from the waiter lists (their ``squashed``
-        flag makes wakeup skip them); the ready list and the occupancy count
-        are repaired eagerly.
+        flag makes wakeup skip them); the recovery path repairs the
+        occupancy count.
         """
-        kept_ready = [
+        self.ready_list = [
             instruction
             for instruction in self.ready_list
             if instruction.seq <= seq and not instruction.squashed
         ]
-        self.ready_list = kept_ready
-
-    def note_squashed(self, instruction: DynamicInstruction) -> None:
-        """Account the removal of one squashed, unissued instruction."""
-        if not instruction.issued:
-            self.count -= 1
-            if self.count < 0:
-                raise SimulationError("issue queue count went negative")
-
-    def forget_tag(self, tag: int) -> None:
-        """Drop the waiter list of a squashed producer."""
-        self.waiters.pop(tag, None)

@@ -8,7 +8,6 @@ activity counts the power model's ``lsq`` block consumes.
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.isa.instruction import DynamicInstruction
 
 
 class LoadStoreQueue:
@@ -20,26 +19,12 @@ class LoadStoreQueue:
         if size <= 0:
             raise SimulationError("LSQ size must be positive")
         self.size = size
-        # Occupancy; public so the dispatch loop can read it without a
-        # property call (never written from outside this class).
+        # Occupancy; public so the dispatch stage allocates by bumping it
+        # after its own capacity check.
         self.occupied = 0
 
-    def __len__(self) -> int:
-        return self.occupied
-
-    @property
-    def full(self) -> bool:
-        """True when a memory op cannot dispatch this cycle."""
-        return self.occupied >= self.size
-
-    def allocate(self, instruction: DynamicInstruction) -> None:
-        """Reserve an entry at dispatch."""
-        if self.occupied >= self.size:
-            raise SimulationError("allocate into a full LSQ")
-        self.occupied += 1
-
     def release(self) -> None:
-        """Free an entry (commit or squash of a memory op)."""
+        """Free an entry (commit of a memory op)."""
         if self.occupied <= 0:
             raise SimulationError("release from an empty LSQ")
         self.occupied -= 1

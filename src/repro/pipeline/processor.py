@@ -142,8 +142,11 @@ class ThreadContext:
     with the measured window.
 
     The ``ctrl_*`` flags cache which :class:`SpeculationController` hooks
-    the thread's controller actually overrides, so the stage hot loops
-    skip the no-op base-class calls of the unthrottled baseline entirely.
+    the thread's controller can act through, so the stage hot loops skip
+    hook calls that cannot change anything: the fetch-side hooks a
+    controller class does not override, and the decode and selection
+    hooks its policy never arms (``throttles_decode`` /
+    ``throttles_selection``).
 
     Slotted: the fetch cursors and measured counters are touched every
     cycle by the stage kernel.
@@ -195,12 +198,8 @@ class ThreadContext:
         # Controller capability flags (see class docstring).
         ctrl_type = type(controller)
         self.ctrl_gates_fetch = ctrl_type.fetch_allowed is not _BASE.fetch_allowed
-        self.ctrl_blocks_decode = (
-            ctrl_type.blocks_decode is not _BASE.blocks_decode
-        )
-        self.ctrl_blocks_selection = (
-            ctrl_type.blocks_selection is not _BASE.blocks_selection
-        )
+        self.ctrl_blocks_decode = controller.throttles_decode
+        self.ctrl_blocks_selection = controller.throttles_selection
         self.ctrl_has_fetch_hook = (
             ctrl_type.on_branch_fetched is not _BASE.on_branch_fetched
         )
@@ -451,12 +450,7 @@ class Processor:
 
     @property
     def supply(self) -> CompiledSupply:
-        """Thread 0's instruction supply (true path + wrong-path packets).
-
-        Exposes the seed oracle's true-path surface (``get`` /
-        ``prune_before``), so trace recorders and calibration code that
-        used to take the oracle run on it unchanged.
-        """
+        """Thread 0's instruction supply (true path + wrong-path packets)."""
         return self.threads[0].supply
 
     @property

@@ -5,14 +5,18 @@ Physical tags are the global sequence numbers of producing instructions
 needed).  The map from architectural register to tag is checkpointed by
 every conditional branch at rename and restored wholesale on a squash,
 which is the classic checkpoint-repair recovery scheme.
+
+Renaming itself is inlined into
+:class:`~repro.pipeline.stages.decode_rename.DecodeRenameStage`, which
+reads and writes ``_map`` and ``pending_tags`` directly; writeback and
+squash retire tags from ``pending_tags``.
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
-from repro.isa.instruction import DynamicInstruction
-from repro.isa.registers import NUM_ARCH_REGS, REG_ZERO
+from repro.isa.registers import NUM_ARCH_REGS
 
 # Tag meaning "architectural value, always ready".
 ARCH_READY_TAG = -1
@@ -28,44 +32,6 @@ class RegisterRenamer:
         # Tags whose producer has not completed yet.
         self.pending_tags: Set[int] = set()
 
-    def rename(self, instruction: DynamicInstruction) -> Tuple[int, ...]:
-        """Rename one instruction; returns the tags its sources wait on.
-
-        Sets ``phys_sources``/``phys_dest`` on the instruction and returns
-        only the *pending* source tags (the wakeup set).
-        """
-        static = instruction.static
-        sources = []
-        waits = []
-        for reg in static.sources:
-            tag = self._map[reg]
-            sources.append(tag)
-            if tag in self.pending_tags:
-                waits.append(tag)
-        instruction.phys_sources = tuple(sources)
-        if static.dest is not None and static.dest != REG_ZERO:
-            tag = instruction.seq
-            self._map[static.dest] = tag
-            instruction.phys_dest = tag
-            self.pending_tags.add(tag)
-        return tuple(waits)
-
-    def checkpoint(self) -> List[int]:
-        """Capture the current map (taken after renaming a branch)."""
-        return self._map.copy()
-
     def restore(self, checkpoint: List[int]) -> None:
         """Restore a checkpoint after a misprediction squash."""
         self._map = checkpoint.copy()
-
-    def mark_completed(self, tag: int) -> None:
-        """A producer finished; its tag is now ready."""
-        self.pending_tags.discard(tag)
-
-    def forget(self, tag: int) -> None:
-        """Remove a squashed producer's tag."""
-        self.pending_tags.discard(tag)
-
-    def is_pending(self, tag: int) -> bool:
-        """True while a tag's producer has not completed."""
-        return tag in self.pending_tags

@@ -12,21 +12,20 @@ like real hardware.  This is the channel through which wrong-path loads
 a wrong-path load that misses to memory holds an MSHR for tens of cycles
 after the branch resolved, stalling true-path loads issued after recovery.
 
-The select loop claims slots through :meth:`try_claim_code` with the
-instruction's precomputed ``fu_code`` (see :mod:`repro.isa.opcodes`): an
-int-indexed list instead of an enum-keyed dict, because this is one of the
-hottest calls in the simulator.  :meth:`try_claim` remains as the
-enum-friendly wrapper.
+The select loop claims memory ports through :meth:`try_claim_code` with
+the instruction's precomputed ``fu_code`` (see :mod:`repro.isa.opcodes`)
+and claims every other slot straight out of ``_code_available``, an
+int-indexed list, because this is one of the hottest paths in the
+simulator.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List
+from typing import List
 
 from repro.isa.opcodes import (
     FU_MEM_READ,
-    FU_MEM_WRITE,
     NUM_FU_CODES,
     OpClass,
     fu_code_of,
@@ -38,12 +37,12 @@ class FunctionalUnitPool:
     """Per-cycle issue slots by operation class, plus the MSHR ledger."""
 
     __slots__ = (
-        "_capacity", "_code_capacity", "_code_available",
+        "_code_capacity", "_code_available",
         "_mem_capacity", "_mem_available", "_mshr_count", "_mshr_release",
     )
 
     def __init__(self, config: ProcessorConfig) -> None:
-        self._capacity: Dict[OpClass, int] = {
+        capacity = {
             OpClass.INT_ALU: config.int_alu,
             OpClass.INT_MULT: config.int_mult,
             OpClass.MEM_READ: config.mem_ports,
@@ -57,7 +56,7 @@ class FunctionalUnitPool:
         # Issue slots indexed by fu code (branches fold into INT_ALU's
         # entry via fu_code_of; the two memory codes share _mem_available).
         self._code_capacity: List[int] = [0] * NUM_FU_CODES
-        for op_class, slots in self._capacity.items():
+        for op_class, slots in capacity.items():
             self._code_capacity[fu_code_of(op_class)] = slots
         self._code_available: List[int] = list(self._code_capacity)
         # Loads and stores share the memory ports.
@@ -80,38 +79,16 @@ class FunctionalUnitPool:
                 heapq.heappop(release)
 
     def try_claim_code(self, code: int) -> bool:
-        """Claim one slot of precomputed fu code ``code``; False if none."""
-        if code == FU_MEM_READ:
-            if self._mem_available <= 0:
-                return False
-            if len(self._mshr_release) >= self._mshr_count:
-                return False  # a new load could miss; no MSHR to receive it
-            self._mem_available -= 1
-            return True
-        if code == FU_MEM_WRITE:
-            if self._mem_available <= 0:
-                return False
-            self._mem_available -= 1
-            return True
-        available = self._code_available
-        if available[code] <= 0:
+        """Claim one memory port for fu code ``FU_MEM_READ`` or
+        ``FU_MEM_WRITE``; False if none is free, or for a load while every
+        MSHR is busy (a new load could miss, with no MSHR to receive it).
+        """
+        if self._mem_available <= 0:
             return False
-        available[code] -= 1
+        if code == FU_MEM_READ and len(self._mshr_release) >= self._mshr_count:
+            return False
+        self._mem_available -= 1
         return True
-
-    def try_claim(self, op_class: OpClass) -> bool:
-        """Claim one slot of ``op_class``; False if none remain."""
-        return self.try_claim_code(fu_code_of(op_class))
-
-    @property
-    def mshr_free(self) -> bool:
-        """True while at least one miss-status register is available."""
-        return len(self._mshr_release) < self._mshr_count
-
-    @property
-    def mshr_busy_count(self) -> int:
-        """Number of outstanding fills."""
-        return len(self._mshr_release)
 
     def hold_mshr(self, until_cycle: int) -> None:
         """Occupy one MSHR until ``until_cycle`` (a miss left for fill).
@@ -120,7 +97,3 @@ class FunctionalUnitPool:
         misses too, and nothing ever cancels an allocated entry early.
         """
         heapq.heappush(self._mshr_release, until_cycle)
-
-    def capacity(self, op_class: OpClass) -> int:
-        """Total slots per cycle for a class."""
-        return self._capacity[op_class]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.errors import SimulationError
 from repro.isa.instruction import DynamicInstruction
@@ -18,39 +18,10 @@ class ReorderBuffer:
         if size <= 0:
             raise SimulationError("ROB size must be positive")
         self.size = size
-        # The in-order window itself.  Public: the commit and dispatch
-        # stages peek/pop/append it directly (the per-cycle hot path), with
+        # The in-order window itself.  Public: the dispatch and commit
+        # stages append and pop it directly (the per-cycle hot path), with
         # the capacity check done at the call site.
         self.entries: Deque[DynamicInstruction] = deque()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def full(self) -> bool:
-        """True when dispatch must stall."""
-        return len(self.entries) >= self.size
-
-    @property
-    def occupancy(self) -> float:
-        """Fill fraction (drives clock-tree power)."""
-        return len(self.entries) / self.size
-
-    def head(self) -> Optional[DynamicInstruction]:
-        """Oldest instruction, or None when empty."""
-        return self.entries[0] if self.entries else None
-
-    def push(self, instruction: DynamicInstruction) -> None:
-        """Append at the tail (program order)."""
-        if len(self.entries) >= self.size:
-            raise SimulationError("push into a full ROB")
-        self.entries.append(instruction)
-
-    def pop_head(self) -> DynamicInstruction:
-        """Commit the oldest instruction."""
-        if not self.entries:
-            raise SimulationError("pop from an empty ROB")
-        return self.entries.popleft()
 
     def squash_younger(self, seq: int) -> List[DynamicInstruction]:
         """Remove and return every instruction younger than ``seq``."""
@@ -59,6 +30,3 @@ class ReorderBuffer:
         while entries and entries[-1].seq > seq:
             squashed.append(entries.pop())
         return squashed
-
-    def __iter__(self):
-        return iter(self.entries)

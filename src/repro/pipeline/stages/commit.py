@@ -330,8 +330,8 @@ class CommitRecoverStage(Stage):
                         thread.unresolved_mispredicts -= 1
                 tag = instr.phys_dest
                 if tag >= 0:
-                    pending_tags.discard(tag)  # RegisterRenamer.forget
-                    waiters.pop(tag, None)  # IssueQueue.forget_tag
+                    pending_tags.discard(tag)
+                    waiters.pop(tag, None)
                 if not instr.issued:
                     freed_iq += 1
                 if static.is_mem:

@@ -158,11 +158,9 @@ class DecodeRenameStage(Stage):
             instr.completed = False
             instr.woke = False
 
-            # Rename (RegisterRenamer.rename, inlined): map sources to
-            # producing tags, collect the still-pending ones as the wakeup
-            # set, and claim the destination.  ``phys_sources`` is not
-            # materialised here — nothing in the pipeline reads it (the
-            # standalone RegisterRenamer.rename keeps setting it).
+            # Rename: map sources to producing tags, collect the
+            # still-pending ones as the wakeup set, and claim the
+            # destination.
             static_sources = static.sources
             waits = None
             if static_sources:
@@ -190,8 +188,8 @@ class DecodeRenameStage(Stage):
                 lsq.occupied += 1
                 mem_renamed += 1
 
-            # Dispatch (IssueQueue.dispatch, inlined): park behind pending
-            # source tags, or go straight to the ready list.
+            # Dispatch: park behind pending source tags, or go straight
+            # to the ready list.
             pending = 0
             if waits is not None:
                 for tag in waits:

@@ -81,7 +81,7 @@ class ExecuteWritebackStage(Stage):
                 instr.completed = True
                 tag = instr.phys_dest
                 if tag >= 0:
-                    pending_tags.discard(tag)  # mark_completed
+                    pending_tags.discard(tag)
                     broadcasts += 1
                     waiting = waiters.pop(tag, None)
                     if waiting is not None:
@@ -95,7 +95,6 @@ class ExecuteWritebackStage(Stage):
                                 ready.append(waiter)
                                 iq.ready_sorted = False
                             woken += 1
-                        iq.wakeup_broadcasts += 1
                         if woken:
                             wakeups += 1
                             instr.woke = True
@@ -119,7 +118,6 @@ class ExecuteWritebackStage(Stage):
             instr.completed = True
             tag = instr.phys_dest
             if tag >= 0:
-                # RegisterRenamer.mark_completed, inlined.
                 thread.renamer.pending_tags.discard(tag)
                 activity[_RESULTBUS] += 1
                 woken = thread.iq.wakeup(tag)

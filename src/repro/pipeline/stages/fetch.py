@@ -17,9 +17,9 @@ supply stamps one block at a time (``wrong_packet``), the thread keeps a
 packet cursor (``wp_packet``/``wp_pos``), and only a packet's *last*
 record can be a control instruction — so the inner loop pays one Python
 call per wrong-path *block* instead of one per instruction.  Branch
-recovery still works on the seed walker's ``(block, index, stack, step)``
-cursors; anything that re-points ``thread.wp_cursor`` outside this loop
-clears the packet.
+recovery works on the supply's ``(block, index, stack, step)`` cursors;
+anything that re-points ``thread.wp_cursor`` outside this loop clears the
+packet.
 
 On an SMT core the single fetch port is arbitrated by the kernel's fetch
 policy; the single-thread machine skips the policy entirely.

@@ -88,10 +88,9 @@ class SelectIssueStage(Stage):
             ready = iq.ready_list
             if not ready:
                 continue
-            # IssueQueue.select fused with the issue bookkeeping: walk the
-            # ready instructions oldest first, claim slots, and start
-            # execution in one pass (identical pick order and side
-            # effects; survivors stay ready for the next cycle).  The sort
+            # Select fused with the issue bookkeeping: walk the ready
+            # instructions oldest first, claim slots, and start execution
+            # in one pass (survivors stay ready for the next cycle).  The sort
             # only runs after a wakeup readied an older instruction
             # (``ready_sorted``); dispatch appends and the survivor
             # rebuild below keep the list in fetch order.

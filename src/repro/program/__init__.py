@@ -2,12 +2,9 @@
 
 A :class:`~repro.program.cfg.Program` is a set of basic blocks whose
 conditional branches carry *behaviour models* (loops, biased branches,
-patterns, correlated branches).  The :class:`~repro.program.walker.TruePathOracle`
-lazily unrolls the architecturally correct dynamic instruction stream, while
-:class:`~repro.program.walker.WrongPathNavigator` walks mispredicted paths
-without perturbing true-path state.  These walkers are the reference the
-pipeline's front end (:class:`~repro.frontend.supply.CompiledSupply`, which
-serves the same streams a block at a time) is parity-tested against.
+patterns, correlated branches).  The pipeline's front end walks it through
+:class:`~repro.frontend.supply.CompiledSupply`, which serves the true path
+and mispredicted paths a block at a time.
 """
 
 from repro.program.behavior import (
@@ -19,7 +16,6 @@ from repro.program.behavior import (
 )
 from repro.program.cfg import BasicBlock, Program, TerminatorKind
 from repro.program.generator import ProgramGenerator
-from repro.program.walker import DynamicRecord, TruePathOracle, WrongPathNavigator
 
 __all__ = [
     "BranchBehavior",
@@ -31,7 +27,4 @@ __all__ = [
     "Program",
     "TerminatorKind",
     "ProgramGenerator",
-    "TruePathOracle",
-    "WrongPathNavigator",
-    "DynamicRecord",
 ]

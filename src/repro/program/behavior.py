@@ -16,11 +16,10 @@ rate (Table 2 of the paper):
   irreducible; this mimics data-dependent branches.
 
 Behaviours are *stateful* and must only be advanced along the true path —
-exactly once per conditional-terminator visit, in program order.  Both
-true-path walkers (the seed oracle and the compiled supply's
-block-at-a-time generation) uphold that contract, which is what keeps
-their streams bit-identical; wrong-path outcomes come from a stateless
-hash and never touch behaviour state.
+exactly once per conditional-terminator visit, in program order.  The
+true-path walk of :class:`~repro.frontend.supply.CompiledSupply` upholds
+that contract; wrong-path outcomes come from a stateless hash and never
+touch behaviour state.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ProgramError
 from repro.isa.instruction import StaticInstruction
+from repro.isa.opcodes import Opcode
 from repro.program.behavior import BranchBehavior
 
 INSTRUCTION_BYTES = 4
@@ -31,6 +32,15 @@ class TerminatorKind(enum.Enum):
     CALL = "call"  # call taken_target (function entry); continue at fall_target
     RET = "ret"  # return to the caller's continuation block
     FALL = "fall"  # no control instruction; continue at fall_target
+
+
+# The control instruction that ends a block of each kind (FALL has none).
+TERMINATOR_OPCODES = {
+    TerminatorKind.COND: Opcode.BR_COND,
+    TerminatorKind.JUMP: Opcode.BR_UNCOND,
+    TerminatorKind.CALL: Opcode.CALL,
+    TerminatorKind.RET: Opcode.RET,
+}
 
 
 class BasicBlock:
@@ -75,9 +85,33 @@ class BasicBlock:
         return self.instructions[-1]
 
     def validate(self, num_blocks: int) -> None:
-        """Check structural invariants; raise ProgramError on violation."""
+        """Check structural invariants; raise ProgramError on violation.
+
+        A block's only control instruction is its terminator, in its
+        last slot, and it matches the block's kind: the instruction
+        supply walks whole blocks and ends a packet only there.
+        """
         if not self.instructions and self.kind is not TerminatorKind.FALL:
             raise ProgramError(f"block {self.block_id}: empty block with terminator {self.kind}")
+        for slot, instruction in enumerate(self.instructions[:-1]):
+            if instruction.is_branch:
+                raise ProgramError(
+                    f"block {self.block_id}: control instruction "
+                    f"{instruction.opcode.value} in slot {slot}, before the last"
+                )
+        if self.instructions:
+            last = self.instructions[-1]
+            opcode = TERMINATOR_OPCODES.get(self.kind)
+            if opcode is None and last.is_branch:
+                raise ProgramError(
+                    f"block {self.block_id}: FALL block ends in control "
+                    f"instruction {last.opcode.value}"
+                )
+            if opcode is not None and last.opcode is not opcode:
+                raise ProgramError(
+                    f"block {self.block_id}: {self.kind.value} block must end "
+                    f"in {opcode.value}, not {last.opcode.value}"
+                )
         if self.kind is TerminatorKind.COND:
             if self.behavior is None:
                 raise ProgramError(f"block {self.block_id}: conditional branch without behaviour")
@@ -85,8 +119,6 @@ class BasicBlock:
                 raise ProgramError(f"block {self.block_id}: bad taken target {self.taken_target}")
             if not (0 <= self.fall_target < num_blocks):
                 raise ProgramError(f"block {self.block_id}: bad fall target {self.fall_target}")
-            if not self.instructions[-1].is_cond_branch:
-                raise ProgramError(f"block {self.block_id}: COND block must end in BR_COND")
         elif self.kind in (TerminatorKind.JUMP, TerminatorKind.CALL):
             if not (0 <= self.taken_target < num_blocks):
                 raise ProgramError(f"block {self.block_id}: bad jump target {self.taken_target}")

@@ -36,7 +36,7 @@ from repro.program.behavior import (
     LoopBehavior,
     PatternBehavior,
 )
-from repro.program.cfg import BasicBlock, Program, TerminatorKind
+from repro.program.cfg import TERMINATOR_OPCODES, BasicBlock, Program, TerminatorKind
 from repro.utils.rng import (
     XorShiftRNG,
     derive_seed,
@@ -57,12 +57,6 @@ _COND, _JUMP, _CALL, _RET, _FALL = (
     TerminatorKind.COND, TerminatorKind.JUMP, TerminatorKind.CALL,
     TerminatorKind.RET, TerminatorKind.FALL,
 )
-_TERMINATOR_OPCODES = {
-    _COND: Opcode.BR_COND,
-    _JUMP: Opcode.BR_UNCOND,
-    _CALL: Opcode.CALL,
-    _RET: Opcode.RET,
-}
 
 _MUL_CUT = draw_threshold(0.9)  # MUL rather than DIV
 _FADD_CUT = draw_threshold(0.6)  # FADD rather than FMUL
@@ -491,7 +485,7 @@ class ProgramGenerator:
                 append(StaticInstruction(0, opcode, dest, sources))
         self._last_load_dest = last_load_dest
 
-        terminator_opcode = _TERMINATOR_OPCODES.get(block.kind)
+        terminator_opcode = TERMINATOR_OPCODES.get(block.kind)
         if terminator_opcode is not None:
             sources = ()
             if terminator_opcode is Opcode.BR_COND:

@@ -95,28 +95,25 @@ class TraceRecord:
 class TraceRecorder:
     """Record the first N true-path instructions of a workload.
 
-    Accepts anything with the true-path oracle surface (``get`` /
-    ``prune_before``): the seed :class:`~repro.program.walker.
-    TruePathOracle` or a :class:`~repro.frontend.supply.CompiledSupply`
-    — the streams are bit-identical.
+    Walks a :class:`~repro.frontend.supply.CompiledSupply` (anything with
+    its ``get`` / ``prune_before`` true-path surface).
     """
 
-    def __init__(self, oracle) -> None:
-        self._oracle = oracle
+    def __init__(self, supply) -> None:
+        self._supply = supply
 
     def record(self, instructions: int) -> List[TraceRecord]:
         """Materialise ``instructions`` records in memory."""
         records = []
         for index in range(instructions):
-            dynamic = self._oracle.get(index)
-            static = dynamic.static
+            static, taken, target_block, mem_address = self._supply.get(index)
             records.append(
                 TraceRecord(
                     address=static.address,
                     opcode=static.opcode.value,
-                    taken=dynamic.taken,
-                    target_block=dynamic.target_block,
-                    mem_address=dynamic.mem_address,
+                    taken=taken,
+                    target_block=target_block,
+                    mem_address=mem_address,
                 )
             )
         return records
@@ -137,15 +134,13 @@ class TraceRecorder:
             if header is not None:
                 handle.write(replace(header, records=instructions).line())
             for index in range(instructions):
-                dynamic = self._oracle.get(index)
-                static = dynamic.static
+                static, taken, target_block, mem_address = self._supply.get(index)
                 handle.write(
                     f"{static.address:x} {static.opcode.value} "
-                    f"{int(dynamic.taken)} {dynamic.target_block} "
-                    f"{dynamic.mem_address:x}\n"
+                    f"{int(taken)} {target_block} {mem_address:x}\n"
                 )
                 if index % 8192 == 0:
-                    self._oracle.prune_before(max(0, index - 64))
+                    self._supply.prune_before(max(0, index - 64))
 
 
 class TraceReader:

@@ -14,6 +14,7 @@ to serial ones, and a warm cache performs zero new simulations.
 
 from __future__ import annotations
 
+import json
 import shutil
 from dataclasses import fields, replace
 
@@ -24,6 +25,7 @@ from repro.experiments.engine import (
     ResultCache,
     cell_fingerprint,
     config_fingerprint,
+    fingerprint_of,
     make_cell,
     result_from_dict,
     result_to_dict,
@@ -220,6 +222,55 @@ def test_cache_relabels_display_only(tmp_path, throttled_result):
     relabelled = cache.get(_cell(label="renamed"))
     assert relabelled.label == "renamed"
     assert replace(relabelled, label=throttled_result.label) == throttled_result
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_result(text):
+    payload = json.loads(text)
+    del payload["result"]
+    return json.dumps(payload)
+
+
+def _bad_result(text):
+    payload = json.loads(text)
+    payload["result"] = {"label": "half a result"}
+    return json.dumps(payload)
+
+
+def _not_an_object(text):
+    return json.dumps([json.loads(text)])
+
+
+@pytest.mark.parametrize(
+    "damage", (_truncate, _drop_result, _bad_result, _not_an_object)
+)
+def test_damaged_cache_entry_is_a_miss_and_the_rerun_rewrites_it(
+    tmp_path, throttled_result, damage
+):
+    """Fault injection: a truncated entry, entries that parse with the
+    right schema and kind but carry no well-formed ``result``, and JSON
+    that is not an object are misses (never an exception out of the
+    sweep), and rerunning the cell rewrites the entry."""
+    cell = _cell()
+    cache = ResultCache(str(tmp_path))
+    cache.put(cell, throttled_result)
+    path = cache._path(fingerprint_of(cell))
+    with open(path) as handle:
+        intact = handle.read()
+    with open(path, "w") as handle:
+        handle.write(damage(intact))
+    assert cache.get(cell) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+    rerun = SweepScheduler(cache=ResultCache(str(tmp_path)))
+    assert rerun.run_cells([cell]) == [throttled_result]
+    assert rerun.executed == 1
+    with open(path) as handle:
+        assert handle.read() == intact
+    assert ResultCache(str(tmp_path)).get(cell) == throttled_result
 
 
 def test_changed_config_field_invalidates_cache_entry(tmp_path, throttled_result):

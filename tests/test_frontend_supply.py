@@ -1,16 +1,18 @@
-"""The instruction-supply layer: parity with the seed walkers and edge goldens.
+"""The instruction-supply layer: stream goldens and edge goldens.
 
 Three kinds of guarantees:
 
-* **stream parity** — :class:`CompiledSupply` serves record streams (true
-  path and wrong-path packets) bit-identical to the seed walkers
-  (:class:`TruePathOracle`, :class:`WrongPathNavigator`), on calibrated
-  benchmarks and adversarial CFGs;
+* **stream goldens** — :class:`CompiledSupply` serves the true path of
+  go, compress and gcc, the wrong-path packets and continuation cursors
+  of go and parser, and a run of twolf packets exactly as the
+  per-instruction seed walkers (``TruePathOracle`` and
+  ``WrongPathNavigator``, retired once these were pinned) did: SHA-256
+  fingerprints captured on those walkers at commit ``4ffa2bf``;
 * **golden wrong-path edges** — RET with an empty speculative stack,
   walks into CFG sink blocks, speculative call-stack max-depth
   truncation, and empty fall-through chains are pinned as SHA-256 stream
-  fingerprints captured on the seed :class:`WrongPathNavigator`, so the
-  supply refactor (or any future one) cannot silently change them;
+  fingerprints captured on the seed navigator before the supply layer
+  existed;
 * **hash-chain identity** — the precomputed-prefix hashing the compiled
   tables rely on equals :func:`stateless_hash` step for step.
 """
@@ -23,18 +25,35 @@ from repro.errors import WorkloadError
 from repro.frontend.supply import (
     CompiledSupply,
     TraceSupply,
-    _packet_via_navigator,
     resolve_trace_records,
 )
 from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.program.behavior import BiasedBehavior
 from repro.program.cfg import BasicBlock, Program, TerminatorKind
-from repro.program.walker import TruePathOracle, WrongPathNavigator
 from repro.utils.rng import stateless_hash, stateless_hash_step
 from repro.workloads.suite import benchmark_program, benchmark_spec
 
 _MASK64 = (1 << 64) - 1
+
+
+def _record(record):
+    """A record as plain data: (address, opcode, taken, target, mem)."""
+    static, taken, target, mem_address = record
+    return (static.address, static.opcode.value, bool(taken), target, mem_address)
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def _packets(supply, cursor, count):
+    """``count`` packets from ``cursor``: (records, end cursor) each."""
+    walked = []
+    for _ in range(count):
+        records, cursor = supply.wrong_packet(cursor)
+        walked.append(([_record(r) for r in records], cursor))
+    return walked
 
 
 # ----------------------------------------------------------------------
@@ -49,69 +68,56 @@ def test_stateless_hash_step_matches_full_hash():
 
 
 # ----------------------------------------------------------------------
-# Stream parity on calibrated benchmarks
+# Stream goldens on calibrated benchmarks (captured on the seed walkers)
 # ----------------------------------------------------------------------
+
+# SHA-256 over the first 5000 true-path records.
+_TRUE_PATH_GOLDENS = {
+    "go": "052c77cd88d2d31f99a22fb36173071ac80c8391a29f4fe71853ab54b58a1830",
+    "compress": "6d43bb5ee80e5f0fc2990685cdcfca28c012ed2d32e1bf0b9bc4dd6b849b4cce",
+    "gcc": "308cade8c35e2b5582f9eb2b19e804daf0cd15c907345dd447a724503583e044",
+}
+
+# (block count, SHA-256) over 80 packets with their end cursors from a
+# wrong path entered at every 5th block (salt ``block * 31 + 7``).
+_WRONG_PACKET_GOLDENS = {
+    "go": (636, "7e88dbf13430c7fb5b70d73fc5c6cf0f3e398eee1c2908eef5c06101ba05a05c"),
+    "parser": (415, "dc60e1bf06192edc1be1a6d21a470b7909dea64df29066ce88fa98b302ac803e"),
+}
+
+# 40 twolf packets from block 3 (salt 99) plus true-path record 123.
+_TWOLF_LIVE_GOLDEN = "8f5b006790bccdbacbe72a668f12153cfa2622f47a25b2dc04107232c04ea9a6"
+
 
 @pytest.mark.parametrize("bench_name", ("go", "compress", "gcc"))
 def test_true_path_matches_seed_oracle(bench_name):
-    spec = benchmark_spec(bench_name)
-    oracle = TruePathOracle(benchmark_program(bench_name), spec.seed)
-    compiled = CompiledSupply(benchmark_program(bench_name), spec.seed)
-    for index in range(5000):
-        a, b = oracle.get(index), compiled.get(index)
-        # Distinct Program instances carry equal-but-distinct statics:
-        # compare by address plus the dynamic fields.
-        assert (a.static.address, a.taken, a.target_block, a.mem_address) == (
-            b.static.address, b.taken, b.target_block, b.mem_address
-        ), f"true-path divergence at record {index}"
+    supply = CompiledSupply(benchmark_program(bench_name), benchmark_spec(bench_name).seed)
+    walked = [_record(supply.get(index)) for index in range(5000)]
+    assert _digest(walked) == _TRUE_PATH_GOLDENS[bench_name]
 
 
 @pytest.mark.parametrize("bench_name", ("go", "parser"))
 def test_wrong_packets_match_seed_navigator(bench_name):
-    spec = benchmark_spec(bench_name)
     program = benchmark_program(bench_name)
-    navigator = WrongPathNavigator(program, spec.seed)
-    compiled = CompiledSupply(benchmark_program(bench_name), spec.seed)
-    for block_id in range(0, len(program.blocks), 5):
-        cursor = navigator.start_cursor(block_id, salt=block_id * 31 + 7)
-        assert cursor == compiled.start_cursor(block_id, salt=block_id * 31 + 7)
-        reference = []
-        ref_cursor = cursor
-        for _ in range(80):
-            static, taken, target, ref_cursor, mem = navigator.fetch_one(ref_cursor)
-            reference.append((static.address, taken, target, mem))
-        walked = []
-        packet_cursor = cursor
-        while len(walked) < 80:
-            records, packet_cursor = compiled.wrong_packet(packet_cursor)
-            walked.extend(
-                (r[0].address, r[1], r[2], r[3]) for r in records
-            )
-        assert walked[:80] == reference
+    supply = CompiledSupply(program, benchmark_spec(bench_name).seed)
+    blocks, expected = _WRONG_PACKET_GOLDENS[bench_name]
+    assert len(program.blocks) == blocks
+    walked = [
+        _packets(supply, supply.start_cursor(block_id, block_id * 31 + 7), 80)
+        for block_id in range(0, blocks, 5)
+    ]
+    assert _digest(walked) == expected
 
 
 def test_live_supply_packets_match_compiled():
-    """Packet by packet, the navigator walked one ``fetch_one`` at a time
-    and the compiled supply agree on records *and* continuation cursors."""
-    spec = benchmark_spec("twolf")
-    navigator = WrongPathNavigator(benchmark_program("twolf"), spec.seed)
-    compiled = CompiledSupply(benchmark_program("twolf"), spec.seed)
-    cursor = navigator.start_cursor(3, 99)
-    assert cursor == compiled.start_cursor(3, 99)
-    for _ in range(40):
-        live_records, live_end = _packet_via_navigator(navigator, cursor)
-        comp_records, comp_end = compiled.wrong_packet(cursor)
-        assert [(r[0].address, r[1], r[2], r[3]) for r in live_records] == [
-            (r[0].address, r[1], r[2], r[3]) for r in comp_records
-        ]
-        assert live_end == comp_end
-        cursor = live_end
-    # True-path surfaces agree too.
-    oracle = TruePathOracle(benchmark_program("twolf"), spec.seed)
-    a, b = oracle.get(123), compiled.get(123)
-    assert (a.static.address, a.taken, a.target_block, a.mem_address) == (
-        b.static.address, b.taken, b.target_block, b.mem_address
-    )
+    """Packet by packet, records *and* continuation cursors of a twolf
+    wrong path, then a true-path record of the same supply."""
+    supply = CompiledSupply(benchmark_program("twolf"), benchmark_spec("twolf").seed)
+    assert supply.start_cursor(3, 99) == (3, 0, (), 99)
+    walked = _packets(supply, supply.start_cursor(3, 99), 40)
+    assert all(cursor[1] == 0 for _, cursor in walked)
+    walked.append(_record(supply.get(123)))
+    assert _digest(walked) == _TWOLF_LIVE_GOLDEN
 
 
 # ----------------------------------------------------------------------
@@ -175,38 +181,40 @@ _EDGE_GOLDENS = {
 
 
 def _stream_fingerprint(
-    start_cursor, wrong_packet, start_block: int, salt: int, count: int
+    supply, start_block: int, salt: int, count: int, between=None
 ) -> str:
-    cursor = start_cursor(start_block, salt)
+    """Fingerprint of the first ``count`` wrong-path records; ``between``
+    runs after every packet."""
+    cursor = supply.start_cursor(start_block, salt)
     walked = []
     while len(walked) < count:
-        records, cursor = wrong_packet(cursor)
-        for static, taken, target, mem in records:
-            walked.append(
-                (static.address, static.opcode.value, bool(taken), target, mem)
-            )
-    return hashlib.sha256(repr(walked[:count]).encode()).hexdigest()
+        records, cursor = supply.wrong_packet(cursor)
+        walked.extend(_record(record) for record in records)
+        if between is not None:
+            between()
+    return _digest(walked[:count])
 
 
 @pytest.mark.parametrize("case", sorted(_EDGE_GOLDENS))
 def test_wrong_path_edges_match_goldens_compiled(case):
     block, salt, count, expected = _EDGE_GOLDENS[case]
     compiled = CompiledSupply(_edge_program(), _EDGE_SEED)
-    assert _stream_fingerprint(
-        compiled.start_cursor, compiled.wrong_packet, block, salt, count
-    ) == expected
+    assert _stream_fingerprint(compiled, block, salt, count) == expected
 
 
 @pytest.mark.parametrize("case", sorted(_EDGE_GOLDENS))
 def test_wrong_path_edges_match_goldens_live(case):
-    """The same goldens on the seed navigator, one ``fetch_one`` per record."""
+    """The same goldens on a supply that also generates its true path
+    between packets, as it does inside a running pipeline: the wrong-path
+    walk is stateless, so true-path progress cannot change it."""
     block, salt, count, expected = _EDGE_GOLDENS[case]
-    navigator = WrongPathNavigator(_edge_program(), _EDGE_SEED)
+    supply = CompiledSupply(_edge_program(), _EDGE_SEED)
+    true_index = iter(range(0, 10_000, 7))
     assert _stream_fingerprint(
-        navigator.start_cursor,
-        lambda cursor: _packet_via_navigator(navigator, cursor),
-        block, salt, count,
+        supply, block, salt, count,
+        between=lambda: supply.get(next(true_index)),
     ) == expected
+    assert supply._records  # the true path did advance
 
 
 def test_call_depth_truncates_at_64():
@@ -224,12 +232,11 @@ def test_true_path_ret_with_empty_call_stack_raises():
 
     program = _edge_program()
     # Entering at block 0 (a RET) with no prior CALL must fail on the
-    # true path — and identically on the supply and the seed oracle.
+    # true path.
     b0_first = Program(program.blocks, entry_block=0, name="ret-first")
     b0_first._finalized = True  # blocks already validated/addressed
-    for walker in (CompiledSupply(b0_first, 1), TruePathOracle(b0_first, 1)):
-        with pytest.raises(ProgramError, match="empty call stack"):
-            walker.get(5)
+    with pytest.raises(ProgramError, match="empty call stack"):
+        CompiledSupply(b0_first, 1).get(5)
 
 
 # ----------------------------------------------------------------------
@@ -238,18 +245,15 @@ def test_true_path_ret_with_empty_call_stack_raises():
 
 def test_trace_supply_serves_recorded_stream_and_exhausts():
     spec = benchmark_spec("compress")
-    oracle = TruePathOracle(benchmark_program("compress"), spec.seed)
     from repro.workloads.trace import TraceRecorder
 
-    records = TraceRecorder(oracle).record(400)
+    recorded = CompiledSupply(benchmark_program("compress"), spec.seed)
+    records = TraceRecorder(recorded).record(400)
     program = benchmark_program("compress")
     supply = TraceSupply(program, spec.seed, resolve_trace_records(program, records))
-    fresh = TruePathOracle(benchmark_program("compress"), spec.seed)
+    fresh = CompiledSupply(benchmark_program("compress"), spec.seed)
     for index in range(400):
-        a, b = supply.get(index), fresh.get(index)
-        assert (a.static.address, a.taken, a.target_block, a.mem_address) == (
-            b.static.address, b.taken, b.target_block, b.mem_address
-        )
+        assert _record(supply.get(index)) == _record(fresh.get(index))
     with pytest.raises(WorkloadError, match="trace exhausted"):
         supply.get(400)
 

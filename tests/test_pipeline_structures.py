@@ -1,249 +1,310 @@
-"""Tests for ROB, LSQ, issue queue, renamer and FU pool."""
+"""ROB, LSQ, issue queue, renamer and FU pool, as the stages drive them.
+
+Every test runs the stage code the simulator runs: instructions are
+handed to the decode latch of a small :class:`Processor` and the
+rename/dispatch, select/issue, writeback, commit and recovery stages are
+ticked by hand, with the pipeline sanitizer's invariants checked after
+every tick (see ``tests/conftest.py``).
+"""
 
 import pytest
 
+from repro.core.throttler import SpeculationController
 from repro.errors import SimulationError
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
-from repro.isa.opcodes import Opcode, OpClass
-from repro.pipeline.config import table3_config
-from repro.pipeline.iq import IssueQueue
+from repro.isa.opcodes import Opcode
 from repro.pipeline.lsq import LoadStoreQueue
-from repro.pipeline.renamer import ARCH_READY_TAG, RegisterRenamer
-from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.rob import ReorderBuffer
+from tests.conftest import backend_instr as _instr
+from tests.conftest import backend_processor, dispatch, issue, tick
 
 
-def _instr(seq, opcode=Opcode.ADD, dest=3, sources=(1, 2)):
-    return DynamicInstruction(seq, StaticInstruction(seq * 4, opcode, dest=dest, sources=sources))
+def _mispredicted_branch(processor, seq, sources=(1,)):
+    """A conditional branch fetched down the wrong direction; recovery
+    resumes the true path at its successor."""
+    thread = processor.threads[0]
+    branch = _instr(seq, Opcode.BR_COND, dest=None, sources=sources)
+    branch.bpred_snapshot = thread.bpred.predict(branch.pc).snapshot
+    branch.ras_checkpoint = thread.ras.checkpoint()
+    branch.mispredicted = True
+    branch.resume_mode = "true"
+    branch.resume_true_index = seq + 1
+    thread.unresolved_mispredicts += 1
+    return branch
+
+
+def _recover(processor, branch, cycle):
+    processor.scheduler.commit.recover(processor.threads[0], branch, cycle)
+    tick(processor, "commit", cycle)  # re-checks the invariants
+
+
+def _drain(processor, start, cycles):
+    """Tick writeback then commit over ``cycles`` cycles from ``start``."""
+    for cycle in range(start, start + cycles):
+        tick(processor, "writeback", cycle)
+        tick(processor, "commit", cycle)
 
 
 # --- ROB ---------------------------------------------------------------
 
 def test_rob_fifo_order():
-    rob = ReorderBuffer(4)
-    a, b = _instr(1), _instr(2)
-    rob.push(a)
-    rob.push(b)
-    assert rob.head() is a
-    assert rob.pop_head() is a
-    assert rob.pop_head() is b
+    processor = backend_processor()
+    thread = processor.threads[0]
+    slow, fast = _instr(1, Opcode.MUL), _instr(2)  # latencies 3 and 1
+    assert dispatch(processor, [slow, fast]) == 2
+    assert list(thread.rob_entries) == [slow, fast]
+    assert issue(processor, 0) == [slow, fast]
+    tick(processor, "writeback", 1)
+    assert fast.completed and not slow.completed
+    tick(processor, "commit", 2)
+    # The younger instruction finished first but waits behind the head.
+    assert processor.stats.committed == 0
+    _drain(processor, 2, 3)
+    assert processor.stats.committed == 2
+    assert thread.last_committed_true_index == fast.true_index
+    assert not thread.rob_entries
 
 
 def test_rob_full_and_occupancy():
-    rob = ReorderBuffer(2)
-    rob.push(_instr(1))
-    assert rob.occupancy == 0.5
-    rob.push(_instr(2))
-    assert rob.full
-    with pytest.raises(SimulationError):
-        rob.push(_instr(3))
+    processor = backend_processor(rob_size=2)
+    thread = processor.threads[0]
+    assert dispatch(processor, [_instr(1)]) == 1
+    # Clock-tree power reads the ROB fill fraction.
+    assert processor.rob_count / processor.scheduler.total_rob_size == 0.5
+    third = _instr(3)
+    assert dispatch(processor, [_instr(2), third], cycle=1) == 1
+    assert processor.rob_count / processor.scheduler.total_rob_size == 1.0
+    # Dispatch stalls: the third instruction waits in the decode latch.
+    latch = thread.decode_latch
+    assert latch.instrs[latch.head:] == [third]
 
 
 def test_rob_squash_younger():
     rob = ReorderBuffer(8)
     instrs = [_instr(i) for i in range(1, 6)]
-    for instr in instrs:
-        rob.push(instr)
+    rob.entries.extend(instrs)
     squashed = rob.squash_younger(3)
     assert [i.seq for i in squashed] == [5, 4]
-    assert len(rob) == 3
-    assert rob.head().seq == 1
-
-
-def test_rob_pop_empty_raises():
-    with pytest.raises(SimulationError):
-        ReorderBuffer(2).pop_head()
+    assert [i.seq for i in rob.entries] == [1, 2, 3]
 
 
 # --- LSQ ---------------------------------------------------------------
 
 def test_lsq_allocate_release_cycle():
-    lsq = LoadStoreQueue(2)
-    lsq.allocate(_instr(1, Opcode.LOAD, sources=(1,)))
-    lsq.allocate(_instr(2, Opcode.STORE, dest=None))
-    assert lsq.full
-    lsq.release()
-    assert not lsq.full
-    lsq.release()
+    processor = backend_processor(lsq_size=2)
+    lsq = processor.threads[0].lsq
+    load, store = _instr(1, Opcode.LOAD, sources=(1,)), _instr(
+        2, Opcode.STORE, dest=None
+    )
+    late = _instr(3, Opcode.LOAD, sources=(1,))
+    # The third memory operation finds the LSQ full and stalls dispatch.
+    assert dispatch(processor, [load, store, late]) == 2
+    assert lsq.occupied == 2
+    assert issue(processor, 0) == [load, store]
+    _drain(processor, 1, 200)
+    assert processor.stats.committed == 2
+    assert lsq.occupied == 0
+    assert dispatch(processor, [], cycle=200) == 1
+    assert lsq.occupied == 1
     with pytest.raises(SimulationError):
-        lsq.release()
-
-
-def test_lsq_overflow_raises():
-    lsq = LoadStoreQueue(1)
-    lsq.allocate(_instr(1, Opcode.LOAD, sources=(1,)))
-    with pytest.raises(SimulationError):
-        lsq.allocate(_instr(2, Opcode.LOAD, sources=(1,)))
+        LoadStoreQueue(1).release()
 
 
 # --- renamer -------------------------------------------------------------
 
 def test_rename_tracks_producers():
-    renamer = RegisterRenamer()
+    processor = backend_processor()
+    thread = processor.threads[0]
     producer = _instr(10, dest=5)
-    waits = renamer.rename(producer)
-    assert waits == ()  # sources architectural, ready
-    assert producer.phys_dest == 10
     consumer = _instr(11, dest=6, sources=(5,))
-    waits = renamer.rename(consumer)
-    assert waits == (10,)
-    renamer.mark_completed(10)
+    dispatch(processor, [producer, consumer])
+    assert producer.phys_dest == 10
+    assert 10 in thread.renamer.pending_tags
+    assert consumer.ready_sources == 1  # waits on the producer of r5
+    assert thread.iq.waiters[10] == [consumer]
+    assert issue(processor, 0) == [producer]
+    tick(processor, "writeback", 1)
+    assert 10 not in thread.renamer.pending_tags
+    assert consumer.ready_sources == 0
     late_consumer = _instr(12, dest=7, sources=(5,))
-    assert renamer.rename(late_consumer) == ()
+    dispatch(processor, [late_consumer], cycle=1)
+    assert late_consumer.ready_sources == 0
+    assert issue(processor, 1) == [consumer, late_consumer]
 
 
 def test_rename_zero_register_never_renamed():
-    renamer = RegisterRenamer()
+    processor = backend_processor()
     instr = _instr(10, dest=0)
-    renamer.rename(instr)
+    reader = _instr(11, dest=4, sources=(0,))
+    dispatch(processor, [instr, reader])
     assert instr.phys_dest == -1
+    assert not processor.threads[0].renamer.pending_tags - {11}
+    assert reader.ready_sources == 0
 
 
 def test_rename_checkpoint_restore():
-    renamer = RegisterRenamer()
-    renamer.rename(_instr(1, dest=5))
-    checkpoint = renamer.checkpoint()
-    renamer.rename(_instr(2, dest=5))
-    consumer = _instr(3, sources=(5,))
-    renamer.rename(consumer)
-    assert consumer.phys_sources == (2,)
-    renamer.restore(checkpoint)
-    consumer2 = _instr(4, sources=(5,))
-    renamer.rename(consumer2)
-    assert consumer2.phys_sources == (1,)
+    processor = backend_processor()
+    thread = processor.threads[0]
+    branch = _mispredicted_branch(processor, 2)
+    wrong = _instr(3, dest=5)
+    consumer = _instr(4, sources=(5,))
+    dispatch(processor, [_instr(1, dest=5), branch, wrong, consumer])
+    assert branch.rename_checkpoint is not None
+    assert thread.iq.waiters[3] == [consumer]  # r5 renamed to tag 3
+    _recover(processor, branch, 1)
+    assert wrong.squashed and consumer.squashed
+    # The branch's checkpoint maps r5 back to tag 1.
+    consumer2 = _instr(5, sources=(5,))
+    dispatch(processor, [consumer2], cycle=1)
+    assert consumer2 in thread.iq.waiters[1]
 
 
 def test_renamer_forget_squashed_tag():
-    renamer = RegisterRenamer()
-    renamer.rename(_instr(1, dest=5))
-    assert renamer.is_pending(1)
-    renamer.forget(1)
-    assert not renamer.is_pending(1)
+    processor = backend_processor()
+    thread = processor.threads[0]
+    branch = _mispredicted_branch(processor, 1)
+    producer = _instr(2, Opcode.MUL, dest=5)
+    dependent = _instr(3, sources=(5,))
+    dispatch(processor, [branch, producer, dependent])
+    assert 2 in thread.renamer.pending_tags
+    _recover(processor, branch, 1)
+    assert 2 not in thread.renamer.pending_tags
+    assert 2 not in thread.iq.waiters
 
 
 # --- issue queue -------------------------------------------------------
 
-def _pool():
-    return FunctionalUnitPool(table3_config())
-
-
 def test_iq_ready_at_dispatch_issues():
-    iq = IssueQueue(8)
-    pool = _pool()
-    pool.new_cycle()
+    processor = backend_processor()
     instr = _instr(1)
-    iq.dispatch(instr, ())
-    selected = iq.select(8, pool, lambda i: False)
-    assert selected == [instr]
+    dispatch(processor, [instr])
+    assert processor.threads[0].iq.ready_list == [instr]
+    assert issue(processor, 0) == [instr]
     assert instr.issued
-    assert len(iq) == 0
+    assert processor.threads[0].iq.count == 0
 
 
 def test_iq_wakeup_chain():
-    iq = IssueQueue(8)
-    pool = _pool()
-    consumer = _instr(2, sources=(1,))
-    iq.dispatch(consumer, (1,))
-    pool.new_cycle()
-    assert iq.select(8, pool, lambda i: False) == []
-    woken = iq.wakeup(1)
-    assert woken == 1
-    pool.new_cycle()
-    assert iq.select(8, pool, lambda i: False) == [consumer]
+    processor = backend_processor()
+    producer = _instr(1, dest=5)
+    consumer = _instr(2, sources=(5,))
+    dispatch(processor, [producer, consumer])
+    assert issue(processor, 0) == [producer]
+    tick(processor, "writeback", 1)
+    assert issue(processor, 1) == [consumer]
 
 
 def test_iq_select_oldest_first_and_width_limit():
-    iq = IssueQueue(16)
-    pool = _pool()
-    instrs = [_instr(seq) for seq in (5, 3, 9, 1)]
-    for instr in instrs:
-        iq.dispatch(instr, ())
-    pool.new_cycle()
-    selected = iq.select(2, pool, lambda i: False)
-    assert [i.seq for i in selected] == [1, 3]
+    processor = backend_processor(issue_width=2)
+    producer = _instr(1, Opcode.MUL, dest=5)
+    waiter = _instr(2, sources=(5,))
+    younger = [_instr(seq) for seq in (3, 4, 5)]
+    dispatch(processor, [producer, waiter] + younger)
+    assert issue(processor, 0) == [producer, younger[0]]
+    tick(processor, "writeback", 3)
+    # The wakeup appended the older waiter behind younger ready work;
+    # select still picks oldest first, two per cycle.
+    assert processor.threads[0].iq.ready_list == younger[1:] + [waiter]
+    assert issue(processor, 3) == [waiter, younger[1]]
+    assert processor.threads[0].iq.ready_list == [younger[2]]
+
+
+class _BlockSeq(SpeculationController):
+    """Raises the no-select bit of one sequence number."""
+
+    throttles_selection = True
+
+    def __init__(self, seq):
+        self.seq = seq
+
+    def blocks_selection(self, instruction):
+        return instruction.seq == self.seq
 
 
 def test_iq_select_respects_blocker():
-    iq = IssueQueue(8)
-    pool = _pool()
+    controller = _BlockSeq(1)
+    processor = backend_processor(controller)
     a, b = _instr(1), _instr(2)
-    iq.dispatch(a, ())
-    iq.dispatch(b, ())
-    pool.new_cycle()
-    selected = iq.select(8, pool, lambda i: i.seq == 1)
-    assert selected == [b]
-    # blocked instruction remains ready for later cycles
-    pool.new_cycle()
-    assert iq.select(8, pool, lambda i: False) == [a]
+    dispatch(processor, [a, b])
+    assert issue(processor, 0) == [b]
+    assert processor.stats.selection_blocked == 1
+    # The blocked instruction stays ready for later cycles.
+    controller.seq = None
+    assert issue(processor, 1) == [a]
 
 
 def test_iq_select_respects_fu_limits():
-    iq = IssueQueue(16)
-    pool = _pool()
-    muls = [_instr(seq, Opcode.MUL) for seq in range(1, 5)]
-    for instr in muls:
-        iq.dispatch(instr, ())
-    pool.new_cycle()
-    selected = iq.select(8, pool, lambda i: False)
-    assert len(selected) == 2  # Table 3: 2 integer multipliers
+    processor = backend_processor()
+    dispatch(processor, [_instr(seq, Opcode.MUL) for seq in range(1, 5)])
+    assert len(issue(processor, 0)) == 2  # Table 3: 2 integer multipliers
 
 
 def test_iq_mem_ports_shared_between_loads_and_stores():
-    iq = IssueQueue(16)
-    pool = _pool()
-    iq.dispatch(_instr(1, Opcode.LOAD, sources=(1,)), ())
-    iq.dispatch(_instr(2, Opcode.STORE, dest=None, sources=(1, 2)), ())
-    iq.dispatch(_instr(3, Opcode.LOAD, sources=(1,)), ())
-    pool.new_cycle()
-    selected = iq.select(8, pool, lambda i: False)
-    assert len(selected) == 2  # Table 3: 2 memory ports
+    processor = backend_processor()
+    dispatch(processor, [
+        _instr(1, Opcode.LOAD, sources=(1,)),
+        _instr(2, Opcode.STORE, dest=None, sources=(1, 2)),
+        _instr(3, Opcode.LOAD, sources=(1,)),
+    ])
+    assert len(issue(processor, 0)) == 2  # Table 3: 2 memory ports
 
 
 def test_iq_squash_removes_from_ready():
-    iq = IssueQueue(8)
-    pool = _pool()
-    old, young = _instr(1), _instr(9)
-    iq.dispatch(old, ())
-    iq.dispatch(young, ())
-    young.squashed = True
-    iq.squash_younger(5)
-    iq.note_squashed(young)
-    pool.new_cycle()
-    assert iq.select(8, pool, lambda i: False) == [old]
-    assert len(iq) == 0
+    processor = backend_processor()
+    iq = processor.threads[0].iq
+    old, branch, young = _instr(1), _mispredicted_branch(processor, 2), _instr(9)
+    dispatch(processor, [old, branch, young])
+    assert iq.count == 3
+    _recover(processor, branch, 0)
+    assert young.squashed
+    assert iq.ready_list == [old, branch]
+    assert issue(processor, 1) == [old, branch]
+    assert iq.count == 0
 
 
 def test_iq_wakeup_skips_squashed():
-    iq = IssueQueue(8)
-    waiter = _instr(2, sources=(1,))
-    iq.dispatch(waiter, (1,))
-    waiter.squashed = True
-    assert iq.wakeup(1) == 0
+    processor = backend_processor()
+    iq = processor.threads[0].iq
+    producer = _instr(1, Opcode.MUL, dest=5)
+    branch = _mispredicted_branch(processor, 2)
+    waiter = _instr(3, sources=(5,))
+    dispatch(processor, [producer, branch, waiter])
+    assert issue(processor, 0) == [producer, branch]
+    _recover(processor, branch, 1)
+    assert waiter.squashed
+    # The squashed waiter still sits in the producer's waiter list
+    # (removed lazily); the wakeup skips it.
+    assert iq.waiters[1] == [waiter]
+    tick(processor, "writeback", 3)
+    assert producer.completed
+    assert waiter.ready_sources == 1
+    assert iq.ready_list == []
 
 
-def test_iq_full_raises():
-    iq = IssueQueue(1)
-    iq.dispatch(_instr(1), ())
-    with pytest.raises(SimulationError):
-        iq.dispatch(_instr(2), ())
+def test_dispatch_stalls_when_iq_full():
+    processor = backend_processor(iq_size=1)
+    first, second = _instr(1), _instr(2)
+    assert dispatch(processor, [first, second]) == 1
+    assert processor.threads[0].iq.count == 1
+    assert issue(processor, 0) == [first]
+    assert dispatch(processor, [], cycle=1) == 1
 
 
 # --- FU pool ---------------------------------------------------------------
 
 def test_fu_pool_branch_shares_int_alu():
-    pool = _pool()
-    pool.new_cycle()
-    claimed = 0
-    while pool.try_claim(OpClass.BRANCH):
-        claimed += 1
-    assert claimed == table3_config().int_alu
-    assert not pool.try_claim(OpClass.INT_ALU)
+    processor = backend_processor(int_alu=4)
+    branches = [
+        _instr(seq, Opcode.BR_UNCOND, dest=None, sources=()) for seq in range(1, 5)
+    ]
+    alu = _instr(5)
+    dispatch(processor, branches + [alu])
+    # Branches resolve on the integer ALUs: four of them use all four.
+    assert issue(processor, 0) == branches
+    assert issue(processor, 1) == [alu]
 
 
 def test_fu_pool_refreshes_each_cycle():
-    pool = _pool()
-    pool.new_cycle()
-    assert pool.try_claim(OpClass.FP_MULT)
-    assert not pool.try_claim(OpClass.FP_MULT)
-    pool.new_cycle()
-    assert pool.try_claim(OpClass.FP_MULT)
+    processor = backend_processor()
+    dispatch(processor, [_instr(seq, Opcode.FMUL) for seq in (1, 2)])
+    assert len(issue(processor, 0)) == 1  # Table 3: 1 FP multiplier
+    assert len(issue(processor, 1)) == 1

@@ -75,7 +75,8 @@ def test_commit_order_is_program_order(fresh_program):
     original_tick = commit_stage.tick
 
     def spying_tick(cycle, activity):
-        head = processor.rob.head()
+        entries = processor.rob.entries
+        head = entries[0] if entries else None
         if head is not None and head.completed and head.true_index >= 0:
             seen.append(head.true_index)
         original_tick(cycle, activity)
@@ -206,7 +207,7 @@ def test_rob_never_holds_squashed(fresh_program):
     processor = Processor(table3_config(), fresh_program, seed=42)
     for _ in range(3000):
         processor.step()
-        assert all(not instr.squashed for instr in processor.rob)
+        assert all(not instr.squashed for instr in processor.rob.entries)
 
 
 def test_power_activity_is_recorded(fresh_program):
@@ -214,3 +215,22 @@ def test_power_activity_is_recorded(fresh_program):
     breakdown = processor.power.breakdown()
     for unit in ("icache", "window", "clock", "alu"):
         assert breakdown[unit]["share"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "name, decode, selection",
+    [("A5", False, False), ("C2", False, True), ("B5", True, False),
+     ("C4", True, True)],
+)
+def test_controller_hooks_follow_the_policy(name, decode, selection):
+    """The decode and select stages consult a throttler only when its
+    policy can hold an instruction back: A5 throttles fetch alone, C2
+    adds the no-select bit, B5 a decode throttle."""
+    processor = Processor(
+        table3_config(), _program(),
+        controller=SelectiveThrottler(experiment_policy(name)), seed=42,
+    )
+    thread = processor.threads[0]
+    assert (thread.ctrl_blocks_decode, thread.ctrl_blocks_selection) == (
+        decode, selection
+    )

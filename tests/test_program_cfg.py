@@ -110,3 +110,24 @@ def test_reset_behaviors_resets_loop_state(fresh_program):
     first = [block.behavior.next_outcome(0) for _ in range(20)]
     fresh_program.reset_behaviors()
     assert [block.behavior.next_outcome(0) for _ in range(20)] == first
+
+
+def test_control_instruction_only_in_the_last_slot():
+    block = _block_with(0, TerminatorKind.JUMP, taken_target=0)
+    block.instructions.insert(0, StaticInstruction(0, Opcode.BR_UNCOND))
+    with pytest.raises(ProgramError, match="before the last"):
+        Program([block], entry_block=0).finalize()
+
+
+def test_terminator_matches_block_kind():
+    jump_ending_in_load = _block_with(0, TerminatorKind.JUMP, taken_target=0)
+    jump_ending_in_load.instructions[-1] = StaticInstruction(
+        0, Opcode.LOAD, dest=2, sources=(1,), mem_region=0, mem_stride=4,
+        mem_footprint=64,
+    )
+    with pytest.raises(ProgramError, match="must end in br_uncond"):
+        Program([jump_ending_in_load], entry_block=0).finalize()
+    fall_ending_in_call = _block_with(0, TerminatorKind.FALL, fall_target=0)
+    fall_ending_in_call.instructions.append(StaticInstruction(0, Opcode.CALL))
+    with pytest.raises(ProgramError, match="FALL block ends in control"):
+        Program([fall_ending_in_call], entry_block=0).finalize()

@@ -11,11 +11,11 @@ from repro.confidence.bpru import BPRUEstimator
 from repro.core.levels import BandwidthLevel
 from repro.core.policy import ThrottleAction, ThrottlePolicy
 from repro.core.throttler import SelectiveThrottler
-from repro.isa.opcodes import Opcode, OpClass
+from repro.isa.opcodes import FU_MEM_READ, Opcode, OpClass
 from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.frontend.supply import CompiledSupply
 from repro.pipeline.config import table3_config
 from repro.pipeline.resources import FunctionalUnitPool
-from repro.program.walker import WrongPathNavigator
 from repro.program.generator import ProgramGenerator, ProgramShape
 from repro.report.ascii import bar_chart
 
@@ -30,7 +30,9 @@ def test_mshr_busy_count_never_exceeds_outstanding(holds, probe):
         pool.hold_mshr(release)
     pool.new_cycle(probe)
     outstanding = sum(1 for release in holds if release > probe)
-    assert pool.mshr_busy_count == outstanding
+    assert len(pool._mshr_release) == outstanding
+    # A load (which may miss) issues only while an MSHR is free.
+    assert pool.try_claim_code(FU_MEM_READ) == (outstanding < 8)
 
 
 @given(
@@ -78,7 +80,7 @@ def test_throttler_aggregate_is_max_of_armed(events):
 def test_wrong_path_addresses_word_aligned_and_in_region(seed, step):
     shape = ProgramShape(num_functions=2)
     program = ProgramGenerator(shape, 3).generate()
-    navigator = WrongPathNavigator(program, seed)
+    supply = CompiledSupply(program, seed)
     static = None
     for block in program.blocks:
         for instr in block.instructions:
@@ -89,7 +91,9 @@ def test_wrong_path_addresses_word_aligned_and_in_region(seed, step):
             break
     if static is None:
         return
-    address = navigator._wrong_data_address(static, step)
+    # Enter a wrong path at the static's block with the step as the salt.
+    records, _ = supply.wrong_packet(supply.start_cursor(static.block_id, step))
+    [address] = [mem for s, _, _, mem in records if s is static]
     region_base = 0x1000_0000 + static.mem_region * 0x10_0000
     assert address % 4 == 0
     assert region_base <= address < region_base + 0x10_0000

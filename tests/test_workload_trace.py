@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.program.walker import TruePathOracle
+from repro.frontend.supply import CompiledSupply
 from repro.workloads.suite import benchmark_program
 from repro.workloads.trace import TraceReader, TraceRecord, TraceRecorder
 
@@ -11,8 +11,8 @@ from repro.workloads.trace import TraceReader, TraceRecord, TraceRecorder
 @pytest.fixture(scope="module")
 def recorded():
     """300 true-path records of a calibrated benchmark."""
-    oracle = TruePathOracle(benchmark_program("compress"), seed=123)
-    return TraceRecorder(oracle).record(300)
+    supply = CompiledSupply(benchmark_program("compress"), seed=123)
+    return TraceRecorder(supply).record(300)
 
 
 def test_record_covers_branches_and_memory(recorded):
@@ -30,8 +30,8 @@ def test_record_covers_branches_and_memory(recorded):
 
 def test_in_memory_record_matches_file_record(tmp_path, recorded):
     path = tmp_path / "trace.txt"
-    oracle = TruePathOracle(benchmark_program("compress"), seed=123)
-    TraceRecorder(oracle).record_to_file(str(path), 300)
+    supply = CompiledSupply(benchmark_program("compress"), seed=123)
+    TraceRecorder(supply).record_to_file(str(path), 300)
     parsed = list(TraceReader(str(path)))
     assert parsed == recorded
 
@@ -52,15 +52,15 @@ def test_write_parse_round_trip_preserves_every_field(tmp_path, recorded):
 
 
 def test_replay_matches_a_fresh_oracle_walk(recorded):
-    """A recorded trace replays the exact dynamic stream the oracle serves."""
-    oracle = TruePathOracle(benchmark_program("compress"), seed=123)
+    """A recorded trace replays the exact dynamic stream the supply serves."""
+    supply = CompiledSupply(benchmark_program("compress"), seed=123)
     for index, record in enumerate(recorded):
-        dynamic = oracle.get(index)
-        assert record.address == dynamic.static.address
-        assert record.opcode == dynamic.static.opcode.value
-        assert record.taken == dynamic.taken
-        assert record.target_block == dynamic.target_block
-        assert record.mem_address == dynamic.mem_address
+        static, taken, target_block, mem_address = supply.get(index)
+        assert record.address == static.address
+        assert record.opcode == static.opcode.value
+        assert record.taken == taken
+        assert record.target_block == target_block
+        assert record.mem_address == mem_address
 
 
 def test_branch_edge_cases_round_trip(tmp_path):
@@ -97,13 +97,13 @@ def test_malformed_record_raises_with_location(tmp_path):
 
 
 def test_record_to_file_prunes_as_it_goes(tmp_path):
-    """Long recordings stay constant-memory (the oracle prunes behind)."""
-    oracle = TruePathOracle(benchmark_program("gzip"), seed=5)
+    """Long recordings stay constant-memory (the supply prunes behind)."""
+    supply = CompiledSupply(benchmark_program("gzip"), seed=5)
     path = tmp_path / "long.txt"
-    TraceRecorder(oracle).record_to_file(str(path), 10_000)
+    TraceRecorder(supply).record_to_file(str(path), 10_000)
     assert sum(1 for _ in TraceReader(str(path))) == 10_000
-    # Records behind the prune point are gone from the live oracle.
-    assert oracle._base > 0
+    # Records behind the prune point are gone from the live supply.
+    assert supply._base > 0
 
 
 # ----------------------------------------------------------------------

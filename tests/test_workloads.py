@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.program.walker import TruePathOracle
+from repro.frontend.supply import CompiledSupply
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import (
     BENCHMARK_NAMES,
@@ -56,8 +56,7 @@ def test_workload_spec_validation():
 
 
 def test_trace_record_and_replay_roundtrip(tmp_path, fresh_program):
-    oracle = TruePathOracle(fresh_program, seed=1)
-    recorder = TraceRecorder(oracle)
+    recorder = TraceRecorder(CompiledSupply(fresh_program, seed=1))
     records = recorder.record(500)
     assert len(records) == 500
     branches = [r for r in records if r.is_cond_branch]
@@ -65,8 +64,7 @@ def test_trace_record_and_replay_roundtrip(tmp_path, fresh_program):
 
     fresh_program.reset_behaviors()
     path = tmp_path / "trace.txt"
-    oracle2 = TruePathOracle(fresh_program, seed=1)
-    TraceRecorder(oracle2).record_to_file(str(path), 500)
+    TraceRecorder(CompiledSupply(fresh_program, seed=1)).record_to_file(str(path), 500)
 
     replayed = list(TraceReader(str(path)))
     assert len(replayed) == 500
