@@ -114,7 +114,7 @@ from repro.studies import (
     run_study,
     study_names,
 )
-from repro.workloads import BENCHMARK_NAMES, benchmark_program, benchmark_spec, load_suite
+from repro.workloads import BENCHMARK_NAMES, benchmark_spec
 
 __version__ = "1.1.0"
 
@@ -149,8 +149,6 @@ __all__ = [
     # workloads
     "BENCHMARK_NAMES",
     "benchmark_spec",
-    "benchmark_program",
-    "load_suite",
     # instruction supply
     "CompiledSupply",
     "TraceSupply",

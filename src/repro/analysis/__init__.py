@@ -2,8 +2,9 @@
 
 A small AST-based framework purpose-built for this codebase's two
 unwritten contracts — bit-exact determinism and hot-path discipline —
-plus the stage/latch architecture and the process-pool serialization
-grammar.  Four rule families ship:
+plus the stage/latch architecture, the process-pool serialization
+grammar and the rule that no function outlives its last caller.  Five
+rule families ship:
 
 * determinism (``DET*``) — no wall-clock, no process-entropy, no
   set-order iteration in any module reachable from the simulation core;
@@ -14,7 +15,10 @@ grammar.  Four rule families ship:
   surfaces it reads and writes (``CONTRACT``), checked against the
   surfaces its code actually touches;
 * serialization (``SER*``) — literal controller specs must stay inside
-  the picklable spec-tuple grammar the cache fingerprints understand.
+  the picklable spec-tuple grammar the cache fingerprints understand;
+* reachability (``DEAD*``) — every function and method in the package
+  has a caller in the package, ``tools/``, ``examples/`` or
+  ``perfbench/`` (tests and ``__all__`` do not count).
 
 Entry points: :func:`run_check` (used by the CLI), the
 :class:`~repro.analysis.walker.ProjectIndex` (build one over any source
@@ -33,6 +37,7 @@ from repro.analysis.walker import ProjectIndex
 from repro.analysis import contracts  # noqa: F401
 from repro.analysis import determinism  # noqa: F401
 from repro.analysis import hotpath  # noqa: F401
+from repro.analysis import reachability  # noqa: F401
 from repro.analysis import serialization  # noqa: F401
 
 __all__ = ["ProjectIndex", "Violation", "run_check"]

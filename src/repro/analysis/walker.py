@@ -5,7 +5,9 @@ AST per module, paths relative to the source root, a per-module import
 map (local name -> dotted origin, used to resolve call targets like
 ``time.time`` through aliases), and module-to-module import edges from
 which determinism rules compute the set of modules reachable from the
-simulation core.
+simulation core.  The :data:`CALLER_ROOTS` beside the source root
+(``tools/``, ``examples/``, ``perfbench/``) are parsed too, as callers
+only: no rule checks them, ``DEAD001`` counts their uses.
 
 Built over this repository by default, but any directory holding a
 package works — the checker's self-tests synthesize miniature packages
@@ -70,12 +72,53 @@ def _collect_imports(info: ModuleInfo) -> None:
                 info.imported_modules.add(f"{base}.{alias.name}")
 
 
-class ProjectIndex:
-    """Every parsed module of a source tree plus its import graph."""
+# Directories beside the source root whose code calls into the package
+# but is not part of it: they count as callers (``DEAD001``) and are
+# never checked themselves.  ``tests/`` is deliberately not one of them.
+CALLER_ROOTS = ("tools", "examples", "perfbench")
 
-    def __init__(self, src_root: str, modules: List[ModuleInfo]) -> None:
+
+def _parse_tree(root: str, prefix: str = "") -> List[ModuleInfo]:
+    """One :class:`ModuleInfo` per ``.py`` file under ``root``.
+
+    Paths (and so module names) are relative to ``root``, with
+    ``prefix`` prepended.
+    """
+    modules: List[ModuleInfo] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(
+            d for d in dirnames if d not in ("__pycache__", ".git")
+        )
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            full = os.path.join(dirpath, filename)
+            rel = prefix + os.path.relpath(full, root).replace(os.sep, "/")
+            with open(full, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            tree = ast.parse(source, filename=rel)
+            info = ModuleInfo(name=_module_name(rel), path=rel, tree=tree)
+            _collect_imports(info)
+            modules.append(info)
+    return modules
+
+
+class ProjectIndex:
+    """Every parsed module of a source tree plus its import graph.
+
+    ``callers`` holds the modules of the :data:`CALLER_ROOTS` found
+    beside the source root (empty for an installed package).
+    """
+
+    def __init__(
+        self,
+        src_root: str,
+        modules: List[ModuleInfo],
+        callers: Optional[List[ModuleInfo]] = None,
+    ) -> None:
         self.src_root = src_root
         self.modules = modules
+        self.callers = callers or []
         self.by_name: Dict[str, ModuleInfo] = {m.name: m for m in modules}
 
     @classmethod
@@ -85,23 +128,13 @@ class ProjectIndex:
             src_root = os.path.dirname(
                 os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             )
-        modules: List[ModuleInfo] = []
-        for dirpath, dirnames, filenames in os.walk(src_root):
-            dirnames[:] = sorted(
-                d for d in dirnames if d not in ("__pycache__", ".git")
-            )
-            for filename in sorted(filenames):
-                if not filename.endswith(".py"):
-                    continue
-                full = os.path.join(dirpath, filename)
-                rel = os.path.relpath(full, src_root).replace(os.sep, "/")
-                with open(full, "r", encoding="utf-8") as handle:
-                    source = handle.read()
-                tree = ast.parse(source, filename=rel)
-                info = ModuleInfo(name=_module_name(rel), path=rel, tree=tree)
-                _collect_imports(info)
-                modules.append(info)
-        return cls(src_root, modules)
+        parent = os.path.dirname(os.path.abspath(src_root))
+        callers: List[ModuleInfo] = []
+        for name in CALLER_ROOTS:
+            root = os.path.join(parent, name)
+            if os.path.isdir(root):
+                callers.extend(_parse_tree(root, prefix=f"{name}/"))
+        return cls(src_root, _parse_tree(src_root), callers)
 
     # ------------------------------------------------------------------
     # Reachability
@@ -176,6 +209,15 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def resolve_name(info: ModuleInfo, name: str) -> str:
+    """The fully-qualified form of a dotted name, via the import map."""
+    head, _, rest = name.partition(".")
+    origin = info.imports.get(head)
+    if origin is None:
+        return name
+    return f"{origin}.{rest}" if rest else origin
+
+
 def resolve_call_target(info: ModuleInfo, node: ast.Call) -> Optional[str]:
     """The fully-qualified dotted target of a call, via the import map.
 
@@ -185,10 +227,4 @@ def resolve_call_target(info: ModuleInfo, node: ast.Call) -> Optional[str]:
     expressions.
     """
     name = dotted_name(node.func)
-    if name is None:
-        return None
-    head, _, rest = name.partition(".")
-    origin = info.imports.get(head)
-    if origin is None:
-        return name
-    return f"{origin}.{rest}" if rest else origin
+    return None if name is None else resolve_name(info, name)

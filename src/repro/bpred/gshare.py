@@ -19,7 +19,6 @@ from repro.utils.bitops import bit_mask, log2_exact
 COUNTER_BITS = 2
 _COUNTER_MAX = (1 << COUNTER_BITS) - 1
 _TAKEN_THRESHOLD = 1 << (COUNTER_BITS - 1)
-_WEAK_NOT_TAKEN = _TAKEN_THRESHOLD - 1
 _WEAK_TAKEN = _TAKEN_THRESHOLD
 
 
@@ -64,11 +63,6 @@ class GSharePredictor(BranchPredictor):
 
     def counter_strength(self, pc: int, snapshot: int) -> int:
         return self.table[self._index(pc, snapshot)]
-
-    def is_weak(self, pc: int, snapshot: int) -> bool:
-        """True if the prediction came from a weak counter state."""
-        counter = self.table[self._index(pc, snapshot)]
-        return counter in (_WEAK_NOT_TAKEN, _WEAK_TAKEN)
 
     def storage_bits(self) -> int:
         return self.entries * COUNTER_BITS + self.index_bits

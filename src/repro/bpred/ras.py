@@ -37,12 +37,6 @@ class ReturnAddressStack:
         self._top -= 1
         return self._stack[self._top % self.depth]
 
-    def peek(self) -> int:
-        """Return the current top without popping (0 if empty)."""
-        if self._top == 0:
-            return 0
-        return self._stack[(self._top - 1) % self.depth]
-
     def checkpoint(self) -> RASCheckpoint:
         """Capture state for branch-squash recovery."""
         top = self._top

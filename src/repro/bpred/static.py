@@ -5,16 +5,11 @@ from __future__ import annotations
 from repro.bpred.base import BranchPredictor, Prediction
 from repro.errors import ConfigurationError
 
-_POLICIES = ("taken", "not_taken", "backward_taken")
+_POLICIES = ("taken", "not_taken")
 
 
 class StaticPredictor(BranchPredictor):
-    """Always-taken, always-not-taken, or backward-taken (BTFN) prediction.
-
-    BTFN needs the branch target to know direction; the pipeline passes the
-    sign of the displacement via ``set_backward`` before predicting, which
-    keeps the predictor interface uniform.
-    """
+    """Always-taken or always-not-taken prediction."""
 
     name = "static"
 
@@ -22,18 +17,9 @@ class StaticPredictor(BranchPredictor):
         if policy not in _POLICIES:
             raise ConfigurationError(f"unknown static policy {policy!r}")
         self.policy = policy
-        self._next_is_backward = False
-
-    def set_backward(self, backward: bool) -> None:
-        """Tell a BTFN predictor whether the next branch jumps backward."""
-        self._next_is_backward = backward
 
     def predict(self, pc: int) -> Prediction:
-        if self.policy == "taken":
-            return Prediction(True, None)
-        if self.policy == "not_taken":
-            return Prediction(False, None)
-        return Prediction(self._next_is_backward, None)
+        return Prediction(self.policy == "taken", None)
 
     def restore(self, snapshot, actual_taken: bool) -> None:
         return None

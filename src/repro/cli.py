@@ -248,7 +248,8 @@ def _cmd_list() -> None:
     print("  cache info|prune            — inspect / bound the result cache "
           "(--days, --max-bytes)")
     print("  check [--format json]       — static analysis: determinism, hot-path")
-    print("                                discipline, stage contracts, spec grammar")
+    print("                                discipline, stage contracts, spec grammar,")
+    print("                                every function has a caller")
     print("  telemetry summary|export|top FILE — validate/aggregate a JSONL")
     print("                                event stream (--telemetry-out)")
     print(f"benchmarks: {', '.join(BENCHMARK_NAMES)}")

@@ -37,7 +37,7 @@ from repro.bpred.base import BranchPredictor, Prediction
 from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
-from repro.utils.rng import stateless_hash, stateless_hash_step
+from repro.utils.rng import stateless_hash_step
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,9 +111,10 @@ class BPRUEstimator(ConfidenceEstimator):
         self._stable_trips: dict = {}  # pc -> trip confirmed twice in a row
         self._spec_streaks: dict = {}  # pc -> speculative consecutive-taken run
         self._commit_streaks: dict = {}  # pc -> committed consecutive-taken run
-        # Per-pc prefix of the value-draw hash chain: ``stateless_hash``
-        # folds its arguments one at a time, so the (seed, pc) stage is a
-        # per-branch constant and each draw pays one step.
+        # Per-pc prefix of the value-draw hash chain: the chain folds its
+        # arguments one ``stateless_hash_step`` at a time, so the
+        # (seed, pc) stage is a per-branch constant and each draw pays
+        # one step.
         self._pc_partials: dict = {}
 
     def _index(self, pc: int, history: int) -> int:

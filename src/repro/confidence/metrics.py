@@ -74,32 +74,3 @@ class ConfidenceMatrix:
             if level.is_low and not correct
         )
         return justified / low
-
-    def level_fraction(self, level: ConfidenceLevel) -> float:
-        """Fraction of all branches labelled ``level``."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        at_level = sum(
-            count for (lvl, _), count in self._counts.items() if lvl is level
-        )
-        return at_level / total
-
-    def as_dict(self) -> Dict[str, float]:
-        """Summary suitable for printing or JSON."""
-        return {
-            "total": self.total,
-            "mispredictions": self.mispredictions,
-            "spec": self.spec(),
-            "pvn": self.pvn(),
-            "vhc_fraction": self.level_fraction(ConfidenceLevel.VHC),
-            "hc_fraction": self.level_fraction(ConfidenceLevel.HC),
-            "lc_fraction": self.level_fraction(ConfidenceLevel.LC),
-            "vlc_fraction": self.level_fraction(ConfidenceLevel.VLC),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ConfidenceMatrix(total={self.total}, SPEC={self.spec():.2f}, "
-            f"PVN={self.pvn():.2f})"
-        )

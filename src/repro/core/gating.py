@@ -71,10 +71,5 @@ class PipelineGatingController(SpeculationController):
         # fast-forwarded gated window skipped.
         self.gated_cycles += count
 
-    @property
-    def outstanding_low_confidence(self) -> int:
-        """Number of in-flight branches currently counted against the gate."""
-        return self._outstanding
-
     def reset(self) -> None:
         self._outstanding = 0

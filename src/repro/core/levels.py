@@ -50,25 +50,9 @@ class BandwidthLevel(enum.IntEnum):
     QUARTER = 2  # 1 active cycle in 4
     STALL = 3  # no active cycles
 
-    @property
-    def period(self) -> int:
-        """Cycles per active window (0 means never active)."""
-        if self is BandwidthLevel.FULL:
-            return 1
-        if self is BandwidthLevel.HALF:
-            return 2
-        if self is BandwidthLevel.QUARTER:
-            return 4
-        return 0
-
     def active(self, cycle: int) -> bool:
         """True if the throttled stage may operate on ``cycle``."""
         return (ACTIVE_WHEEL_MASKS[self] >> (cycle & 3)) & 1 == 1
-
-    @staticmethod
-    def most_restrictive(a: "BandwidthLevel", b: "BandwidthLevel") -> "BandwidthLevel":
-        """The more aggressive of two levels (used by the escalate rule)."""
-        return a if a >= b else b
 
     def describe(self) -> str:
         """Compact label used by experiment names (fetch/2, fetch=0...)."""

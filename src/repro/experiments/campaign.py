@@ -64,14 +64,6 @@ class MetricSummary:
     half_width: float
     samples: int
 
-    @property
-    def low(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        return self.mean + self.half_width
-
     def describe(self) -> str:
         return f"{self.mean:.2f} ± {self.half_width:.2f} (n={self.samples})"
 

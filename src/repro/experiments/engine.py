@@ -565,11 +565,6 @@ def _config_items(config: ProcessorConfig) -> List[Tuple[str, object]]:
     ]
 
 
-def config_fingerprint(config: ProcessorConfig) -> Tuple:
-    """A hashable fingerprint of every result-relevant config field."""
-    return tuple(_config_items(config))
-
-
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

@@ -38,11 +38,6 @@ class SimulationResult:
     breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def energy_delay(self) -> float:
-        """Energy-delay product in joule-seconds."""
-        return self.energy_joules * self.execution_seconds
-
 
 @dataclass(frozen=True)
 class ComparisonResult:
@@ -54,11 +49,6 @@ class ComparisonResult:
     power_savings_pct: float
     energy_savings_pct: float
     ed_improvement_pct: float
-
-    @property
-    def slowdown_pct(self) -> float:
-        """Percent performance lost relative to the baseline."""
-        return (1.0 - self.speedup) * 100.0
 
 
 def compare(baseline: SimulationResult, candidate: SimulationResult) -> ComparisonResult:

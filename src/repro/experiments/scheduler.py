@@ -35,6 +35,7 @@ scheduler (``repro ablations``, ``repro study run A B``) share baselines.
 from __future__ import annotations
 
 import atexit
+import shlex
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -95,7 +96,9 @@ def run_cell(cell):
     The :class:`ExperimentError` carries the cell's label, its benchmark
     (or SMT mix), its seed, its content fingerprint and the original
     exception's type and message, all in one string argument so it
-    survives pickling back from a pool worker.
+    survives pickling back from a pool worker.  Its last line is a
+    ``reproduce:`` shell command that reruns the cell alone: a cell's
+    ``repr`` (its ``ProcessorConfig`` included) evaluates back to it.
     """
     # Looked up per call, so instrumentation that wraps
     # ``engine.execute_cell`` sees every cell.
@@ -107,10 +110,17 @@ def run_cell(cell):
         benchmark = getattr(cell, "benchmark", None)
         workload = f"benchmark {benchmark}" if benchmark else f"mix {cell.mix}"
         label = getattr(cell, "effective_label", None) or cell.policy
+        code = (
+            "from repro.experiments.engine import SimCell, SmtCell; "
+            "from repro.experiments.scheduler import run_cell; "
+            "from repro.pipeline.config import ProcessorConfig; "
+            f"run_cell({cell!r})"
+        )
         raise ExperimentError(
             f"cell {label!r} failed on {workload}, seed "
             f"{cell.effective_seed}, fingerprint {fingerprint_of(cell)}: "
-            f"{type(error).__name__}: {error}"
+            f"{type(error).__name__}: {error}\n"
+            f"reproduce: python -c {shlex.quote(code)}"
         ) from error
 
 

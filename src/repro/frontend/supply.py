@@ -40,8 +40,8 @@ unconditional jump/call terminators, zero-stride memory accesses) are
 built a single time and *shared* across every visit — records are
 immutable tuples, so aliasing is unobservable — while dynamic slots
 (strided memory, conditional/return terminators) are stamped per visit.
-Wrong-path hashing exploits that :func:`~repro.utils.rng.stateless_hash`
-chains per argument: the per-static / per-block first stage is
+Wrong-path hashing chains :func:`~repro.utils.rng.stateless_hash_step`
+once per argument: the per-static / per-block first step is
 precomputed, leaving one splitmix step per stamp.  Table compilation is
 cached on the ``Program`` instance, so the many cells of a figure sweep
 that share a memoised program compile once.

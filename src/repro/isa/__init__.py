@@ -12,16 +12,12 @@ from repro.isa.opcodes import (
     MEMORY_OPCODES,
     Opcode,
     OpClass,
-    opcode_class,
-    opcode_latency,
 )
 from repro.isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
 
 __all__ = [
     "Opcode",
     "OpClass",
-    "opcode_class",
-    "opcode_latency",
     "BRANCH_OPCODES",
     "MEMORY_OPCODES",
     "StaticInstruction",

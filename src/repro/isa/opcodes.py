@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.errors import ConfigurationError
-
 
 class OpClass(enum.Enum):
     """Functional-unit class an instruction issues to."""
@@ -159,19 +157,3 @@ OPCODE_META = {
     )
     for opcode in Opcode
 }
-
-
-def opcode_class(opcode: Opcode) -> OpClass:
-    """Return the functional-unit class of an opcode."""
-    try:
-        return _OPCODE_CLASS[opcode]
-    except KeyError:
-        raise ConfigurationError(f"unknown opcode {opcode!r}") from None
-
-
-def opcode_latency(opcode: Opcode) -> int:
-    """Return the base execution latency of an opcode in cycles."""
-    try:
-        return _OPCODE_LATENCY[opcode]
-    except KeyError:
-        raise ConfigurationError(f"unknown opcode {opcode!r}") from None

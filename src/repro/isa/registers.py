@@ -14,8 +14,3 @@ REG_SP = 1
 
 # Registers the program generator may allocate as ordinary scratch values.
 FIRST_SCRATCH_REG = 2
-
-
-def valid_register(index: int) -> bool:
-    """Return True for a legal architectural register index."""
-    return 0 <= index < NUM_ARCH_REGS

@@ -66,12 +66,6 @@ class Cache:
         self._sets = [()] * self.num_sets
         self.stats = CacheStats()
 
-    def probe(self, address: int) -> bool:
-        """Return hit/miss without updating LRU or counters."""
-        line = address >> self._offset_bits
-        tag_set = self._sets[line & self._set_mask]
-        return line in tag_set
-
     def access(self, address: int) -> bool:
         """Access the cache; allocate on miss.  Returns True on a hit."""
         line = address >> self._offset_bits
@@ -97,20 +91,6 @@ class Cache:
         if position:
             tag_set.insert(0, tag_set.pop(position))
         return True
-
-    def invalidate_all(self) -> None:
-        """Empty the cache (statistics are preserved).
-
-        Every set returns to the untouched empty tuple.  The set array
-        itself is slice-assigned, never rebound: the fetch stage's inlined
-        I-cache probe holds an alias of it, which must stay valid across
-        an invalidation.
-        """
-        self._sets[:] = [()] * self.num_sets
-
-    def line_address(self, address: int) -> int:
-        """Return the line-aligned address containing ``address``."""
-        return address & ~bit_mask(self._offset_bits)
 
     def __repr__(self) -> str:
         return (

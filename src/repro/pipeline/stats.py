@@ -76,18 +76,3 @@ class SimStats:
     def wrong_path_fetch_fraction(self) -> float:
         """Fraction of fetched instructions that were wrong-path."""
         return self.fetched_wrong_path / self.fetched if self.fetched else 0.0
-
-    def as_dict(self) -> dict:
-        """Flat summary for printing and results storage."""
-        return {
-            "cycles": self.cycles,
-            "committed": self.committed,
-            "ipc": self.ipc,
-            "fetched": self.fetched,
-            "fetched_wrong_path": self.fetched_wrong_path,
-            "squashed": self.squashed,
-            "cond_branches": self.cond_branches_committed,
-            "miss_rate": self.branch_miss_rate,
-            "spec": self.confidence.spec(),
-            "pvn": self.confidence.pvn(),
-        }

@@ -112,10 +112,11 @@ def _derive_tables(table, style, idle_fraction):
     evaluating the arithmetic inline:
 
     * per-access dynamic energy (used by the retirement credit paths);
-    * CC3 idle constants — a unit with zero accesses burns exactly
-      ``max_watts * (idle + (1-idle)*0.0) * cycle_s``, which reduces
-      bitwise to ``(max_watts * idle) * cycle_s`` (adding a true 0.0 is
-      exact), so the idle case is a single accumulate;
+    * each style's idle constants — a unit with zero accesses burns
+      ``max_watts * cycle_s`` under cc0, exactly 0.0 under cc1 and cc2,
+      and under cc3 ``max_watts * (idle + (1-idle)*0.0) * cycle_s``,
+      which reduces bitwise to ``(max_watts * idle) * cycle_s`` (adding
+      a true 0.0 is exact), so the idle case is a single accumulate;
     * per-(unit, access-count) usage/energy/dynamic delta tables for the
       table-driven active-unit accumulation (counts past the table fall
       back to the inline expressions, which are arithmetically identical);
@@ -127,10 +128,13 @@ def _derive_tables(table, style, idle_fraction):
         table.max_watts[unit] * cycle_s * active_share / table.ports[unit]
         for unit in range(NUM_UNITS)
     ]
-    idle_energy = [
-        (table.max_watts[unit] * idle_fraction) * cycle_s
-        for unit in range(NUM_UNITS)
-    ]
+    if style is ClockGatingStyle.CC0:
+        idle_watts = table.max_watts
+    elif style is ClockGatingStyle.CC3:
+        idle_watts = [watts * idle_fraction for watts in table.max_watts]
+    else:
+        idle_watts = [0.0] * NUM_UNITS
+    idle_energy = [idle_watts[unit] * cycle_s for unit in range(NUM_UNITS)]
     active = 1.0 - idle_fraction
     count_tables = []
     for unit in range(NUM_UNITS):
@@ -243,10 +247,6 @@ class PowerModel:
             self._idle_pairs,
         ) = derived
 
-    def new_activity(self) -> List[int]:
-        """Return a fresh per-unit activity array for one cycle."""
-        return [0] * NUM_UNITS
-
     def end_cycle(self, activity: List[int], occupancy: float) -> None:
         """Account one cycle of unit activity.
 
@@ -339,46 +339,45 @@ class PowerModel:
             else:
                 dynamic_energy[unit] += max_watts[unit] * usage * cycle_s
 
-    def note_instr_cycles(self, in_flight: int) -> None:
-        """Record pipeline occupancy for clock-energy attribution."""
-        self.total_instr_cycles += in_flight
-
     def end_idle_cycles(self, occupancy: float, count: int) -> None:
         """Account ``count`` fully idle cycles at one fixed occupancy.
 
         The cycle-skip fast-forward batches a stretch of provably idle
         cycles through this instead of the per-cycle call sites.  Under
-        cc3 every accumulator receives the same constant each idle cycle
-        and accumulators are independent, so each one is closed on its
-        own: a short window runs its adds back to back (the per-cycle
-        float-addition sequence, without ``count`` call dispatches); a
-        long one jumps in closed form with :func:`repeated_add`, which
-        is bit-identical to that loop in O(log count) steps.  The other
-        gating styles stay on the per-cycle loop.
+        every gating style each accumulator receives the same constant
+        each idle cycle (a non-clock unit its style's idle energy, the
+        clock its energy at ``occupancy``) and accumulators are
+        independent, so each one is closed on its own: a short window
+        runs its adds back to back (the per-cycle float-addition
+        sequence, without ``count`` call dispatches); a long one jumps in
+        closed form with :func:`repeated_add`, which is bit-identical to
+        that loop in O(log count) steps.
         """
         if count <= 0:
             return
-        if not self._cc3:
-            zero = _ZERO_ACTIVITY
-            end_cycle = self.end_cycle
-            for _ in range(count):
-                end_cycle(zero, occupancy)
-            return
         self.cycles += count
         unit_energy = self.unit_energy
-        # The clock constants below are computed exactly as end_cycle's
-        # idle branch computes them each cycle; same inputs, same floats.
+        # The clock constants below are computed exactly as end_cycle
+        # computes them each idle cycle; same inputs, same floats.
         cycle_s = self.table.cycle_seconds
         idle = self.idle_fraction
         clock_watts = self.table.max_watts[_CLOCK]
-        power = clock_watts * (idle + (1.0 - idle) * occupancy)
+        style = self.style
+        if style is ClockGatingStyle.CC0 or (
+            style is ClockGatingStyle.CC1 and occupancy > 0.0
+        ):
+            power = clock_watts
+            active = clock_watts
+        elif self._cc3:
+            power = clock_watts * (idle + (1.0 - idle) * occupancy)
+            active = clock_watts * (1.0 - idle)
+        else:  # cc2, or cc1 with an empty pipeline
+            power = clock_watts * occupancy
+            active = clock_watts
         updates = [(unit_energy, unit, energy) for unit, energy in self._idle_pairs]
         updates.append((self.usage_sum, _CLOCK, occupancy))
         updates.append((unit_energy, _CLOCK, power * cycle_s))
-        updates.append((
-            self.dynamic_energy, _CLOCK,
-            clock_watts * (1.0 - idle) * occupancy * cycle_s,
-        ))
+        updates.append((self.dynamic_energy, _CLOCK, active * occupancy * cycle_s))
         if count >= _CLOSED_FORM_MIN:
             for accumulators, index, delta in updates:
                 accumulators[index] = repeated_add(accumulators[index], delta, count)
@@ -506,19 +505,6 @@ class PowerModel:
         if unit is _CLOCK:
             return self.wasted_clock_energy()
         return self.unit_energy[unit] * self.wrong_access_fraction(unit)
-
-    def unit_wasted_dynamic_energy(self, unit: PowerUnit) -> float:
-        """Wasted energy counting only the dynamic (per-access) component.
-
-        A stricter accounting than the paper's: the idle/static share of a
-        unit is never attributed to the wrong path.
-        """
-        if unit is _CLOCK:
-            retired = self.wasted_instr_cycles + self.committed_instr_cycles
-            if retired == 0:
-                return 0.0
-            return self.dynamic_energy[_CLOCK] * (self.wasted_instr_cycles / retired)
-        return self.wasted_energy[unit]
 
     def total_wasted_energy(self) -> float:
         """Total energy attributed to mis-speculated instructions."""

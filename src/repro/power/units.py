@@ -131,14 +131,6 @@ class UnitPowerTable:
         self.max_watts: List[float] = [max_watts[unit] for unit in PowerUnit]
         self.ports: List[int] = [ports[unit] for unit in PowerUnit]
 
-    def max_power(self, unit: PowerUnit) -> float:
-        """Maximum power of one unit in watts."""
-        return self.max_watts[unit]
-
-    def total_max_watts(self) -> float:
-        """Sum of unit maxima (the all-ports-busy envelope)."""
-        return sum(self.max_watts)
-
 
 def calibrated_unit_powers(
     utilization: Dict[PowerUnit, float],

@@ -14,7 +14,7 @@ touches.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ProgramError
 from repro.isa.instruction import StaticInstruction
@@ -74,15 +74,6 @@ class BasicBlock:
         self.taken_target = taken_target
         self.fall_target = fall_target
         self.behavior = behavior
-
-    @property
-    def terminator(self) -> Optional[StaticInstruction]:
-        """The control instruction ending the block, if any."""
-        if self.kind is TerminatorKind.FALL:
-            return None
-        if not self.instructions:
-            raise ProgramError(f"block {self.block_id} has no terminator instruction")
-        return self.instructions[-1]
 
     def validate(self, num_blocks: int) -> None:
         """Check structural invariants; raise ProgramError on violation.
@@ -146,7 +137,6 @@ class Program:
         self.blocks = blocks
         self.entry_block = entry_block
         self.name = name
-        self._block_by_address: Dict[int, int] = {}
         self._finalized = False
 
     def finalize(self, base_address: int = 0x1000) -> None:
@@ -155,7 +145,6 @@ class Program:
         for block in self.blocks:
             block.validate(len(self.blocks))
             block.address = address
-            self._block_by_address[address] = block.block_id
             for offset, instruction in enumerate(block.instructions):
                 instruction.address = address + offset * INSTRUCTION_BYTES
                 instruction.block_id = block.block_id
@@ -173,11 +162,6 @@ class Program:
         """Return a block by id."""
         return self.blocks[block_id]
 
-    def block_at_address(self, address: int) -> Optional[BasicBlock]:
-        """Return the block starting exactly at ``address``, if any."""
-        block_id = self._block_by_address.get(address)
-        return None if block_id is None else self.blocks[block_id]
-
     def reset_behaviors(self) -> None:
         """Reset every branch behaviour so the program can be re-run."""
         for block in self.blocks:
@@ -187,10 +171,6 @@ class Program:
     def static_instruction_count(self) -> int:
         """Total number of static instructions in the program text."""
         return sum(len(block.instructions) for block in self.blocks)
-
-    def conditional_branch_count(self) -> int:
-        """Number of static conditional branches."""
-        return sum(1 for block in self.blocks if block.kind is TerminatorKind.COND)
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.program.cfg import Program
 from repro.utils.rng import derive_thread_seed
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import benchmark_spec
@@ -56,10 +55,6 @@ class MixSpec:
             replace(benchmark_spec(benchmark), seed=seed)
             for benchmark, seed in zip(self.benchmarks, self.thread_seeds(base_seed))
         ]
-
-    def build_programs(self, base_seed: int = None) -> List[Program]:
-        """Generate one program instance per thread (deterministic)."""
-        return [spec.build_program() for spec in self.thread_specs(base_seed)]
 
 
 _MIXES: Dict[str, MixSpec] = {}

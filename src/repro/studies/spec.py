@@ -28,7 +28,7 @@ paper command (``figure3``, ``table1``, ``ablations``, ``campaign``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
@@ -104,12 +104,6 @@ class StudySpec:
     def grid(self) -> str:
         """The declared shape, e.g. ``mechanism[7] x benchmark[8]``."""
         return " x ".join(f"{axis.name}[{len(axis)}]" for axis in self.axes)
-
-    def with_options(self, **overrides) -> "StudySpec":
-        """A copy of the spec with updated options (used by CLI flags)."""
-        merged = dict(self.options)
-        merged.update(overrides)
-        return replace(self, options=merged)
 
 
 @dataclass

@@ -36,7 +36,6 @@ from repro.telemetry.export import (
     to_prometheus,
     top_counters,
     validate_events,
-    write_events,
 )
 from repro.telemetry.live import LiveView
 from repro.telemetry.probes import ProbeBus
@@ -59,5 +58,4 @@ __all__ = [
     "to_prometheus",
     "top_counters",
     "validate_events",
-    "write_events",
 ]

@@ -159,8 +159,3 @@ def reset() -> None:
     _SINK.buffering = False
     _SINK.buffer = []
     _SINK.seq = 0
-
-
-def enabled() -> bool:
-    """Whether any consumer is attached to this process's sink."""
-    return _SINK.active

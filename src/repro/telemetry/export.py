@@ -8,8 +8,8 @@ One event stream, three renderings:
   into a stable report (no wall times, sorted keys), so two runs of the
   same cells summarize identically;
 * **Prometheus-style text exposition** — :func:`to_prometheus` flattens
-  every integer counter into ``repro_<path>_total`` lines a scraper (or
-  :func:`parse_prometheus`) can consume.
+  every integer counter into ``repro_<path>_total`` lines a scraper can
+  consume.
 
 :func:`validate_events` enforces the schema: envelope fields present,
 schema string exact, event kind known, per-kind payload fields present
@@ -26,17 +26,6 @@ from typing import Dict, Iterable, List, Tuple
 from repro.telemetry.events import EVENT_FIELDS, SCHEMA
 
 _ENVELOPE = ("schema", "event", "seq")
-
-
-def write_events(events: Iterable[Dict], handle) -> int:
-    """Write events as JSONL to ``handle``; returns the line count."""
-    count = 0
-    for event in events:
-        handle.write(
-            json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        count += 1
-    return count
 
 
 def read_events(path: str) -> List[Dict]:
@@ -195,15 +184,3 @@ def to_prometheus(events: Iterable[Dict]) -> str:
     for path in sorted(totals):
         lines.append(f"{_metric_name(path)} {totals[path]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> Dict[str, int]:
-    """Metric name -> value from :func:`to_prometheus` output."""
-    metrics: Dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.rpartition(" ")
-        metrics[name] = int(value)
-    return metrics

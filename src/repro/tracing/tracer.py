@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import islice
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.errors import ConfigurationError
 from repro.isa.instruction import DynamicInstruction
@@ -104,13 +104,6 @@ class InstructionTrace:
         if self.fetch_cycle < 0:
             return 0
         return max(0, self.retire_cycle - self.fetch_cycle)
-
-    @property
-    def issue_wait(self) -> Optional[int]:
-        """Cycles spent ready-or-waiting between rename and issue."""
-        if self.rename_cycle < 0 or self.issue_cycle < 0:
-            return None
-        return self.issue_cycle - self.rename_cycle
 
     def stage_events(self) -> List[tuple]:
         """(cycle, stage letter) pairs for the stages this µop reached."""

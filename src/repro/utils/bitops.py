@@ -20,28 +20,3 @@ def bit_mask(bits: int) -> int:
     if bits < 0:
         raise ValueError("bit count must be non-negative")
     return (1 << bits) - 1
-
-
-def fold_xor(value: int, bits: int) -> int:
-    """Fold an arbitrarily wide value into ``bits`` bits by XOR-ing chunks.
-
-    This is the standard way hardware tables hash wide addresses into short
-    indices without discarding high-order information.
-    """
-    if bits <= 0:
-        raise ValueError("bit count must be positive")
-    mask = bit_mask(bits)
-    folded = 0
-    while value:
-        folded ^= value & mask
-        value >>= bits
-    return folded
-
-
-def hash64(value: int) -> int:
-    """Cheap 64-bit integer mix (Stafford variant 13)."""
-    mask = (1 << 64) - 1
-    value &= mask
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
-    return value ^ (value >> 31)

@@ -12,12 +12,16 @@ good statistical quality for simulation purposes, and trivially portable.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # ``(x >> 11) * _UNIT`` is the float in [0, 1) of a raw 64-bit draw ``x``.
 _UNIT = 1.0 / (1 << 53)
+# The hashed material of string labels :func:`derive_seed` has seen: a
+# campaign build derives the same few labels thousands of times.  Bounded,
+# since callers may pass any string (program names, custom workloads).
+_LABEL_MATERIAL: Dict[str, int] = {}
 
 
 def _splitmix64(value: int) -> int:
@@ -41,9 +45,14 @@ def derive_seed(base_seed: int, *labels: object) -> int:
         if isinstance(label, int):
             material = label & _MASK64
         else:
-            material = 0
-            for byte in str(label).encode("utf-8"):
-                material = (material * 131 + byte) & _MASK64
+            text = str(label)
+            material = _LABEL_MATERIAL.get(text)
+            if material is None:
+                material = 0
+                for byte in text.encode("utf-8"):
+                    material = (material * 131 + byte) & _MASK64
+                if len(_LABEL_MATERIAL) < 1024:
+                    _LABEL_MATERIAL[text] = material
         state = _splitmix64(state ^ material)
     # A zero state would trap xorshift at zero forever.
     return state or _SPLITMIX_GAMMA
@@ -73,9 +82,9 @@ def draw_threshold(probability: float, scale: float = 1.0) -> int:
 def weighted_thresholds(weights: Sequence[float]) -> Tuple[int, ...]:
     """Raw-draw cut-offs of a weighted draw over a fixed weight table.
 
-    :meth:`XorShiftRNG.weighted_choice` picks the first item whose running
-    weight sum exceeds ``random() * total``; with these cut-offs that is
-    item ``bisect_right(cuts, x)`` of a raw draw ``x``.  The last cut-off
+    A weighted draw picks the first item whose running weight sum
+    exceeds ``random() * total``; with these cut-offs that is item
+    ``bisect_right(cuts, x)`` of a raw draw ``x``.  The last cut-off
     lies past every draw, so an item is always picked.
     """
     total = float(sum(weights))
@@ -171,73 +180,24 @@ class XorShiftRNG:
             < probability
         )
 
-    def weighted_choice(self, items, weights):
-        """Return an element of ``items`` chosen with the given weights."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have the same length")
-        total = float(sum(weights))
-        if total <= 0.0:
-            raise ValueError("weights must sum to a positive value")
-        state = self._state
-        state ^= (state >> 12)
-        state ^= (state << 25) & _MASK64
-        state ^= (state >> 27)
-        self._state = state
-        target = (
-            (((state * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (1.0 / (1 << 53))
-        ) * total
-        cumulative = 0.0
-        for item, weight in zip(items, weights):
-            cumulative += weight
-            if target < cumulative:
-                return item
-        return items[-1]
-
     def shuffle(self, items: list) -> None:
         """Shuffle a list in place (Fisher-Yates)."""
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def getstate(self) -> int:
-        """Return the internal state (for checkpointing)."""
-        return self._state
-
-    def setstate(self, state: int) -> None:
-        """Restore a state captured by :meth:`getstate`."""
-        if not 0 < state <= _MASK64:
-            raise ValueError("invalid xorshift state")
-        self._state = state
-
 
 def stateless_hash_step(state: int, value: int) -> int:
-    """One chaining step of :func:`stateless_hash`.
+    """One splitmix64 chaining step of a stateless random source.
 
-    ``stateless_hash(seed, a, b)`` equals
-    ``stateless_hash_step(stateless_hash_step(seed & MASK64, a), b)`` —
-    identical arithmetic — so hot callers with a fixed prefix (a static
-    instruction's address, a block id) can precompute the partial state
-    and pay a single step per draw.
+    Chaining steps from a seed over a tuple of values gives a pure
+    function of those values: wrong-path branch outcomes and BPRU
+    confidence draws use it so speculative fetch never perturbs
+    true-path behavioural state.  Hot callers with a fixed prefix (a
+    static instruction's address, a block id) precompute the partial
+    state and pay a single step per draw.
     """
     state = (state ^ (value & _MASK64)) + _SPLITMIX_GAMMA & _MASK64
     state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state ^ (state >> 31)
-
-
-def stateless_hash(seed: int, *values: int) -> int:
-    """A pure function of its arguments, usable as a stateless random source.
-
-    Wrong-path branch outcomes use this so speculative fetch never perturbs
-    true-path behavioural state.  The splitmix64 step is unrolled inline
-    (identical arithmetic to :func:`_splitmix64`): wrong-path fetch calls
-    this once per speculative branch, making it one of the hottest leaf
-    functions in the simulator.
-    """
-    state = seed & _MASK64
-    for value in values:
-        state = (state ^ (value & _MASK64)) + _SPLITMIX_GAMMA & _MASK64
-        state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) & _MASK64
-        state = state ^ (state >> 31)
-    return state

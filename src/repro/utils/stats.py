@@ -2,14 +2,12 @@
 
 The paper reports arithmetic averages of per-benchmark percentages for its
 savings plots; speedup aggregation conventionally uses the geometric mean.
-Both are provided, along with the harmonic mean (the right mean for rates
-such as IPC over equal instruction counts).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def arithmetic_mean(values: Iterable[float]) -> float:
@@ -28,34 +26,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of positive values (the right mean for rates)."""
-    values = list(values)
-    if not values:
-        raise ValueError("mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic mean requires positive values")
-    return len(values) / sum(1.0 / v for v in values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return sum(v * w for v, w in zip(values, weights)) / total
-
-
-def percent_change(baseline: float, value: float) -> float:
-    """Return the percent change of ``value`` relative to ``baseline``.
-
-    Positive means ``value`` is larger.  Used for savings/improvement
-    metrics: ``savings = -percent_change(baseline, value)``.
-    """
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return 100.0 * (value - baseline) / baseline

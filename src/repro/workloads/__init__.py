@@ -9,12 +9,7 @@ rates).
 """
 
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.suite import (
-    BENCHMARK_NAMES,
-    benchmark_program,
-    benchmark_spec,
-    load_suite,
-)
+from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 from repro.workloads.trace import (
     TraceHeader,
     TraceReader,
@@ -28,8 +23,6 @@ __all__ = [
     "WorkloadSpec",
     "BENCHMARK_NAMES",
     "benchmark_spec",
-    "benchmark_program",
-    "load_suite",
     "TraceHeader",
     "TraceRecord",
     "TraceRecorder",

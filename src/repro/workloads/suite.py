@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import WorkloadError
-from repro.program.cfg import Program
 from repro.program.generator import ProgramShape
 from repro.workloads.spec import WorkloadSpec
 
@@ -219,13 +218,3 @@ def benchmark_spec(name: str) -> WorkloadSpec:
         raise WorkloadError(
             f"unknown benchmark {name!r}; known: {', '.join(BENCHMARK_NAMES)}"
         ) from None
-
-
-def benchmark_program(name: str) -> Program:
-    """Generate the program of one benchmark (deterministic)."""
-    return benchmark_spec(name).build_program()
-
-
-def load_suite() -> Dict[str, WorkloadSpec]:
-    """All eight benchmarks, in Table 2 order."""
-    return dict(_SUITE)

@@ -20,11 +20,15 @@ from repro.analysis.walker import ProjectIndex
 SRC_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def build_index(tmp_path, files):
+def write_files(root, files):
     for rel, source in files.items():
-        full = tmp_path / rel
+        full = root / rel
         full.parent.mkdir(parents=True, exist_ok=True)
         full.write_text(source)
+
+
+def build_index(tmp_path, files):
+    write_files(tmp_path, files)
     return ProjectIndex.build(str(tmp_path))
 
 
@@ -418,6 +422,133 @@ def test_ser001_checks_keyword_arguments(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# DEAD001: every function has a caller
+# ----------------------------------------------------------------------
+
+def build_tree(tmp_path, files):
+    """A repository checkout: ``src/`` plus whatever sits beside it
+    (``tools/``, ``examples/``, ``perfbench/``, ``tests/``)."""
+    write_files(tmp_path, files)
+    return ProjectIndex.build(str(tmp_path / "src"))
+
+
+_DEAD_PACKAGE = {
+    "src/pkg/__init__.py": (
+        "from pkg.mod import reexported\n"
+        "__all__ = ['reexported']\n"
+    ),
+    "src/pkg/mod.py": (
+        "def uncalled():\n"
+        "    return 1\n"
+        "def reexported():\n"
+        "    return 2\n"
+        "def tested_only():\n"
+        "    return 3\n"
+        "class Thing:\n"
+        "    def used(self):\n"
+        "        return 4\n"
+        "    def unused_method(self):\n"
+        "        return 5\n"
+    ),
+    "tests/test_mod.py": (
+        "from pkg.mod import Thing, tested_only\n"
+        "def test_it():\n"
+        "    assert tested_only() == 3\n"
+        "    Thing().unused_method()\n"
+    ),
+    "tools/run.py": (
+        "from pkg.mod import Thing\n"
+        "Thing().used()\n"
+    ),
+}
+
+
+def test_dead001_flags_functions_without_callers(tmp_path):
+    index = build_tree(tmp_path, _DEAD_PACKAGE)
+    violations = run_rule(index, "DEAD001")
+    assert {v.symbol for v in violations} == {
+        "uncalled", "reexported", "tested_only", "Thing.unused_method",
+    }
+    assert {v.path for v in violations} == {"pkg/mod.py"}
+
+
+def test_dead001_accepts_every_kind_of_use(tmp_path):
+    index = build_tree(tmp_path, {
+        "src/pkg/__init__.py": "",
+        "src/pkg/registry.py": (
+            "RULES = []\n"
+            "def rule(name):\n"
+            "    def register(func):\n"
+            "        RULES.append((name, func))\n"
+            "        return func\n"
+            "    return register\n"
+        ),
+        "src/pkg/events.py": (
+            "def publish(kind):\n"
+            "    return kind\n"
+            "def from_tools():\n"
+            "    return 0\n"
+            "def from_examples():\n"
+            "    return 0\n"
+            "def from_perfbench():\n"
+            "    return 0\n"
+        ),
+        "src/pkg/mod.py": (
+            "import ast\n"
+            "from pkg.events import publish as telemetry_publish\n"
+            "from pkg.registry import rule\n"
+            "class Thing:\n"
+            "    def __repr__(self):\n"
+            "        return 'Thing'\n"
+            "    def attribute_only(self):\n"
+            "        return 1\n"
+            "    def dispatched(self):\n"
+            "        return 2\n"
+            "class Finder(ast.NodeVisitor):\n"
+            "    def visit_Call(self, node):\n"
+            "        self.generic_visit(node)\n"
+            "@rule('R1')\n"
+            "def registered(index):\n"
+            "    return []\n"
+            "def main():\n"
+            "    thing = Thing()\n"
+            "    thing.attribute_only()\n"
+            "    getattr(thing, 'dispatched')()\n"
+            "    Finder().visit(ast.parse(''))\n"
+            "    return telemetry_publish('x')\n"
+        ),
+        "tools/tool.py": (
+            "from pkg import events\n"
+            "events.from_tools()\n"
+        ),
+        "examples/example.py": (
+            "from pkg.events import from_examples\n"
+            "from pkg.mod import main\n"
+            "from_examples()\n"
+            "main()\n"
+        ),
+        "perfbench/bench.py": (
+            "import pkg.events\n"
+            "pkg.events.from_perfbench()\n"
+        ),
+    })
+    violations = run_rule(index, "DEAD001")
+    assert violations == [], "\n".join(v.render() for v in violations)
+
+
+def test_dead001_reports_nothing_without_caller_roots(tmp_path):
+    # An installed package has no tools/, examples/ or perfbench/ beside
+    # it, so public API cannot be told from dead code.
+    files = {
+        rel: source for rel, source in _DEAD_PACKAGE.items()
+        if rel.startswith("src/")
+    }
+    index = build_tree(tmp_path, files)
+    assert index.callers == []
+    assert run_rule(index, "DEAD001") == []
+
+
+# ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
 
@@ -439,6 +570,7 @@ def test_json_report_schema(tmp_path):
     assert payload["count"] == len(violations)
     assert {r["id"] for r in payload["rules"]} == {
         "DET001", "DET002", "DET003", "HOT001", "HOT002", "CON001", "SER001",
+        "DEAD001",
     }
     entry = payload["violations"][0]
     assert set(entry) == {"rule", "path", "line", "symbol", "message"}

@@ -130,14 +130,6 @@ def test_static_policies():
     assert not StaticPredictor("not_taken").predict(0).taken
 
 
-def test_static_btfn():
-    predictor = StaticPredictor("backward_taken")
-    predictor.set_backward(True)
-    assert predictor.predict(0).taken
-    predictor.set_backward(False)
-    assert not predictor.predict(0).taken
-
-
 def test_static_unknown_policy():
     with pytest.raises(ConfigurationError):
         StaticPredictor("coin-flip")

@@ -38,12 +38,9 @@ def test_stall_never_active():
 
 
 def test_most_restrictive_ordering():
-    assert BandwidthLevel.most_restrictive(
-        BandwidthLevel.HALF, BandwidthLevel.STALL
-    ) is BandwidthLevel.STALL
-    assert BandwidthLevel.most_restrictive(
-        BandwidthLevel.QUARTER, BandwidthLevel.FULL
-    ) is BandwidthLevel.QUARTER
+    # The escalate rule keeps the greater level: greater is more aggressive.
+    assert max(BandwidthLevel.HALF, BandwidthLevel.STALL) is BandwidthLevel.STALL
+    assert max(BandwidthLevel.QUARTER, BandwidthLevel.FULL) is BandwidthLevel.QUARTER
 
 
 def test_describe_labels():

@@ -164,8 +164,11 @@ def test_gating_ignores_high_confidence():
     gating = PipelineGatingController(2)
     for i in range(10):
         gating.on_branch_fetched(_branch(i), ConfidenceLevel.HC)
-    assert gating.outstanding_low_confidence == 0
     assert gating.fetch_allowed(0)
+    # Two low-confidence branches reach the threshold without exceeding it.
+    for i in range(10, 12):
+        gating.on_branch_fetched(_branch(i), ConfidenceLevel.LC)
+    assert gating.fetch_allowed(1)
 
 
 def test_gating_squash_releases():
@@ -184,7 +187,12 @@ def test_gating_drop_is_idempotent():
     gating.on_branch_fetched(branch, ConfidenceLevel.LC)
     gating.on_branch_resolved(branch)
     gating.on_branch_squashed(branch)
-    assert gating.outstanding_low_confidence == 0
+    # The second drop did not count the branch twice: two new
+    # low-confidence branches exceed threshold 1 again.
+    gating.on_branch_fetched(_branch(2), ConfidenceLevel.LC)
+    assert gating.fetch_allowed(0)
+    gating.on_branch_fetched(_branch(3), ConfidenceLevel.LC)
+    assert not gating.fetch_allowed(1)
 
 
 def test_gating_validation():

@@ -110,13 +110,18 @@ def _config(cycle_skip: bool, telemetry, geometry):
 
 
 def _counters(stats) -> dict:
-    """Every ``SimStats`` counter, the stall and throttle ones included
-    (``as_dict`` summarises only the instruction flow)."""
-    return {
+    """Every ``SimStats`` counter, the stall and throttle ones included,
+    and the confidence matrix's quality figures."""
+    counters = {
         name: getattr(stats, name)
         for name in type(stats).__slots__
         if name != "confidence"
     }
+    matrix = stats.confidence
+    counters["confidence"] = (
+        matrix.total, matrix.mispredictions, matrix.spec(), matrix.pvn(),
+    )
+    return counters
 
 
 def _blocked_windows(processor) -> int:
@@ -139,7 +144,6 @@ def _solo_observables(spec, cycle_skip: bool, telemetry=None, geometry=()):
     )
     stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
     return processor, {
-        "stats": stats.as_dict(),
         "counters": _counters(stats),
         "cycles": processor.cycle,
         "gated": getattr(controller, "gated_cycles", None),
@@ -167,7 +171,6 @@ def _smt_observables(
     )
     stats = processor.run(instructions, warmup_instructions=warmup)
     return processor, {
-        "stats": stats.as_dict(),
         "counters": _counters(stats),
         "cycles": processor.cycle,
         "threads": [
@@ -234,7 +237,7 @@ def test_gating_wrong_path_blocking_solo_thread_runs_without_skip():
         )
         assert processor.scheduler._solo is None
         stats = processor.run(_INSTRUCTIONS, warmup_instructions=_WARMUP)
-        runs.append((stats.as_dict(), processor.cycle, controller.probes))
+        runs.append((_counters(stats), processor.cycle, controller.probes))
     assert runs[0] == runs[1]
 
 

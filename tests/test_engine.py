@@ -24,7 +24,6 @@ from repro.experiments.campaign import campaign_cells
 from repro.experiments.engine import (
     ResultCache,
     cell_fingerprint,
-    config_fingerprint,
     fingerprint_of,
     make_cell,
     result_from_dict,
@@ -187,18 +186,18 @@ def test_config_key_never_collides_across_distinct_configs():
         configs.append(table3_config().with_table_sizes(kb))
     configs.append(replace(table3_config(), mshr_count=2))
     configs.append(replace(table3_config(), confidence_kind="jrs"))
-    assert len({config_fingerprint(config) for config in configs}) == len(configs)
+    keys = {cell_fingerprint(_cell(config=config)) for config in configs}
+    assert len(keys) == len(configs)
 
 
 def test_config_key_equal_for_equivalent_configs():
     # Sweeps that land back on the baseline must share its key, or the
     # scheduler would re-simulate identical machines.
-    assert config_fingerprint(table3_config().with_depth(14)) == (
-        config_fingerprint(table3_config())
-    )
-    assert config_fingerprint(table3_config().with_table_sizes(16)) == (
-        config_fingerprint(table3_config())
-    )
+    baseline = cell_fingerprint(_cell(config=table3_config()))
+    assert cell_fingerprint(_cell(config=table3_config().with_depth(14))) == baseline
+    assert cell_fingerprint(
+        _cell(config=table3_config().with_table_sizes(16))
+    ) == baseline
 
 
 # --- the on-disk cache -------------------------------------------------------

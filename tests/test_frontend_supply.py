@@ -14,7 +14,8 @@ Three kinds of guarantees:
   fingerprints captured on the seed navigator before the supply layer
   existed;
 * **hash-chain identity** — the precomputed-prefix hashing the compiled
-  tables rely on equals :func:`stateless_hash` step for step.
+  tables rely on equals the one-call hash chain (:func:`stateless_hash`,
+  kept here as the reference) step for step.
 """
 
 import hashlib
@@ -31,10 +32,25 @@ from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.program.behavior import BiasedBehavior
 from repro.program.cfg import BasicBlock, Program, TerminatorKind
-from repro.utils.rng import stateless_hash, stateless_hash_step
-from repro.workloads.suite import benchmark_program, benchmark_spec
+from repro.utils.rng import stateless_hash_step
+from repro.workloads.suite import benchmark_spec
 
 _MASK64 = (1 << 64) - 1
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def stateless_hash(seed, *values):
+    """The reference hash chain: one unrolled splitmix64 step per value.
+
+    The supply's precomputed prefixes must reproduce it exactly.
+    """
+    state = seed & _MASK64
+    for value in values:
+        state = (state ^ (value & _MASK64)) + _SPLITMIX_GAMMA & _MASK64
+        state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state = state ^ (state >> 31)
+    return state
 
 
 def _record(record):
@@ -91,14 +107,14 @@ _TWOLF_LIVE_GOLDEN = "8f5b006790bccdbacbe72a668f12153cfa2622f47a25b2dc04107232c0
 
 @pytest.mark.parametrize("bench_name", ("go", "compress", "gcc"))
 def test_true_path_matches_seed_oracle(bench_name):
-    supply = CompiledSupply(benchmark_program(bench_name), benchmark_spec(bench_name).seed)
+    supply = CompiledSupply(benchmark_spec(bench_name).build_program(), benchmark_spec(bench_name).seed)
     walked = [_record(supply.get(index)) for index in range(5000)]
     assert _digest(walked) == _TRUE_PATH_GOLDENS[bench_name]
 
 
 @pytest.mark.parametrize("bench_name", ("go", "parser"))
 def test_wrong_packets_match_seed_navigator(bench_name):
-    program = benchmark_program(bench_name)
+    program = benchmark_spec(bench_name).build_program()
     supply = CompiledSupply(program, benchmark_spec(bench_name).seed)
     blocks, expected = _WRONG_PACKET_GOLDENS[bench_name]
     assert len(program.blocks) == blocks
@@ -112,7 +128,7 @@ def test_wrong_packets_match_seed_navigator(bench_name):
 def test_live_supply_packets_match_compiled():
     """Packet by packet, records *and* continuation cursors of a twolf
     wrong path, then a true-path record of the same supply."""
-    supply = CompiledSupply(benchmark_program("twolf"), benchmark_spec("twolf").seed)
+    supply = CompiledSupply(benchmark_spec("twolf").build_program(), benchmark_spec("twolf").seed)
     assert supply.start_cursor(3, 99) == (3, 0, (), 99)
     walked = _packets(supply, supply.start_cursor(3, 99), 40)
     assert all(cursor[1] == 0 for _, cursor in walked)
@@ -247,11 +263,11 @@ def test_trace_supply_serves_recorded_stream_and_exhausts():
     spec = benchmark_spec("compress")
     from repro.workloads.trace import TraceRecorder
 
-    recorded = CompiledSupply(benchmark_program("compress"), spec.seed)
+    recorded = CompiledSupply(benchmark_spec("compress").build_program(), spec.seed)
     records = TraceRecorder(recorded).record(400)
-    program = benchmark_program("compress")
+    program = benchmark_spec("compress").build_program()
     supply = TraceSupply(program, spec.seed, resolve_trace_records(program, records))
-    fresh = CompiledSupply(benchmark_program("compress"), spec.seed)
+    fresh = CompiledSupply(benchmark_spec("compress").build_program(), spec.seed)
     for index in range(400):
         assert _record(supply.get(index)) == _record(fresh.get(index))
     with pytest.raises(WorkloadError, match="trace exhausted"):
@@ -261,7 +277,7 @@ def test_trace_supply_serves_recorded_stream_and_exhausts():
 def test_resolve_trace_records_rejects_mismatches():
     from repro.workloads.trace import TraceRecord
 
-    program = benchmark_program("compress")
+    program = benchmark_spec("compress").build_program()
     bogus = [TraceRecord(address=0x3, opcode="add", taken=False,
                          target_block=-1, mem_address=0)]
     with pytest.raises(WorkloadError, match="record 1"):

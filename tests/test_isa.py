@@ -8,17 +8,18 @@ from repro.isa.opcodes import (
     BRANCH_OPCODES,
     MEMORY_OPCODES,
     Opcode,
+    OPCODE_META,
     OpClass,
-    opcode_class,
-    opcode_latency,
 )
-from repro.isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO, valid_register
+from repro.isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
 
 
 def test_every_opcode_has_class_and_latency():
+    # OPCODE_META is the table StaticInstruction reads both from.
     for opcode in Opcode:
-        assert isinstance(opcode_class(opcode), OpClass)
-        assert opcode_latency(opcode) >= 1
+        op_class, latency = OPCODE_META[opcode][:2]
+        assert isinstance(op_class, OpClass)
+        assert latency >= 1
 
 
 def test_branch_opcode_set():
@@ -32,8 +33,11 @@ def test_memory_opcode_set():
 
 
 def test_mult_slower_than_alu():
-    assert opcode_latency(Opcode.MUL) > opcode_latency(Opcode.ADD)
-    assert opcode_latency(Opcode.DIV) > opcode_latency(Opcode.MUL)
+    def latency(opcode):
+        return StaticInstruction(0, opcode, dest=3, sources=(1, 2)).latency
+
+    assert latency(Opcode.MUL) > latency(Opcode.ADD)
+    assert latency(Opcode.DIV) > latency(Opcode.MUL)
 
 
 def test_static_instruction_branch_flags():
@@ -90,8 +94,6 @@ def test_dynamic_repr_mentions_squash_state():
 
 
 def test_register_conventions():
-    assert valid_register(REG_ZERO)
-    assert valid_register(REG_SP)
-    assert valid_register(NUM_ARCH_REGS - 1)
-    assert not valid_register(NUM_ARCH_REGS)
-    assert not valid_register(-1)
+    assert 0 <= REG_ZERO < NUM_ARCH_REGS
+    assert 0 <= REG_SP < NUM_ARCH_REGS
+    assert REG_ZERO != REG_SP

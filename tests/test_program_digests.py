@@ -27,7 +27,7 @@ import pytest
 from repro.isa.instruction import StaticInstruction
 from repro.program.cfg import Program
 from repro.utils.rng import XorShiftRNG
-from repro.workloads.suite import benchmark_spec, load_suite
+from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "program_digests.json"
@@ -41,7 +41,7 @@ def _canonical(value):
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, XorShiftRNG):
-        return {"xorshift": value.getstate()}
+        return {"xorshift": value._state}
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
@@ -83,7 +83,7 @@ def program_digest(program: Program) -> str:
 
 
 def _campaign_programs():
-    for name in sorted(load_suite()):
+    for name in sorted(BENCHMARK_NAMES):
         spec = benchmark_spec(name)
         for variant in _VARIANTS:
             seed = spec.seed + 1000 * variant

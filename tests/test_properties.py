@@ -13,9 +13,9 @@ from repro.core.policy import experiment_policy
 from repro.core.throttler import SelectiveThrottler
 from repro.memory.cache import Cache
 from repro.memory.tlb import TLB
-from repro.utils.bitops import bit_mask, fold_xor, is_power_of_two
-from repro.utils.rng import XorShiftRNG, derive_seed, stateless_hash
-from repro.utils.stats import arithmetic_mean, geometric_mean, harmonic_mean
+from repro.utils.bitops import bit_mask, is_power_of_two
+from repro.utils.rng import XorShiftRNG, derive_seed, stateless_hash_step
+from repro.utils.stats import arithmetic_mean, geometric_mean
 
 
 # --- RNG ----------------------------------------------------------------
@@ -30,7 +30,10 @@ def test_rng_outputs_bounded(seed):
 
 @given(st.integers(), st.integers(), st.integers())
 def test_stateless_hash_is_pure(seed, a, b):
-    assert stateless_hash(seed, a, b) == stateless_hash(seed, a, b)
+    seed &= 2**64 - 1
+    first = stateless_hash_step(stateless_hash_step(seed, a), b)
+    assert first == stateless_hash_step(stateless_hash_step(seed, a), b)
+    assert 0 <= first < 2**64
 
 
 @given(st.integers(min_value=-100, max_value=100),
@@ -44,11 +47,6 @@ def test_randint_always_in_range(low, span):
 
 # --- bitops -----------------------------------------------------------------
 
-@given(st.integers(min_value=0, max_value=2**70), st.integers(min_value=1, max_value=32))
-def test_fold_xor_bounded(value, bits):
-    assert 0 <= fold_xor(value, bits) <= bit_mask(bits)
-
-
 @given(st.integers(min_value=1, max_value=2**30))
 def test_power_of_two_detection(value):
     assert is_power_of_two(value) == (bin(value).count("1") == 1)
@@ -58,11 +56,9 @@ def test_power_of_two_detection(value):
 
 @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=50))
 def test_mean_inequality(values):
-    # harmonic <= geometric <= arithmetic for positive values
-    h = harmonic_mean(values)
+    # geometric <= arithmetic for positive values
     g = geometric_mean(values)
     a = arithmetic_mean(values)
-    assert h <= g * (1 + 1e-9)
     assert g <= a * (1 + 1e-9)
 
 
@@ -136,7 +132,7 @@ def test_ras_checkpoint_restores_top(operations):
         else:
             ras.pop()
     ras.restore(checkpoint)
-    assert ras.peek() == 0xABC
+    assert ras.pop() == 0xABC
 
 
 # --- confidence ---------------------------------------------------------

@@ -121,9 +121,8 @@ def test_env_variable_enables_sanitizer(monkeypatch):
 
 
 def test_sanitize_field_not_in_fingerprints():
-    from repro.experiments.engine import config_fingerprint
+    from repro.experiments.engine import cell_fingerprint, make_cell
 
-    on = config_fingerprint(replace(table3_config(), sanitize=True))
-    off = config_fingerprint(table3_config())
-    assert on == off
-    assert all(name != "sanitize" for name, _ in on)
+    on = make_cell("go", config=replace(table3_config(), sanitize=True))
+    off = make_cell("go", config=table3_config())
+    assert cell_fingerprint(on) == cell_fingerprint(off)

@@ -12,6 +12,9 @@ The scaling contracts the study layer rests on:
 from __future__ import annotations
 
 import os
+import shlex
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -267,6 +270,20 @@ def test_failing_cell_is_named_in_the_error(jobs):
     assert f"seed {bad.effective_seed}" in message
     assert fingerprint_of(bad) in message
     assert "ExperimentError: unknown experiment 'Z9'" in message
+    if jobs == 1:
+        # The last line reruns the failing cell alone in a fresh process.
+        last = message.splitlines()[-1]
+        assert last.startswith("reproduce: python -c ")
+        argv = shlex.split(last[len("reproduce: "):])
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        rerun = subprocess.run(
+            [sys.executable, *argv[1:]], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            timeout=120,
+        )
+        assert rerun.returncode != 0
+        assert "unknown experiment 'Z9'" in rerun.stderr
+        assert fingerprint_of(bad) in rerun.stderr
 
 
 # --- the shared pool ---------------------------------------------------------

@@ -40,6 +40,11 @@ def _program(benchmark: str, seed: int):
     return replace(benchmark_spec(benchmark), seed=seed).build_program()
 
 
+def _mix_programs(mix):
+    """One freshly generated program per thread of ``mix``."""
+    return [spec.build_program() for spec in mix.thread_specs()]
+
+
 # ----------------------------------------------------------------------
 # Parity: a 1-thread SMT core IS the baseline machine
 # ----------------------------------------------------------------------
@@ -96,7 +101,7 @@ def test_single_thread_shared_mode_also_matches():
 def branchy_run():
     mix = mix_spec("mix2-branchy")
     smt = SmtProcessor(
-        table3_config(), mix.build_programs(), mix.thread_seeds(),
+        table3_config(), _mix_programs(mix), mix.thread_seeds(),
         fetch_policy=ConfidenceGatingPolicy(),
     )
     smt.run(1500, warmup_instructions=300)
@@ -130,7 +135,7 @@ def test_confidence_gating_reduces_wasted_energy_vs_round_robin():
     fractions = {}
     for policy in ("round-robin", "confidence-gating"):
         smt = SmtProcessor(
-            table3_config(), mix.build_programs(), mix.thread_seeds(),
+            table3_config(), _mix_programs(mix), mix.thread_seeds(),
             fetch_policy=make_fetch_policy(policy),
         )
         smt.run(1200, warmup_instructions=300)
@@ -144,7 +149,7 @@ def test_same_seed_same_mix_is_deterministic():
 
     def run_once():
         smt = SmtProcessor(
-            table3_config(), mix.build_programs(), mix.thread_seeds(),
+            table3_config(), _mix_programs(mix), mix.thread_seeds(),
             fetch_policy=ConfidenceGatingPolicy(),
         )
         smt.run(800, warmup_instructions=200)
@@ -156,7 +161,7 @@ def test_same_seed_same_mix_is_deterministic():
 def test_four_thread_mix_and_per_thread_power_attribution():
     mix = mix_spec("mix4-diverse")
     smt = SmtProcessor(
-        table3_config(), mix.build_programs(), mix.thread_seeds(),
+        table3_config(), _mix_programs(mix), mix.thread_seeds(),
         fetch_policy=ICountPolicy(),
     )
     smt.run(400, warmup_instructions=100)
@@ -175,11 +180,11 @@ def test_shared_mode_occupancy_uses_the_shared_cap():
     config = table3_config()
     mix = mix_spec("mix2-steady")
     shared = SmtProcessor(
-        config, mix.build_programs(), mix.thread_seeds(), sharing="shared"
+        config, _mix_programs(mix), mix.thread_seeds(), sharing="shared"
     )
     assert shared.total_rob_size == config.rob_size
     partitioned = SmtProcessor(
-        config, mix.build_programs(), mix.thread_seeds(), sharing="partitioned"
+        config, _mix_programs(mix), mix.thread_seeds(), sharing="partitioned"
     )
     assert partitioned.total_rob_size == config.rob_size
 
@@ -219,7 +224,7 @@ def test_round_robin_actually_alternates():
     """The rotation modulus is the thread count, not an arbitrary span."""
     mix = mix_spec("mix2-steady")
     smt = SmtProcessor(
-        table3_config(), mix.build_programs(), mix.thread_seeds(),
+        table3_config(), _mix_programs(mix), mix.thread_seeds(),
         fetch_policy=RoundRobinPolicy(),
     )
     policy = smt.fetch_policy
@@ -240,7 +245,7 @@ def test_throttled_thread_never_wins_the_fetch_port():
     gating = PipelineGatingController(1)
     gating._outstanding = 5  # force thread 0's gate closed
     smt = SmtProcessor(
-        table3_config(), mix.build_programs(), mix.thread_seeds(),
+        table3_config(), _mix_programs(mix), mix.thread_seeds(),
         controllers=[gating, NullController()],
         fetch_policy=RoundRobinPolicy(),
     )
@@ -273,7 +278,7 @@ def test_homogeneous_mix_gets_distinct_program_instances():
     mix = mix_spec("mix2-twins")
     seeds = mix.thread_seeds()
     assert seeds[0] != seeds[1]
-    programs = mix.build_programs()
+    programs = _mix_programs(mix)
     assert programs[0] is not programs[1]
 
 

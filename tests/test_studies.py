@@ -10,7 +10,6 @@ from repro.errors import ExperimentError
 from repro.experiments.scheduler import SweepScheduler
 from repro.studies import (
     StudyContext,
-    StudySpec,
     all_studies,
     get_study,
     register,
@@ -155,14 +154,6 @@ def test_smt_study_runs_through_an_experiment_runner():
     executed = scheduler.executed
     run_study(smt_mix_study("mix2-twins"), _CTX, executor=scheduler)
     assert scheduler.executed == executed
-
-
-def test_with_options_overrides_without_mutating():
-    study = get_study("figure1")
-    tweaked = study.with_options(benchmarks=("go",))
-    assert tweaked.options["benchmarks"] == ("go",)
-    assert study.options["benchmarks"] != ("go",)
-    assert isinstance(tweaked, StudySpec)
 
 
 def test_all_studies_is_a_copy():

@@ -32,12 +32,10 @@ from repro.program.generator import ProgramGenerator
 from repro.telemetry import events as tevents
 from repro.telemetry.export import (
     counter_totals,
-    parse_prometheus,
     read_events,
     to_prometheus,
     top_counters,
     validate_events,
-    write_events,
 )
 from repro.telemetry.probes import ProbeBus
 
@@ -50,6 +48,18 @@ def _clean_sink():
     tevents.reset()
     yield
     tevents.reset()
+
+
+def _parse_prometheus(text):
+    """Metric name -> value, as a scraper reads the text exposition."""
+    metrics = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, value = line.rpartition(" ")
+        metrics[name] = int(value)
+    return metrics
 
 
 def _processor(seed=42, **overrides) -> Processor:
@@ -89,12 +99,11 @@ def test_env_variable_enables_telemetry(monkeypatch):
 
 
 def test_telemetry_field_not_in_fingerprints():
-    from repro.experiments.engine import config_fingerprint
+    from repro.experiments.engine import cell_fingerprint, make_cell
 
-    on = config_fingerprint(replace(table3_config(), telemetry=True))
-    off = config_fingerprint(table3_config())
-    assert on == off
-    assert all(name != "telemetry" for name, _ in on)
+    on = make_cell("go", config=replace(table3_config(), telemetry=True))
+    off = make_cell("go", config=table3_config())
+    assert cell_fingerprint(on) == cell_fingerprint(off)
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +199,12 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded == events
     assert validate_events(loaded) == []
     assert [event["seq"] for event in loaded] == [0, 1, 2]
-    # write_events produces the same canonical lines as the sink writer.
+    # Replaying the loaded events (as a sweep's parent does with worker
+    # batches) through a fresh sink writes the same canonical lines.
+    tevents.reset()
     rewritten = io.StringIO()
-    assert write_events(loaded, rewritten) == 3
+    tevents.configure(writer=rewritten)
+    tevents.replay(loaded)
     assert rewritten.getvalue() == stream.getvalue()
 
 
@@ -228,7 +240,7 @@ def test_prometheus_round_trip():
     totals = counter_totals(events)
     assert totals["stage_counters.cycles"] == 11
     assert totals["cache.hits"] == 3
-    metrics = parse_prometheus(to_prometheus(events))
+    metrics = _parse_prometheus(to_prometheus(events))
     assert metrics["repro_stage_counters_cycles_total"] == 11
     assert metrics["repro_cache_hits_total"] == 3
     assert len(metrics) == len(totals)

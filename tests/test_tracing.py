@@ -72,7 +72,9 @@ def test_tracer_capacity_keeps_most_recent():
 def test_trace_lifetime_and_issue_wait():
     trace = _trace(0, 9)
     assert trace.lifetime == 9
-    assert trace.issue_wait == 2
+    # Renamed two cycles before issue: the wait the pipetrace shows.
+    events = dict((letter, cycle) for cycle, letter in trace.stage_events())
+    assert events["I"] - events["R"] == 2
 
 
 def test_invalid_capacity_rejected():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.bitops import bit_mask, fold_xor, hash64, is_power_of_two, log2_exact
+from repro.utils.bitops import bit_mask, is_power_of_two, log2_exact
 
 
 def test_is_power_of_two():
@@ -38,23 +38,3 @@ def test_bit_mask():
 def test_bit_mask_negative_raises():
     with pytest.raises(ValueError):
         bit_mask(-1)
-
-
-def test_fold_xor_within_range():
-    for value in (0, 1, 0xDEADBEEF, (1 << 60) + 12345):
-        assert 0 <= fold_xor(value, 10) <= bit_mask(10)
-
-
-def test_fold_xor_preserves_small_values():
-    assert fold_xor(0x2A, 8) == 0x2A
-
-
-def test_fold_xor_rejects_zero_bits():
-    with pytest.raises(ValueError):
-        fold_xor(5, 0)
-
-
-def test_hash64_deterministic_and_mixing():
-    assert hash64(12345) == hash64(12345)
-    assert hash64(12345) != hash64(12346)
-    assert 0 <= hash64(1 << 63) < (1 << 64)

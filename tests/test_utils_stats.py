@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.utils.stats import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    percent_change,
-    weighted_mean,
-)
+from repro.utils.stats import arithmetic_mean, geometric_mean
 
 
 def test_arithmetic_mean():
@@ -32,35 +26,3 @@ def test_geometric_mean_rejects_nonpositive():
         geometric_mean([1.0, 0.0])
     with pytest.raises(ValueError):
         geometric_mean([])
-
-
-def test_harmonic_mean():
-    assert math.isclose(harmonic_mean([1.0, 1.0]), 1.0)
-    assert math.isclose(harmonic_mean([2.0, 6.0]), 3.0)
-
-
-def test_harmonic_mean_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        harmonic_mean([2.0, -1.0])
-
-
-def test_weighted_mean():
-    assert math.isclose(weighted_mean([1.0, 3.0], [1.0, 1.0]), 2.0)
-    assert math.isclose(weighted_mean([1.0, 3.0], [3.0, 1.0]), 1.5)
-
-
-def test_weighted_mean_validation():
-    with pytest.raises(ValueError):
-        weighted_mean([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        weighted_mean([1.0, 2.0], [0.0, 0.0])
-
-
-def test_percent_change():
-    assert math.isclose(percent_change(10.0, 12.0), 20.0)
-    assert math.isclose(percent_change(10.0, 8.0), -20.0)
-
-
-def test_percent_change_zero_baseline_raises():
-    with pytest.raises(ValueError):
-        percent_change(0.0, 5.0)

@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.frontend.supply import CompiledSupply
-from repro.workloads.suite import benchmark_program
+from repro.workloads.suite import benchmark_spec
 from repro.workloads.trace import TraceReader, TraceRecord, TraceRecorder
 
 
 @pytest.fixture(scope="module")
 def recorded():
     """300 true-path records of a calibrated benchmark."""
-    supply = CompiledSupply(benchmark_program("compress"), seed=123)
+    supply = CompiledSupply(benchmark_spec("compress").build_program(), seed=123)
     return TraceRecorder(supply).record(300)
 
 
@@ -30,7 +30,7 @@ def test_record_covers_branches_and_memory(recorded):
 
 def test_in_memory_record_matches_file_record(tmp_path, recorded):
     path = tmp_path / "trace.txt"
-    supply = CompiledSupply(benchmark_program("compress"), seed=123)
+    supply = CompiledSupply(benchmark_spec("compress").build_program(), seed=123)
     TraceRecorder(supply).record_to_file(str(path), 300)
     parsed = list(TraceReader(str(path)))
     assert parsed == recorded
@@ -53,7 +53,7 @@ def test_write_parse_round_trip_preserves_every_field(tmp_path, recorded):
 
 def test_replay_matches_a_fresh_oracle_walk(recorded):
     """A recorded trace replays the exact dynamic stream the supply serves."""
-    supply = CompiledSupply(benchmark_program("compress"), seed=123)
+    supply = CompiledSupply(benchmark_spec("compress").build_program(), seed=123)
     for index, record in enumerate(recorded):
         static, taken, target_block, mem_address = supply.get(index)
         assert record.address == static.address
@@ -98,7 +98,7 @@ def test_malformed_record_raises_with_location(tmp_path):
 
 def test_record_to_file_prunes_as_it_goes(tmp_path):
     """Long recordings stay constant-memory (the supply prunes behind)."""
-    supply = CompiledSupply(benchmark_program("gzip"), seed=5)
+    supply = CompiledSupply(benchmark_spec("gzip").build_program(), seed=5)
     path = tmp_path / "long.txt"
     TraceRecorder(supply).record_to_file(str(path), 10_000)
     assert sum(1 for _ in TraceReader(str(path))) == 10_000

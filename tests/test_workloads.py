@@ -5,12 +5,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.frontend.supply import CompiledSupply
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.suite import (
-    BENCHMARK_NAMES,
-    benchmark_program,
-    benchmark_spec,
-    load_suite,
-)
+from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
 from repro.workloads.trace import TraceReader, TraceRecorder
 from repro.program.generator import ProgramShape
 
@@ -34,15 +29,15 @@ def test_unknown_benchmark_raises():
 
 
 def test_programs_are_deterministic():
-    a = benchmark_program("gzip")
-    b = benchmark_program("gzip")
+    a = benchmark_spec("gzip").build_program()
+    b = benchmark_spec("gzip").build_program()
     assert len(a.blocks) == len(b.blocks)
     assert a.static_instruction_count() == b.static_instruction_count()
 
 
 def test_load_suite_returns_all():
-    suite = load_suite()
-    assert list(suite) == BENCHMARK_NAMES
+    # Every benchmark of the suite resolves to its own spec.
+    assert [benchmark_spec(name).name for name in BENCHMARK_NAMES] == BENCHMARK_NAMES
 
 
 def test_workload_spec_validation():
