@@ -1,30 +1,18 @@
-"""Branch prediction: direction predictors, BTB and return-address stack.
+"""Branch prediction: the gshare direction predictor, BTB and return-address stack.
 
-The paper's baseline is an 8 KB gshare with a speculatively-updated global
-history register (restored on misprediction).  Bimodal, local two-level,
-hybrid (McFarling) and static predictors are provided for ablations and for
-the hybrid's chooser.
+The paper's machine (Table 3) predicts conditional branches with one 8 KB
+gshare whose global history register is updated speculatively and restored
+on a misprediction; it is the only direction predictor modelled.
 """
 
-from repro.bpred.base import BranchPredictor, Prediction
-from repro.bpred.bimodal import BimodalPredictor
+from repro.bpred.base import Prediction
 from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.gshare import GSharePredictor
-from repro.bpred.hybrid import HybridPredictor
-from repro.bpred.perceptron import PerceptronPredictor
 from repro.bpred.ras import ReturnAddressStack
-from repro.bpred.static import StaticPredictor
-from repro.bpred.twolevel import LocalTwoLevelPredictor
 
 __all__ = [
-    "BranchPredictor",
     "Prediction",
     "GSharePredictor",
-    "BimodalPredictor",
-    "LocalTwoLevelPredictor",
-    "HybridPredictor",
-    "PerceptronPredictor",
-    "StaticPredictor",
     "BranchTargetBuffer",
     "ReturnAddressStack",
 ]

@@ -1,13 +1,4 @@
-"""Branch predictor interface.
-
-Predictors are used speculatively: :meth:`BranchPredictor.predict` is called
-at fetch and also *speculatively updates* any history state with the
-predicted outcome.  The returned :class:`Prediction` carries an opaque
-``snapshot`` of the pre-prediction state; on a misprediction the pipeline
-calls :meth:`BranchPredictor.restore` with that snapshot plus the actual
-outcome so history is repaired exactly as the paper's gshare does.
-Pattern-table training happens in-order at commit via :meth:`train`.
-"""
+"""The result of one direction prediction."""
 
 from __future__ import annotations
 
@@ -25,39 +16,3 @@ class Prediction:
 
     def __repr__(self) -> str:
         return f"Prediction(taken={self.taken})"
-
-
-class BranchPredictor:
-    """Abstract direction predictor for conditional branches."""
-
-    name = "abstract"
-
-    def predict(self, pc: int) -> Prediction:
-        """Predict a branch at fetch, speculatively updating history."""
-        raise NotImplementedError
-
-    def restore(self, snapshot: Any, actual_taken: bool) -> None:
-        """Repair speculative history after a misprediction.
-
-        ``snapshot`` is the value carried by the mispredicted branch's
-        :class:`Prediction`; ``actual_taken`` is the resolved outcome, which
-        is shifted back in so history reflects the true path.
-        """
-        raise NotImplementedError
-
-    def train(self, pc: int, taken: bool, snapshot: Any) -> None:
-        """Update pattern tables at commit with the resolved outcome."""
-        raise NotImplementedError
-
-    def counter_strength(self, pc: int, snapshot: Any) -> int:
-        """Return the saturating-counter value used for this prediction.
-
-        Needed by the modified BPRU estimator of the paper (§4.3): on a
-        confidence-table miss, weakly-biased counter values (1, 2 for a
-        2-bit counter) label the branch low confidence.
-        """
-        raise NotImplementedError
-
-    def storage_bits(self) -> int:
-        """Total predictor storage in bits (for the size sweeps of Fig. 7)."""
-        raise NotImplementedError

@@ -12,7 +12,7 @@ speculatively updated").
 
 from __future__ import annotations
 
-from repro.bpred.base import BranchPredictor, Prediction
+from repro.bpred.base import Prediction
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
 
@@ -22,10 +22,18 @@ _TAKEN_THRESHOLD = 1 << (COUNTER_BITS - 1)
 _WEAK_TAKEN = _TAKEN_THRESHOLD
 
 
-class GSharePredictor(BranchPredictor):
-    """gshare with speculatively-updated global history."""
+class GSharePredictor:
+    """gshare with speculatively-updated global history.
 
-    name = "gshare"
+    The predictor is used speculatively: :meth:`predict` is called at fetch
+    and shifts the predicted direction into the history at once.  The
+    returned :class:`Prediction` carries a ``snapshot`` of the
+    pre-prediction history; on a misprediction the pipeline calls
+    :meth:`restore` with that snapshot plus the resolved outcome, so the
+    history is repaired exactly.  The pattern table is trained in order at
+    commit by :meth:`train`, and :meth:`counter_strength` exposes the
+    counter behind a prediction for the modified BPRU estimator (§4.3).
+    """
 
     def __init__(self, size_kb: int = 8) -> None:
         if size_kb <= 0:
@@ -43,6 +51,7 @@ class GSharePredictor(BranchPredictor):
         return ((pc >> 2) ^ history) & self._mask
 
     def predict(self, pc: int) -> Prediction:
+        """Predict a branch at fetch, speculatively updating history."""
         snapshot = self.history
         counter = self.table[self._index(pc, snapshot)]
         taken = counter >= _TAKEN_THRESHOLD
@@ -50,9 +59,13 @@ class GSharePredictor(BranchPredictor):
         return Prediction(taken, snapshot)
 
     def restore(self, snapshot: int, actual_taken: bool) -> None:
+        """Repair the history after a misprediction: ``snapshot`` is the
+        mispredicted branch's, and ``actual_taken`` is shifted back in so
+        the history reflects the true path."""
         self.history = ((snapshot << 1) | int(actual_taken)) & self._mask
 
     def train(self, pc: int, taken: bool, snapshot: int) -> None:
+        """Update the pattern table at commit with the resolved outcome."""
         index = self._index(pc, snapshot)
         counter = self.table[index]
         if taken:
@@ -62,7 +75,9 @@ class GSharePredictor(BranchPredictor):
             self.table[index] = counter - 1
 
     def counter_strength(self, pc: int, snapshot: int) -> int:
-        return self.table[self._index(pc, snapshot)]
+        """Return the 2-bit counter behind this prediction.
 
-    def storage_bits(self) -> int:
-        return self.entries * COUNTER_BITS + self.index_bits
+        On a confidence-table miss the modified BPRU estimator (§4.3)
+        labels weakly-biased counters (1, 2) low confidence.
+        """
+        return self.table[self._index(pc, snapshot)]

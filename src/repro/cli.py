@@ -107,7 +107,8 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=_COMMANDS, help="what to regenerate")
     parser.add_argument(
         "args", nargs="*",
-        help="command arguments (run: BENCHMARK EXPERIMENT [estimator])",
+        help="command arguments (run: BENCHMARK EXPERIMENT [ESTIMATOR], "
+        "ESTIMATOR one of bpru, jrs, perfect)",
     )
     parser.add_argument(
         "--instructions", type=int, default=None,
@@ -236,6 +237,7 @@ def _cmd_list() -> None:
     print("  table1 table2 table3        — the paper's tables")
     print("  figure1 figure3..figure7    — the paper's figures")
     print("  run BENCH EXP [ESTIMATOR]   — one simulation vs its baseline")
+    print("                                (ESTIMATOR: bpru, jrs or perfect)")
     print("  ablations                   — estimator swap, escalation rule,")
     print("                                gating threshold, cc styles, MSHRs")
     print("  campaign EXP [EXP ...]      — multi-seed sweep with 95% intervals")
@@ -260,7 +262,11 @@ def _cmd_list() -> None:
 
 def _cmd_run(options, scheduler: SweepScheduler) -> None:
     if not 2 <= len(options.args) <= 3:
-        print("usage: repro run BENCHMARK EXPERIMENT [ESTIMATOR]", file=sys.stderr)
+        print(
+            "usage: repro run BENCHMARK EXPERIMENT [ESTIMATOR]"
+            " (ESTIMATOR: bpru, jrs or perfect)",
+            file=sys.stderr,
+        )
         raise SystemExit(2)
     benchmark, experiment = options.args[0], options.args[1]
     if benchmark not in BENCHMARK_NAMES:

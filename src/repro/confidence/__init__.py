@@ -13,10 +13,6 @@ from repro.confidence.bpru import BPRUEstimator
 from repro.confidence.jrs import JRSEstimator
 from repro.confidence.metrics import ConfidenceMatrix
 from repro.confidence.perfect import PerfectEstimator
-from repro.confidence.selfconf import (
-    CounterConfidenceEstimator,
-    PerceptronConfidenceEstimator,
-)
 
 __all__ = [
     "ConfidenceLevel",
@@ -24,8 +20,6 @@ __all__ = [
     "JRSEstimator",
     "BPRUEstimator",
     "PerfectEstimator",
-    "PerceptronConfidenceEstimator",
-    "CounterConfidenceEstimator",
     "ConfidenceMatrix",
     "history_of_snapshot",
 ]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-from repro.bpred.base import BranchPredictor, Prediction
+from repro.bpred.base import Prediction
+from repro.bpred.gshare import GSharePredictor
 
 
 @enum.unique
@@ -28,21 +29,14 @@ class ConfidenceLevel(enum.IntEnum):
         return self >= ConfidenceLevel.LC
 
 
-def history_of_snapshot(snapshot: Any) -> int:
-    """Extract an integer history value from a predictor snapshot.
+def history_of_snapshot(snapshot: int) -> int:
+    """The global history a gshare prediction was made with.
 
-    gshare snapshots are plain ints; hybrid/two-level snapshots are tuples
-    whose first element is the history; history-free predictors carry None.
-    Confidence tables use this value for their own indexing so the estimate
-    and the later training update hit the same entry.
+    A gshare snapshot is the pre-prediction history register itself.
+    Confidence tables index with it, so the estimate and the later
+    training update hit the same entry.
     """
-    if snapshot is None:
-        return 0
-    if isinstance(snapshot, int):
-        return snapshot
-    if isinstance(snapshot, tuple) and snapshot and isinstance(snapshot[0], int):
-        return snapshot[0]
-    return 0
+    return snapshot
 
 
 class ConfidenceEstimator:
@@ -67,7 +61,7 @@ class ConfidenceEstimator:
         self,
         pc: int,
         prediction: Prediction,
-        predictor: BranchPredictor,
+        predictor: GSharePredictor,
         update_state: bool = True,
     ) -> ConfidenceLevel:
         """Label a prediction made at fetch time.
@@ -85,8 +79,4 @@ class ConfidenceEstimator:
         ``correct`` is whether the prediction was right; ``taken`` is the
         resolved direction (used by estimators that model loop trips).
         """
-        raise NotImplementedError
-
-    def storage_bits(self) -> int:
-        """Estimator storage in bits (for the Fig. 7 size sweep)."""
         raise NotImplementedError

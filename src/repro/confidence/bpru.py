@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bpred.base import BranchPredictor, Prediction
+from repro.bpred.base import Prediction
+from repro.bpred.gshare import GSharePredictor
 from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
@@ -70,7 +71,7 @@ class BPRUEstimator(ConfidenceEstimator):
     __slots__ = (
         "size_kb", "miss_increment", "correct_decrement", "initial_counter",
         "value_hit_rate", "_seed", "_actual", "_draws", "entries", "_mask",
-        "tags", "counters", "table_hits", "table_misses", "_trips",
+        "tags", "counters", "table_misses", "_trips",
         "_stable_trips", "_spec_streaks", "_commit_streaks", "_pc_partials",
     )
 
@@ -104,7 +105,6 @@ class BPRUEstimator(ConfidenceEstimator):
         self._mask = bit_mask(log2_exact(entries))
         self.tags = [-1] * entries
         self.counters = [0] * entries
-        self.table_hits = 0
         self.table_misses = 0
         # Loop-exit anticipation (the value-predictor stand-in).
         self._trips: dict = {}  # pc -> last observed trip length
@@ -130,7 +130,7 @@ class BPRUEstimator(ConfidenceEstimator):
         self,
         pc: int,
         prediction: Prediction,
-        predictor: BranchPredictor,
+        predictor: GSharePredictor,
         update_state: bool = True,
     ) -> ConfidenceLevel:
         actual, self._actual = self._actual, None
@@ -154,7 +154,6 @@ class BPRUEstimator(ConfidenceEstimator):
         history = history_of_snapshot(prediction.snapshot)
         index = ((pc >> 2) ^ history) & self._mask
         if self.tags[index] == (pc >> 2) & _TAG_MASK:
-            self.table_hits += 1
             level = _LEVEL_OF_COUNTER[self.counters[index]]
         else:
             self.table_misses += 1
@@ -220,6 +219,3 @@ class BPRUEstimator(ConfidenceEstimator):
         else:
             counter = min(COUNTER_MAX, counter + self.miss_increment)
         self.counters[index] = counter
-
-    def storage_bits(self) -> int:
-        return self.entries * ENTRY_BITS

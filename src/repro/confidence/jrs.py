@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bpred.base import BranchPredictor, Prediction
+from repro.bpred.base import Prediction
+from repro.bpred.gshare import GSharePredictor
 from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
@@ -64,7 +65,7 @@ class JRSEstimator(ConfidenceEstimator):
         self,
         pc: int,
         prediction: Prediction,
-        predictor: BranchPredictor,
+        predictor: GSharePredictor,
         update_state: bool = True,
     ) -> ConfidenceLevel:
         history = history_of_snapshot(prediction.snapshot)
@@ -82,6 +83,3 @@ class JRSEstimator(ConfidenceEstimator):
             self.table[index] = counter if counter < _COUNTER_MAX else _COUNTER_MAX
         else:
             self.table[index] = 0
-
-    def storage_bits(self) -> int:
-        return self.entries * COUNTER_BITS

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bpred.base import BranchPredictor, Prediction
+from repro.bpred.base import Prediction
+from repro.bpred.gshare import GSharePredictor
 from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel
 
 
@@ -36,7 +37,7 @@ class PerfectEstimator(ConfidenceEstimator):
         self,
         pc: int,
         prediction: Prediction,
-        predictor: BranchPredictor,
+        predictor: GSharePredictor,
         update_state: bool = True,
     ) -> ConfidenceLevel:
         if self._next_actual_taken is None:
@@ -50,6 +51,3 @@ class PerfectEstimator(ConfidenceEstimator):
 
     def train(self, pc: int, correct: bool, snapshot: Any, taken: bool = None) -> None:
         return None
-
-    def storage_bits(self) -> int:
-        return 0

@@ -83,14 +83,13 @@ class ProcessorConfig:
     extra_dcache_latency: int = 0
 
     # Branch prediction.
-    bpred_kind: str = "gshare"  # gshare | bimodal | local2level | hybrid | static
-    bpred_size_kb: int = 8
+    bpred_size_kb: int = 8  # the gshare's pattern table
     btb_entries: int = 1024
     btb_ways: int = 2
     ras_depth: int = 32
 
     # Confidence estimation.
-    confidence_kind: str = "bpru"  # bpru | jrs | perfect | none
+    confidence_kind: str = "bpru"  # bpru | jrs | perfect
     confidence_size_kb: int = 8
     jrs_threshold: int = 12
 

@@ -40,23 +40,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.bpred.base import BranchPredictor
-from repro.bpred.bimodal import BimodalPredictor
 from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.gshare import GSharePredictor
-from repro.bpred.hybrid import HybridPredictor
-from repro.bpred.perceptron import PerceptronPredictor
 from repro.bpred.ras import ReturnAddressStack
-from repro.bpred.static import StaticPredictor
-from repro.bpred.twolevel import LocalTwoLevelPredictor
 from repro.confidence.base import ConfidenceEstimator
 from repro.confidence.bpru import BPRUEstimator
 from repro.confidence.jrs import JRSEstimator
 from repro.confidence.perfect import PerfectEstimator
-from repro.confidence.selfconf import (
-    CounterConfidenceEstimator,
-    PerceptronConfidenceEstimator,
-)
 from repro.core.throttler import NullController, SpeculationController
 from repro.errors import ConfigurationError, SimulationError
 from repro.frontend.supply import CompiledSupply
@@ -87,25 +77,7 @@ from repro.telemetry.probes import ProbeBus
 THREAD_ADDRESS_STRIDE = 0x4000_0000 + 0x2480
 
 
-def build_predictor(config: ProcessorConfig) -> BranchPredictor:
-    """Instantiate the direction predictor named by the configuration."""
-    kind = config.bpred_kind
-    if kind == "gshare":
-        return GSharePredictor(config.bpred_size_kb)
-    if kind == "bimodal":
-        return BimodalPredictor(config.bpred_size_kb)
-    if kind == "local2level":
-        return LocalTwoLevelPredictor()
-    if kind == "hybrid":
-        return HybridPredictor(config.bpred_size_kb)
-    if kind == "perceptron":
-        return PerceptronPredictor(config.bpred_size_kb)
-    if kind == "static":
-        return StaticPredictor()
-    raise ConfigurationError(f"unknown predictor kind {kind!r}")
-
-
-def build_estimator(config: ProcessorConfig) -> Optional[ConfidenceEstimator]:
+def build_estimator(config: ProcessorConfig) -> ConfidenceEstimator:
     """Instantiate the confidence estimator named by the configuration."""
     kind = config.confidence_kind
     if kind == "bpru":
@@ -114,12 +86,6 @@ def build_estimator(config: ProcessorConfig) -> Optional[ConfidenceEstimator]:
         return JRSEstimator(config.confidence_size_kb, config.jrs_threshold)
     if kind == "perfect":
         return PerfectEstimator()
-    if kind == "perceptron-self":
-        return PerceptronConfidenceEstimator()
-    if kind == "counter-self":
-        return CounterConfidenceEstimator()
-    if kind == "none":
-        return None
     raise ConfigurationError(f"unknown confidence kind {kind!r}")
 
 
@@ -187,7 +153,7 @@ class ThreadContext:
         self.seed = seed
         self.mem_offset = thread_id * THREAD_ADDRESS_STRIDE
 
-        self.bpred = build_predictor(config)
+        self.bpred = GSharePredictor(config.bpred_size_kb)
         self.confidence = build_estimator(config)
         self.btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
         self.ras = ReturnAddressStack(config.ras_depth)
@@ -433,11 +399,11 @@ class Processor:
         return self.threads[0].controller
 
     @property
-    def bpred(self) -> BranchPredictor:
+    def bpred(self) -> GSharePredictor:
         return self.threads[0].bpred
 
     @property
-    def confidence(self) -> Optional[ConfidenceEstimator]:
+    def confidence(self) -> ConfidenceEstimator:
         return self.threads[0].confidence
 
     @property

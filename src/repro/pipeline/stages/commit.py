@@ -174,12 +174,10 @@ class CommitRecoverStage(Stage):
             stats.mispredictions_committed += 1
             thread.mispredictions_committed += 1
         thread.bpred.train(instr.pc, instr.actual_taken, instr.bpred_snapshot)
-        if thread.confidence is not None:
-            thread.confidence.train(
-                instr.pc, correct, instr.bpred_snapshot, taken=instr.actual_taken
-            )
-            if instr.confidence is not None:
-                stats.confidence.record(instr.confidence, correct)
+        thread.confidence.train(
+            instr.pc, correct, instr.bpred_snapshot, taken=instr.actual_taken
+        )
+        stats.confidence.record(instr.confidence, correct)
         if instr.actual_taken and instr.actual_target >= 0:
             target_address = thread.program.block(instr.actual_target).address
             thread.btb.update(instr.pc, target_address)

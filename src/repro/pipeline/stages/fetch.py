@@ -278,7 +278,6 @@ class FetchStage(Stage):
         fetch group after this instruction (BTB bubble, oracle stall, or a
         divergence onto the wrong path).  The caller batches the per-branch
         predictor activity into the cycle's array."""
-        stats = self.kernel.stats
         instr.actual_taken = actual_taken
         instr.actual_target = actual_target
         stop_after = False
@@ -286,27 +285,24 @@ class FetchStage(Stage):
 
         if instr.static.is_cond_branch:
             instr.lowconf = False
-            instr.confidence = None
             instr.throttle_token = None
-            stats.cond_branches_fetched += 1
             prediction = thread.bpred.predict(pc)
             instr.predicted_taken = prediction.taken
             instr.bpred_snapshot = prediction.snapshot
             instr.mispredicted = prediction.taken != actual_taken
             instr.ras_checkpoint = thread.ras.checkpoint()
             confidence = thread.confidence
-            if confidence is not None:
-                confidence.set_actual(actual_taken)
-                level = confidence.estimate(
-                    pc, prediction, thread.bpred,
-                    update_state=not instr.on_wrong_path,
-                )
-                instr.confidence = level
-                if level.is_low:
-                    instr.lowconf = True
-                    thread.lowconf_inflight += 1
-                if thread.ctrl_has_fetch_hook:
-                    thread.controller.on_branch_fetched(instr, level)
+            confidence.set_actual(actual_taken)
+            level = confidence.estimate(
+                pc, prediction, thread.bpred,
+                update_state=not instr.on_wrong_path,
+            )
+            instr.confidence = level
+            if level.is_low:
+                instr.lowconf = True
+                thread.lowconf_inflight += 1
+            if thread.ctrl_has_fetch_hook:
+                thread.controller.on_branch_fetched(instr, level)
             if prediction.taken and thread.btb.lookup(pc) is None:
                 # Taken prediction without a cached target: one-cycle bubble.
                 stop_after = True

@@ -376,10 +376,7 @@ class CycleScheduler:
         schedule.
         """
         kernel = self.kernel
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_idle_cycles(in_flight / self.total_rob_size, count)
-        power.total_instr_cycles += in_flight * count
+        kernel.power.end_idle_cycles(kernel.rob_count / self.total_rob_size, count)
         stats = kernel.stats
         end = cycle + count
         solo = self._solo
@@ -504,10 +501,7 @@ class CycleScheduler:
         self.issue.tick(cycle, activity)
         self.decode_rename.tick(cycle, activity)
         self.fetch.tick(cycle, activity)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
+        kernel.power.end_cycle(activity, kernel.rob_count / self.total_rob_size)
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
 
@@ -559,10 +553,7 @@ class CycleScheduler:
                 tracer.after(stage, cycle)
             if sanitize:
                 check_invariants(kernel, stage.name, cycle)
-        power = kernel.power
-        in_flight = kernel.rob_count
-        power.end_cycle(activity, in_flight / self.total_rob_size)
-        power.total_instr_cycles += in_flight
+        kernel.power.end_cycle(activity, kernel.rob_count / self.total_rob_size)
         kernel.stats.cycles += 1
         kernel.cycle = cycle + 1
         if probes is not None:

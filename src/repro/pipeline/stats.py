@@ -22,7 +22,6 @@ class SimStats:
         "issued_wrong_path",
         "committed",
         "squashed",
-        "cond_branches_fetched",
         "cond_branches_committed",
         "mispredictions_committed",
         "squashes",
@@ -46,7 +45,6 @@ class SimStats:
         self.committed = 0
         self.squashed = 0
         # Branches.
-        self.cond_branches_fetched = 0
         self.cond_branches_committed = 0
         self.mispredictions_committed = 0
         self.squashes = 0

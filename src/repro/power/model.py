@@ -180,7 +180,7 @@ class PowerModel:
     __slots__ = (
         "table", "style", "idle_fraction", "cycles", "unit_energy",
         "dynamic_energy", "wasted_energy", "unit_accesses",
-        "squashed_accesses", "usage_sum", "total_instr_cycles",
+        "squashed_accesses", "usage_sum",
         "wasted_instr_cycles", "committed_instr_cycles",
         "attribute_threads", "_thread_ledger", "_cc3",
         "_energy_per_access", "_idle_energy", "_count_tables",
@@ -212,7 +212,6 @@ class PowerModel:
         # Utilisation accumulators (for calibration).
         self.usage_sum = [0.0] * NUM_UNITS
         # Clock attribution: instruction-cycles, split at retirement.
-        self.total_instr_cycles = 0
         self.wasted_instr_cycles = 0
         self.committed_instr_cycles = 0
         # Per-hardware-thread dynamic-energy ledger, filled at retirement:

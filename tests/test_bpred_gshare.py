@@ -98,7 +98,3 @@ def test_counter_saturates():
         predictor.train(pc, False, snapshot)
     assert predictor.counter_strength(pc, snapshot) == 0
 
-
-def test_storage_bits_scale_with_size():
-    assert GSharePredictor(16).storage_bits() > GSharePredictor(8).storage_bits()
-    assert GSharePredictor(8).storage_bits() == 32768 * 2 + 15

@@ -177,6 +177,10 @@ def test_run_command_validates_the_experiment_before_simulating(monkeypatch):
     (["run", "go", "gating:x"], "bad experiment .gating:x.: invalid literal"),
     (["run", "go", "gating:0"], "gating threshold must be >= 1"),
     (["campaign", "gating:x"], "bad experiment .gating:x.: invalid literal"),
+    (["run", "go", "C2", "perceptron-self"],
+     "bad experiment 'C2': unknown confidence kind 'perceptron-self'"),
+    (["run", "go", "C2", "counter-self"], "unknown confidence kind 'counter-self'"),
+    (["run", "go", "C2", "none"], "unknown confidence kind 'none'"),
 ])
 def test_bad_controller_specs_exit_before_simulating(
     argv, message, monkeypatch

@@ -15,6 +15,7 @@ def _prediction(taken=True, history=0):
 
 def test_table_miss_uses_predictor_fallback_weak():
     estimator = BPRUEstimator(8)
+    assert estimator.entries == 8 * 1024 * 8 // 16  # 16-bit tagged entries
     predictor = GSharePredictor(1)  # fresh counters are weakly taken (2)
     level = estimator.estimate(0x1000, _prediction(), predictor)
     assert level is ConfidenceLevel.LC
@@ -89,12 +90,6 @@ def test_wrong_path_estimates_do_not_advance_streak():
     assert estimator._spec_streaks.get(pc, 0) == 0
     estimator.estimate(pc, _prediction(taken=True), predictor, update_state=True)
     assert estimator._spec_streaks[pc] == 1
-
-
-def test_storage_bits():
-    estimator = BPRUEstimator(8)
-    assert estimator.storage_bits() == 8 * 1024 * 8
-    assert estimator.entries == 8 * 1024 * 8 // 16
 
 
 def test_validation():

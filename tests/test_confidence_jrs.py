@@ -71,10 +71,6 @@ def test_output_is_binary():
     assert levels <= {ConfidenceLevel.HC, ConfidenceLevel.LC}
 
 
-def test_storage_bits():
-    assert JRSEstimator(8).storage_bits() == 8 * 1024 * 8
-
-
 def test_validation():
     with pytest.raises(ConfigurationError):
         JRSEstimator(0)

@@ -2,7 +2,6 @@
 
 from repro.confidence.base import ConfidenceLevel
 from repro.core.gating import PipelineGatingController
-from repro.core.levels import BandwidthLevel
 from repro.core.policy import experiment_policy
 from repro.core.throttler import NullController, SelectiveThrottler
 from repro.isa.instruction import DynamicInstruction, StaticInstruction

@@ -1,7 +1,5 @@
 """Condition-chain and serial-chain structure of generated programs."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ProgramError

