@@ -38,7 +38,6 @@ class GSharePredictor:
     def __init__(self, size_kb: int = 8) -> None:
         if size_kb <= 0:
             raise ConfigurationError(f"gshare size must be positive, got {size_kb} KB")
-        self.size_kb = size_kb
         entries = size_kb * 1024 * 8 // COUNTER_BITS
         self.index_bits = log2_exact(entries)
         self.entries = entries

@@ -8,7 +8,7 @@ the Pipeline Gating baseline, binary HC/LC) and the modified BPRU estimator
 what any estimator could achieve.
 """
 
-from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
+from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel
 from repro.confidence.bpru import BPRUEstimator
 from repro.confidence.jrs import JRSEstimator
 from repro.confidence.metrics import ConfidenceMatrix
@@ -21,5 +21,4 @@ __all__ = [
     "BPRUEstimator",
     "PerfectEstimator",
     "ConfidenceMatrix",
-    "history_of_snapshot",
 ]

@@ -29,16 +29,6 @@ class ConfidenceLevel(enum.IntEnum):
         return self >= ConfidenceLevel.LC
 
 
-def history_of_snapshot(snapshot: int) -> int:
-    """The global history a gshare prediction was made with.
-
-    A gshare snapshot is the pre-prediction history register itself.
-    Confidence tables index with it, so the estimate and the later
-    training update hit the same entry.
-    """
-    return snapshot
-
-
 class ConfidenceEstimator:
     """Assign a confidence level to each conditional-branch prediction."""
 

@@ -35,7 +35,7 @@ from typing import Any
 
 from repro.bpred.base import Prediction
 from repro.bpred.gshare import GSharePredictor
-from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
+from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
 from repro.utils.rng import stateless_hash_step
@@ -69,9 +69,9 @@ class BPRUEstimator(ConfidenceEstimator):
     name = "bpru"
 
     __slots__ = (
-        "size_kb", "miss_increment", "correct_decrement", "initial_counter",
+        "miss_increment", "correct_decrement", "initial_counter",
         "value_hit_rate", "_seed", "_actual", "_draws", "entries", "_mask",
-        "tags", "counters", "table_misses", "_trips",
+        "tags", "counters", "_trips",
         "_stable_trips", "_spec_streaks", "_commit_streaks", "_pc_partials",
     )
 
@@ -92,7 +92,6 @@ class BPRUEstimator(ConfidenceEstimator):
             raise ConfigurationError(f"bad initial counter {initial_counter}")
         if not 0.0 <= value_hit_rate <= 1.0:
             raise ConfigurationError("value_hit_rate must be a probability")
-        self.size_kb = size_kb
         self.miss_increment = miss_increment
         self.correct_decrement = correct_decrement
         self.initial_counter = initial_counter
@@ -105,7 +104,6 @@ class BPRUEstimator(ConfidenceEstimator):
         self._mask = bit_mask(log2_exact(entries))
         self.tags = [-1] * entries
         self.counters = [0] * entries
-        self.table_misses = 0
         # Loop-exit anticipation (the value-predictor stand-in).
         self._trips: dict = {}  # pc -> last observed trip length
         self._stable_trips: dict = {}  # pc -> trip confirmed twice in a row
@@ -151,12 +149,10 @@ class BPRUEstimator(ConfidenceEstimator):
                     return ConfidenceLevel.VLC
                 return ConfidenceLevel.VHC
         exit_expected = self._anticipate_exit(pc, prediction.taken, update_state)
-        history = history_of_snapshot(prediction.snapshot)
-        index = ((pc >> 2) ^ history) & self._mask
+        index = ((pc >> 2) ^ prediction.snapshot) & self._mask
         if self.tags[index] == (pc >> 2) & _TAG_MASK:
             level = _LEVEL_OF_COUNTER[self.counters[index]]
         else:
-            self.table_misses += 1
             # Paper modification: fall back to the predictor's counter.
             strength = predictor.counter_strength(pc, prediction.snapshot)
             if strength in (1, 2):  # weakly not-taken / weakly taken
@@ -206,8 +202,7 @@ class BPRUEstimator(ConfidenceEstimator):
                 self._commit_streaks[pc] = 0
                 # Resynchronise the speculative streak at the observed exit.
                 self._spec_streaks[pc] = 0
-        history = history_of_snapshot(snapshot)
-        index = self._index(pc, history)
+        index = self._index(pc, snapshot)
         tag = self._tag(pc)
         if self.tags[index] != tag:
             # Allocate (direct-mapped tagged table: unconditional replace).

@@ -21,7 +21,7 @@ from typing import Any
 
 from repro.bpred.base import Prediction
 from repro.bpred.gshare import GSharePredictor
-from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel, history_of_snapshot
+from repro.confidence.base import ConfidenceEstimator, ConfidenceLevel
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, log2_exact
 
@@ -35,8 +35,7 @@ class JRSEstimator(ConfidenceEstimator):
     name = "jrs"
 
     __slots__ = (
-        "size_kb", "threshold", "correct_increment", "entries", "_mask",
-        "table",
+        "threshold", "correct_increment", "entries", "_mask", "table",
     )
 
     def __init__(
@@ -50,7 +49,6 @@ class JRSEstimator(ConfidenceEstimator):
             )
         if correct_increment < 1:
             raise ConfigurationError("correct_increment must be >= 1")
-        self.size_kb = size_kb
         self.threshold = threshold
         self.correct_increment = correct_increment
         entries = size_kb * 1024 * 8 // COUNTER_BITS
@@ -68,16 +66,14 @@ class JRSEstimator(ConfidenceEstimator):
         predictor: GSharePredictor,
         update_state: bool = True,
     ) -> ConfidenceLevel:
-        history = history_of_snapshot(prediction.snapshot)
-        counter = self.table[self._index(pc, history)]
+        counter = self.table[self._index(pc, prediction.snapshot)]
         # JRS is binary: the four-level interface maps high->HC, low->LC.
         if counter >= self.threshold:
             return ConfidenceLevel.HC
         return ConfidenceLevel.LC
 
     def train(self, pc: int, correct: bool, snapshot: Any, taken: bool = None) -> None:
-        history = history_of_snapshot(snapshot)
-        index = self._index(pc, history)
+        index = self._index(pc, snapshot)
         if correct:
             counter = self.table[index] + self.correct_increment
             self.table[index] = counter if counter < _COUNTER_MAX else _COUNTER_MAX

@@ -47,7 +47,7 @@ cached on the ``Program`` instance, so the many cells of a figure sweep
 that share a memoised program compile once.
 
 Both streams are pinned by SHA-256 goldens in
-``tests/test_frontend_supply.py`` and, end to end, by the 38 golden
+``tests/test_frontend_supply.py`` and, end to end, by the 39 golden
 fingerprints of ``tests/test_stage_kernel_parity.py``.
 """
 

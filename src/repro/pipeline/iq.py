@@ -8,10 +8,10 @@ and asking the speculation controller whether an instruction's request
 signal is suppressed — the paper's no-select bit (Figure 2 right).
 
 The queue is plain public state.  Dispatch lives in
-:class:`~repro.pipeline.stages.decode_rename.DecodeRenameStage` and select
-in :class:`~repro.pipeline.stages.select_issue.SelectIssueStage`, both
-inlined into their stage loops; this class keeps only the two operations
-other code calls: :meth:`wakeup` (the writeback stage's per-tag path) and
+:class:`~repro.pipeline.stages.decode_rename.DecodeRenameStage`, select
+in :class:`~repro.pipeline.stages.select_issue.SelectIssueStage` and
+wakeup in :class:`~repro.pipeline.stages.execute_writeback.ExecuteWritebackStage`,
+each inlined into its stage loop; this class keeps only
 :meth:`squash_younger` (branch recovery).
 """
 
@@ -44,23 +44,6 @@ class IssueQueue:
         self.ready_sorted = True
         # Tag -> instructions waiting on it.
         self.waiters: Dict[int, List[DynamicInstruction]] = {}
-
-    def wakeup(self, tag: int) -> int:
-        """Broadcast a completed tag; returns the number of comparisons."""
-        waiters = self.waiters.pop(tag, None)
-        if not waiters:
-            return 0
-        woken = 0
-        ready = self.ready_list
-        for instruction in waiters:
-            if instruction.squashed or instruction.issued:
-                continue
-            instruction.ready_sources -= 1
-            if instruction.ready_sources == 0:
-                ready.append(instruction)
-                self.ready_sorted = False
-            woken += 1
-        return woken
 
     def squash_younger(self, seq: int) -> None:
         """Drop every ready instruction younger than ``seq``.

@@ -223,16 +223,6 @@ class ThreadContext:
         self.fetch_cycles = 0
         self.policy_gated_cycles = 0
 
-    @property
-    def front_end_occupancy(self) -> int:
-        """Instructions currently in the in-order front-end latches."""
-        return len(self.fetch_latch) + len(self.decode_latch)
-
-    @property
-    def in_flight(self) -> int:
-        """ICOUNT-style pre-issue occupancy (latches + issue queue)."""
-        return self.front_end_occupancy + self.iq.count
-
     def reset_measurement(self) -> None:
         """Zero the measured-window counters; keep microarchitectural state."""
         self.committed = 0

@@ -7,12 +7,13 @@ performing the architectural side effects: store D-cache access, LSQ
 release, predictor/estimator/BTB training for conditional branches, and
 power crediting of the retired instruction.
 
-The kernel stores no per-instruction access tally; the two cold
-crediting paths that need one (per-thread energy attribution, squash
-accounting) reconstruct it on demand with
-:func:`repro.pipeline.arrays.materialize_tally`, and front-end latch
-squashes — whose tally is always one I-cache access plus a predictor
-access for branches — skip even that and credit the two units directly.
+The power model's retirement credits (``PowerModel.credit_committed`` /
+``credit_squashed``, per-thread ledger included) run inline in the
+commit loop and both squash loops, in the same float order.  The kernel
+stores no per-instruction access tally: back-end squashes reconstruct it
+with :func:`repro.pipeline.arrays.materialize_tally`, front-end latch
+squashes credit their one I-cache (and predictor) access directly, and
+commits memoise their per-thread energy per tally shape.
 
 Recovery also lives here: when writeback resolves a mispredicted branch,
 :meth:`CommitRecoverStage.recover` squashes the thread's younger
@@ -76,7 +77,9 @@ class CommitRecoverStage(Stage):
             if budget <= 0:
                 break
             thread = threads[(cycle + offset) % count]
-            budget -= self._commit_thread(thread, cycle, activity, budget)
+            entries = thread.rob_entries
+            if entries and entries[0].completed:
+                budget -= self._commit_thread(thread, cycle, activity, budget)
 
     def thread_order(self, cycle: int):
         """The threads in the order ``tick`` offers them the commit width
@@ -86,17 +89,23 @@ class CommitRecoverStage(Stage):
         return [threads[(cycle + offset) % count] for offset in range(count)]
 
     def _commit_thread(self, thread, cycle: int, activity, budget: int) -> int:
+        """Retire up to ``budget`` instructions from the thread's ROB head;
+        ``tick`` calls it only on a completed head (the hoisting below
+        is skipped on stall cycles)."""
         entries = thread.rob_entries
-        # Nothing committable: skip all hoisting (most stall cycles).
-        if not entries or not entries[0].completed:
-            return 0
         kernel = self.kernel
         power = kernel.power
         memory = kernel.memory
-        # Single-thread machines never attribute energy per thread, so the
-        # commit credit reduces to the clock-residency sum — inlined here
-        # (same arithmetic as PowerModel.credit_committed).
-        attribute = power.attribute_threads
+        # PowerModel.credit_committed, inlined.  A committed instruction
+        # has issued and completed, so its tally depends only on the
+        # static instruction, the wakeup flag and the load's or store's
+        # miss: the energy is memoised per such shape.  The head commits,
+        # so the ledger entry is created exactly when the uninlined
+        # credit would create it.
+        entry = None
+        if power.attribute_threads:
+            entry = power._ledger_of(thread.thread_id)
+            energy_memo = power._commit_energy
         residency = 0
         lsq = thread.lsq
         committed = 0
@@ -130,14 +139,18 @@ class CommitRecoverStage(Stage):
             elif static.is_cond_branch:
                 branch_commits += 1
                 self._commit_branch(thread, head)
-            if attribute:
-                power.credit_committed(
-                    head, cycle, materialize_tally(head, True, True, store_miss)
-                )
-            else:
-                fetch_cycle = head.fetch_cycle
-                if fetch_cycle >= 0 and cycle > fetch_cycle:
-                    residency += cycle - fetch_cycle
+            if entry is not None:
+                miss = store_miss or (static.is_load and head.dcache_missed)
+                shape = (static, head.woke, miss)
+                energy = energy_memo.get(shape)
+                if energy is None:
+                    energy = energy_memo[shape] = power._tally_energy(
+                        materialize_tally(head, True, True, store_miss)
+                    )
+                entry[0] += energy
+            fetch_cycle = head.fetch_cycle
+            if fetch_cycle >= 0 and cycle > fetch_cycle:
+                residency += cycle - fetch_cycle
             committed += 1
             # Only true-path instructions commit, and every one carries
             # its stream index.
@@ -145,6 +158,8 @@ class CommitRecoverStage(Stage):
         if residency:
             power.committed_instr_cycles += residency
         if committed:
+            if entry is not None:
+                entry[2] += committed
             if regfile_writes:
                 activity[_REGFILE] += regfile_writes
             if dcache_accesses:
@@ -241,15 +256,18 @@ class CommitRecoverStage(Stage):
         """Squash a batch of one thread's instructions (recovery hot loop).
 
         Mirrors, per instruction: the squash flag, the power model's
-        wasted-energy credit (``PowerModel.credit_squashed`` — inlined for
-        the common no-per-thread-ledger case, squashes being the
-        second-hottest event in misprediction-heavy runs), controller
-        notifications, and — for back-end residents — rename/
-        IQ/LSQ deallocation.
+        wasted-energy credit (``PowerModel.credit_squashed``, inlined —
+        squashes are the second-hottest event in misprediction-heavy
+        runs; the batch is never empty, so the ledger entry is created
+        exactly when the uninlined credit would), controller
+        notifications, and — for back-end residents — rename/IQ/LSQ
+        deallocation.
         """
         kernel = self.kernel
         power = kernel.power
-        attribute = power.attribute_threads
+        entry = (
+            power._ledger_of(thread.thread_id) if power.attribute_threads else None
+        )
         energy_per_access = power._energy_per_access
         wasted = power.wasted_energy
         squashed_accesses = power.squashed_accesses
@@ -265,31 +283,32 @@ class CommitRecoverStage(Stage):
         # Two loop variants keyed on the (per-call constant) residency:
         # front-end latch squashes — the bulk of every recovery — carry
         # exactly one I-cache access plus one predictor access for
-        # control instructions, so the credit is two direct accumulates
-        # with no tally at all (``accesses * energy`` with
-        # ``accesses == 1`` is exactly ``energy``, so the shortcut
-        # accumulates bit-identical floats); back-end residents
-        # materialize their tally and walk it ascending-unit, the
-        # attribution order the equivalence goldens fix.
+        # control instructions, so the credit is direct accumulates with
+        # no tally at all (``accesses * energy`` with ``accesses == 1``
+        # is exactly ``energy``, and the per-instruction sum starts from
+        # ``0.0``, so the shortcut accumulates bit-identical floats);
+        # back-end residents materialize their tally and walk it
+        # ascending-unit, the attribution order the equivalence goldens
+        # fix.
         if not in_backend:
             icache_energy = energy_per_access[_ICACHE]
             bpred_energy = energy_per_access[_BPRED]
+            branch_energy = icache_energy + bpred_energy
             for instr in instrs:
                 instr.squashed = True
                 count += 1
-                if attribute:
-                    power.credit_squashed(
-                        instr, cycle, materialize_tally(instr, False)
-                    )
-                else:
-                    wasted[_ICACHE] += icache_energy
-                    squashed_accesses[_ICACHE] += 1
-                    if instr.static.is_branch:
-                        wasted[_BPRED] += bpred_energy
-                        squashed_accesses[_BPRED] += 1
-                    fetch_cycle = instr.fetch_cycle
-                    if cycle > fetch_cycle >= 0:
-                        wasted_cycles += cycle - fetch_cycle
+                wasted[_ICACHE] += icache_energy
+                squashed_accesses[_ICACHE] += 1
+                if instr.static.is_branch:
+                    wasted[_BPRED] += bpred_energy
+                    squashed_accesses[_BPRED] += 1
+                    if entry is not None:
+                        entry[1] += branch_energy
+                elif entry is not None:
+                    entry[1] += icache_energy
+                fetch_cycle = instr.fetch_cycle
+                if cycle > fetch_cycle >= 0:
+                    wasted_cycles += cycle - fetch_cycle
                 if instr.static.is_cond_branch:
                     if instr.lowconf:
                         instr.lowconf = False
@@ -304,19 +323,18 @@ class CommitRecoverStage(Stage):
             for instr in instrs:
                 instr.squashed = True
                 count += 1
-                if attribute:
-                    power.credit_squashed(
-                        instr, cycle, materialize_tally(instr, True)
-                    )
-                else:
-                    tally = materialize_tally(instr, True)
-                    for unit, accesses in enumerate(tally):
-                        if accesses:
-                            wasted[unit] += accesses * energy_per_access[unit]
-                            squashed_accesses[unit] += accesses
-                    fetch_cycle = instr.fetch_cycle
-                    if cycle > fetch_cycle >= 0:
-                        wasted_cycles += cycle - fetch_cycle
+                instr_energy = 0.0
+                for unit, accesses in enumerate(materialize_tally(instr, True)):
+                    if accesses:
+                        energy = accesses * energy_per_access[unit]
+                        wasted[unit] += energy
+                        squashed_accesses[unit] += accesses
+                        instr_energy += energy
+                if entry is not None:
+                    entry[1] += instr_energy
+                fetch_cycle = instr.fetch_cycle
+                if cycle > fetch_cycle >= 0:
+                    wasted_cycles += cycle - fetch_cycle
                 static = instr.static
                 if static.is_cond_branch:
                     if instr.lowconf:
@@ -334,6 +352,8 @@ class CommitRecoverStage(Stage):
                     freed_iq += 1
                 if static.is_mem:
                     freed_lsq += 1
+        if entry is not None:
+            entry[3] += count
         kernel.stats.squashed += count
         thread.squashed += count
         if wasted_cycles:

@@ -78,13 +78,17 @@ class DecodeRenameStage(Stage):
             if budget <= 0:
                 break
             thread = threads[(cycle + offset) % count]
-            budget -= self._rename_thread(thread, cycle, activity, budget)
+            decode_latch = thread.decode_latch
+            if decode_latch.head < len(decode_latch.instrs):
+                budget -= self._rename_thread(thread, cycle, activity, budget)
         budget = self.width
         for offset in range(count):
             if budget <= 0:
                 break
             thread = threads[(cycle + offset) % count]
-            budget -= self._decode_thread(thread, cycle, budget)
+            fetch_latch = thread.fetch_latch
+            if fetch_latch.head < len(fetch_latch.instrs):
+                budget -= self._decode_thread(thread, cycle, budget)
 
     # ------------------------------------------------------------------
     # Rename / dispatch
@@ -97,17 +101,13 @@ class DecodeRenameStage(Stage):
         stamps = latch.stamps
         head = latch.head
         tail = len(instrs)
-        if head == tail:
+        # ``tick`` calls this only on a non-empty latch.
+        if stamps[head] > cycle:
             return 0
         rob = thread.rob
         rob_entries = rob.entries
         iq = thread.iq
         iq_start = iq.count
-        iq_ready = iq.ready_list
-        iq_waiters = iq.waiters
-        lsq = thread.lsq
-        lsq_start = lsq.occupied
-        lsq_size = lsq.size
         # One fused structural limit: the while-condition folds the ROB,
         # IQ and width bounds (each renamed instruction consumes exactly
         # one entry of each); only the LSQ check stays per-instruction.
@@ -117,6 +117,14 @@ class DecodeRenameStage(Stage):
             limit = iq_space
         if budget < limit:
             limit = budget
+        if limit <= 0:
+            # A full ROB or IQ: nothing renames, and the head stays put.
+            return 0
+        iq_ready = iq.ready_list
+        iq_waiters = iq.waiters
+        lsq = thread.lsq
+        lsq_start = lsq.occupied
+        lsq_size = lsq.size
         renamer = thread.renamer
         # Stable for the whole tick: ``restore`` (which rebinds the map)
         # only runs during writeback recovery, never mid-rename.
@@ -227,8 +235,6 @@ class DecodeRenameStage(Stage):
         instrs = latch.instrs
         head = latch.head
         tail = len(instrs)
-        if head == tail:
-            return 0
         stamps = latch.stamps
         kernel = self.kernel
         out = thread.decode_latch

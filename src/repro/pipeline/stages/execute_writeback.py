@@ -68,7 +68,8 @@ class ExecuteWritebackStage(Stage):
         recover = self.recovery.recover
         if len(threads) == 1:
             # Single-thread fast path: one set of per-thread structures for
-            # the whole event bin, and IssueQueue.wakeup inlined.
+            # the whole event bin.  Both loops inline the issue queue's
+            # tag wakeup.
             thread = threads[0]
             pending_tags = thread.renamer.pending_tags
             iq = thread.iq
@@ -111,6 +112,8 @@ class ExecuteWritebackStage(Stage):
                 if wakeups:
                     activity[_WINDOW] += wakeups
             return
+        broadcasts = 0
+        wakeups = 0
         for instr in events:
             if instr.squashed:
                 continue
@@ -119,11 +122,23 @@ class ExecuteWritebackStage(Stage):
             tag = instr.phys_dest
             if tag >= 0:
                 thread.renamer.pending_tags.discard(tag)
-                activity[_RESULTBUS] += 1
-                woken = thread.iq.wakeup(tag)
-                if woken:
-                    activity[_WINDOW] += 1
-                    instr.woke = True
+                broadcasts += 1
+                iq = thread.iq
+                waiting = iq.waiters.pop(tag, None)
+                if waiting is not None:
+                    woken = 0
+                    ready = iq.ready_list
+                    for waiter in waiting:
+                        if waiter.squashed or waiter.issued:
+                            continue
+                        waiter.ready_sources -= 1
+                        if waiter.ready_sources == 0:
+                            ready.append(waiter)
+                            iq.ready_sorted = False
+                        woken += 1
+                    if woken:
+                        wakeups += 1
+                        instr.woke = True
             if instr.static.is_cond_branch:
                 if instr.lowconf:
                     instr.lowconf = False
@@ -132,3 +147,7 @@ class ExecuteWritebackStage(Stage):
                     thread.controller.on_branch_resolved(instr)
                 if instr.mispredicted:
                     recover(thread, instr, cycle)
+        if broadcasts:
+            activity[_RESULTBUS] += broadcasts
+            if wakeups:
+                activity[_WINDOW] += wakeups

@@ -14,7 +14,8 @@ Attribution: every access also belongs to one
 :class:`~repro.isa.instruction.DynamicInstruction`, whose per-unit tally
 the pipeline reconstructs when it retires or squashes it.  A squashed
 instruction's tally goes to the wasted pool via :meth:`credit_squashed`;
-a committed one's is confirmed useful via :meth:`credit_committed`.
+a committed one's is confirmed useful via :meth:`credit_committed`.  The
+commit stage runs both credits inline, in the same float order.
 
 Wasted energy follows the paper's Table 1 accounting: a unit's wasted
 share of overall power is its total energy (idle component included)
@@ -48,11 +49,12 @@ _ZERO_ACTIVITY = [0] * NUM_UNITS
 # Idle windows at least this long close each accumulator with
 # ``repeated_add``; shorter ones are cheaper as a plain add loop.  On a
 # 2-vCPU x86-64 VM under CPython 3.11 a whole 13-accumulator close costs
-# about the same both ways at 24-28 cycles; below that the loop wins by up
-# to 3x (2 cycles: ~4.7 vs ~14 us), from 40 cycles the closed form wins.
-# Most skipped windows are short: 85% on perfbench's gated-stall and 99.8%
-# on fig3-slice and sweep-cache are under 32 cycles, yet the 32+ windows
-# hold 93% of gated-stall's skipped cycles.
+# about the same both ways at 40-56 cycles (~10-12 us); below that the
+# loop wins by up to 5x (2 cycles: ~2.0 vs ~10.6 us).  Most skipped
+# windows are short: 85% on perfbench's gated-stall and 99.8% on
+# fig3-slice and sweep-cache are under 32 cycles, yet the 32+ windows
+# hold 93% of gated-stall's skipped cycles (and only 80 of its 5,927
+# windows are 32-47 cycles long).
 _CLOSED_FORM_MIN = 32
 
 _MIN_NORMAL = sys.float_info.min
@@ -182,7 +184,7 @@ class PowerModel:
         "dynamic_energy", "wasted_energy", "unit_accesses",
         "squashed_accesses", "usage_sum",
         "wasted_instr_cycles", "committed_instr_cycles",
-        "attribute_threads", "_thread_ledger", "_cc3",
+        "attribute_threads", "_thread_ledger", "_commit_energy", "_cc3",
         "_energy_per_access", "_idle_energy", "_count_tables",
         "_nonclock_units", "_idle_pairs",
     )
@@ -220,6 +222,8 @@ class PowerModel:
         # work on every commit, and single-thread consumers never read it.
         self.attribute_threads = attribute_threads
         self._thread_ledger: Dict[int, List[float]] = {}
+        # Commit-stage memo: tally shape -> a committed instruction's energy.
+        self._commit_energy: Dict[tuple, float] = {}
         # Derived constant tables (per-access energies, idle constants,
         # per-activity-count delta tables).  Pure functions of the power
         # table, gating style and idle fraction — memoised across model
@@ -373,27 +377,33 @@ class PowerModel:
         else:  # cc2, or cc1 with an empty pipeline
             power = clock_watts * occupancy
             active = clock_watts
-        updates = [(unit_energy, unit, energy) for unit, energy in self._idle_pairs]
-        updates.append((self.usage_sum, _CLOCK, occupancy))
-        updates.append((unit_energy, _CLOCK, power * cycle_s))
-        updates.append((self.dynamic_energy, _CLOCK, active * occupancy * cycle_s))
+        idle_pairs = self._idle_pairs
+        clock = (
+            (self.usage_sum, occupancy),
+            (unit_energy, power * cycle_s),
+            (self.dynamic_energy, active * occupancy * cycle_s),
+        )
         if count >= _CLOSED_FORM_MIN:
-            for accumulators, index, delta in updates:
-                accumulators[index] = repeated_add(accumulators[index], delta, count)
+            for unit, delta in idle_pairs:
+                unit_energy[unit] = repeated_add(unit_energy[unit], delta, count)
+            for accumulators, delta in clock:
+                accumulators[_CLOCK] = repeated_add(accumulators[_CLOCK], delta, count)
             return
-        for accumulators, index, delta in updates:
-            value = accumulators[index]
-            for _ in range(count):
-                summed = value + delta
-                if summed == value:
-                    # ``x + e == x``: every further add returns ``x``.
-                    break
-                value = summed
-            accumulators[index] = value
+        cycles = range(count)
+        for unit, delta in idle_pairs:
+            value = unit_energy[unit]
+            for _ in cycles:
+                value += delta
+            unit_energy[unit] = value
+        for accumulators, delta in clock:
+            value = accumulators[_CLOCK]
+            for _ in cycles:
+                value += delta
+            accumulators[_CLOCK] = value
 
-    def _ledger_of(self, instruction: DynamicInstruction) -> List[float]:
+    def _ledger_of(self, thread_id: int) -> List[float]:
+        """The thread's ledger entry, created on its first retirement."""
         ledger = self._thread_ledger
-        thread_id = instruction.thread_id
         entry = ledger.get(thread_id)
         if entry is None:
             entry = [0.0, 0.0, 0, 0]
@@ -404,8 +414,9 @@ class PowerModel:
         """Dynamic energy of one instruction's per-unit access tally.
 
         The single definition of access-energy conversion at retirement;
-        ``credit_squashed`` fuses the same expression into its bookkeeping
-        loop (it must also update the per-unit wasted/squashed arrays).
+        ``credit_squashed`` (and the commit stage's squash loops) fuse the
+        same expression into their bookkeeping loops (they must also
+        update the per-unit wasted/squashed arrays).
         """
         energy_per_access = self._energy_per_access
         total = 0.0
@@ -436,7 +447,7 @@ class PowerModel:
                 squashed[unit] += count
                 instr_energy += energy
         if self.attribute_threads:
-            entry = self._ledger_of(instruction)
+            entry = self._ledger_of(instruction.thread_id)
             entry[1] += instr_energy
             entry[3] += 1
         fetch_cycle = instruction.fetch_cycle
@@ -454,7 +465,7 @@ class PowerModel:
         to its thread's useful pool.  ``tally`` as in
         :meth:`credit_squashed`."""
         if self.attribute_threads:
-            entry = self._ledger_of(instruction)
+            entry = self._ledger_of(instruction.thread_id)
             entry[0] += self._tally_energy(tally)
             entry[2] += 1
         fetch_cycle = instruction.fetch_cycle

@@ -152,17 +152,26 @@ class SmtProcessor(Processor):
 
     def _run_until_each(self, instructions: int) -> None:
         threads = self.threads
-        base = [thread.committed for thread in threads]
+        targets = [thread.committed + instructions for thread in threads]
         limit = self.cycle + instructions * 400 * len(threads) + 100_000
         step = self._step
-        while any(
-            thread.committed - start < instructions
-            for thread, start in zip(threads, base)
-        ):
-            step()
-            if self.cycle > limit:
-                done = [thread.committed - start for thread, start in zip(threads, base)]
-                raise SimulationError(
-                    f"no forward progress: per-thread commits {done} of "
-                    f"{instructions} each after {self.cycle} cycles"
-                )
+        # Step while the first thread short of its target stays short;
+        # commit counts only grow, so the scan ends on the first cycle
+        # every thread is at its target.
+        while True:
+            for lagging, goal in zip(threads, targets):
+                if lagging.committed < goal:
+                    break
+            else:
+                return
+            while lagging.committed < goal:
+                step()
+                if self.cycle > limit:
+                    done = [
+                        thread.committed - target + instructions
+                        for thread, target in zip(threads, targets)
+                    ]
+                    raise SimulationError(
+                        f"no forward progress: per-thread commits {done} of "
+                        f"{instructions} each after {self.cycle} cycles"
+                    )

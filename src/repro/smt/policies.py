@@ -18,58 +18,89 @@ that uses it.  Three policies are modelled:
   its co-runners instead of filling the shared window with wasted work.
 
 Eligibility is policy-independent: a thread stalled on a redirect or an
-I-cache miss, blocked past a misprediction under an oracle controller, or
-with a full front-end buffer cannot use the slot.
+I-cache miss, with a full front-end buffer, behind a closed controller
+fetch gate, or blocked past a misprediction under an oracle controller
+cannot use the slot.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.levels import BandwidthLevel
+from repro.core.levels import ACTIVE_WHEEL_MASKS, BandwidthLevel
 from repro.errors import ConfigurationError
 
 
 class FetchPolicy:
-    """Picks the thread that owns the fetch port each cycle."""
+    """Picks the thread that owns the fetch port each cycle.
+
+    ``pick`` makes one pass over the threads in rotation order — thread
+    ``cycle % N`` first, then ``cycle + 1``, and so on — testing
+    eligibility from plain thread slots and keeping the best-ranked
+    eligible thread by strict comparison, so that among equally ranked
+    threads the first in rotation order wins.  The policies differ only
+    in the rank: none (round-robin), pre-issue occupancy (ICOUNT), or
+    doubtful branches then occupancy behind a per-thread duty cycle
+    (confidence gating).  Eligibility is tested for every thread, winner
+    found or not: a gating controller's ``fetch_allowed`` counts its
+    gated cycles, so it is consulted every cycle for each thread that is
+    neither stalled nor full.
+    """
 
     name = "abstract"
+
+    # Rank eligible threads by pre-issue instructions in flight (front-end
+    # latches plus issue queue), fewest first.
+    ranks_in_flight = False
+    # Confidence gating only: the fetch activity wheel of each in-flight
+    # low-confidence branch count below the STALL threshold (counts from
+    # there on never fetch); such threads rank by that count first.
+    wheel_masks: Optional[Tuple[int, ...]] = None
 
     def pick(self, processor, cycle: int):
         """Return the :class:`~repro.pipeline.processor.ThreadContext` that
         fetches on ``cycle``, or None if no thread may."""
-        eligible = [
-            thread for thread in processor.threads
-            if self.eligible(thread, cycle)
-        ]
-        if not eligible:
-            return None
-        return self.choose(eligible, cycle, len(processor.threads))
-
-    @staticmethod
-    def eligible(thread, cycle: int) -> bool:
-        """Can this thread use the fetch port at all this cycle?"""
-        if cycle < thread.fetch_stall_until:
-            return False
-        if thread.front_end_occupancy >= thread.fetch_buffer:
-            return False
-        if not thread.controller.fetch_allowed(cycle):
-            # A throttled thread must not win (and waste) the shared port.
-            return False
-        if thread.controller.blocks_wrong_path_fetch and thread.fetch_mode == "wrong":
-            return False
-        return True
-
-    def choose(self, eligible: List, cycle: int, nthreads: int):
-        """Pick among eligible threads (at least one); ``nthreads`` is the
-        core's total thread count, the modulus of the rotation."""
-        raise NotImplementedError
-
-
-def _rotation_key(thread, cycle: int, nthreads: int) -> int:
-    """Round-robin rank over the core's threads: on cycle ``c`` thread
-    ``c % nthreads`` sorts first, then ``c+1``, and so on."""
-    return (thread.thread_id - cycle) % nthreads
+        threads = processor.threads
+        start = cycle % len(threads)
+        ranks_in_flight = self.ranks_in_flight
+        wheel_masks = self.wheel_masks
+        phase = cycle & 3
+        winner = None
+        best_lowconf = best_in_flight = 0
+        for index in range(start - len(threads), start):
+            thread = threads[index]
+            if cycle < thread.fetch_stall_until:
+                continue
+            fetch_latch = thread.fetch_latch
+            decode_latch = thread.decode_latch
+            front_end = (
+                len(fetch_latch.instrs) - fetch_latch.head
+                + len(decode_latch.instrs) - decode_latch.head
+            )
+            if front_end >= thread.fetch_buffer:
+                continue
+            if thread.ctrl_gates_fetch and not thread.controller.fetch_allowed(cycle):
+                # A throttled thread must not win (and waste) the shared port.
+                continue
+            if thread.ctrl_blocks_wp_fetch and thread.fetch_mode == "wrong":
+                continue
+            lowconf = in_flight = 0
+            if wheel_masks is not None:
+                lowconf = thread.lowconf_inflight
+                if lowconf >= len(wheel_masks) or not (wheel_masks[lowconf] >> phase) & 1:
+                    thread.policy_gated_cycles += 1
+                    continue
+            if ranks_in_flight:
+                in_flight = front_end + thread.iq.count
+            if (
+                winner is None
+                or lowconf < best_lowconf
+                or (lowconf == best_lowconf and in_flight < best_in_flight)
+            ):
+                winner = thread
+                best_lowconf = lowconf
+                best_in_flight = in_flight
+        return winner
 
 
 class RoundRobinPolicy(FetchPolicy):
@@ -77,24 +108,12 @@ class RoundRobinPolicy(FetchPolicy):
 
     name = "round-robin"
 
-    def choose(self, eligible: List, cycle: int, nthreads: int):
-        return min(
-            eligible, key=lambda thread: _rotation_key(thread, cycle, nthreads)
-        )
-
 
 class ICountPolicy(FetchPolicy):
     """Fetch the thread with the fewest pre-issue instructions in flight."""
 
     name = "icount"
-
-    def choose(self, eligible: List, cycle: int, nthreads: int):
-        return min(
-            eligible,
-            key=lambda thread: (
-                thread.in_flight, _rotation_key(thread, cycle, nthreads)
-            ),
-        )
+    ranks_in_flight = True
 
 
 class ConfidenceGatingPolicy(FetchPolicy):
@@ -104,13 +123,15 @@ class ConfidenceGatingPolicy(FetchPolicy):
     paper's bandwidth levels: below ``thresholds[0]`` a thread runs at FULL
     bandwidth, then HALF, then QUARTER, and at ``thresholds[2]`` or more it
     STALLs until some of its doubtful branches resolve.  The level's
-    ``active(cycle)`` duty cycle decides whether the thread may compete for
-    the port this cycle (exactly how the single-thread throttler spaces
-    fetch cycles); the priority among active threads is fewest doubtful
-    branches first, ICOUNT as the tie-break.
+    4-cycle activity wheel decides whether the thread may compete for the
+    port this cycle (exactly how the single-thread throttler spaces fetch
+    cycles); an eligible thread its level idles counts a
+    ``policy_gated_cycles``.  The priority among active threads is fewest
+    doubtful branches first, ICOUNT as the tie-break.
     """
 
     name = "confidence-gating"
+    ranks_in_flight = True
 
     def __init__(self, thresholds: Tuple[int, int, int] = (1, 2, 4)) -> None:
         if len(thresholds) != 3 or not thresholds[0] < thresholds[1] < thresholds[2]:
@@ -121,6 +142,10 @@ class ConfidenceGatingPolicy(FetchPolicy):
         if thresholds[0] < 1:
             raise ConfigurationError("the first threshold must be >= 1")
         self.thresholds = tuple(thresholds)
+        self.wheel_masks = tuple(
+            ACTIVE_WHEEL_MASKS[self.level_for(count)]
+            for count in range(thresholds[2])
+        )
 
     def level_for(self, lowconf_inflight: int) -> BandwidthLevel:
         """The fetch bandwidth level of a thread with this many doubtful
@@ -133,30 +158,6 @@ class ConfidenceGatingPolicy(FetchPolicy):
         if lowconf_inflight >= half:
             return BandwidthLevel.HALF
         return BandwidthLevel.FULL
-
-    def pick(self, processor, cycle: int):
-        active = []
-        for thread in processor.threads:
-            if not self.eligible(thread, cycle):
-                continue
-            level = self.level_for(thread.lowconf_inflight)
-            if not level.active(cycle):
-                thread.policy_gated_cycles += 1
-                continue
-            active.append(thread)
-        if not active:
-            return None
-        return self.choose(active, cycle, len(processor.threads))
-
-    def choose(self, eligible: List, cycle: int, nthreads: int):
-        return min(
-            eligible,
-            key=lambda thread: (
-                thread.lowconf_inflight,
-                thread.in_flight,
-                _rotation_key(thread, cycle, nthreads),
-            ),
-        )
 
 
 _POLICIES = {

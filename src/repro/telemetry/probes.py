@@ -5,7 +5,7 @@ A :class:`ProbeBus` is attached to the kernel by
 kernel then steps through ``CycleScheduler.step_checked`` — the same
 construction-time dispatch the sanitizer uses, so the plain
 ``step`` carries no telemetry branch and an uninstrumented run pays
-nothing (the 38 golden fingerprints are the proof).
+nothing (the 39 golden fingerprints are the proof).
 
 The bus never touches simulation state: it *samples* occupancy at the
 top of the cycle (:meth:`ProbeBus.begin_cycle`) and *differences* the

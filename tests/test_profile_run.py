@@ -136,3 +136,52 @@ def test_gc_meter_counts_collections_only_while_active(profile_run):
     assert meter.seconds[2] > 0
     gc.collect()
     assert meter.collections[2] == 1
+
+
+def _capturing(monkeypatch, profile_run, builder):
+    """Record the cell ``profile_run`` hands to ``builder``."""
+    built = []
+    original = getattr(profile_run, builder)
+
+    def build(cell):
+        built.append(cell)
+        return original(cell)
+
+    monkeypatch.setattr(profile_run, builder, build)
+    return built
+
+
+def test_memory_latency_reaches_the_profiled_cell(profile_run, capsys, monkeypatch):
+    # The gated-stall solo cell: Pipeline Gating at threshold 1, memory 400.
+    built = _capturing(monkeypatch, profile_run, "build_processor")
+    assert profile_run.main([
+        "--experiment", "gating:1", "--memory-latency", "400",
+        "--instructions", "300", "--warmup", "100", "--top", "1",
+    ]) == 0
+    (cell,) = built
+    assert cell.config.memory_latency == 400
+    assert cell.controller_spec == ("gating", 1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("policy", ["icount", "confidence-gating"])
+def test_policy_and_memory_latency_reach_the_smt_cell(
+    profile_run, capsys, monkeypatch, policy
+):
+    built = _capturing(monkeypatch, profile_run, "build_smt_processor")
+    assert profile_run.main([
+        "--mix", "mix2-branchy", "--policy", policy, "--memory-latency", "200",
+        "--instructions", "300", "--warmup", "100", "--top", "1",
+    ]) == 0
+    (cell,) = built
+    assert (cell.policy, cell.config.memory_latency) == (policy, 200)
+    assert f"profiling mix mix2-branchy under {policy}:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--policy", "icount"],  # a fetch policy needs an SMT mix
+    ["--memory-latency", "0"],
+])
+def test_smt_and_latency_flags_reject_bad_use(profile_run, argv):
+    with pytest.raises(SystemExit):
+        profile_run.main([*argv, "--instructions", "300", "--warmup", "100"])

@@ -128,7 +128,8 @@ def sweep_cells() -> List[SimCell]:
 
 
 def sweep_smt_cells() -> List[SmtCell]:
-    """The SMT mixes of the parity sweep (both sharing modes)."""
+    """The SMT mixes of the parity sweep (every fetch policy, both sharing
+    modes)."""
     base = table3_config()
     return [
         SmtCell(
@@ -146,6 +147,15 @@ def sweep_smt_cells() -> List[SmtCell]:
             warmup=300,
             policy="icount",
             sharing="shared",
+        ),
+        # Four threads, so the round-robin rotation modulus goes past 2.
+        SmtCell(
+            mix="mix4-diverse",
+            config=base,
+            instructions=1200,
+            warmup=300,
+            policy="round-robin",
+            sharing="partitioned",
         ),
     ]
 

@@ -7,6 +7,10 @@ Future performance PRs should start from data, not intuition::
     PYTHONPATH=src python tools/profile_run.py --benchmark gcc \
         --experiment C2 --instructions 40000 --top 30
     PYTHONPATH=src python tools/profile_run.py --mix mix2-branchy  # SMT core
+    PYTHONPATH=src python tools/profile_run.py --experiment gating:1 \
+        --memory-latency 400                 # a gated-stall solo cell
+    PYTHONPATH=src python tools/profile_run.py --mix mix2-branchy \
+        --policy confidence-gating --memory-latency 200  # its SMT cell
     PYTHONPATH=src python tools/profile_run.py --trace go.trace.gz  # replay
     PYTHONPATH=src python tools/profile_run.py --save run.pstats
 
@@ -50,6 +54,7 @@ import os
 import pstats
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.experiments.engine import (
@@ -61,7 +66,9 @@ from repro.experiments.engine import (
     make_smt_cell,
     make_trace_cell,
 )
+from repro.pipeline.config import table3_config
 from repro.smt.mixes import MIX_NAMES
+from repro.smt.policies import POLICY_NAMES
 from repro.telemetry.timers import repro_call_counts
 from repro.workloads.suite import BENCHMARK_NAMES
 
@@ -85,6 +92,14 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mix", default=None, choices=MIX_NAMES,
         help="profile an SMT mix instead of a single-thread benchmark",
+    )
+    parser.add_argument(
+        "--policy", default=None, choices=POLICY_NAMES,
+        help="SMT fetch policy of --mix (default: confidence-gating)",
+    )
+    parser.add_argument(
+        "--memory-latency", type=int, default=None, metavar="N",
+        help="main-memory latency in cycles (default: Table 3's)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -297,20 +312,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         # skip counters) attaches only when the config sees telemetry on.
         os.environ["REPRO_TELEMETRY"] = "1"
 
+    config = table3_config()
+    if options.memory_latency is not None:
+        if options.memory_latency < 1:
+            raise SystemExit("--memory-latency must be at least 1 cycle")
+        config = replace(config, memory_latency=options.memory_latency)
+    if options.policy and not options.mix:
+        raise SystemExit("--policy picks the fetch policy of an SMT mix; "
+                         "it needs --mix")
+
     if options.mix:
         if options.trace:
             raise SystemExit("--trace replays a single-thread run; it does "
                              "not combine with --mix")
         cell = make_smt_cell(
             options.mix,
+            config=config,
             instructions=options.instructions,
             warmup=options.warmup,
+            policy=options.policy or "confidence-gating",
         )
-        label = f"mix {cell.mix}"
+        label = f"mix {cell.mix} under {cell.policy}"
     elif options.trace:
         cell = make_trace_cell(
             options.trace,
             controller_spec=_controller_spec(options.experiment),
+            config=config,
             instructions=options.instructions,
             warmup=options.warmup,
         )
@@ -319,6 +346,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cell = make_cell(
             options.benchmark,
             controller_spec=_controller_spec(options.experiment),
+            config=config,
             instructions=options.instructions,
             warmup=options.warmup,
         )
