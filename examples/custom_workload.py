@@ -4,31 +4,20 @@ Selective Throttling on it.
 The eight shipped benchmarks are calibrated stand-ins for the paper's
 SPECint selection, but the generator is a general tool: this example
 builds a "branchy pointer-chaser" from scratch, measures its gshare
-behaviour, compares throttling policies on it, and finishes by recording
-its true path to a trace and replaying it through the instruction-supply
-layer (bit-identical to the live walk).
+behaviour and compares throttling policies on it.
 
 Usage::
 
     python examples/custom_workload.py [instructions]
 """
 
-import os
 import sys
-import tempfile
 
 from repro.core.throttler import SelectiveThrottler
 from repro.core.policy import experiment_policy
-from repro.frontend import CompiledSupply, TraceSupply, resolve_trace_records
 from repro.pipeline.config import table3_config
 from repro.pipeline.processor import Processor
 from repro.program.generator import ProgramGenerator, ProgramShape
-from repro.workloads.trace import (
-    TRACE_VERSION,
-    TraceHeader,
-    TraceReader,
-    TraceRecorder,
-)
 
 
 def build_shape() -> ProgramShape:
@@ -93,39 +82,6 @@ def main() -> None:
     print(
         "\nOn branch-hostile code the aggressive policies shine: compare the"
         "\nsame table on a predictable workload by lowering w_random/w_bad."
-    )
-
-    # Record the custom program's true path and replay it through the
-    # full pipeline via a TraceSupply.  (Calibrated benchmarks get this
-    # for free from `repro trace record/replay`; custom programs wire the
-    # pieces by hand since the trace header cannot name them.)
-    replay_len = min(instructions, 4_000)
-    program = ProgramGenerator(build_shape(), seed, name="chaser").generate()
-    recorder = TraceRecorder(CompiledSupply(program, seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "chaser.trace.gz")
-        recorder.record_to_file(
-            path, replay_len + replay_len // 3 + 4096,
-            header=TraceHeader(TRACE_VERSION, "chaser", seed, 0),
-        )
-        replay_program = ProgramGenerator(build_shape(), seed, name="chaser").generate()
-        supply = TraceSupply(
-            replay_program, seed,
-            resolve_trace_records(replay_program, TraceReader(path)),
-        )
-        replayed = Processor(
-            table3_config(), replay_program, seed=seed, supply=supply
-        )
-        replayed.run(replay_len, warmup_instructions=replay_len // 3)
-    live = run(seed, None, replay_len) if replay_len != instructions else baseline
-    match = (
-        replayed.stats.cycles == live.stats.cycles
-        and replayed.stats.committed == live.stats.committed
-    )
-    print(
-        f"\ntrace replay: {replayed.stats.committed} instructions in "
-        f"{replayed.stats.cycles} cycles — "
-        + ("bit-identical to the live walk" if match else "DIVERGED (bug!)")
     )
 
 

@@ -19,7 +19,6 @@ Usage::
 
 import sys
 
-from repro.frontend import CompiledSupply
 from repro.pipeline.config import table3_config
 from repro.pipeline.processor import Processor
 from repro.tracing import PipelineTracer, render_pipetrace, stage_occupancy_histogram
@@ -33,12 +32,11 @@ def main() -> None:
         raise SystemExit(f"unknown benchmark; choose from {BENCHMARK_NAMES}")
 
     spec = benchmark_spec(name)
-    # The processor builds a CompiledSupply by default; construct it
-    # explicitly here so the example shows the injection point (a
-    # TraceSupply drops in the same way).
     program = spec.build_program()
-    supply = CompiledSupply(program, spec.seed)
-    processor = Processor(table3_config(), program, seed=spec.seed, supply=supply)
+    processor = Processor(table3_config(), program, seed=spec.seed)
+    # The processor's own instruction supply: section 4 walks its
+    # wrong-path packets directly.
+    supply = processor.supply
     # The window must hold the whole run: a bounded tracer drops its
     # oldest records first, and a branch whose wrong path was dropped
     # would show an empty shadow.  go (the suite's worst mispredictor)

@@ -84,12 +84,11 @@ from repro.experiments.engine import (
     make_cell,
     make_controller,
     make_smt_cell,
-    make_trace_cell,
     simulate,
     simulate_smt,
     smt_baseline_cells,
 )
-from repro.frontend import CompiledSupply, TraceSupply
+from repro.frontend import CompiledSupply
 from repro.experiments.results import ComparisonResult, SimulationResult, compare
 from repro.experiments.scheduler import SweepScheduler
 from repro.pipeline import Processor, ProcessorConfig, table3_config
@@ -151,8 +150,6 @@ __all__ = [
     "benchmark_spec",
     # instruction supply
     "CompiledSupply",
-    "TraceSupply",
-    "make_trace_cell",
     # experiments
     "make_controller",
     "SimulationResult",

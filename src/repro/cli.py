@@ -9,8 +9,6 @@ Examples::
     python -m repro figure5 --csv out.csv  # machine-readable export
     python -m repro run go C2              # one benchmark x one policy
     python -m repro ablations              # ablation studies beyond the paper
-    python -m repro trace record go go.trace.gz   # replayable trace
-    python -m repro trace replay go.trace.gz --verify
     python -m repro study list             # every registered StudySpec
     python -m repro study run mix4-grid    # run one (or several) studies
     python -m repro cache info             # result-cache entry count/bytes
@@ -82,7 +80,7 @@ _REGISTERED = (
 _COMMANDS = (
     "list", "table1", "table2", "table3",
     "figure1", "figure3", "figure4", "figure5", "figure6", "figure7",
-    "run", "ablations", "campaign", "smt", "trace", "study", "cache",
+    "run", "ablations", "campaign", "smt", "study", "cache",
     "check", "telemetry",
 )
 
@@ -165,12 +163,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="base seed of an SMT mix or recorded trace (smt/trace only)",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="trace replay only: also run the live walk and require "
-        "bit-identical results",
+        help="base seed of an SMT mix (smt only)",
     )
     parser.add_argument(
         "--days", type=float, default=30.0,
@@ -243,8 +236,6 @@ def _cmd_list() -> None:
     print("  campaign EXP [EXP ...]      — multi-seed sweep with 95% intervals")
     print("  smt --mix NAME              — SMT multi-program mix (per-thread IPC,")
     print("                                weighted speedup, fairness, EPI)")
-    print("  trace record BENCH P[.gz]   — record a replayable true-path trace")
-    print("  trace replay PATH [--verify]— replay it through the full pipeline")
     print("  study list|run NAME [NAME..]— declarative studies on the batched")
     print("                                sweep scheduler (one warm pool)")
     print("  cache info|prune            — inspect / bound the result cache "
@@ -287,82 +278,6 @@ def _cmd_run(options, scheduler: SweepScheduler) -> None:
     print(f"  power savings       {comparison.power_savings_pct:7.2f}%")
     print(f"  energy savings      {comparison.energy_savings_pct:7.2f}%")
     print(f"  E-D improvement     {comparison.ed_improvement_pct:7.2f}%")
-
-
-def _cmd_trace(options) -> None:
-    """``repro trace record BENCH PATH`` / ``repro trace replay PATH``."""
-    import json as json_mod
-
-    from repro.experiments.engine import (
-        default_instructions,
-        default_warmup,
-        make_trace_cell,
-        result_to_dict,
-        simulate,
-    )
-    from repro.workloads.trace import REPLAY_HEADROOM, record_benchmark_trace
-
-    usage = (
-        "usage: repro trace record BENCHMARK PATH[.gz] [--instructions N] "
-        "[--seed S]\n       repro trace replay PATH[.gz] [--instructions N] "
-        "[--warmup N] [--verify]"
-    )
-    if not options.args:
-        raise SystemExit(usage)
-    action = options.args[0]
-
-    if action == "record":
-        if len(options.args) != 3:
-            raise SystemExit(usage)
-        benchmark, path = options.args[1], options.args[2]
-        if benchmark not in BENCHMARK_NAMES:
-            raise SystemExit(f"unknown benchmark {benchmark!r}")
-        count = options.instructions or (
-            default_instructions() + default_warmup() + REPLAY_HEADROOM
-        )
-        header = record_benchmark_trace(
-            benchmark, path, count, seed=options.seed
-        )
-        print(
-            f"recorded {header.records} true-path records of "
-            f"{header.benchmark!r} (seed {header.seed}) to {path}"
-        )
-        return
-
-    if action == "replay":
-        if len(options.args) != 2:
-            raise SystemExit(usage)
-        path = options.args[1]
-        cell = make_trace_cell(
-            path,
-            instructions=options.instructions,
-            warmup=options.warmup,
-        )
-        result = simulate(cell)
-        print(f"replayed {path} ({cell.benchmark}, seed {cell.seed}):")
-        print(f"  committed           {result.instructions:8d}")
-        print(f"  cycles              {result.cycles:8d}")
-        print(f"  IPC                 {result.ipc:8.3f}")
-        print(f"  miss rate           {result.miss_rate * 100:7.2f}%")
-        print(f"  average power       {result.average_power_watts:8.2f} W")
-        print(f"  wasted energy       {result.wasted_energy_fraction * 100:7.2f}%")
-        if options.verify:
-            from dataclasses import replace as dc_replace
-
-            live = simulate(dc_replace(cell, trace=None, label=None))
-            replayed = result_to_dict(dc_replace(result, label=live.label))
-            lived = result_to_dict(live)
-            same = json_mod.dumps(replayed, sort_keys=True) == json_mod.dumps(
-                lived, sort_keys=True
-            )
-            if not same:
-                raise SystemExit(
-                    "FAIL: trace replay diverged from the live walk"
-                )
-            print("verify: replay is bit-identical to the live walk")
-        return
-
-    raise SystemExit(usage)
 
 
 def _cmd_study(options, scheduler: SweepScheduler, benchmarks) -> None:
@@ -637,7 +552,7 @@ def _experiment_spec(name: str, estimator: Optional[str] = None) -> tuple:
 # Each flag that only some commands read, and the commands that read it.
 _FLAG_READERS = {
     "mix": ("smt",), "policy": ("smt",), "sharing": ("smt",),
-    "seed": ("smt", "trace record"), "seeds": ("campaign", "study run"),
+    "seed": ("smt",), "seeds": ("campaign", "study run"),
 }
 
 
@@ -645,7 +560,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _make_parser()
     options = parser.parse_args(argv)
     command = options.command
-    if command in ("study", "trace") and options.args:
+    if command == "study" and options.args:
         command = f"{command} {options.args[0]}"
     for flag, readers in _FLAG_READERS.items():
         if getattr(options, flag) is not None and command not in readers:
@@ -706,9 +621,6 @@ def _dispatch(options) -> int:
         return _cmd_check(options)
     if command == "telemetry":
         return _cmd_telemetry(options)
-    if command == "trace":
-        _cmd_trace(options)
-        return 0
     if command == "cache":
         _cmd_cache(options)
         return 0

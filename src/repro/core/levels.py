@@ -2,8 +2,11 @@
 
 Fetch/decode bandwidth reduction is implemented by "alternating full
 activity cycles with stalled cycles": half bandwidth = one active cycle in
-two, quarter = one in four, stall = none.  :meth:`BandwidthLevel.active`
-answers whether a stage may work on a given cycle.
+two, quarter = one in four, stall = none.  Each level's schedule is a
+4-cycle wheel mask (:data:`ACTIVE_WHEEL_MASKS`); the throttler, the
+stage scheduler and the SMT fetch policy test a cycle against it, and
+:func:`next_wheel_active` finds a level's next active cycle for the
+cycle skipper.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class BandwidthLevel(enum.IntEnum):
     HALF = 1  # 1 active cycle in 2
     QUARTER = 2  # 1 active cycle in 4
     STALL = 3  # no active cycles
-
-    def active(self, cycle: int) -> bool:
-        """True if the throttled stage may operate on ``cycle``."""
-        return (ACTIVE_WHEEL_MASKS[self] >> (cycle & 3)) & 1 == 1
 
     def describe(self) -> str:
         """Compact label used by experiment names (fetch/2, fetch=0...)."""

@@ -190,12 +190,9 @@ class SimCell:
     Two cells with equal fields produce bit-identical results (the
     simulator is deterministic), which is what makes the on-disk cache
     and the parallel fan-out safe.  ``label`` is display-only and is
-    deliberately excluded from the fingerprint.
-
-    ``trace`` names a recorded v2 trace file to replay as the true path;
-    the cell's benchmark and seed must match the trace header (use
-    :func:`make_trace_cell`), and the trace's *content digest* joins the
-    fingerprint so a re-recorded file misses cleanly.
+    deliberately excluded from the fingerprint.  The instruction stream
+    is always the benchmark's generated program, walked by
+    :class:`~repro.frontend.supply.CompiledSupply`.
     """
 
     benchmark: str
@@ -206,7 +203,6 @@ class SimCell:
     seed: Optional[int] = None
     clock_gating: str = ClockGatingStyle.CC3.value
     label: Optional[str] = None
-    trace: Optional[str] = None
 
     @property
     def effective_seed(self) -> int:
@@ -229,7 +225,6 @@ def make_cell(
     seed: Optional[int] = None,
     clock_gating: str = ClockGatingStyle.CC3.value,
     label: Optional[str] = None,
-    trace: Optional[str] = None,
 ) -> SimCell:
     """Build a :class:`SimCell`, filling library defaults for blanks."""
     return SimCell(
@@ -241,42 +236,6 @@ def make_cell(
         seed=seed,
         clock_gating=clock_gating,
         label=label,
-        trace=trace,
-    )
-
-
-def make_trace_cell(
-    trace_path: str,
-    controller_spec: ControllerSpec = ("baseline",),
-    config: Optional[ProcessorConfig] = None,
-    instructions: Optional[int] = None,
-    warmup: Optional[int] = None,
-    clock_gating: str = ClockGatingStyle.CC3.value,
-    label: Optional[str] = None,
-) -> SimCell:
-    """Build a trace-backed :class:`SimCell` from a recorded v2 trace.
-
-    The benchmark and seed come from the trace header, so the cell
-    replays exactly the program the trace was recorded from.
-    """
-    from repro.workloads.trace import TraceReader
-
-    header = TraceReader(trace_path).read_header()
-    if header is None:
-        raise ExperimentError(
-            f"{trace_path}: headerless (v1) traces cannot drive a pipeline "
-            "replay; re-record with `repro trace record`"
-        )
-    return SimCell(
-        benchmark=header.benchmark,
-        controller_spec=tuple(controller_spec),
-        config=config or table3_config(),
-        instructions=instructions or default_instructions(),
-        warmup=default_warmup() if warmup is None else warmup,
-        seed=header.seed,
-        clock_gating=clock_gating,
-        label=label or f"trace:{header.benchmark}",
-        trace=trace_path,
     )
 
 
@@ -324,7 +283,7 @@ def build_processor(cell: SimCell) -> Processor:
     Split out of :func:`simulate` so instrumentation harnesses — the
     stage-timer mode of ``tools/profile_run.py``, tests that inspect
     kernel state mid-run — get exactly the simulate-path machine
-    (controller/estimator pairing, seed convention, trace replay)
+    (controller/estimator pairing, seed convention)
     without duplicating the recipe.
     """
     seed = cell.effective_seed
@@ -335,30 +294,12 @@ def build_processor(cell: SimCell) -> Processor:
     confidence_kind = confidence_kind_for(cell.controller_spec)
     if confidence_kind is not None and config.confidence_kind != confidence_kind:
         config = replace(config, confidence_kind=confidence_kind)
-
-    supply = None
-    if cell.trace:
-        from repro.workloads.trace import load_trace_supply
-
-        supply, header = load_trace_supply(cell.trace)
-        if header.benchmark != cell.benchmark or header.seed != seed:
-            raise ExperimentError(
-                f"trace {cell.trace} was recorded from "
-                f"{header.benchmark!r}/seed {header.seed}, but the cell asks "
-                f"for {cell.benchmark!r}/seed {seed}; build trace cells with "
-                "make_trace_cell"
-            )
-        program = supply.program
-    else:
-        program = _program_for(spec)
-    controller = make_controller(cell.controller_spec)
     return Processor(
         config,
-        program,
-        controller=controller,
+        _program_for(spec),
+        controller=make_controller(cell.controller_spec),
         clock_gating=ClockGatingStyle(cell.clock_gating),
         seed=seed,
-        supply=supply,
     )
 
 
@@ -623,21 +564,8 @@ def cell_fingerprint(cell: SimCell) -> str:
         "instructions": cell.instructions,
         "warmup": cell.warmup,
     }
-    # The trace joins the fingerprint only when used, so every generated-
-    # program cell keeps its address.  A trace cell hashes the trace
-    # file's *content*: replaying a re-recorded file is a clean miss.
-    if cell.trace:
-        payload["trace_sha256"] = _file_sha256(cell.trace)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def smt_cell_fingerprint(cell: SmtCell) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import atexit
 import shlex
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
@@ -90,6 +91,13 @@ def shutdown_shared_pool() -> None:
 atexit.register(shutdown_shared_pool)
 
 
+def _identity(cell) -> Tuple[str, str]:
+    """A cell's display label and its workload (benchmark or SMT mix)."""
+    benchmark = getattr(cell, "benchmark", None)
+    workload = f"benchmark {benchmark}" if benchmark else f"mix {cell.mix}"
+    return getattr(cell, "effective_label", None) or cell.policy, workload
+
+
 def run_cell(cell):
     """Simulate one cell; a failure is re-raised naming the cell.
 
@@ -107,9 +115,7 @@ def run_cell(cell):
     try:
         return execute_cell(cell)
     except Exception as error:
-        benchmark = getattr(cell, "benchmark", None)
-        workload = f"benchmark {benchmark}" if benchmark else f"mix {cell.mix}"
-        label = getattr(cell, "effective_label", None) or cell.policy
+        label, workload = _identity(cell)
         code = (
             "from repro.experiments.engine import SimCell, SmtCell; "
             "from repro.experiments.scheduler import run_cell; "
@@ -142,6 +148,25 @@ def execute_batch(cells: List) -> Dict:
         "events": telemetry_events.drain(),
         "wall_seconds": perf_time() - start,
     }
+
+
+def _unsettled_error(error, pending, fingerprints, settled) -> ExperimentError:
+    """The error of a sweep whose pool failed: one line per simulation it
+    still owed (a duplicate cell shares its owner's line)."""
+    lines = []
+    for index, cell in pending:
+        fingerprint = fingerprints[index]
+        if fingerprint in settled:
+            continue
+        label, workload = _identity(cell)
+        lines.append(
+            f"  cell {label!r} on {workload}, seed {cell.effective_seed}, "
+            f"fingerprint {fingerprint}"
+        )
+    return ExperimentError(
+        f"the worker pool failed with {type(error).__name__}: {error}; "
+        f"{len(lines)} cell(s) did not finish:\n" + "\n".join(lines)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +350,16 @@ class SweepScheduler:
                 done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                 for future in done:
                     batch = future_map[future]
-                    payload = future.result()
+                    try:
+                        payload = future.result()
+                    except BrokenProcessPool as error:
+                        # A dead worker fails every batch still in the
+                        # pool; name each cell the sweep still owed.
+                        for other in future_map:
+                            other.cancel()
+                        raise _unsettled_error(
+                            error, pending, fingerprints, self._settled
+                        ) from error
                     telemetry_replay(payload["events"])
                     wall = payload["wall_seconds"]
                     # Parent-observed latency minus worker wall time ≈

@@ -6,16 +6,13 @@ serves two streams, both generated a whole basic block at a time:
 * **true path** — an indexable ring of ``(static, taken, target_block,
   mem_address)`` tuples (``_records`` / ``_base``, ``get``,
   ``prune_before``); the fetch stage indexes the ring directly, and
-  calibration and trace recording walk it through ``get``;
+  calibration walks it through ``get``;
 * **wrong path** — ``wrong_packet(cursor)`` returns ``(records, end)``:
   every record of the cursor's block up to and including its terminator,
   plus the cursor the walk continues from.  A cursor is ``(block_id,
   index, stack, step)``; since a block's only control instruction is its
   last (:meth:`~repro.program.cfg.BasicBlock.validate`), every cursor the
   walk hands out sits at the top of a block (``index`` 0).
-
-:class:`TraceSupply` is the one variant: it serves the true path from a
-recorded trace instead of generating it.
 
 **True path.**  Branch outcomes come from the program's behaviour models,
 advanced in true-path order; the supply takes ownership of that state
@@ -56,7 +53,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ProgramError, SimulationError, WorkloadError
+from repro.errors import ProgramError, SimulationError
 from repro.program.cfg import Program, TerminatorKind
 from repro.utils.rng import derive_seed, stateless_hash_step as _hash_step
 
@@ -532,71 +529,3 @@ class CompiledSupply:
         # FALL: the template already carries the final record.
         return records, (wpb.fall_target, 0, stack, end_step)
 
-
-class TraceSupply(CompiledSupply):
-    """Replay a recorded true-path trace through the full pipeline.
-
-    The true path comes from the trace verbatim; wrong paths still walk
-    the program's CFG with the recorded seed, so a replay reproduces the
-    live run bit for bit — including wrong-path fetch, squashes and the
-    wasted-energy accounting.  The trace must therefore have been
-    recorded from the same program and seed (the versioned trace header
-    carries both; see :mod:`repro.workloads.trace`).
-
-    A trace is finite: fetching past its last record raises
-    :class:`~repro.errors.WorkloadError` — record with headroom beyond
-    the measured window (the front end runs a few hundred instructions
-    ahead of commit).
-    """
-
-    __slots__ = ("_limit",)
-
-    def __init__(self, program: Program, seed: int, records) -> None:
-        super().__init__(program, seed)
-        self._records = list(records)
-        self._limit = len(self._records)
-
-    def _generate_blocks(self, count: int) -> None:
-        raise WorkloadError(
-            f"trace exhausted: the pipeline asked for true-path record "
-            f"{self._base + len(self._records) + count - 1} but only "
-            f"{self._limit} were recorded; re-record with more headroom "
-            f"beyond the measured window"
-        )
-
-
-def resolve_trace_records(program: Program, trace_records) -> List[tuple]:
-    """Bind parsed trace records to a program's static instructions.
-
-    Each trace record names its static instruction by address; the
-    program (rebuilt deterministically from the trace header's benchmark
-    and seed) provides the full static — operands, latencies, block ids —
-    that the pipeline needs.  A record whose address or opcode does not
-    match the program is a trace/program mismatch and raises
-    :class:`~repro.errors.WorkloadError` with the offending record number.
-    """
-    statics_by_address = {}
-    for block in program.blocks:
-        for static in block.instructions:
-            statics_by_address[static.address] = static
-    records: List[tuple] = []
-    append = records.append
-    for number, trace_record in enumerate(trace_records, start=1):
-        static = statics_by_address.get(trace_record.address)
-        if static is None:
-            raise WorkloadError(
-                f"trace record {number}: no instruction at address "
-                f"{trace_record.address:#x} in program {program.name!r} "
-                f"(trace/program mismatch)"
-            )
-        if static.opcode.value != trace_record.opcode:
-            raise WorkloadError(
-                f"trace record {number}: opcode {trace_record.opcode!r} does "
-                f"not match {static.opcode.value!r} at {trace_record.address:#x} "
-                f"(trace/program mismatch)"
-            )
-        append(
-            (static, trace_record.taken, trace_record.target_block,
-             trace_record.mem_address)
-        )
-    return records

@@ -145,7 +145,6 @@ class ThreadContext:
         iq_size: int,
         lsq_size: int,
         fetch_buffer: int,
-        supply: Optional[CompiledSupply] = None,
     ) -> None:
         self.thread_id = thread_id
         self.program = program
@@ -157,9 +156,9 @@ class ThreadContext:
         self.confidence = build_estimator(config)
         self.btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
         self.ras = ReturnAddressStack(config.ras_depth)
-        # The front-end instruction source: pre-lowered block packets by
-        # default; a pre-built TraceSupply may be injected (trace replay).
-        self.supply = supply if supply is not None else CompiledSupply(program, seed)
+        # The front-end instruction source: the program's pre-lowered
+        # block packets, walked with this thread's seed.
+        self.supply = CompiledSupply(program, seed)
 
         # Controller capability flags (see class docstring).
         ctrl_type = type(controller)
@@ -254,7 +253,6 @@ class Processor:
         power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
         seed: int = 1,
-        supply: Optional[CompiledSupply] = None,
     ) -> None:
         self._init_shared(config, power_table, clock_gating)
         self.seed = seed
@@ -269,7 +267,6 @@ class Processor:
                 iq_size=config.iq_size,
                 lsq_size=config.lsq_size,
                 fetch_buffer=config.effective_fetch_buffer,
-                supply=supply,
             )
         ]
         self._finish_threads()

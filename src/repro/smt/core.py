@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.throttler import NullController, SpeculationController
 from repro.errors import ConfigurationError, SimulationError
-from repro.frontend.supply import CompiledSupply
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, ThreadContext
 from repro.pipeline.stats import SimStats
@@ -60,7 +59,6 @@ class SmtProcessor(Processor):
         sharing: str = "partitioned",
         power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
-        supplies: Optional[Sequence[CompiledSupply]] = None,
     ) -> None:
         count = len(programs)
         if count < 1:
@@ -72,10 +70,6 @@ class SmtProcessor(Processor):
         if controllers is not None and len(controllers) != count:
             raise ConfigurationError(
                 f"{count} programs but {len(controllers)} controllers"
-            )
-        if supplies is not None and len(supplies) != count:
-            raise ConfigurationError(
-                f"{count} programs but {len(supplies)} instruction supplies"
             )
         if sharing not in SHARING_MODES:
             raise ConfigurationError(
@@ -117,7 +111,6 @@ class SmtProcessor(Processor):
                 iq_size=iq_size,
                 lsq_size=lsq_size,
                 fetch_buffer=fetch_buffer,
-                supply=(supplies[thread_id] if supplies else None),
             )
             for thread_id, program in enumerate(programs)
         ]

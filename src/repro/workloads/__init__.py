@@ -10,23 +10,9 @@ rates).
 
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
-from repro.workloads.trace import (
-    TraceHeader,
-    TraceReader,
-    TraceRecord,
-    TraceRecorder,
-    load_trace_supply,
-    record_benchmark_trace,
-)
 
 __all__ = [
     "WorkloadSpec",
     "BENCHMARK_NAMES",
     "benchmark_spec",
-    "TraceHeader",
-    "TraceRecord",
-    "TraceRecorder",
-    "TraceReader",
-    "load_trace_supply",
-    "record_benchmark_trace",
 ]

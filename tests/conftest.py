@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.levels import BandwidthLevel
 from repro.isa.instruction import DynamicInstruction, StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.pipeline.config import ProcessorConfig, table3_config
@@ -13,6 +14,19 @@ from repro.pipeline.processor import Processor
 from repro.pipeline.sanitizer import check_invariants
 from repro.power.units import NUM_UNITS
 from repro.program.generator import ProgramGenerator, ProgramShape
+
+
+def level_active(level: BandwidthLevel, cycle: int) -> bool:
+    """Reference bandwidth schedule (paper §4.1): may a stage throttled to
+    ``level`` work on ``cycle``?  Half bandwidth is one active cycle in
+    two, quarter one in four, stall none; the pipeline's 4-cycle wheel
+    masks (``ACTIVE_WHEEL_MASKS``) must agree with it."""
+    if level is BandwidthLevel.STALL:
+        return False
+    period = {
+        BandwidthLevel.FULL: 1, BandwidthLevel.HALF: 2, BandwidthLevel.QUARTER: 4,
+    }[level]
+    return cycle % period == 0
 
 
 def small_shape() -> ProgramShape:

@@ -27,7 +27,6 @@ from repro.experiments.engine import (
     build_processor,
     make_cell,
     make_smt_cell,
-    make_trace_cell,
     simulate,
     simulate_smt,
 )
@@ -64,41 +63,29 @@ def _pipetrace_run():
     assert tracer.traces()
 
 
-@pytest.fixture(scope="module")
-def trace_path(tmp_path_factory):
-    from repro.workloads.trace import record_benchmark_trace
-
-    path = str(tmp_path_factory.mktemp("trace") / "go.trace")
-    record_benchmark_trace("go", path, 2 * (_INSTRUCTIONS + _WARMUP))
-    return path
-
-
 _RUNS = {
-    "baseline": lambda _: simulate(_cell(("baseline",))),
-    "C2": lambda _: simulate(_cell(("throttle", "C2"))),
-    "gating": lambda _: simulate(_cell(("gating", 1))),
-    "smt": lambda _: simulate_smt(_smt_cell()),
-    "pipetrace": lambda _: _pipetrace_run(),
-    "trace-replay": lambda path: simulate(
-        make_trace_cell(path, instructions=_INSTRUCTIONS, warmup=_WARMUP)
-    ),
-    "sanitized": lambda _: simulate(_cell(("throttle", "C2"), sanitize=True)),
-    "sanitized-smt": lambda _: simulate_smt(_smt_cell(sanitize=True)),
-    "telemetry": lambda _: simulate(_cell(("throttle", "C2"), telemetry=True)),
-    "telemetry-smt": lambda _: simulate_smt(_smt_cell(telemetry=True)),
+    "baseline": lambda: simulate(_cell(("baseline",))),
+    "C2": lambda: simulate(_cell(("throttle", "C2"))),
+    "gating": lambda: simulate(_cell(("gating", 1))),
+    "smt": lambda: simulate_smt(_smt_cell()),
+    "pipetrace": _pipetrace_run,
+    "sanitized": lambda: simulate(_cell(("throttle", "C2"), sanitize=True)),
+    "sanitized-smt": lambda: simulate_smt(_smt_cell(sanitize=True)),
+    "telemetry": lambda: simulate(_cell(("throttle", "C2"), telemetry=True)),
+    "telemetry-smt": lambda: simulate_smt(_smt_cell(telemetry=True)),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_RUNS))
-def test_zero_garbage_cell_leaves_no_cyclic_garbage(kind, trace_path):
+def test_zero_garbage_cell_leaves_no_cyclic_garbage(kind):
     run = _RUNS[kind]
     # The first run fills the program memo and the lazily compiled block
     # tables; the second must build and free a whole machine on its own.
-    run(trace_path)
+    run()
     gc.collect()
     gc.disable()
     try:
-        run(trace_path)
+        run()
         assert gc.collect() == 0
     finally:
         gc.enable()

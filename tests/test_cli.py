@@ -237,19 +237,19 @@ def test_run_rejects_a_wrong_number_of_arguments(args, monkeypatch, capsys):
     assert executed == []
 
 
-def test_only_trace_record_reads_seed(tmp_path, capsys):
-    path = str(tmp_path / "go.trace")
-    assert main(["trace", "record", "go", path, "--seed", "5",
-                 "--instructions", "600"]) == 0
-    assert "(seed 5)" in capsys.readouterr().out
+def test_trace_is_not_a_command(tmp_path, monkeypatch, capsys):
+    # Every thread's instructions come from the generated program; there
+    # is no recorded-trace front end to drive.
+    from repro.experiments import engine
+
+    executed = []
+    monkeypatch.setattr(engine, "execute_cell", executed.append)
+    path = tmp_path / "go.trace"
     with pytest.raises(SystemExit) as info:
-        main(["trace", "replay", path, "--seed", "5",
-              "--instructions", "300", "--warmup", "100"])
+        main(["trace", "record", "go", str(path)])
     assert info.value.code == 2
-    assert "--seed applies to smt and trace record only" in capsys.readouterr().err
-    assert main(["trace", "replay", path, "--instructions", "300",
-                 "--warmup", "100"]) == 0
-    assert "seed 5" in capsys.readouterr().out
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
+    assert executed == [] and not path.exists()
 
 
 def test_figure6_honours_warmup(capsys):

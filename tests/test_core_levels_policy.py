@@ -3,7 +3,7 @@
 import pytest
 
 from repro.confidence.base import ConfidenceLevel
-from repro.core.levels import BandwidthLevel
+from repro.core.levels import ACTIVE_WHEEL_MASKS, BandwidthLevel, next_wheel_active
 from repro.core.policy import (
     FIGURE3_EXPERIMENTS,
     FIGURE4_EXPERIMENTS,
@@ -15,26 +15,38 @@ from repro.core.policy import (
     list_experiments,
 )
 from repro.errors import ExperimentError
+from tests.conftest import level_active
 
 
 # --- levels -------------------------------------------------------------
 
 def test_full_always_active():
-    assert all(BandwidthLevel.FULL.active(c) for c in range(8))
+    assert all(level_active(BandwidthLevel.FULL, c) for c in range(8))
 
 
 def test_half_alternates():
-    pattern = [BandwidthLevel.HALF.active(c) for c in range(6)]
+    pattern = [level_active(BandwidthLevel.HALF, c) for c in range(6)]
     assert pattern == [True, False, True, False, True, False]
 
 
 def test_quarter_one_in_four():
-    active = [c for c in range(16) if BandwidthLevel.QUARTER.active(c)]
+    active = [c for c in range(16) if level_active(BandwidthLevel.QUARTER, c)]
     assert active == [0, 4, 8, 12]
 
 
 def test_stall_never_active():
-    assert not any(BandwidthLevel.STALL.active(c) for c in range(16))
+    assert not any(level_active(BandwidthLevel.STALL, c) for c in range(16))
+
+
+@pytest.mark.parametrize("level", list(BandwidthLevel), ids=lambda level: level.name)
+def test_wheel_masks_follow_the_reference_schedule(level):
+    mask = ACTIVE_WHEEL_MASKS[level]
+    for cycle in range(16):
+        assert bool((mask >> (cycle & 3)) & 1) == level_active(level, cycle)
+        if level is not BandwidthLevel.STALL:
+            first = next_wheel_active(mask, cycle)
+            assert level_active(level, first)
+            assert not any(level_active(level, c) for c in range(cycle, first))
 
 
 def test_most_restrictive_ordering():

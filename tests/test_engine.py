@@ -350,26 +350,6 @@ def test_runner_prefetch_warms_the_memo():
     assert scheduler.executed == 2  # both served from the memo
 
 
-def test_runner_memo_keys_trace_cells_by_their_trace(tmp_path):
-    # A trace cell shares its benchmark, spec, config, run lengths and
-    # seed with the generated-program cell it was recorded from; only the
-    # trace tells them apart.  The memo must not serve one for the other.
-    from repro.errors import ExperimentError
-    from repro.experiments.engine import make_trace_cell
-    from repro.workloads.trace import record_benchmark_trace
-
-    path = str(tmp_path / "go.trace")
-    record_benchmark_trace("go", path, 500)
-    scheduler = SweepScheduler()
-    scheduler.run_cells([_cell(benchmark="go", controller_spec=("baseline",))])
-    trace_cell = make_trace_cell(
-        path, instructions=_INSTRUCTIONS, warmup=_WARMUP
-    )
-    with pytest.raises(ExperimentError, match="trace exhausted"):
-        scheduler.run_cells([trace_cell])
-    assert scheduler.executed == 1
-
-
 # --- campaign scaling contracts ----------------------------------------------
 
 @pytest.fixture(scope="module")

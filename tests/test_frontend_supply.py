@@ -22,12 +22,7 @@ import hashlib
 
 import pytest
 
-from repro.errors import WorkloadError
-from repro.frontend.supply import (
-    CompiledSupply,
-    TraceSupply,
-    resolve_trace_records,
-)
+from repro.frontend.supply import CompiledSupply
 from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.program.behavior import BiasedBehavior
@@ -254,31 +249,3 @@ def test_true_path_ret_with_empty_call_stack_raises():
     with pytest.raises(ProgramError, match="empty call stack"):
         CompiledSupply(b0_first, 1).get(5)
 
-
-# ----------------------------------------------------------------------
-# Trace supplies
-# ----------------------------------------------------------------------
-
-def test_trace_supply_serves_recorded_stream_and_exhausts():
-    spec = benchmark_spec("compress")
-    from repro.workloads.trace import TraceRecorder
-
-    recorded = CompiledSupply(benchmark_spec("compress").build_program(), spec.seed)
-    records = TraceRecorder(recorded).record(400)
-    program = benchmark_spec("compress").build_program()
-    supply = TraceSupply(program, spec.seed, resolve_trace_records(program, records))
-    fresh = CompiledSupply(benchmark_spec("compress").build_program(), spec.seed)
-    for index in range(400):
-        assert _record(supply.get(index)) == _record(fresh.get(index))
-    with pytest.raises(WorkloadError, match="trace exhausted"):
-        supply.get(400)
-
-
-def test_resolve_trace_records_rejects_mismatches():
-    from repro.workloads.trace import TraceRecord
-
-    program = benchmark_spec("compress").build_program()
-    bogus = [TraceRecord(address=0x3, opcode="add", taken=False,
-                         target_block=-1, mem_address=0)]
-    with pytest.raises(WorkloadError, match="record 1"):
-        resolve_trace_records(program, bogus)

@@ -84,21 +84,6 @@ def test_profile_rate_counts_the_measured_window(profile_run, capsys):
     assert int(total.group(1)) == sum(sum(row.values()) for row in calls.values())
 
 
-def test_trace_flag_alone_profiles_the_trace(profile_run, capsys, tmp_path):
-    # --trace needs no companion flag: the recorded true path is what
-    # gets profiled, not the generated program of --benchmark.
-    from repro.workloads.trace import record_benchmark_trace
-
-    path = str(tmp_path / "parser.trace")
-    record_benchmark_trace("parser", path, 3_000)
-    assert profile_run.main([
-        "--trace", path, "--instructions", "600", "--warmup", "200",
-        "--top", "3",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert f"profiling trace {path} (parser)" in out, out
-
-
 def test_skip_stats_report_the_blocked_share(profile_run, capsys):
     assert profile_run.main([
         "--skip-stats", "--experiment", "C2", "--benchmark", "go",

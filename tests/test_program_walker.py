@@ -1,7 +1,7 @@
 """The program walk: the supply's true path ("oracle") and wrong paths.
 
 Both streams come from :class:`~repro.frontend.supply.CompiledSupply`, the
-walker the fetch stage, calibration and trace recording all use.
+walker the fetch stage and calibration both use.
 """
 
 import pytest

@@ -16,6 +16,7 @@ from repro.memory.tlb import TLB
 from repro.utils.bitops import bit_mask, is_power_of_two
 from repro.utils.rng import XorShiftRNG, derive_seed, stateless_hash_step
 from repro.utils.stats import arithmetic_mean, geometric_mean
+from tests.conftest import level_active
 
 
 # --- RNG ----------------------------------------------------------------
@@ -171,12 +172,12 @@ def test_confidence_matrix_metrics_bounded(records):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_bandwidth_levels_monotone_aggressiveness(cycle):
     # A more aggressive level is active on a subset of any weaker level's cycles.
-    if BandwidthLevel.STALL.active(cycle):
+    if level_active(BandwidthLevel.STALL, cycle):
         raise AssertionError("STALL must never be active")
-    if BandwidthLevel.QUARTER.active(cycle):
-        assert BandwidthLevel.HALF.active(cycle)
-    if BandwidthLevel.HALF.active(cycle):
-        assert BandwidthLevel.FULL.active(cycle)
+    if level_active(BandwidthLevel.QUARTER, cycle):
+        assert level_active(BandwidthLevel.HALF, cycle)
+    if level_active(BandwidthLevel.HALF, cycle):
+        assert level_active(BandwidthLevel.FULL, cycle)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=1000),

@@ -18,6 +18,7 @@ from repro.pipeline.config import table3_config
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.program.generator import ProgramGenerator, ProgramShape
 from repro.report.ascii import bar_chart
+from tests.conftest import level_active
 
 
 @given(
@@ -73,7 +74,7 @@ def test_throttler_aggregate_is_max_of_armed(events):
             if action.fetch > expected:
                 expected = action.fetch
         for cycle in range(4):
-            assert throttler.fetch_allowed(cycle) == expected.active(cycle)
+            assert throttler.fetch_allowed(cycle) == level_active(expected, cycle)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(0, 10_000))

@@ -11,10 +11,13 @@ The scaling contracts the study layer rests on:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shlex
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -220,6 +223,39 @@ def test_duplicate_fingerprints_read_the_disk_once(tmp_path):
     assert [result.label for result in results] == labels
 
 
+def _put_repeatedly(directory, cell, result, rounds):
+    cache = ResultCache(directory)
+    for _ in range(rounds):
+        cache.put(cell, result)
+    return cache.stores
+
+
+def test_concurrent_writers_never_break_a_reader(tmp_path, serial_results):
+    # Two processes rewrite one entry while this one reads it: every read
+    # is a whole entry or a miss, and no temporary file is left behind.
+    cell, result = _grid()[0], serial_results[0]
+    cache = ResultCache(str(tmp_path))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        writers = [
+            pool.submit(_put_repeatedly, str(tmp_path), cell, result, 200)
+            for _ in range(2)
+        ]
+        reads = 0
+        deadline = time.monotonic() + 120
+        while (
+            not all(writer.done() for writer in writers)
+            and time.monotonic() < deadline
+        ):
+            got = cache.get(cell)
+            assert got is None or got == result
+            reads += 1
+        assert [writer.result(timeout=60) for writer in writers] == [200, 200]
+    assert reads > 0
+    assert cache.get(cell) == result
+    assert list(tmp_path.glob("*.json.tmp.*")) == []
+
+
 def test_cache_stats_report_hit_rate(tmp_path):
     cache = ResultCache(str(tmp_path))
     # Cold cache: a well-defined zero, not a division by zero.
@@ -302,6 +338,39 @@ def test_shared_pool_is_replaced_after_a_worker_dies():
         with pytest.raises(BrokenProcessPool):
             shared_pool(2).submit(os._exit, 1).result()
         assert shared_pool(2).submit(pow, 2, 3).result() == 8
+    finally:
+        shutdown_shared_pool()
+
+
+def test_dead_worker_names_every_unsettled_cell(monkeypatch, serial_results):
+    cells = _grid()
+    doomed = cells[2]  # A5 on gzip
+    real = engine.execute_cell
+
+    def execute_or_die(cell):
+        if cell == doomed:
+            os._exit(1)
+        return real(cell)
+
+    # Workers fork from this process, so a fresh pool inherits the patch.
+    shutdown_shared_pool()
+    monkeypatch.setattr(engine, "execute_cell", execute_or_die)
+    try:
+        with pytest.raises(ExperimentError) as info:
+            SweepScheduler(jobs=2).run_cells(cells)
+    finally:
+        shutdown_shared_pool()
+        monkeypatch.undo()
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    message = str(info.value)
+    assert "BrokenProcessPool" in message
+    assert (
+        f"cell 'A5' on benchmark gzip, seed {doomed.effective_seed}, "
+        f"fingerprint {fingerprint_of(doomed)}"
+    ) in message
+    # The next sweep gets a working pool.
+    try:
+        assert SweepScheduler(jobs=2).run_cells(cells) == serial_results
     finally:
         shutdown_shared_pool()
 

@@ -26,6 +26,7 @@ from repro.pipeline.config import table3_config
 from repro.smt.core import SmtProcessor
 from repro.smt.mixes import mix_spec
 from repro.smt.policies import POLICY_NAMES, ConfidenceGatingPolicy, make_fetch_policy
+from tests.conftest import level_active
 
 _TRIALS = 400
 
@@ -59,7 +60,7 @@ def _reference_pick(policy, processor, cycle):
         for thread in threads:
             if not _reference_eligible(thread, cycle):
                 continue
-            if not policy.level_for(thread.lowconf_inflight).active(cycle):
+            if not level_active(policy.level_for(thread.lowconf_inflight), cycle):
                 thread.policy_gated_cycles += 1
                 continue
             candidates.append(thread)

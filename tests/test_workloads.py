@@ -1,12 +1,10 @@
-"""Tests for the workload suite and trace utilities."""
+"""Tests for the workload suite."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.frontend.supply import CompiledSupply
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import BENCHMARK_NAMES, benchmark_spec
-from repro.workloads.trace import TraceReader, TraceRecorder
 from repro.program.generator import ProgramShape
 
 
@@ -49,29 +47,3 @@ def test_workload_spec_validation():
     with pytest.raises(WorkloadError):
         WorkloadSpec(name="x", shape=shape, target_miss_rate=0.1, branch_density=1.5)
 
-
-def test_trace_record_and_replay_roundtrip(tmp_path, fresh_program):
-    recorder = TraceRecorder(CompiledSupply(fresh_program, seed=1))
-    records = recorder.record(500)
-    assert len(records) == 500
-    branches = [r for r in records if r.is_cond_branch]
-    assert branches
-
-    fresh_program.reset_behaviors()
-    path = tmp_path / "trace.txt"
-    TraceRecorder(CompiledSupply(fresh_program, seed=1)).record_to_file(str(path), 500)
-
-    replayed = list(TraceReader(str(path)))
-    assert len(replayed) == 500
-    for memory_record, file_record in zip(records, replayed):
-        assert memory_record.address == file_record.address
-        assert memory_record.opcode == file_record.opcode
-        assert memory_record.taken == file_record.taken
-        assert memory_record.mem_address == file_record.mem_address
-
-
-def test_trace_reader_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("only three fields here\n")
-    with pytest.raises(WorkloadError):
-        list(TraceReader(str(path)))

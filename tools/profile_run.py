@@ -11,7 +11,6 @@ Future performance PRs should start from data, not intuition::
         --memory-latency 400                 # a gated-stall solo cell
     PYTHONPATH=src python tools/profile_run.py --mix mix2-branchy \
         --policy confidence-gating --memory-latency 200  # its SMT cell
-    PYTHONPATH=src python tools/profile_run.py --trace go.trace.gz  # replay
     PYTHONPATH=src python tools/profile_run.py --save run.pstats
 
 The machine is built by :func:`repro.experiments.engine.build_processor`
@@ -64,7 +63,6 @@ from repro.experiments.engine import (
     default_warmup,
     make_cell,
     make_smt_cell,
-    make_trace_cell,
 )
 from repro.pipeline.config import table3_config
 from repro.smt.mixes import MIX_NAMES
@@ -100,12 +98,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--memory-latency", type=int, default=None, metavar="N",
         help="main-memory latency in cycles (default: Table 3's)",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="replay a recorded v2 trace as the true path instead of "
-        "generating the benchmark's program (the trace header names the "
-        "benchmark and seed)",
     )
     parser.add_argument(
         "--instructions", type=int, default=None,
@@ -322,9 +314,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "it needs --mix")
 
     if options.mix:
-        if options.trace:
-            raise SystemExit("--trace replays a single-thread run; it does "
-                             "not combine with --mix")
         cell = make_smt_cell(
             options.mix,
             config=config,
@@ -333,15 +322,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             policy=options.policy or "confidence-gating",
         )
         label = f"mix {cell.mix} under {cell.policy}"
-    elif options.trace:
-        cell = make_trace_cell(
-            options.trace,
-            controller_spec=_controller_spec(options.experiment),
-            config=config,
-            instructions=options.instructions,
-            warmup=options.warmup,
-        )
-        label = f"trace {options.trace} ({cell.benchmark})"
     else:
         cell = make_cell(
             options.benchmark,
