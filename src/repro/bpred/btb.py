@@ -23,8 +23,6 @@ class BranchTargetBuffer:
         # allocated on first insert; an untouched set is the shared empty
         # tuple.
         self._table = [()] * self.sets
-        self.lookups = 0
-        self.hits = 0
 
     def _set_index(self, pc: int) -> int:
         return (pc >> 2) & self._set_mask
@@ -34,12 +32,10 @@ class BranchTargetBuffer:
 
     def lookup(self, pc: int):
         """Return the cached target for ``pc`` or None on a miss."""
-        self.lookups += 1
         entry_set = self._table[self._set_index(pc)]
         tag = self._tag(pc)
         for position, (entry_tag, target) in enumerate(entry_set):
             if entry_tag == tag:
-                self.hits += 1
                 if position:
                     entry_set.insert(0, entry_set.pop(position))
                 return target
@@ -60,8 +56,3 @@ class BranchTargetBuffer:
         entry_set.insert(0, (tag, target))
         if len(entry_set) > self.ways:
             entry_set.pop()
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit (0 if never used)."""
-        return self.hits / self.lookups if self.lookups else 0.0

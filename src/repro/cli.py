@@ -17,7 +17,7 @@ Examples::
     python -m repro check --format json    # machine-readable findings
     python -m repro run go C2 --sanitize   # pipeline invariant sanitizer on
     python -m repro run go C2 --telemetry  # per-stage probe counters on
-    python -m repro study run clock-gating-styles --telemetry-out run.jsonl
+    python -m repro study run clock-gating --telemetry-out run.jsonl
     python -m repro telemetry summary run.jsonl   # validate + aggregate
     python -m repro telemetry export run.jsonl    # Prometheus text format
     python -m repro telemetry top run.jsonl --top 5

@@ -94,10 +94,6 @@ class CampaignResult:
         default_factory=dict
     )
 
-    def summary(self, label: str, benchmark: str, metric: str) -> MetricSummary:
-        """Summarise one metric of one cell across seeds."""
-        return summarize(self.samples[label][benchmark][metric])
-
     def suite_summary(self, label: str, metric: str) -> MetricSummary:
         """Summarise per-seed *suite averages* of one metric.
 

@@ -677,13 +677,12 @@ class ResultCache:
 
         ``fingerprint`` is the cell's :func:`fingerprint_of`, when the
         caller already has it (the scheduler keys its memo by it).  An
-        unreadable entry — missing, truncated, of another schema or cell
-        kind, or without a well-formed ``result`` — is a miss, and the
-        rerun's :meth:`put` replaces it.
+        unreadable entry — missing, truncated, of another schema, of
+        another cell kind or with no ``kind`` at all, or without a
+        well-formed ``result`` — is a miss, and the rerun's :meth:`put`
+        replaces it.
         """
         is_smt = isinstance(cell, SmtCell)
-        # Entries written before the SMT cell kind carry no marker: they
-        # are single-thread results.
         kind = "smt" if is_smt else "sim"
         try:
             with open(self._path(fingerprint or fingerprint_of(cell))) as handle:
@@ -694,7 +693,7 @@ class ResultCache:
         if (
             isinstance(payload, dict)
             and payload.get("schema") == _CACHE_SCHEMA
-            and payload.get("kind", "sim") == kind
+            and payload.get("kind") == kind
         ):
             from_dict = smt_result_from_dict if is_smt else result_from_dict
             try:

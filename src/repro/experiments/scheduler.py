@@ -187,18 +187,16 @@ def affinity_key(cell) -> Tuple:
 def plan_batches(
     pending: Sequence[Tuple[int, object]],
     jobs: int,
-    batch_cells: Optional[int] = None,
 ) -> List[List[Tuple[int, object]]]:
     """Split ``(index, cell)`` pairs into affinity-preserving batches.
 
     Cells are grouped by :func:`affinity_key` (first-appearance order, so
-    the plan is deterministic).  By default each group is one batch, so
-    a worker generates the group's program once and the pool hands out
-    work a program at a time; a group is split only when it is larger
-    than a worker's even share, ``ceil(cells / jobs)``.  An explicit
-    ``batch_cells`` instead packs whole groups into batches of about that
-    many cells, splitting larger groups.  Affinity is a throughput hint,
-    never a correctness requirement: any plan gives the same results.
+    the plan is deterministic).  Each group is one batch, so a worker
+    generates the group's program once and the pool hands out work a
+    program at a time; a group is split only when it is larger than a
+    worker's even share, ``ceil(cells / jobs)``.  Affinity is a
+    throughput hint, never a correctness requirement: any plan gives the
+    same results.
     """
     if not pending:
         return []
@@ -206,27 +204,12 @@ def plan_batches(
     for index, cell in pending:
         groups.setdefault(affinity_key(cell), []).append((index, cell))
 
-    if batch_cells is None:
-        share = -(-len(pending) // max(1, jobs))
-        return [
-            members[start:start + share]
-            for members in groups.values()
-            for start in range(0, len(members), share)
-        ]
-
-    target = max(1, batch_cells)
-    batches: List[List[Tuple[int, object]]] = []
-    current: List[Tuple[int, object]] = []
-    for members in groups.values():
-        for start in range(0, len(members), target):
-            chunk = members[start:start + target]
-            if current and len(current) + len(chunk) > target:
-                batches.append(current)
-                current = []
-            current.extend(chunk)
-    if current:
-        batches.append(current)
-    return batches
+    share = -(-len(pending) // max(1, jobs))
+    return [
+        members[start:start + share]
+        for members in groups.values()
+        for start in range(0, len(members), share)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -240,9 +223,7 @@ class SweepScheduler:
     ``jobs`` = 1 executes the same batch plan inline (so batching itself
     is exercised either way, and parallel output is byte-identical to
     serial).  The plan is one batch per affinity group, split only above
-    ``ceil(cells / jobs)`` (:func:`plan_batches`); ``batch_cells``
-    overrides it with packed batches of about that many cells — mostly
-    for tests that force many small batches.
+    ``ceil(cells / jobs)`` (:func:`plan_batches`).
 
     ``executed`` counts actual simulations (cache hits and memoised
     duplicates excluded); ``batches_dispatched`` counts scheduled batches.
@@ -254,13 +235,11 @@ class SweepScheduler:
         self,
         jobs: int = 1,
         cache=None,
-        batch_cells: Optional[int] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.batch_cells = batch_cells
         self.executed = 0
         self.batches_dispatched = 0
         # Content fingerprint -> result as first settled (its own label).
@@ -335,7 +314,7 @@ class SweepScheduler:
             for follower in followers.get(index, ()):
                 ready[follower] = relabel(result, cells[follower])
 
-        batches = plan_batches(pending, self.jobs, self.batch_cells)
+        batches = plan_batches(pending, self.jobs)
         self._publish_plan(total, cache_hits, pending, batches)
         if self.jobs > 1 and len(batches) > 1:
             pool = shared_pool(self.jobs)

@@ -60,12 +60,6 @@ class MemoryHierarchy:
         result.latency += self.extra_dcache_latency
         return result
 
-    def store(self, address: int) -> AccessResult:
-        """Data store access (write-allocate, modelled like a load)."""
-        result = self._access(self.dcache, address, translate=True)
-        result.latency += self.extra_dcache_latency
-        return result
-
     # ------------------------------------------------------------------
     # Tuple fast paths for the per-cycle pipeline stages
     # ------------------------------------------------------------------

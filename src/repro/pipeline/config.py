@@ -61,12 +61,6 @@ class ProcessorConfig:
     rob_size: int = 128
     iq_size: int = 64
     lsq_size: int = 64
-    # In-flight capacity of the in-order front-end pipes (fetch + decode).
-    # 0 means auto: scale with the front-end depth so a deep pipeline can
-    # keep fetching at full width while instructions traverse it — a fixed
-    # buffer would silently throttle exactly the deep configurations the
-    # paper's Figure 6 sweeps.
-    fetch_buffer_size: int = 0
 
     # Functional units (Table 3).
     int_alu: int = 8
@@ -104,9 +98,6 @@ class ProcessorConfig:
     l2_latency: int = 6
     memory_latency: int = 18
     tlb_entries: int = 128
-
-    # Technology (Table 3: 0.18um, 2.0 V, 1200 MHz).
-    frequency_hz: float = 1.2e9
 
     # Debug: compile pipeline invariant checks into the stage kernel
     # (see repro/pipeline/sanitizer.py).  Never affects results — a
@@ -149,16 +140,12 @@ class ProcessorConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.fetch_buffer_size < 0:
-            raise ConfigurationError("fetch_buffer_size must be >= 0 (0 = auto)")
         if self.mshr_count <= 0:
             raise ConfigurationError("mshr_count must be positive")
         if self.redirect_penalty < 0:
             raise ConfigurationError("redirect penalty must be non-negative")
         if self.extra_exec_latency < 0 or self.extra_dcache_latency < 0:
             raise ConfigurationError("extra latencies must be non-negative")
-        if self.frequency_hz <= 0:
-            raise ConfigurationError("frequency must be positive")
 
     # ------------------------------------------------------------------
     # Derived geometry
@@ -181,9 +168,11 @@ class ProcessorConfig:
 
     @property
     def effective_fetch_buffer(self) -> int:
-        """Front-end in-flight capacity (auto-scaled with depth when 0)."""
-        if self.fetch_buffer_size:
-            return self.fetch_buffer_size
+        """In-flight capacity of the in-order front-end pipes (fetch +
+        decode).  It scales with the front-end depth so a deep pipeline
+        can keep fetching at full width while instructions traverse it —
+        a fixed buffer would silently throttle exactly the deep
+        configurations the paper's Figure 6 sweeps."""
         return self.fetch_width * (self.front_end_stages + 2)
 
     def with_depth(self, depth: int) -> "ProcessorConfig":

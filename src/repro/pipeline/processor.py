@@ -61,7 +61,6 @@ from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.stages.scheduler import CycleScheduler
 from repro.pipeline.stats import SimStats
 from repro.power.model import ClockGatingStyle, PowerModel
-from repro.power.units import UnitPowerTable
 from repro.program.cfg import Program
 from repro.telemetry.probes import ProbeBus
 
@@ -250,11 +249,10 @@ class Processor:
         config: ProcessorConfig,
         program: Program,
         controller: Optional[SpeculationController] = None,
-        power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
         seed: int = 1,
     ) -> None:
-        self._init_shared(config, power_table, clock_gating)
+        self._init_shared(config, clock_gating)
         self.seed = seed
         self.threads: List[ThreadContext] = [
             ThreadContext(
@@ -274,7 +272,6 @@ class Processor:
     def _init_shared(
         self,
         config: ProcessorConfig,
-        power_table: Optional[UnitPowerTable],
         clock_gating: ClockGatingStyle,
         attribute_threads: bool = False,
     ) -> None:
@@ -293,11 +290,10 @@ class Processor:
             tlb_entries=config.tlb_entries,
             extra_dcache_latency=config.extra_dcache_latency,
         )
-        self._power_table = power_table
         self._clock_gating = clock_gating
         self._attribute_threads = attribute_threads
         self.power = PowerModel(
-            power_table, clock_gating, attribute_threads=attribute_threads
+            style=clock_gating, attribute_threads=attribute_threads
         )
 
         self.cycle = 0
@@ -373,54 +369,10 @@ class Processor:
         self.tracer = None
         self.probes = None
 
-    # ------------------------------------------------------------------
-    # Single-thread aliases (the overwhelmingly common configuration)
-    # ------------------------------------------------------------------
-
-    @property
-    def program(self) -> Program:
-        return self.threads[0].program
-
-    @property
-    def controller(self) -> SpeculationController:
-        return self.threads[0].controller
-
-    @property
-    def bpred(self) -> GSharePredictor:
-        return self.threads[0].bpred
-
-    @property
-    def confidence(self) -> ConfidenceEstimator:
-        return self.threads[0].confidence
-
-    @property
-    def btb(self) -> BranchTargetBuffer:
-        return self.threads[0].btb
-
-    @property
-    def ras(self) -> ReturnAddressStack:
-        return self.threads[0].ras
-
     @property
     def supply(self) -> CompiledSupply:
         """Thread 0's instruction supply (true path + wrong-path packets)."""
         return self.threads[0].supply
-
-    @property
-    def renamer(self) -> RegisterRenamer:
-        return self.threads[0].renamer
-
-    @property
-    def rob(self) -> ReorderBuffer:
-        return self.threads[0].rob
-
-    @property
-    def iq(self) -> IssueQueue:
-        return self.threads[0].iq
-
-    @property
-    def lsq(self) -> LoadStoreQueue:
-        return self.threads[0].lsq
 
     # ------------------------------------------------------------------
     # Public driving interface
@@ -445,8 +397,7 @@ class Processor:
         """Zero statistics and energy; keep all microarchitectural state."""
         self.stats = SimStats()
         self.power = PowerModel(
-            self._power_table, self._clock_gating,
-            attribute_threads=self._attribute_threads,
+            style=self._clock_gating, attribute_threads=self._attribute_threads,
         )
         self.memory.reset_stats()
         for thread in self.threads:

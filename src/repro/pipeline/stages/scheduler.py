@@ -519,8 +519,8 @@ class CycleScheduler:
         nothing.  The stage sequence and the cycle close mirror ``step``
         exactly; no hook writes simulation state, so a checked run is
         bit-identical or raises :class:`~repro.errors.SanitizerError`.
-        The bus samples occupancy at cycle top and differences the
-        kernel's statistics at cycle bottom (see
+        The bus samples occupancy at cycle top and counts the stages
+        that moved at cycle bottom (see
         :class:`repro.telemetry.probes.ProbeBus`).  A fast-forwarded
         stretch is sampled once and scaled (``ProbeBus.idle_cycles``) and
         checked once at its last cycle — the structures are untouched

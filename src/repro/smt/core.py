@@ -31,7 +31,6 @@ from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor, ThreadContext
 from repro.pipeline.stats import SimStats
 from repro.power.model import ClockGatingStyle
-from repro.power.units import UnitPowerTable
 from repro.program.cfg import Program
 from repro.smt.policies import FetchPolicy, RoundRobinPolicy
 
@@ -57,7 +56,6 @@ class SmtProcessor(Processor):
         controllers: Optional[Sequence[SpeculationController]] = None,
         fetch_policy: Optional[FetchPolicy] = None,
         sharing: str = "partitioned",
-        power_table: Optional[UnitPowerTable] = None,
         clock_gating: ClockGatingStyle = ClockGatingStyle.CC3,
     ) -> None:
         count = len(programs)
@@ -81,7 +79,7 @@ class SmtProcessor(Processor):
                 "(behaviour state is per-program)"
             )
 
-        self._init_shared(config, power_table, clock_gating, attribute_threads=True)
+        self._init_shared(config, clock_gating, attribute_threads=True)
         self.seed = seeds[0]
         self.sharing = sharing
         self.fetch_policy = fetch_policy or RoundRobinPolicy()

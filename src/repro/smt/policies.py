@@ -119,9 +119,9 @@ class ICountPolicy(FetchPolicy):
 class ConfidenceGatingPolicy(FetchPolicy):
     """Deprioritise and gate threads with many low-confidence branches.
 
-    ``thresholds`` maps the in-flight low-confidence branch count onto the
-    paper's bandwidth levels: below ``thresholds[0]`` a thread runs at FULL
-    bandwidth, then HALF, then QUARTER, and at ``thresholds[2]`` or more it
+    ``THRESHOLDS`` maps the in-flight low-confidence branch count onto the
+    paper's bandwidth levels: below ``THRESHOLDS[0]`` a thread runs at FULL
+    bandwidth, then HALF, then QUARTER, and at ``THRESHOLDS[2]`` or more it
     STALLs until some of its doubtful branches resolve.  The level's
     4-cycle activity wheel decides whether the thread may compete for the
     port this cycle (exactly how the single-thread throttler spaces fetch
@@ -132,25 +132,18 @@ class ConfidenceGatingPolicy(FetchPolicy):
 
     name = "confidence-gating"
     ranks_in_flight = True
+    THRESHOLDS = (1, 2, 4)
 
-    def __init__(self, thresholds: Tuple[int, int, int] = (1, 2, 4)) -> None:
-        if len(thresholds) != 3 or not thresholds[0] < thresholds[1] < thresholds[2]:
-            raise ConfigurationError(
-                f"thresholds must be three strictly ascending counts, "
-                f"got {thresholds!r}"
-            )
-        if thresholds[0] < 1:
-            raise ConfigurationError("the first threshold must be >= 1")
-        self.thresholds = tuple(thresholds)
+    def __init__(self) -> None:
         self.wheel_masks = tuple(
             ACTIVE_WHEEL_MASKS[self.level_for(count)]
-            for count in range(thresholds[2])
+            for count in range(self.THRESHOLDS[2])
         )
 
     def level_for(self, lowconf_inflight: int) -> BandwidthLevel:
         """The fetch bandwidth level of a thread with this many doubtful
         in-flight branches."""
-        half, quarter, stall = self.thresholds
+        half, quarter, stall = self.THRESHOLDS
         if lowconf_inflight >= stall:
             return BandwidthLevel.STALL
         if lowconf_inflight >= quarter:

@@ -7,38 +7,55 @@ construction-time dispatch the sanitizer uses, so the plain
 ``step`` carries no telemetry branch and an uninstrumented run pays
 nothing (the 39 golden fingerprints are the proof).
 
-The bus never touches simulation state: it *samples* occupancy at the
-top of the cycle (:meth:`ProbeBus.begin_cycle`) and *differences* the
-kernel's own :class:`~repro.pipeline.stats.SimStats` counters at the
-bottom (:meth:`ProbeBus.end_cycle`).  Each ``SimStats`` counter is
-written by exactly one stage, so the per-cycle deltas attribute cleanly:
+The bus never touches simulation state, and it keeps no copy of a count
+the kernel's own :class:`~repro.pipeline.stats.SimStats` already holds:
+:meth:`ProbeBus.snapshot` reads those straight from ``kernel.stats``.
+The bus itself keeps only what ``SimStats`` lacks, sampled at the top
+of the cycle (:meth:`ProbeBus.begin_cycle`) and at the bottom
+(:meth:`ProbeBus.end_cycle`):
 
-===============  =====================================================
-stage group      counters (per measured window)
-===============  =====================================================
-fetch            instructions, wrong-path instructions, active cycles,
-                 icache/redirect/throttle stall cycles
-decode           instructions, active cycles, throttle stall cycles
-rename           instructions, active cycles
-issue            instructions, wrong-path instructions, active cycles,
-                 selection-blocked events
-writeback        completion-bucket drains, active cycles,
-                 squashed instructions, squash recoveries
-commit           instructions, active cycles
-occupancy        per-cycle sums of ROB/IQ/LSQ and the two front-end
-                 latches (divide by ``cycles`` for mean residency)
-throttle         per-cycle residency of the effective fetch bandwidth
-                 level (FULL/HALF/QUARTER/STALL) summed over threads
-threads          per-thread committed/fetched/wrong-path/squashed plus
-                 a per-thread ROB occupancy sum (the SMT split)
-skip             cycles covered by the scheduler's next-event
-                 fast-forward, window count, blocked-window count, and
-                 a power-of-two window-length histogram
-===============  =====================================================
+===============  ==================================  ======================
+stage group      from ``SimStats``                   kept by the bus
+===============  ==================================  ======================
+(window)         cycles
+fetch            instructions, wrong-path            active cycles
+                 instructions, icache/redirect/
+                 throttle stall cycles
+decode           instructions, throttle stall        active cycles
+                 cycles
+rename           instructions                        active cycles
+issue            instructions, wrong-path            active cycles
+                 instructions, selection-blocked
+                 events
+writeback        squashed instructions, squash       completion-bucket
+                 recoveries                          drains, active cycles
+commit           instructions                        active cycles
+occupancy                                            per-cycle sums of
+                                                     ROB/IQ/LSQ and the two
+                                                     front-end latches
+throttle                                             per-cycle residency of
+                                                     the effective fetch
+                                                     bandwidth level
+                                                     (FULL/HALF/QUARTER/
+                                                     STALL) over threads
+threads          per-thread committed/fetched/       per-thread ROB
+                 wrong-path/squashed (thread         occupancy sum (the SMT
+                 counters)                           split)
+skip                                                 fast-forwarded cycles,
+                                                     window count, blocked-
+                                                     window count, power-of-
+                                                     two length histogram
+===============  ==================================  ======================
+
+A stage is *active* in a cycle when its ``SimStats`` instruction counter
+moved (the writeback stage: when its completion bucket was non-empty);
+the bus remembers the last-seen value of those five counters only.
+Divide an occupancy sum by ``cycles`` for mean residency.
 
 Counters cover the *measured* window: ``Processor.reset_measurement``
-resets the bus together with the statistics, so probe totals reconcile
-exactly against the final ``SimStats`` (tests assert equality).
+resets the bus together with the statistics, so the bus's own sums
+cover exactly the cycles ``SimStats`` counts (tests assert that the
+throttle residency sums to ``cycles`` per thread).
 """
 
 from __future__ import annotations
@@ -61,7 +78,6 @@ class ProbeBus:
 
     __slots__ = (
         "kernel", "nthreads", "_throttlers", "_unthrottled",
-        "cycles",
         # Occupancy residency (per-cycle sums).
         "rob_occupancy_sum", "iq_occupancy_sum", "lsq_occupancy_sum",
         "fetch_latch_sum", "decode_latch_sum",
@@ -73,22 +89,12 @@ class ProbeBus:
         "skipped_cycles", "skip_windows", "blocked_windows", "skip_length_hist",
         # Writeback volume sampled before the stage drains its bucket.
         "_pending_writebacks", "writeback_drained", "writeback_active_cycles",
-        # Stage instruction counters and active-cycle counters.
-        "fetched", "fetched_wrong_path", "fetch_active_cycles",
-        "icache_stall_cycles", "redirect_stall_cycles",
-        "fetch_throttled_cycles",
-        "decoded", "decode_active_cycles", "decode_throttled_cycles",
-        "renamed", "rename_active_cycles",
-        "issued", "issued_wrong_path", "issue_active_cycles",
-        "selection_blocked",
-        "committed", "commit_active_cycles",
-        "squashed_instructions", "squash_recoveries",
-        # Last-seen SimStats values the per-cycle deltas difference against.
-        "_last_fetched", "_last_fetched_wp", "_last_icache",
-        "_last_redirect", "_last_fetch_throttled",
-        "_last_decoded", "_last_decode_throttled", "_last_renamed",
-        "_last_issued", "_last_issued_wp", "_last_selection_blocked",
-        "_last_committed", "_last_squashed", "_last_squashes",
+        # Per-stage active-cycle counters.
+        "fetch_active_cycles", "decode_active_cycles", "rename_active_cycles",
+        "issue_active_cycles", "commit_active_cycles",
+        # Last-seen SimStats instruction counters the activity tests read.
+        "_last_fetched", "_last_decoded", "_last_renamed",
+        "_last_issued", "_last_committed",
     )
 
     def __init__(self, kernel) -> None:
@@ -111,7 +117,6 @@ class ProbeBus:
 
     def begin_cycle(self, kernel, cycle: int) -> None:
         """Sample occupancy and pending writeback volume at cycle top."""
-        self.cycles += 1
         self.rob_occupancy_sum += kernel.rob_count
         self.iq_occupancy_sum += kernel.iq_count
         self.lsq_occupancy_sum += kernel.lsq_count
@@ -130,90 +135,30 @@ class ProbeBus:
         residency[0] += self._unthrottled
 
     def end_cycle(self, kernel) -> None:
-        """Difference the kernel's statistics counters at cycle bottom."""
+        """Count the stages whose instruction counter moved this cycle."""
         stats = kernel.stats
-
         value = stats.fetched
-        delta = value - self._last_fetched
-        if delta:
-            self.fetched += delta
+        if value != self._last_fetched:
             self.fetch_active_cycles += 1
             self._last_fetched = value
-        value = stats.fetched_wrong_path
-        delta = value - self._last_fetched_wp
-        if delta:
-            self.fetched_wrong_path += delta
-            self._last_fetched_wp = value
-        value = stats.icache_stall_cycles
-        delta = value - self._last_icache
-        if delta:
-            self.icache_stall_cycles += delta
-            self._last_icache = value
-        value = stats.redirect_stall_cycles
-        delta = value - self._last_redirect
-        if delta:
-            self.redirect_stall_cycles += delta
-            self._last_redirect = value
-        value = stats.fetch_throttled_cycles
-        delta = value - self._last_fetch_throttled
-        if delta:
-            self.fetch_throttled_cycles += delta
-            self._last_fetch_throttled = value
-
         value = stats.decoded
-        delta = value - self._last_decoded
-        if delta:
-            self.decoded += delta
+        if value != self._last_decoded:
             self.decode_active_cycles += 1
             self._last_decoded = value
-        value = stats.decode_throttled_cycles
-        delta = value - self._last_decode_throttled
-        if delta:
-            self.decode_throttled_cycles += delta
-            self._last_decode_throttled = value
         value = stats.renamed
-        delta = value - self._last_renamed
-        if delta:
-            self.renamed += delta
+        if value != self._last_renamed:
             self.rename_active_cycles += 1
             self._last_renamed = value
-
         value = stats.issued
-        delta = value - self._last_issued
-        if delta:
-            self.issued += delta
+        if value != self._last_issued:
             self.issue_active_cycles += 1
             self._last_issued = value
-        value = stats.issued_wrong_path
-        delta = value - self._last_issued_wp
-        if delta:
-            self.issued_wrong_path += delta
-            self._last_issued_wp = value
-        value = stats.selection_blocked
-        delta = value - self._last_selection_blocked
-        if delta:
-            self.selection_blocked += delta
-            self._last_selection_blocked = value
-
         pending = self._pending_writebacks
         if pending:
             self.writeback_drained += pending
             self.writeback_active_cycles += 1
-        value = stats.squashed
-        delta = value - self._last_squashed
-        if delta:
-            self.squashed_instructions += delta
-            self._last_squashed = value
-        value = stats.squashes
-        delta = value - self._last_squashes
-        if delta:
-            self.squash_recoveries += delta
-            self._last_squashes = value
-
         value = stats.committed
-        delta = value - self._last_committed
-        if delta:
-            self.committed += delta
+        if value != self._last_committed:
             self.commit_active_cycles += 1
             self._last_committed = value
 
@@ -227,19 +172,14 @@ class ProbeBus:
         the completion wheel — so the bus takes each sample once and
         scales it by ``count``.  A *blocked* window (the machine is not
         empty: a latch or a ready list holds instructions that cannot
-        move) scales its latch occupancies like any other sample.  The
-        scheduler has already closed the window's stall/throttle
-        statistics in batch before calling here, so the two fetch
-        idle-regime counters are folded in by *differencing* against
-        their last-seen values — exactly the ``end_cycle`` bookkeeping,
-        valid for any mix of redirect-stalled and fetch-gated cycles (and
-        a no-op on SMT windows, where an idle cycle picks no thread and
-        moves no machine-level counter) — so a run ending on a skip still
-        reconciles.  The window also feeds the skip telemetry: total
-        skipped cycles, window count, blocked-window count, and a
-        power-of-two window-length histogram.
+        move) scales its latch occupancies like any other sample.  No
+        stage is active and no instruction counter moves, so the
+        activity tests have nothing to record; the window's stall and
+        throttle cycles the scheduler closes in ``SimStats`` itself.
+        The window also feeds the skip telemetry: total skipped cycles,
+        window count, blocked-window count, and a power-of-two
+        window-length histogram.
         """
-        self.cycles += count
         self.skipped_cycles += count
         self.skip_windows += 1
         bucket = 1 << (count.bit_length() - 1)
@@ -264,17 +204,6 @@ class ProbeBus:
         for controller in self._throttlers:
             residency[controller._fetch_level] += count
         residency[0] += self._unthrottled * count
-        stats = kernel.stats
-        value = stats.redirect_stall_cycles
-        delta = value - self._last_redirect
-        if delta:
-            self.redirect_stall_cycles += delta
-            self._last_redirect = value
-        value = stats.fetch_throttled_cycles
-        delta = value - self._last_fetch_throttled
-        if delta:
-            self.fetch_throttled_cycles += delta
-            self._last_fetch_throttled = value
 
     # ------------------------------------------------------------------
     # Lifecycle and export
@@ -285,9 +214,8 @@ class ProbeBus:
 
         ``Processor.reset_measurement`` rebinds ``kernel.stats`` to a
         fresh :class:`SimStats`, so the last-seen values reset to zero
-        with everything else and the next delta starts clean.
+        with everything else and the next activity test starts clean.
         """
-        self.cycles = 0
         self.rob_occupancy_sum = 0
         self.iq_occupancy_sum = 0
         self.lsq_occupancy_sum = 0
@@ -302,43 +230,23 @@ class ProbeBus:
         self._pending_writebacks = 0
         self.writeback_drained = 0
         self.writeback_active_cycles = 0
-        self.fetched = 0
-        self.fetched_wrong_path = 0
         self.fetch_active_cycles = 0
-        self.icache_stall_cycles = 0
-        self.redirect_stall_cycles = 0
-        self.fetch_throttled_cycles = 0
-        self.decoded = 0
         self.decode_active_cycles = 0
-        self.decode_throttled_cycles = 0
-        self.renamed = 0
         self.rename_active_cycles = 0
-        self.issued = 0
-        self.issued_wrong_path = 0
         self.issue_active_cycles = 0
-        self.selection_blocked = 0
-        self.committed = 0
         self.commit_active_cycles = 0
-        self.squashed_instructions = 0
-        self.squash_recoveries = 0
         self._last_fetched = 0
-        self._last_fetched_wp = 0
-        self._last_icache = 0
-        self._last_redirect = 0
-        self._last_fetch_throttled = 0
         self._last_decoded = 0
-        self._last_decode_throttled = 0
         self._last_renamed = 0
         self._last_issued = 0
-        self._last_issued_wp = 0
-        self._last_selection_blocked = 0
         self._last_committed = 0
-        self._last_squashed = 0
-        self._last_squashes = 0
 
     def snapshot(self) -> Dict:
         """A JSON-safe dict of every counter group (integer sums only,
-        so a snapshot is exactly reproducible run to run)."""
+        so a snapshot is exactly reproducible run to run).  Instruction
+        and stall counts come from ``kernel.stats``; the rest is the
+        bus's own."""
+        stats = self.kernel.stats
         threads: List[Dict] = []
         for index, thread in enumerate(self.kernel.threads):
             threads.append({
@@ -350,39 +258,39 @@ class ProbeBus:
                 "rob_occupancy_sum": self.thread_rob_sum[index],
             })
         return {
-            "cycles": self.cycles,
+            "cycles": stats.cycles,
             "stages": {
                 "fetch": {
-                    "instructions": self.fetched,
-                    "wrong_path": self.fetched_wrong_path,
+                    "instructions": stats.fetched,
+                    "wrong_path": stats.fetched_wrong_path,
                     "active_cycles": self.fetch_active_cycles,
-                    "stall_icache": self.icache_stall_cycles,
-                    "stall_redirect": self.redirect_stall_cycles,
-                    "stall_throttle": self.fetch_throttled_cycles,
+                    "stall_icache": stats.icache_stall_cycles,
+                    "stall_redirect": stats.redirect_stall_cycles,
+                    "stall_throttle": stats.fetch_throttled_cycles,
                 },
                 "decode": {
-                    "instructions": self.decoded,
+                    "instructions": stats.decoded,
                     "active_cycles": self.decode_active_cycles,
-                    "stall_throttle": self.decode_throttled_cycles,
+                    "stall_throttle": stats.decode_throttled_cycles,
                 },
                 "rename": {
-                    "instructions": self.renamed,
+                    "instructions": stats.renamed,
                     "active_cycles": self.rename_active_cycles,
                 },
                 "issue": {
-                    "instructions": self.issued,
-                    "wrong_path": self.issued_wrong_path,
+                    "instructions": stats.issued,
+                    "wrong_path": stats.issued_wrong_path,
                     "active_cycles": self.issue_active_cycles,
-                    "selection_blocked": self.selection_blocked,
+                    "selection_blocked": stats.selection_blocked,
                 },
                 "writeback": {
                     "instructions": self.writeback_drained,
                     "active_cycles": self.writeback_active_cycles,
-                    "squashed": self.squashed_instructions,
-                    "recoveries": self.squash_recoveries,
+                    "squashed": stats.squashed,
+                    "recoveries": stats.squashes,
                 },
                 "commit": {
-                    "instructions": self.committed,
+                    "instructions": stats.committed,
                     "active_cycles": self.commit_active_cycles,
                 },
             },

@@ -180,12 +180,6 @@ class XorShiftRNG:
             < probability
         )
 
-    def shuffle(self, items: list) -> None:
-        """Shuffle a list in place (Fisher-Yates)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
 
 def stateless_hash_step(state: int, value: int) -> int:
     """One splitmix64 chaining step of a stateless random source.

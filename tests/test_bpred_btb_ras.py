@@ -36,16 +36,6 @@ def test_btb_lru_eviction_within_set():
     assert btb.lookup(pc_c) == 3
 
 
-def test_btb_hit_rate_counter():
-    btb = BranchTargetBuffer(64, 2)
-    btb.lookup(0x1000)
-    btb.update(0x1000, 0x2000)
-    btb.lookup(0x1000)
-    assert btb.lookups == 2
-    assert btb.hits == 1
-    assert btb.hit_rate == 0.5
-
-
 def test_btb_bad_geometry():
     with pytest.raises(ConfigurationError):
         BranchTargetBuffer(10, 3)

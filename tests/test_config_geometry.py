@@ -1,11 +1,9 @@
 """Pipeline-geometry derivations of ProcessorConfig."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.pipeline.config import ProcessorConfig, table3_config
+from repro.pipeline.config import table3_config
 
 
 def test_effective_fetch_buffer_scales_with_depth():
@@ -21,25 +19,6 @@ def test_effective_fetch_buffer_covers_front_end_bandwidth():
         config = table3_config().with_depth(depth)
         needed = config.fetch_width * config.front_end_stages
         assert config.effective_fetch_buffer >= needed
-
-
-def test_explicit_fetch_buffer_respected():
-    config = replace(table3_config(), fetch_buffer_size=48)
-    assert config.effective_fetch_buffer == 48
-
-
-def test_explicit_fetch_buffer_not_sticky_across_depth_change():
-    auto = table3_config()  # fetch_buffer_size == 0 (auto)
-    deep = auto.with_depth(28)
-    assert deep.fetch_buffer_size == 0
-    assert deep.effective_fetch_buffer == deep.fetch_width * (
-        deep.front_end_stages + 2
-    )
-
-
-def test_negative_fetch_buffer_rejected():
-    with pytest.raises(ConfigurationError):
-        ProcessorConfig(fetch_buffer_size=-1)
 
 
 def test_front_end_plus_backend_equals_depth():

@@ -1,10 +1,12 @@
-"""Every Markdown file and script the code and the docs point at must exist.
+"""Every Markdown file, script and study the code and the docs point at
+must exist.
 
 Docstrings and comments cite documents for rationale ("see
 docs/ARCHITECTURE.md"), and docs, CI steps and the verify notes give
 commands that run scripts ("python tests/test_cost_ledger.py
---regenerate"); a citation of a file that was never written, or was
-since removed, sends the reader nowhere.  Paths are resolved from the
+--regenerate") or studies ("repro study run fidelity"); a citation of a
+file or study that was never written, or was since removed, sends the
+reader nowhere.  Paths are resolved from the
 repository root.  ``CHANGES.md`` and ``ROADMAP.md`` are history and are
 not scanned.
 """
@@ -22,6 +24,9 @@ MD_PATH = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
 PY_PATH = re.compile(
     r"(?<![\w./-])(?:benchmarks|tools|tests|perfbench|examples)/[\w./-]*\w\.py\b"
 )
+# A ``repro study run`` command and the study names it gives (lower-case
+# words; upper-case placeholders such as ``NAME`` are not names).
+STUDY_RUN = re.compile(r"\brepro study run((?: [a-z][\w-]*)+)")
 
 
 def _scanned_files():
@@ -69,3 +74,21 @@ def test_every_named_markdown_file_exists():
 def test_every_named_script_exists():
     missing = _missing(PY_PATH)
     assert not missing, "dangling script references:\n" + "\n".join(missing)
+
+
+def test_every_named_study_is_registered():
+    from repro.studies import study_names
+
+    known = set(study_names())
+    named = [
+        (source, number, name)
+        for source, number, command in _references(STUDY_RUN)
+        for name in STUDY_RUN.match(command).group(1).split()
+    ]
+    assert any(name == "fidelity" for _, _, name in named)
+    unknown = [
+        f"{source}:{number}: {name}"
+        for source, number, name in named
+        if name not in known
+    ]
+    assert not unknown, "unregistered studies named:\n" + "\n".join(unknown)

@@ -243,16 +243,23 @@ def _not_an_object(text):
     return json.dumps([json.loads(text)])
 
 
+def _drop_kind(text):
+    payload = json.loads(text)
+    del payload["kind"]
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize(
-    "damage", (_truncate, _drop_result, _bad_result, _not_an_object)
+    "damage", (_truncate, _drop_result, _bad_result, _not_an_object, _drop_kind)
 )
 def test_damaged_cache_entry_is_a_miss_and_the_rerun_rewrites_it(
     tmp_path, throttled_result, damage
 ):
     """Fault injection: a truncated entry, entries that parse with the
-    right schema and kind but carry no well-formed ``result``, and JSON
-    that is not an object are misses (never an exception out of the
-    sweep), and rerunning the cell rewrites the entry."""
+    right schema and kind but carry no well-formed ``result``, JSON that
+    is not an object, and a well-formed entry with no ``kind`` field are
+    misses (never an exception out of the sweep), and rerunning the cell
+    rewrites the entry."""
     cell = _cell()
     cache = ResultCache(str(tmp_path))
     cache.put(cell, throttled_result)

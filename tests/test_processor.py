@@ -75,7 +75,7 @@ def test_commit_order_is_program_order(fresh_program):
     original_tick = commit_stage.tick
 
     def spying_tick(cycle, activity):
-        entries = processor.rob.entries
+        entries = processor.threads[0].rob.entries
         head = entries[0] if entries else None
         if head is not None and head.completed and head.true_index >= 0:
             seen.append(head.true_index)
@@ -199,7 +199,7 @@ def test_rob_never_holds_squashed(fresh_program):
     processor = Processor(table3_config(), fresh_program, seed=42)
     for _ in range(3000):
         processor.step()
-        assert all(not instr.squashed for instr in processor.rob.entries)
+        assert all(not instr.squashed for instr in processor.threads[0].rob.entries)
 
 
 def test_power_activity_is_recorded(fresh_program):

@@ -79,9 +79,9 @@ def test_plan_batches_keeps_affinity_groups_together():
     assert planned == list(range(len(pending)))
 
 
-def test_plan_batches_honours_explicit_batch_size():
-    pending = list(enumerate(_grid()))
-    batches = plan_batches(pending, jobs=2, batch_cells=2)
+def test_plan_batches_caps_batches_at_a_workers_share():
+    pending = list(enumerate(_grid()))  # 6 cells: the share on 3 jobs is 2
+    batches = plan_batches(pending, jobs=3)
     assert all(len(batch) <= 2 for batch in batches)
     planned = sorted(index for batch in batches for index, _ in batch)
     assert planned == list(range(len(pending)))
@@ -89,7 +89,7 @@ def test_plan_batches_honours_explicit_batch_size():
 
 def test_plan_batches_splits_oversized_groups():
     pending = list(enumerate([_cell() for _ in range(5)]))
-    batches = plan_batches(pending, jobs=2, batch_cells=2)
+    batches = plan_batches(pending, jobs=3)
     assert [len(batch) for batch in batches] == [2, 2, 1]
 
 
@@ -116,23 +116,21 @@ def test_plan_batches_empty():
     assert plan_batches([], jobs=4) == []
 
 
-# --- determinism across jobs and batch sizes ---------------------------------
+# --- determinism across jobs -------------------------------------------------
 
 @pytest.fixture(scope="module")
 def serial_results():
     return SweepScheduler().run_cells(_grid())
 
 
-@pytest.mark.parametrize("jobs,batch_cells", [
-    (1, 1), (1, 2), (2, None), (2, 1), (3, None), (3, 2),
-])
-def test_batched_equals_serial(serial_results, jobs, batch_cells):
-    scheduler = SweepScheduler(jobs=jobs, batch_cells=batch_cells)
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_batched_equals_serial(serial_results, jobs):
+    scheduler = SweepScheduler(jobs=jobs)
     assert scheduler.run_cells(_grid()) == serial_results
 
 
 def test_stream_yields_submission_order(serial_results):
-    scheduler = SweepScheduler(jobs=2, batch_cells=1)
+    scheduler = SweepScheduler(jobs=3)
     seen = list(scheduler.stream(_grid()))
     assert [index for index, _ in seen] == list(range(len(serial_results)))
     assert [result for _, result in seen] == serial_results
@@ -376,7 +374,7 @@ def test_dead_worker_names_every_unsettled_cell(monkeypatch, serial_results):
 
 
 def test_scheduler_counts_batches():
-    scheduler = SweepScheduler(batch_cells=2)
+    scheduler = SweepScheduler(jobs=3)
     scheduler.run_cells(_grid())
-    # 2 affinity groups of 3 cells at batch size 2: [2]+[1] per group.
+    # 2 affinity groups of 3 cells, a share of 2 on 3 jobs: [2]+[1] per group.
     assert scheduler.batches_dispatched == 4

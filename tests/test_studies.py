@@ -129,7 +129,7 @@ def test_run_study_progress_streams_every_cell(fig1_run):
     ticks = []
     run = run_study(
         get_study("figure1"), _CTX,
-        executor=SweepScheduler(jobs=2, batch_cells=1),
+        executor=SweepScheduler(jobs=2),
         progress=lambda done, total: ticks.append((done, total)),
     )
     assert ticks == [(i + 1, 4) for i in range(4)]

@@ -6,9 +6,10 @@ Four contracts under test:
   instrumented stepper at construction (never a per-cycle branch), is
   excluded from cache fingerprints, and an instrumented run commits the
   same instructions in the same cycles as a plain one.
-* **Counter correctness** — probe totals over the measured window
-  reconcile exactly with the kernel's own ``SimStats``, and the
-  throttle-residency histogram covers every cycle of every thread.
+* **Counter correctness** — the snapshot's stage counts are the
+  kernel's own ``SimStats`` over the measured window, and the bus's
+  throttle-residency histogram covers every one of those cycles on
+  every thread.
 * **Export round-trips** — JSONL written through the sink reads back
   equal and validates; the Prometheus exposition parses back to the
   aggregated counters; corrupt streams are named, not swallowed.
@@ -123,22 +124,21 @@ def test_instrumented_run_bit_identical_to_plain():
 def test_probe_counters_reconcile_with_stats():
     processor = _processor(telemetry=True)
     processor.run(2000, warmup_instructions=400)
-    probes, stats = processor.probes, processor.stats
-    assert probes.cycles == stats.cycles
-    assert probes.fetched == stats.fetched
-    assert probes.fetched_wrong_path == stats.fetched_wrong_path
-    assert probes.decoded == stats.decoded
-    assert probes.renamed == stats.renamed
-    assert probes.issued == stats.issued
-    assert probes.committed == stats.committed
-    assert probes.squashed_instructions == stats.squashed
-    assert probes.squash_recoveries == stats.squashes
-    assert probes.selection_blocked == stats.selection_blocked
-    snapshot = probes.snapshot()
+    stats = processor.stats
+    snapshot = processor.probes.snapshot()
+    stages = snapshot["stages"]
     assert snapshot["cycles"] == stats.cycles
-    assert snapshot["stages"]["commit"]["instructions"] == stats.committed
+    assert stages["fetch"]["instructions"] == stats.fetched
+    assert stages["fetch"]["wrong_path"] == stats.fetched_wrong_path
+    assert stages["decode"]["instructions"] == stats.decoded
+    assert stages["rename"]["instructions"] == stats.renamed
+    assert stages["issue"]["instructions"] == stats.issued
+    assert stages["commit"]["instructions"] == stats.committed
+    assert stages["writeback"]["squashed"] == stats.squashed
+    assert stages["writeback"]["recoveries"] == stats.squashes
+    assert stages["issue"]["selection_blocked"] == stats.selection_blocked
     # Active cycles can never exceed the window.
-    for group in snapshot["stages"].values():
+    for group in stages.values():
         assert 0 <= group["active_cycles"] <= stats.cycles
 
 
@@ -152,7 +152,9 @@ def test_throttle_residency_covers_every_cycle(monkeypatch):
     processor = build_processor(cell)
     processor.run(cell.instructions, warmup_instructions=cell.warmup)
     probes = processor.probes
-    assert sum(probes.throttle_residency) == probes.cycles * probes.nthreads
+    cycles = probes.snapshot()["cycles"]
+    assert cycles == processor.stats.cycles
+    assert sum(probes.throttle_residency) == cycles * probes.nthreads
     # C2 on 'go' throttles hard: sub-FULL residency must appear.
     assert sum(probes.throttle_residency[1:]) > 0
 

@@ -201,15 +201,6 @@ def test_weighted_thresholds_pick_what_weighted_choice_did(weights):
         assert rng.next_u64() == value
 
 
-def test_shuffle_is_permutation():
-    rng = XorShiftRNG(11)
-    items = list(range(50))
-    shuffled = items.copy()
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items
-    assert shuffled != items  # astronomically unlikely to be identity
-
-
 def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
     assert derive_seed(1, "a") != derive_seed(1, "b")
