@@ -116,17 +116,24 @@ def test_plan_batches_empty():
     assert plan_batches([], jobs=4) == []
 
 
-# --- determinism across jobs -------------------------------------------------
+# --- determinism across jobs and batch plans ---------------------------------
 
 @pytest.fixture(scope="module")
 def serial_results():
     return SweepScheduler().run_cells(_grid())
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_batched_equals_serial(serial_results, jobs):
+@pytest.mark.parametrize("jobs,warm", [
+    (1, 1), (1, 2), (2, None), (2, 1), (3, None), (3, 2),
+])
+def test_batched_equals_serial(serial_results, jobs, warm):
+    # ``warm`` leading cells settle first, so the rest of the grid is
+    # planned into different batch sizes than the full grid would be.
     scheduler = SweepScheduler(jobs=jobs)
+    if warm is not None:
+        scheduler.run_cells(_grid()[:warm])
     assert scheduler.run_cells(_grid()) == serial_results
+    assert scheduler.executed == len(serial_results)
 
 
 def test_stream_yields_submission_order(serial_results):
