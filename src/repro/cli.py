@@ -351,7 +351,9 @@ def _bars(spec, artifact, metric: str) -> Optional[str]:
     """Text bars of a figure or configuration-sweep artifact (else None)."""
     if isinstance(artifact, FigureResult):
         return figure_bars(artifact, metric)
-    if "transform" in spec.options:  # a figure 6/7 configuration sweep
+    from repro.studies import library
+
+    if spec.summarize is library._summarize_config_sweep:  # figures 6 and 7
         # The x label is the unit's last word: "depth", "KB".
         return sweep_lines(
             artifact, (metric,), x_label=spec.axes[0].name.split()[-1]

@@ -127,25 +127,6 @@ class CampaignResult:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignResult":
-        payload = json.loads(text)
-        return cls(
-            name=payload["name"],
-            seeds=list(payload["seeds"]),
-            instructions=int(payload["instructions"]),
-            samples=payload["samples"],
-        )
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "CampaignResult":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
-
 
 def campaign_cells(
     experiments: Dict[str, ControllerSpec],

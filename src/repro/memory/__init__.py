@@ -1,7 +1,7 @@
 """Memory hierarchy: set-associative caches, TLB and the Table-3 wiring."""
 
 from repro.memory.cache import Cache, CacheStats
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TLB
 
-__all__ = ["Cache", "CacheStats", "TLB", "MemoryHierarchy", "AccessResult"]
+__all__ = ["Cache", "CacheStats", "TLB", "MemoryHierarchy"]

@@ -12,17 +12,6 @@ from repro.memory.cache import Cache
 from repro.memory.tlb import TLB
 
 
-class AccessResult:
-    """Latency and level-of-service of one memory access."""
-
-    __slots__ = ("latency", "l1_hit", "l2_hit")
-
-    def __init__(self, latency: int, l1_hit: bool, l2_hit: bool) -> None:
-        self.latency = latency
-        self.l1_hit = l1_hit
-        self.l2_hit = l2_hit
-
-
 class MemoryHierarchy:
     """I-cache + D-cache backed by a unified L2 and a shared TLB."""
 
@@ -50,25 +39,9 @@ class MemoryHierarchy:
         # Deep-pipeline sweeps (paper §5.3.1) lengthen the D-cache pipe.
         self.extra_dcache_latency = extra_dcache_latency
 
-    def fetch(self, address: int) -> AccessResult:
-        """Instruction fetch access for the line containing ``address``."""
-        return self._access(self.icache, address, translate=False)
-
-    def load(self, address: int) -> AccessResult:
-        """Data load access."""
-        result = self._access(self.dcache, address, translate=True)
-        result.latency += self.extra_dcache_latency
-        return result
-
-    # ------------------------------------------------------------------
-    # Tuple fast paths for the per-cycle pipeline stages
-    # ------------------------------------------------------------------
-    #
-    # Identical cache/TLB state transitions and latencies as the
-    # AccessResult methods above, returned as a plain ``(latency,
-    # l1_hit)`` pair: the stage kernel performs one of these per fetched
-    # line and per issued memory op, and the result-object allocation was
-    # measurable there.
+    # Each access returns a plain ``(latency, l1_hit)`` pair: the stage
+    # kernel performs one per fetched line and per issued memory op.  An
+    # L2 hit and a memory access differ only in latency.
 
     def fetch_line(self, address: int):
         """Instruction fetch as ``(latency, l1_hit)``."""
@@ -90,18 +63,6 @@ class MemoryHierarchy:
     def store_data(self, address: int):
         """Data store as ``(latency, l1_hit)`` (write-allocate, like a load)."""
         return self.load_data(address)
-
-    def _access(self, l1: Cache, address: int, translate: bool) -> AccessResult:
-        latency = self.l1_latency
-        if translate:
-            latency += self.tlb.access(address)
-        l1_hit = l1.access(address)
-        if l1_hit:
-            return AccessResult(latency, True, False)
-        l2_hit = self.l2.access(address)
-        if l2_hit:
-            return AccessResult(latency + self.l2_latency, False, True)
-        return AccessResult(latency + self.memory_latency, False, False)
 
     def reset_stats(self) -> None:
         """Zero all cache statistics (content is preserved)."""

@@ -8,6 +8,19 @@ reports — plus the paper-adjacent studies the scheduler makes affordable
 (the 4-thread mix grid, the shared-vs-partitioned back-end sweep, and
 the figure-level confidence × throttle cross sweep).
 
+Every single-thread study except the campaign compiles through
+:func:`_compile_points`: points × (``baseline`` + mechanisms) ×
+benchmarks, one cell keyed ``(point, label, benchmark)`` each.  A point
+is whatever the study varies across the machine (a pipeline depth, a
+table budget, an MSHR count, a clock-gating style); the study's
+``options["at_point"]`` turns ``(config, point)`` into the cell's
+``config``/``clock_gating``.  A one-point study (a figure, Table 1, the
+policy frontier) has the single point ``None`` on the context's
+configuration.  Summarisers read the plan back through
+:func:`_by_point` (point → label → benchmark → result).  The campaign
+keeps its own variant-major compiler, and the SMT studies share
+:func:`_compile_smt_grid` (one mix report is a one-point grid).
+
 Builders (``grid_study``, ``config_sweep_study``, ``campaign_study`` …)
 produce parameterised specs; the module-level ``register`` calls publish
 the default instances that ``repro study list/run`` exposes, and the
@@ -20,7 +33,7 @@ fold into the result types of :mod:`repro.experiments` (``FigureResult``,
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments.campaign import (
@@ -36,9 +49,24 @@ from repro.experiments.engine import (
     smt_baseline_cells,
 )
 from repro.experiments.figures import FigureResult, format_figure, format_sweep
+from repro.experiments.policy_search import (
+    PolicyPoint,
+    _ed2_improvement,
+    enumerate_policies,
+    format_points,
+    pareto_frontier,
+)
 from repro.experiments.results import compare
+from repro.experiments.tables import format_table1
 from repro.pipeline.config import table3_config
 from repro.power.model import ClockGatingStyle
+from repro.power.units import (
+    TABLE1_SHARES,
+    TABLE1_TOTAL_WASTED,
+    TABLE1_TOTAL_WATTS,
+    TABLE1_WASTED,
+    PowerUnit,
+)
 from repro.report.export import figure_to_csv, figure_to_json
 from repro.report.smt import format_smt_report
 from repro.smt.metrics import harmonic_fairness, weighted_speedup
@@ -78,66 +106,71 @@ FIGURE5_EXPERIMENTS["C7"] = ("gating", 2)
 
 
 # ----------------------------------------------------------------------
-# Mechanism-grid studies (figures 1/3/4/5, ablation grids, cross sweeps)
+# The one single-thread plan: points x (baseline + mechanisms) x benchmarks
 # ----------------------------------------------------------------------
 
-def _compile_grid(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    experiments = spec.options["experiments"]
-    benchmarks = ctx.resolved_benchmarks(spec.options["benchmarks"])
+def _compile_points(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
+    """Each point: the baselines over the benchmarks, then each mechanism."""
+    options = spec.options
+    benchmarks = ctx.resolved_benchmarks(options.get("benchmarks", BENCHMARK_NAMES))
+    at_point = options.get("at_point", lambda config, point: {"config": config})
+    mechanisms = {"baseline": ("baseline",), **options.get("experiments", {})}
     cells, keys = [], []
-    for benchmark in benchmarks:
-        cells.append(make_cell(
-            benchmark, ("baseline",), config=ctx.config,
-            instructions=ctx.instructions, warmup=ctx.warmup,
-        ))
-        keys.append(("baseline", benchmark))
-    for label, controller_spec in experiments.items():
-        for benchmark in benchmarks:
-            cells.append(make_cell(
-                benchmark, controller_spec, config=ctx.config,
-                instructions=ctx.instructions, warmup=ctx.warmup, label=label,
-            ))
-            keys.append((label, benchmark))
+    for point in options.get("points", (None,)):
+        setting = at_point(ctx.config or table3_config(), point)
+        for label, controller_spec in mechanisms.items():
+            for benchmark in benchmarks:
+                cells.append(make_cell(
+                    benchmark, controller_spec, instructions=ctx.instructions,
+                    warmup=ctx.warmup, **setting,
+                    label=None if label == "baseline" else label,
+                ))
+                keys.append((point, label, benchmark))
     return StudyPlan(cells, keys)
 
 
-def _summarize_grid(spec, ctx, plan, results) -> FigureResult:
-    experiments = spec.options["experiments"]
-    by_key = dict(zip(plan.keys, results))
-    benchmarks = [bm for kind, bm in plan.keys if kind == "baseline"]
-    figure = FigureResult(spec.name)
-    for label in experiments:
+def _by_point(plan: StudyPlan, results) -> Dict[Any, Dict[str, Dict[str, Any]]]:
+    """A :func:`_compile_points` plan's results: point → label → benchmark."""
+    table: Dict[Any, Dict[str, Dict[str, Any]]] = {}
+    for (point, label, benchmark), result in zip(plan.keys, results):
+        table.setdefault(point, {}).setdefault(label, {})[benchmark] = result
+    return table
+
+
+def _figure(name: str, by_label, labels) -> FigureResult:
+    """Each label's per-benchmark comparison against the baseline."""
+    figure = FigureResult(name)
+    for label in labels:
         figure.rows[label] = {
-            benchmark: compare(by_key[("baseline", benchmark)],
-                               by_key[(label, benchmark)])
-            for benchmark in benchmarks
+            benchmark: compare(baseline, by_label[label][benchmark])
+            for benchmark, baseline in by_label["baseline"].items()
         }
     return figure
 
 
+def _summarize_grid(spec, ctx, plan, results) -> FigureResult:
+    return _figure(spec.name, _by_point(plan, results)[None],
+                   spec.options["experiments"])
+
+
 def grid_study(
-    name: str,
-    experiments: Dict[str, Tuple],
-    title: Optional[str] = None,
-    description: str = "",
-    benchmarks: Optional[Sequence[str]] = None,
+    name: str, experiments: Dict[str, Tuple], description: str = "",
 ) -> StudySpec:
     """A mechanisms × benchmarks comparison grid (one curve per label)."""
-    defaults = tuple(benchmarks or BENCHMARK_NAMES)
     return StudySpec(
         name=name,
-        title=title or name,
+        title=name,
         description=description,
         axes=(
             Axis("mechanism", tuple(experiments)),
-            Axis("benchmark", defaults),
+            Axis("benchmark", tuple(BENCHMARK_NAMES)),
         ),
-        compile=_compile_grid,
+        compile=_compile_points,
         summarize=_summarize_grid,
         render=format_figure,
         to_csv=figure_to_csv,
         to_json=figure_to_json,
-        options={"experiments": dict(experiments), "benchmarks": defaults},
+        options={"experiments": dict(experiments)},
     )
 
 
@@ -145,50 +178,12 @@ def grid_study(
 # Configuration sweeps (figures 6 and 7)
 # ----------------------------------------------------------------------
 
-def _compile_config_sweep(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    points = spec.options["points"]
-    transform = spec.options["transform"]
-    experiments = spec.options["experiments"]
-    benchmarks = ctx.resolved_benchmarks(spec.options["benchmarks"])
-    base = ctx.config or table3_config()
-    cells, keys = [], []
-    for point in points:
-        config = transform(base, point)
-        for benchmark in benchmarks:
-            cells.append(make_cell(
-                benchmark, ("baseline",), config=config,
-                instructions=ctx.instructions, warmup=ctx.warmup,
-            ))
-            keys.append((point, "baseline", benchmark))
-        for label, controller_spec in experiments.items():
-            for benchmark in benchmarks:
-                cells.append(make_cell(
-                    benchmark, controller_spec, config=config,
-                    instructions=ctx.instructions, warmup=ctx.warmup,
-                    label=label,
-                ))
-                keys.append((point, label, benchmark))
-    return StudyPlan(cells, keys)
-
-
 def _summarize_config_sweep(spec, ctx, plan, results) -> Dict[int, Dict[str, float]]:
-    experiments = spec.options["experiments"]
-    label = next(iter(experiments))
-    by_key = dict(zip(plan.keys, results))
-    sweep: Dict[int, Dict[str, float]] = {}
-    for point in spec.options["points"]:
-        benchmarks = [
-            bm for pt, kind, bm in plan.keys
-            if pt == point and kind == "baseline"
-        ]
-        figure = FigureResult(f"{spec.name}-{point}")
-        figure.rows[label] = {
-            benchmark: compare(by_key[(point, "baseline", benchmark)],
-                               by_key[(point, label, benchmark)])
-            for benchmark in benchmarks
-        }
-        sweep[point] = figure.average(label)
-    return sweep
+    label = next(iter(spec.options["experiments"]))
+    return {
+        point: _figure(f"{spec.name}-{point}", by_label, [label]).average(label)
+        for point, by_label in _by_point(plan, results).items()
+    }
 
 
 def config_sweep_study(
@@ -197,11 +192,10 @@ def config_sweep_study(
     transform,
     unit: str,
     sweep_title: str,
-    experiments: Optional[Dict[str, Tuple]] = None,
     description: str = "",
 ) -> StudySpec:
-    """A machine-configuration sweep of one mechanism vs its baseline."""
-    experiments = experiments or {"C2": ("throttle", "C2")}
+    """A machine-configuration sweep of C2 vs its same-point baseline."""
+    experiments = {"C2": ("throttle", "C2")}
     return StudySpec(
         name=name,
         title=sweep_title,
@@ -211,14 +205,13 @@ def config_sweep_study(
             Axis("mechanism", tuple(experiments)),
             Axis("benchmark", tuple(BENCHMARK_NAMES)),
         ),
-        compile=_compile_config_sweep,
+        compile=_compile_points,
         summarize=_summarize_config_sweep,
         render=lambda sweep: format_sweep(sweep_title, sweep, unit),
         options={
             "points": tuple(points),
-            "transform": transform,
+            "at_point": lambda config, point: {"config": transform(config, point)},
             "experiments": dict(experiments),
-            "benchmarks": tuple(BENCHMARK_NAMES),
         },
     )
 
@@ -249,44 +242,26 @@ def table_size_sweep_study(total_kb: Sequence[int] = (8, 16, 32, 64)) -> StudySp
 # Table 1 (baseline power breakdown)
 # ----------------------------------------------------------------------
 
-def _compile_table1(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    benchmarks = ctx.resolved_benchmarks(BENCHMARK_NAMES)
-    cells = [
-        make_cell(benchmark, ("baseline",), config=ctx.config,
-                  instructions=ctx.instructions, warmup=ctx.warmup)
-        for benchmark in benchmarks
-    ]
-    return StudyPlan(cells, list(benchmarks))
-
-
 def _summarize_table1(spec, ctx, plan, results) -> Dict[str, Dict[str, float]]:
-    from repro.power.units import (TABLE1_SHARES, TABLE1_TOTAL_WASTED,
-                                   TABLE1_TOTAL_WATTS, TABLE1_WASTED, PowerUnit)
-
+    bases = list(_by_point(plan, results)[None]["baseline"].values())
     rows: Dict[str, Dict[str, float]] = {}
     for unit in PowerUnit:
         key = unit.name.lower()
         rows[key] = {
-            "share": arithmetic_mean(r.breakdown[key]["share"] for r in results),
+            "share": arithmetic_mean(r.breakdown[key]["share"] for r in bases),
             "wasted": arithmetic_mean(
-                r.breakdown[key]["wasted_of_overall"] for r in results
+                r.breakdown[key]["wasted_of_overall"] for r in bases
             ),
             "paper_share": TABLE1_SHARES[unit],
             "paper_wasted": TABLE1_WASTED[key],
         }
     rows["total"] = {
-        "watts": arithmetic_mean(r.average_power_watts for r in results),
+        "watts": arithmetic_mean(r.average_power_watts for r in bases),
         "paper_watts": TABLE1_TOTAL_WATTS,
-        "wasted": arithmetic_mean(r.wasted_energy_fraction for r in results),
+        "wasted": arithmetic_mean(r.wasted_energy_fraction for r in bases),
         "paper_wasted": TABLE1_TOTAL_WASTED,
     }
     return rows
-
-
-def _render_table1(rows) -> str:
-    from repro.experiments.tables import format_table1
-
-    return format_table1(rows)
 
 
 def table1_study() -> StudySpec:
@@ -296,9 +271,9 @@ def table1_study() -> StudySpec:
         description="per-unit power shares and mis-speculation waste of the "
         "baseline suite vs the paper's Table 1",
         axes=(Axis("benchmark", tuple(BENCHMARK_NAMES)),),
-        compile=_compile_table1,
+        compile=_compile_points,
         summarize=_summarize_table1,
-        render=_render_table1,
+        render=format_table1,
     )
 
 
@@ -338,31 +313,16 @@ def gating_threshold_study(thresholds: Sequence[int] = (1, 2, 3, 4)) -> StudySpe
     )
 
 
-def _compile_clock_gating(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    benchmarks = ctx.resolved_benchmarks(BENCHMARK_NAMES)
-    cells, keys = [], []
-    for style in ClockGatingStyle:
-        for benchmark in benchmarks:
-            cells.append(make_cell(
-                benchmark, ("baseline",), config=ctx.config,
-                instructions=ctx.instructions, warmup=ctx.warmup,
-                clock_gating=style.value,
-            ))
-            keys.append((style.value, benchmark))
-    return StudyPlan(cells, keys)
-
-
 def _summarize_clock_gating(spec, ctx, plan, results) -> Dict[str, Dict[str, float]]:
-    by_key = dict(zip(plan.keys, results))
     out: Dict[str, Dict[str, float]] = {}
-    for style in ClockGatingStyle:
-        row = [by_key[key] for key in plan.keys if key[0] == style.value]
-        out[style.value] = {
+    for style, by_label in _by_point(plan, results).items():
+        bases = list(by_label["baseline"].values())
+        out[style] = {
             "average_power_watts": arithmetic_mean(
-                r.average_power_watts for r in row
+                r.average_power_watts for r in bases
             ),
             "wasted_fraction": arithmetic_mean(
-                r.wasted_energy_fraction for r in row
+                r.wasted_energy_fraction for r in bases
             ),
         }
     return out
@@ -380,52 +340,30 @@ def render_style_table(styles) -> str:
 
 
 def clock_gating_study() -> StudySpec:
+    styles = tuple(style.value for style in ClockGatingStyle)
     return StudySpec(
         name="clock-gating",
         title="Wattch conditional-clocking styles",
         description="baseline power under cc0-cc3 clock gating (the paper "
         "uses cc3)",
-        axes=(
-            Axis("style", tuple(style.value for style in ClockGatingStyle)),
-            Axis("benchmark", tuple(BENCHMARK_NAMES)),
-        ),
-        compile=_compile_clock_gating,
+        axes=(Axis("style", styles), Axis("benchmark", tuple(BENCHMARK_NAMES))),
+        compile=_compile_points,
         summarize=_summarize_clock_gating,
         render=render_style_table,
+        options={
+            "points": styles,
+            "at_point": lambda config, style: {
+                "config": config, "clock_gating": style,
+            },
+        },
     )
 
 
-def _compile_mshr(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    counts = spec.options["counts"]
-    benchmarks = ctx.resolved_benchmarks(BENCHMARK_NAMES)
-    base = ctx.config or table3_config()
-    cells, keys = [], []
-    for count in counts:
-        config = dc_replace(base, mshr_count=count)
-        for benchmark in benchmarks:
-            cells.append(make_cell(
-                benchmark, ("baseline",), config=config,
-                instructions=ctx.instructions, warmup=ctx.warmup,
-            ))
-            keys.append((count, "baseline", benchmark))
-            cells.append(make_cell(
-                benchmark, ("oracle", "fetch"), config=config,
-                instructions=ctx.instructions, warmup=ctx.warmup,
-            ))
-            keys.append((count, "oracle", benchmark))
-    return StudyPlan(cells, keys)
-
-
 def _summarize_mshr(spec, ctx, plan, results) -> Dict[int, Dict[str, float]]:
-    by_key = dict(zip(plan.keys, results))
     out: Dict[int, Dict[str, float]] = {}
-    for count in spec.options["counts"]:
-        benchmarks = [
-            bm for cnt, kind, bm in plan.keys
-            if cnt == count and kind == "baseline"
-        ]
-        bases = [by_key[(count, "baseline", bm)] for bm in benchmarks]
-        oracles = [by_key[(count, "oracle", bm)] for bm in benchmarks]
+    for count, by_label in _by_point(plan, results).items():
+        bases = list(by_label["baseline"].values())
+        oracles = list(by_label["oracle-fetch"].values())
         out[count] = {
             "baseline_ipc": arithmetic_mean(r.ipc for r in bases),
             "oracle_fetch_speedup": arithmetic_mean(
@@ -457,10 +395,16 @@ def mshr_study(counts: Sequence[int] = (2, 4, 8, 16)) -> StudySpec:
             Axis("mshr", tuple(str(count) for count in counts)),
             Axis("benchmark", tuple(BENCHMARK_NAMES)),
         ),
-        compile=_compile_mshr,
+        compile=_compile_points,
         summarize=_summarize_mshr,
         render=render_mshr_sweep,
-        options={"counts": tuple(counts)},
+        options={
+            "points": tuple(counts),
+            "at_point": lambda config, count: {
+                "config": dc_replace(config, mshr_count=count),
+            },
+            "experiments": {"oracle-fetch": ("oracle", "fetch")},
+        },
     )
 
 
@@ -545,51 +489,17 @@ def campaign_study(
 # Throttle-policy frontier search
 # ----------------------------------------------------------------------
 
-def _bpru_config(config):
-    config = config or table3_config()
-    if config.confidence_kind != "bpru":
-        config = dc_replace(config, confidence_kind="bpru")
-    return config
-
-
-def _compile_policies(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    policies = spec.options["policies"]
-    benchmarks = ctx.resolved_benchmarks(spec.options["benchmarks"])
-    config = _bpru_config(ctx.config)
-    cells, keys = [], []
-    for benchmark in benchmarks:
-        cells.append(make_cell(
-            benchmark, ("baseline",), config=config,
-            instructions=ctx.instructions, warmup=ctx.warmup,
-        ))
-        keys.append(("baseline", benchmark))
-    for policy in policies:
-        for benchmark in benchmarks:
-            cells.append(make_cell(
-                benchmark, policy_spec(policy), config=config,
-                instructions=ctx.instructions, warmup=ctx.warmup,
-            ))
-            keys.append((policy.name, benchmark))
-    return StudyPlan(cells, keys)
-
-
 def _summarize_policies(spec, ctx, plan, results):
-    from repro.experiments.policy_search import PolicyPoint, _ed2_improvement
-
-    by_key = dict(zip(plan.keys, results))
-    benchmarks = [bm for kind, bm in plan.keys if kind == "baseline"]
+    by_label = _by_point(plan, results)[None]
     points = []
-    for policy in spec.options["policies"]:
-        rows = []
-        for benchmark in benchmarks:
-            baseline = by_key[("baseline", benchmark)]
-            candidate = by_key[(policy.name, benchmark)]
-            rows.append((
-                compare(baseline, candidate),
-                _ed2_improvement(baseline, candidate),
-            ))
+    for name in spec.options["experiments"]:
+        rows = [
+            (compare(baseline, candidate), _ed2_improvement(baseline, candidate))
+            for baseline, candidate in zip(by_label["baseline"].values(),
+                                           by_label[name].values())
+        ]
         points.append(PolicyPoint(
-            policy_name=policy.name,
+            policy_name=name,
             speedup=arithmetic_mean(c.speedup for c, _ in rows),
             power_savings_pct=arithmetic_mean(
                 c.power_savings_pct for c, _ in rows
@@ -606,8 +516,6 @@ def _summarize_policies(spec, ctx, plan, results):
 
 
 def _render_policy_points(points) -> str:
-    from repro.experiments.policy_search import format_points, pareto_frontier
-
     frontier = pareto_frontier(points)
     names = ", ".join(point.policy_name for point in frontier)
     return (
@@ -617,13 +525,11 @@ def _render_policy_points(points) -> str:
 
 
 def policy_study(
-    policies,
-    benchmarks: Sequence[str] = ("go", "twolf", "gcc"),
-    name: str = "policy-frontier",
+    policies, benchmarks: Sequence[str] = ("go", "twolf", "gcc"),
 ) -> StudySpec:
     """Evaluate a throttle-policy set and extract its Pareto frontier."""
     return StudySpec(
-        name=name,
+        name="policy-frontier",
         title="throttle-policy frontier",
         description="suite-average metrics of every enumerated policy plus "
         "the (speedup, energy) Pareto frontier",
@@ -631,10 +537,17 @@ def policy_study(
             Axis("policy", tuple(policy.name for policy in policies)),
             Axis("benchmark", tuple(benchmarks)),
         ),
-        compile=_compile_policies,
+        compile=_compile_points,
         summarize=_summarize_policies,
         render=_render_policy_points,
-        options={"policies": tuple(policies), "benchmarks": tuple(benchmarks)},
+        options={
+            # Policies are evaluated on the paper's estimator, BPRU.
+            "at_point": lambda config, point: {
+                "config": dc_replace(config, confidence_kind="bpru"),
+            },
+            "experiments": {policy.name: policy_spec(policy) for policy in policies},
+            "benchmarks": tuple(benchmarks),
+        },
     )
 
 
@@ -642,26 +555,52 @@ def policy_study(
 # SMT studies
 # ----------------------------------------------------------------------
 
-def _smt_cell_for(spec_options, ctx, mix, policy, sharing, seed=None):
+def _smt_cell_for(ctx, mix, policy, sharing, seed=None):
     return make_smt_cell(
         mix, policy=policy, sharing=sharing, config=ctx.config,
         instructions=ctx.instructions, warmup=ctx.warmup, seed=seed,
     )
 
 
-def _compile_smt_mix(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    options = spec.options
-    cell = _smt_cell_for(
-        options, ctx, options["mix"], options["policy"], options["sharing"],
-        options.get("seed"),
-    )
-    cells = [cell] + smt_baseline_cells(cell)
-    keys = [("mix",)] + [("alone", i) for i in range(len(cells) - 1)]
+def _smt_row(result, alone_results) -> Dict[str, float]:
+    alone_ipcs = [alone.ipc for alone in alone_results]
+    return {
+        "total_ipc": result.total_ipc,
+        "weighted_speedup": weighted_speedup(result.thread_ipcs, alone_ipcs),
+        "fairness": harmonic_fairness(result.thread_ipcs, alone_ipcs),
+        "epi_nj": result.energy_per_instruction_nj,
+        "wasted_pct": result.wasted_energy_fraction * 100.0,
+    }
+
+
+def _compile_smt_grid(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
+    """Shared by the mix report, the mix-grid and the sharing sweep.
+
+    ``spec.options["points"]`` is a list of ``(mix, policy, sharing)``
+    triples (``options["seed"]``, if any, seeds every cell);
+    single-threaded references are enumerated once per mix, ahead of its
+    first point (the scheduler deduplicates identical cells anyway, but
+    a clean plan keeps ``executed`` counts meaningful).
+    """
+    seed = spec.options.get("seed")
+    cells, keys = [], []
+    seen_mixes = []
+    for mix, policy, sharing in spec.options["points"]:
+        if mix not in seen_mixes:
+            seen_mixes.append(mix)
+            reference = _smt_cell_for(ctx, mix, "confidence-gating",
+                                      "partitioned", seed)
+            for index, alone in enumerate(smt_baseline_cells(reference)):
+                cells.append(alone)
+                keys.append(("alone", mix, index))
+        cells.append(_smt_cell_for(ctx, mix, policy, sharing, seed))
+        keys.append(("smt", mix, policy, sharing))
     return StudyPlan(cells, keys)
 
 
 def _summarize_smt_mix(spec, ctx, plan, results):
-    return {"mix": results[0], "alone": results[1:]}
+    # A one-point grid: the references, then the mix.
+    return {"mix": results[-1], "alone": results[:-1]}
 
 
 def _render_smt_mix(artifact) -> str:
@@ -685,58 +624,20 @@ def smt_mix_study(
             Axis("policy", (policy,)),
             Axis("sharing", (sharing,)),
         ),
-        compile=_compile_smt_mix,
+        compile=_compile_smt_grid,
         summarize=_summarize_smt_mix,
         render=_render_smt_mix,
-        options={"mix": mix, "policy": policy, "sharing": sharing, "seed": seed},
+        options={"points": [(mix, policy, sharing)], "seed": seed},
     )
 
 
-def _smt_row(result, alone_results) -> Dict[str, float]:
-    alone_ipcs = [alone.ipc for alone in alone_results]
-    return {
-        "total_ipc": result.total_ipc,
-        "weighted_speedup": weighted_speedup(result.thread_ipcs, alone_ipcs),
-        "fairness": harmonic_fairness(result.thread_ipcs, alone_ipcs),
-        "epi_nj": result.energy_per_instruction_nj,
-        "wasted_pct": result.wasted_energy_fraction * 100.0,
-    }
-
-
-def _compile_smt_grid(spec: StudySpec, ctx: StudyContext) -> StudyPlan:
-    """Shared by the mix-grid and sharing-sweep studies.
-
-    ``spec.options["points"]`` is a list of ``(mix, policy, sharing)``
-    triples; single-threaded references are enumerated once per mix (the
-    scheduler deduplicates identical cells anyway, but a clean plan keeps
-    ``executed`` counts meaningful).
-    """
-    cells, keys = [], []
-    seen_mixes = []
-    for mix, policy, sharing in spec.options["points"]:
-        if mix not in seen_mixes:
-            seen_mixes.append(mix)
-            reference = _smt_cell_for(spec.options, ctx, mix,
-                                      "confidence-gating", "partitioned")
-            for index, alone in enumerate(smt_baseline_cells(reference)):
-                cells.append(alone)
-                keys.append(("alone", mix, index))
-        cells.append(_smt_cell_for(spec.options, ctx, mix, policy, sharing))
-        keys.append(("smt", mix, policy, sharing))
-    return StudyPlan(cells, keys)
-
-
 def _summarize_smt_grid(spec, ctx, plan, results):
-    by_key = dict(zip(plan.keys, results))
-    rows = {}
-    for mix, policy, sharing in spec.options["points"]:
-        alone = [
-            by_key[key] for key in plan.keys
-            if key[0] == "alone" and key[1] == mix
-        ]
-        rows[(mix, policy, sharing)] = _smt_row(
-            by_key[("smt", mix, policy, sharing)], alone
-        )
+    alone, rows = {}, {}
+    for key, result in zip(plan.keys, results):
+        if key[0] == "alone":
+            alone.setdefault(key[1], []).append(result)
+        else:
+            rows[key[1:]] = _smt_row(result, alone[key[1]])
     return rows
 
 
@@ -861,13 +762,4 @@ for _mix in MIX_NAMES:
     register(smt_mix_study(_mix))
 register(mix4_grid_study())
 register(smt_sharing_study())
-
-
-def default_policy_frontier_study() -> StudySpec:
-    """The fetch-only policy subspace (lazy: enumeration builds objects)."""
-    from repro.experiments.policy_search import enumerate_policies
-
-    return policy_study(enumerate_policies(include_decode=False))
-
-
-register(default_policy_frontier_study())
+register(policy_study(enumerate_policies(include_decode=False)))  # fetch-only

@@ -17,6 +17,7 @@ from repro.studies import (
     study_names,
 )
 from repro.studies.library import (
+    FIGURE3_EXPERIMENTS,
     campaign_study,
     grid_study,
     mix4_grid_study,
@@ -62,10 +63,68 @@ def test_grid_study_compiles_baseline_plus_experiments():
     plan = get_study("figure1").plan(_CTX)
     # 1 benchmark x (baseline + 3 oracle mechanisms).
     assert len(plan.cells) == 4
-    assert plan.keys[0] == ("baseline", "gzip")
-    assert {key[0] for key in plan.keys} == {
+    assert plan.keys[0] == (None, "baseline", "gzip")
+    assert {key[1] for key in plan.keys} == {
         "baseline", "oracle-fetch", "oracle-decode", "oracle-select"
     }
+
+
+def test_figure3_plan_order_is_pinned():
+    # perfbench compares result digests cell by cell in this order, and a
+    # digest includes the label: baselines first, then each mechanism.
+    from repro.experiments.engine import make_cell
+
+    ctx = StudyContext(benchmarks=("go", "gcc", "parser"), instructions=900,
+                       warmup=200)
+    lengths = {"instructions": 900, "warmup": 200}
+    expected = [make_cell(bm, ("baseline",), **lengths)
+                for bm in ctx.benchmarks]
+    expected += [
+        make_cell(bm, spec, label=label, **lengths)
+        for label, spec in FIGURE3_EXPERIMENTS.items()
+        for bm in ctx.benchmarks
+    ]
+    assert get_study("figure3").plan(ctx).cells == expected
+
+
+def test_campaign_plan_is_campaign_cells_in_order():
+    from repro.experiments.campaign import campaign_cells
+    from repro.pipeline.config import table3_config
+
+    experiments = {"C2": ("throttle", "C2"), "A5": ("throttle", "A5")}
+    ctx = StudyContext(benchmarks=("go", "gzip"), seeds=2, instructions=900,
+                       warmup=300)
+    pairs = campaign_cells(experiments, ["go", "gzip"], 2, 900, 300,
+                           table3_config())
+    plan = campaign_study(experiments).plan(ctx)
+    assert plan.cells == [cell for _, cell in pairs]
+    assert plan.keys == [key for key, _ in pairs]
+
+
+@pytest.mark.parametrize("name", [
+    "figure1", "figure3", "figure4", "figure5", "figure6", "figure7",
+    "table1", "estimator-swap", "escalation-rule", "gating-threshold",
+    "clock-gating", "mshr", "confidence-throttle-cross", "policy-frontier",
+])
+def test_single_thread_keys_are_point_label_benchmark(name):
+    ctx = StudyContext(benchmarks=("gzip", "go"), instructions=900, warmup=200)
+    spec = get_study(name)
+    plan = spec.plan(ctx)
+    points = spec.options.get("points", (None,))
+    labels = ["baseline", *spec.options.get("experiments", {})]
+    assert plan.keys == [
+        (point, label, benchmark)
+        for point in points for label in labels for benchmark in ("gzip", "go")
+    ]
+    for (point, label, benchmark), cell in zip(plan.keys, plan.cells):
+        assert cell.benchmark == benchmark
+        assert cell.effective_label == label
+        if name == "mshr":
+            assert cell.config.mshr_count == point
+        if name == "clock-gating":
+            assert cell.clock_gating == point
+        if name == "figure6":
+            assert cell.config == cell.config.with_depth(point)
 
 
 def test_context_benchmarks_flow_into_every_cell():
@@ -88,7 +147,10 @@ def test_campaign_study_respects_context_seeds():
 def test_smt_mix_study_compiles_mix_plus_references():
     plan = smt_mix_study("mix2-branchy").plan(_CTX)
     assert len(plan.cells) == 3  # the mix + one reference per thread
-    assert plan.keys[0] == ("mix",)
+    assert plan.keys == [
+        ("alone", "mix2-branchy", 0), ("alone", "mix2-branchy", 1),
+        ("smt", "mix2-branchy", "confidence-gating", "partitioned"),
+    ]
 
 
 def test_mix4_grid_enumerates_references_once_per_mix():
