@@ -111,7 +111,6 @@ from repro.studies import (
     StudySpec,
     get_study,
     run_study,
-    study_names,
 )
 from repro.workloads import BENCHMARK_NAMES, benchmark_spec
 
@@ -166,7 +165,6 @@ __all__ = [
     "StudyContext",
     "run_study",
     "get_study",
-    "study_names",
     # SMT
     "SmtProcessor",
     "SmtResult",

@@ -60,12 +60,7 @@ SLOTS_ALLOWLIST = frozenset({
 # states its reason; a file- or class-wide suppression is never
 # acceptable here — the point of the rule is that tick code stays
 # loop-and-accumulator shaped.
-HOT002_ALLOWLIST = frozenset({
-    # Cold probe/debug API: the wheel's total occupancy is only read by
-    # the sanitizer's ground-truth recomputation and tests, never by a
-    # stage tick, so the clearer sum()-over-buckets form is fine.
-    ("repro/pipeline/arrays.py", "CompletionWheel.__len__"),
-})
+HOT002_ALLOWLIST: frozenset = frozenset()
 
 _EXEMPT_BASES = frozenset({
     "Enum", "IntEnum", "Flag", "IntFlag", "NamedTuple", "Protocol",

@@ -50,6 +50,3 @@ class ReturnAddressStack:
         self._top = top
         if top:
             self._stack[(top - 1) % self.depth] = top_value
-
-    def __len__(self) -> int:
-        return min(self._top, self.depth)

@@ -242,7 +242,8 @@ def _cmd_list() -> None:
           "(--days, --max-bytes)")
     print("  check [--format json]       — static analysis: determinism, hot-path")
     print("                                discipline, stage contracts, spec grammar,")
-    print("                                every function has a caller")
+    print("                                every function has a caller by name (the")
+    print("                                run-based check: tools/caller_corpus.py)")
     print("  telemetry summary|export|top FILE — validate/aggregate a JSONL")
     print("                                event stream (--telemetry-out)")
     print(f"benchmarks: {', '.join(BENCHMARK_NAMES)}")
@@ -406,7 +407,12 @@ def _run_studies(specs, options, scheduler: SweepScheduler, benchmarks) -> None:
                 "study-progress", study=_name, done=done, total=total
             )
 
-        run = run_study(spec, context, executor=scheduler, progress=progress)
+        try:
+            run = run_study(spec, context, executor=scheduler, progress=progress)
+        except Exception:
+            # End the open progress line, so the error starts on its own.
+            sys.stderr.write("\n")
+            raise
         telemetry_publish(
             "study-complete", study=spec.name, cells=len(run.plan.cells)
         )

@@ -31,15 +31,6 @@ class ConfidenceMatrix:
         key = (level, correct)
         self._counts[key] = self._counts.get(key, 0) + 1
 
-    def count(self, level: ConfidenceLevel, correct: bool) -> int:
-        """Raw count for one (level, correctness) cell."""
-        return self._counts.get((level, correct), 0)
-
-    @property
-    def total(self) -> int:
-        """Total resolved branches recorded."""
-        return sum(self._counts.values())
-
     @property
     def mispredictions(self) -> int:
         """Total mispredicted branches recorded."""

@@ -80,11 +80,6 @@ class AdaptiveThrottler(SpeculationController):
         self.triggers = 0
 
     @property
-    def policy(self) -> ThrottlePolicy:
-        """The currently active policy."""
-        return self._rungs[self.rung].policy
-
-    @property
     def precision(self) -> float:
         """Fraction of recently resolved triggers that were justified."""
         if not self._outcomes:
@@ -158,8 +153,3 @@ class AdaptiveThrottler(SpeculationController):
         for index, rung in enumerate(self._rungs):
             if index == self.rung or rung.active_token_count:
                 yield rung
-
-    def reset(self) -> None:
-        for rung in self._rungs:
-            rung.reset()
-        self._outcomes.clear()

@@ -70,6 +70,3 @@ class PipelineGatingController(SpeculationController):
         # Replays the side effect of the per-cycle fetch_allowed probes a
         # fast-forwarded gated window skipped.
         self.gated_cycles += count
-
-    def reset(self) -> None:
-        self._outstanding = 0

@@ -101,14 +101,10 @@ class ThrottlePolicy:
         """The action armed when a branch with this confidence is fetched."""
         return self._actions[level]
 
-    def describe(self) -> str:
-        """Figure-legend style description."""
+    def __repr__(self) -> str:
         lc = self._actions[ConfidenceLevel.LC].describe()
         vlc = self._actions[ConfidenceLevel.VLC].describe()
-        return f"{self.name}) LC: {lc}, VLC: {vlc}"
-
-    def __repr__(self) -> str:
-        return f"ThrottlePolicy({self.describe()})"
+        return f"ThrottlePolicy({self.name}) LC: {lc}, VLC: {vlc})"
 
 
 def _policy(name, lc_fetch=_FULL, lc_decode=_FULL, lc_noselect=False,

@@ -107,10 +107,6 @@ class SpeculationController:
         """True if fetch must not proceed past a known misprediction."""
         return False
 
-    def reset(self) -> None:
-        """Clear all armed state (used between measurement phases)."""
-        return None
-
 
 class NullController(SpeculationController):
     """The unthrottled baseline processor."""
@@ -252,7 +248,3 @@ class SelectiveThrottler(SpeculationController):
     def active_token_count(self) -> int:
         """Number of currently armed heuristics."""
         return len(self._tokens)
-
-    def reset(self) -> None:
-        self._tokens.clear()
-        self._recompute()

@@ -62,8 +62,14 @@ def compare(baseline: SimulationResult, candidate: SimulationResult) -> Comparis
     mismatch = abs(baseline.instructions - candidate.instructions)
     if mismatch > 0.01 * baseline.instructions:
         raise ExperimentError(
-            "comparing runs of very different lengths "
-            f"({baseline.instructions} vs {candidate.instructions} instructions)"
+            f"comparing {candidate.label!r} with {baseline.label!r} on "
+            f"{baseline.benchmark}: the runs have very different lengths "
+            f"({baseline.instructions} vs {candidate.instructions} "
+            "instructions, more than 1% apart). A run stops at commit-width "
+            "granularity, up to commit width - 1 instructions past its "
+            "target, so runs shorter than about 100 x (commit width - 1) "
+            "instructions (700 on the Table 3 core) can miss the 1% bound; "
+            "run longer."
         )
     if baseline.execution_seconds <= 0 or baseline.energy_joules <= 0:
         raise ExperimentError("degenerate baseline run")

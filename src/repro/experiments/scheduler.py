@@ -317,43 +317,55 @@ class SweepScheduler:
         batches = plan_batches(pending, self.jobs)
         self._publish_plan(total, cache_hits, pending, batches)
         if self.jobs > 1 and len(batches) > 1:
-            pool = shared_pool(self.jobs)
-            submitted = perf_time()
-            future_map = {
-                pool.submit(execute_batch, [cell for _, cell in batch]): batch
-                for batch in batches
-            }
-            self.batches_dispatched += len(batches)
-            outstanding = set(future_map)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    batch = future_map[future]
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool as error:
-                        # A dead worker fails every batch still in the
-                        # pool; name each cell the sweep still owed.
-                        for other in future_map:
-                            other.cancel()
-                        raise _unsettled_error(
-                            error, pending, fingerprints, self._settled
-                        ) from error
-                    telemetry_replay(payload["events"])
-                    wall = payload["wall_seconds"]
-                    # Parent-observed latency minus worker wall time ≈
-                    # time spent queued behind other batches (plus IPC).
-                    telemetry_publish(
-                        "batch-complete",
-                        cells=len(batch),
-                        wall_seconds=round(wall, 6),
-                        queue_seconds=round(
-                            max(0.0, perf_time() - submitted - wall), 6
-                        ),
-                    )
-                    for (index, cell), result in zip(batch, payload["results"]):
-                        settle(index, cell, result)
-                yield from flush()
+            for retry in (False, True):
+                pool = shared_pool(self.jobs)
+                submitted = perf_time()
+                future_map = {
+                    pool.submit(execute_batch, [cell for _, cell in batch]): batch
+                    for batch in batches
+                }
+                self.batches_dispatched += len(batches)
+                outstanding = set(future_map)
+                broken = None
+                while outstanding and broken is None:
+                    done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        batch = future_map[future]
+                        try:
+                            payload = future.result()
+                        except BrokenProcessPool as error:
+                            broken = error
+                            break
+                        telemetry_replay(payload["events"])
+                        wall = payload["wall_seconds"]
+                        # Parent-observed latency minus worker wall time ≈
+                        # time spent queued behind other batches (plus IPC).
+                        telemetry_publish(
+                            "batch-complete",
+                            cells=len(batch),
+                            wall_seconds=round(wall, 6),
+                            queue_seconds=round(
+                                max(0.0, perf_time() - submitted - wall), 6
+                            ),
+                        )
+                        for (index, cell), result in zip(batch, payload["results"]):
+                            settle(index, cell, result)
+                    yield from flush()
+                if broken is None:
+                    break
+                # A dead worker fails every batch still in the pool.  Rerun
+                # the unsettled batches once on the replacement pool; if
+                # that dies too, name each cell the sweep still owed.
+                for other in future_map:
+                    other.cancel()
+                if retry:
+                    raise _unsettled_error(
+                        broken, pending, fingerprints, self._settled
+                    ) from broken
+                batches = [
+                    batch for batch in batches
+                    if fingerprints[batch[0][0]] not in self._settled
+                ]
         else:
             for batch in batches:
                 self.batches_dispatched += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.isa.opcodes import OPCODE_META, Opcode, OpClass
+from repro.isa.opcodes import OPCODE_META, Opcode
 
 
 class StaticInstruction:
@@ -98,6 +98,13 @@ class DynamicInstruction:
       instruction's per-unit accesses on demand from the flags above
       (see :func:`repro.pipeline.arrays.materialize_tally`), so a
       squashed instruction's activity can be moved to the wasted pool.
+
+    There is no constructor: the fetch stage creates every instance with
+    ``DynamicInstruction.__new__`` and stores only the slots the
+    instruction's kind needs (``pipeline/stages/fetch.py``).  A slot it
+    leaves unset is never read: control-flow slots and ``pc`` exist only
+    on branches, ``mem_address`` only on memory operations, and
+    ``true_index`` only on the true path.
     """
 
     __slots__ = (
@@ -149,92 +156,10 @@ class DynamicInstruction:
         "squashed",
     )
 
-    def __init__(
-        self,
-        seq: int,
-        static: StaticInstruction,
-        thread_id: int = 0,
-        fetch_cycle: int = -1,
-        on_wrong_path: bool = False,
-    ) -> None:
-        self.seq = seq
-        self.static = static
-        self.thread_id = thread_id
-
-        self.phys_dest = -1
-
-        self.issued = False
-        self.completed = False
-        self.woke = False
-
-        self.fetch_cycle = fetch_cycle
-
-        self.on_wrong_path = on_wrong_path
-        self.squashed = False
-
-        # Lazily-populated slots (left unset for speed — the fetch loop
-        # instantiates this class inline, slot by slot, hundreds of
-        # thousands of times per run; this constructor mirrors its store
-        # set for standalone construction):
-        #
-        # * control-flow state (prediction, outcome, checkpoints, resume
-        #   cursors, ``pc``) is only set/read on control instructions
-        #   (every read sits behind an ``is_branch``/``is_cond_branch``
-        #   guard), so non-branches skip those stores entirely;
-        # * later stage cycles are not stored on the instruction at all:
-        #   a pipetrace recovers them by diffing the kernel around each
-        #   stage tick (``repro.tracing.PipelineTracer``);
-        # * ``true_index`` is stamped at fetch on true-path instructions
-        #   and only read at commit (wrong-path work never commits);
-        # * ``mem_address`` is stamped at fetch on memory instructions and
-        #   only read behind ``is_load``/``is_store`` guards;
-        # * ``ready_sources`` is written at rename/dispatch before any
-        #   read.
-        if static.is_branch:
-            self.pc = static.address
-            self.predicted_taken = False
-            self.actual_taken = False
-            self.actual_target = 0
-            self.mispredicted = False
-            self.confidence = None
-            self.lowconf = False
-            self.bpred_snapshot = None
-            self.ras_checkpoint = None
-            self.rename_checkpoint = None
-            self.resume_mode = None
-            self.resume_true_index = -1
-            self.resume_wp_cursor = None
-            self.throttle_token = None
-
     @property
     def opcode(self) -> Opcode:
         """The opcode of the underlying static instruction."""
         return self.static.opcode
-
-    @property
-    def op_class(self) -> OpClass:
-        """The functional-unit class of the underlying static instruction."""
-        return self.static.op_class
-
-    @property
-    def is_branch(self) -> bool:
-        """True for any control-transfer instruction."""
-        return self.static.is_branch
-
-    @property
-    def is_cond_branch(self) -> bool:
-        """True only for conditional branches."""
-        return self.static.is_cond_branch
-
-    @property
-    def is_load(self) -> bool:
-        """True for loads."""
-        return self.static.is_load
-
-    @property
-    def is_store(self) -> bool:
-        """True for stores."""
-        return self.static.is_store
 
     def __repr__(self) -> str:
         flags = []

@@ -1,42 +1,15 @@
 """Set-associative cache model with LRU replacement.
 
 Timing-only: the model tracks which lines are resident and produces
-hit/miss decisions plus statistics; it stores no data.  That is exactly what
-the power/performance evaluation needs — latencies for the timing model and
-access counts for the power model.
+hit/miss decisions; it stores no data.  That is exactly what the
+power/performance evaluation needs: the stages turn each decision into a
+latency for the timing model and an access for the power model.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.utils.bitops import bit_mask, is_power_of_two, log2_exact
-
-
-class CacheStats:
-    """Access counters for one cache."""
-
-    __slots__ = ("accesses", "misses", "evictions")
-
-    def __init__(self) -> None:
-        self.accesses = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def hits(self) -> int:
-        """Number of accesses that hit."""
-        return self.accesses - self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction (0 when never accessed)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.accesses = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class Cache:
@@ -64,16 +37,13 @@ class Cache:
         # allocated on first touch: an untouched set is the shared empty
         # tuple, so a fresh cache costs one list, not one per set.
         self._sets = [()] * self.num_sets
-        self.stats = CacheStats()
 
     def access(self, address: int) -> bool:
         """Access the cache; allocate on miss.  Returns True on a hit."""
         line = address >> self._offset_bits
         index = line & self._set_mask
         tag_set = self._sets[index]
-        self.stats.accesses += 1
         if not tag_set:
-            self.stats.misses += 1
             self._sets[index] = [line]
             return False
         # MRU hit: the overwhelmingly common case, no LRU reordering.
@@ -82,11 +52,9 @@ class Cache:
         try:
             position = tag_set.index(line)
         except ValueError:
-            self.stats.misses += 1
             tag_set.insert(0, line)
             if len(tag_set) > self.ways:
                 tag_set.pop()
-                self.stats.evictions += 1
             return False
         if position:
             tag_set.insert(0, tag_set.pop(position))

@@ -1,9 +1,10 @@
 """The Table-3 memory hierarchy: L1-I, L1-D, unified L2, TLB.
 
 Latencies follow the paper: 1-cycle L1 hits, 6-cycle L2 hits, 18-cycle
-L2 misses (memory).  The hierarchy returns total access latency and keeps
-the per-level access counts the power model consumes (``dcache``,
-``dcache2`` and the I-cache share of the fetch stage in Table 1).
+L2 misses (memory).  The hierarchy returns the total access latency and
+whether L1 hit; the stages turn those into the accesses the power model
+consumes (``dcache``, ``dcache2`` and the I-cache share of the fetch stage
+in Table 1).
 """
 
 from __future__ import annotations
@@ -63,9 +64,3 @@ class MemoryHierarchy:
     def store_data(self, address: int):
         """Data store as ``(latency, l1_hit)`` (write-allocate, like a load)."""
         return self.load_data(address)
-
-    def reset_stats(self) -> None:
-        """Zero all cache statistics (content is preserved)."""
-        self.icache.stats.reset()
-        self.dcache.stats.reset()
-        self.l2.stats.reset()

@@ -22,13 +22,10 @@ class TLB:
         self.miss_penalty = miss_penalty
         self._page_bits = log2_exact(page_bytes)
         self._pages = []  # LRU order, front = MRU
-        self.accesses = 0
-        self.misses = 0
 
     def access(self, address: int) -> int:
         """Translate; return the added latency (0 on hit, penalty on miss)."""
         page = address >> self._page_bits
-        self.accesses += 1
         pages = self._pages
         # MRU hit: the overwhelmingly common case, no LRU reordering.
         if pages and pages[0] == page:
@@ -36,7 +33,6 @@ class TLB:
         try:
             position = self._pages.index(page)
         except ValueError:
-            self.misses += 1
             self._pages.insert(0, page)
             if len(self._pages) > self.entries:
                 self._pages.pop()
@@ -44,8 +40,3 @@ class TLB:
         if position:
             self._pages.insert(0, self._pages.pop(position))
         return 0
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction (0 when never accessed)."""
-        return self.misses / self.accesses if self.accesses else 0.0

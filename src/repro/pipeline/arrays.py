@@ -89,15 +89,6 @@ class LatchArray:
     def __len__(self) -> int:
         return len(self.instrs) - self.head
 
-    def __bool__(self) -> bool:
-        return len(self.instrs) > self.head
-
-    def __iter__(self):
-        return iter(self.instrs[self.head:])
-
-    def __getitem__(self, index: int) -> DynamicInstruction:
-        return self.instrs[self.head + index]
-
     def iter_with_stamps(self):
         """Yield ``(instr, ready_cycle)`` pairs, head to tail.
 
@@ -158,14 +149,6 @@ class CompletionWheel:
         ]
         self.mask = size - 1
         self.far_buckets: Dict[int, List[DynamicInstruction]] = {}
-
-    def __len__(self) -> int:
-        # Cold probe/debug API (tests and ground-truth recomputation,
-        # never a stage tick) — allowlisted from HOT002's sum() ban with
-        # a scoped entry in repro/analysis/hotpath.py.
-        return sum(map(len, self.buckets)) + sum(
-            map(len, self.far_buckets.values())
-        )
 
     def pending_at(self, cycle: int) -> int:
         """Instructions scheduled to complete at ``cycle`` (probe API)."""

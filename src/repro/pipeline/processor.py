@@ -399,7 +399,6 @@ class Processor:
         self.power = PowerModel(
             style=self._clock_gating, attribute_threads=self._attribute_threads,
         )
-        self.memory.reset_stats()
         for thread in self.threads:
             thread.reset_measurement()
         if self.probes is not None:
@@ -418,7 +417,3 @@ class Processor:
                     f"no forward progress: {stats.committed - base} of "
                     f"{instructions} instructions after {self.cycle} cycles"
                 )
-
-    def step(self) -> None:
-        """Advance the machine by one cycle."""
-        self._step()

@@ -65,11 +65,9 @@ class FetchStage(Stage):
         self.fetch_to_decode_latency = config.fetch_to_decode_latency
         self.line_shift = config.line_bytes.bit_length() - 1
         # Stable aliases of the I-cache internals for the inlined MRU
-        # probe (the set array and stats objects are mutated in place,
-        # never rebound).
+        # probe (the set array is mutated in place, never rebound).
         icache = kernel.memory.icache
         self._icache_sets = icache._sets
-        self._icache_stats = icache.stats
         self._icache_set_mask = icache._set_mask
 
     def tick(self, cycle: int, activity) -> None:
@@ -118,10 +116,9 @@ class FetchStage(Stage):
         line_shift = self.line_shift
         # Inlined I-cache MRU probe (same line granularity: both shifts
         # derive from config.line_bytes).  The hit-at-MRU case — the
-        # overwhelmingly common one — accounts the access and skips two
-        # call frames; anything else takes the full hierarchy walk.
+        # overwhelmingly common one — skips two call frames; anything
+        # else takes the full hierarchy walk.
         icache_sets = self._icache_sets
-        icache_stats = self._icache_stats
         icache_set_mask = self._icache_set_mask
         mem_offset = thread.mem_offset
         thread_id = thread.thread_id
@@ -184,9 +181,7 @@ class FetchStage(Stage):
             line = address >> line_shift
             if line != current_line:
                 tag_set = icache_sets[line & icache_set_mask]
-                if tag_set and tag_set[0] == line:
-                    icache_stats.accesses += 1
-                else:
+                if not tag_set or tag_set[0] != line:
                     latency, l1_hit = memory.fetch_line(address)
                     if not l1_hit:
                         activity[_ICACHE] += 1

@@ -119,7 +119,7 @@ def _derive_tables(table, style, idle_fraction):
       and under cc3 ``max_watts * (idle + (1-idle)*0.0) * cycle_s``,
       which reduces bitwise to ``(max_watts * idle) * cycle_s`` (adding
       a true 0.0 is exact), so the idle case is a single accumulate;
-    * per-(unit, access-count) usage/energy/dynamic delta tables for the
+    * per-(unit, access-count) energy/dynamic delta tables for the
       table-driven active-unit accumulation (counts past the table fall
       back to the inline expressions, which are arithmetically identical);
     * the non-clock unit order and the idle-cycle (unit, energy) pairs.
@@ -150,7 +150,6 @@ def _derive_tables(table, style, idle_fraction):
             )
             rows.append(
                 (
-                    usage,
                     power * cycle_s,
                     table.max_watts[unit] * active * usage * cycle_s,
                 )
@@ -182,7 +181,7 @@ class PowerModel:
     __slots__ = (
         "table", "style", "idle_fraction", "cycles", "unit_energy",
         "dynamic_energy", "wasted_energy", "unit_accesses",
-        "squashed_accesses", "usage_sum",
+        "squashed_accesses",
         "wasted_instr_cycles", "committed_instr_cycles",
         "attribute_threads", "_thread_ledger", "_commit_energy", "_cc3",
         "_energy_per_access", "_idle_energy", "_count_tables",
@@ -211,8 +210,6 @@ class PowerModel:
         # Access counts: all observed, and those of squashed instructions.
         self.unit_accesses = [0] * NUM_UNITS
         self.squashed_accesses = [0] * NUM_UNITS
-        # Utilisation accumulators (for calibration).
-        self.usage_sum = [0.0] * NUM_UNITS
         # Clock attribution: instruction-cycles, split at retirement.
         self.wasted_instr_cycles = 0
         self.committed_instr_cycles = 0
@@ -264,13 +261,12 @@ class PowerModel:
         style = self.style
         unit_energy = self.unit_energy
         dynamic_energy = self.dynamic_energy
-        usage_sum = self.usage_sum
 
         if self._cc3:
             # The paper's configuration; this is the per-cycle hot loop of
             # the whole simulator.  Idle units (most units, most cycles)
             # take the single-accumulate shortcut; active units pull their
-            # usage/energy/dynamic deltas from the per-access-count tables
+            # energy/dynamic deltas from the per-access-count tables
             # precomputed in the constructor with exactly the generic
             # loop's expressions, so the accumulated floats are
             # bit-identical either way.
@@ -278,7 +274,6 @@ class PowerModel:
                 # Fully idle cycle: every unit adds its idle constant.
                 for unit, energy in self._idle_pairs:
                     unit_energy[unit] += energy
-                usage_sum[_CLOCK] += occupancy
                 power = max_watts[_CLOCK] * (idle + (1.0 - idle) * occupancy)
                 unit_energy[_CLOCK] += power * cycle_s
                 dynamic_energy[_CLOCK] += (
@@ -296,17 +291,15 @@ class PowerModel:
                 unit_accesses[unit] += accesses
                 table = count_tables[unit]
                 if accesses < _COUNT_TABLE_SIZE:
-                    usage, energy, dynamic = table[accesses]
+                    energy, dynamic = table[accesses]
                 else:  # beyond the table: identical inline arithmetic
                     usage = accesses / ports[unit]
                     if usage > 1.0:
                         usage = 1.0
                     energy = max_watts[unit] * (idle + (1.0 - idle) * usage) * cycle_s
                     dynamic = max_watts[unit] * (1.0 - idle) * usage * cycle_s
-                usage_sum[unit] += usage
                 unit_energy[unit] += energy
                 dynamic_energy[unit] += dynamic
-            usage_sum[_CLOCK] += occupancy
             power = max_watts[_CLOCK] * (idle + (1.0 - idle) * occupancy)
             unit_energy[_CLOCK] += power * cycle_s
             dynamic_energy[_CLOCK] += (
@@ -324,7 +317,6 @@ class PowerModel:
                 usage = accesses / ports[unit]
                 if usage > 1.0:
                     usage = 1.0
-            usage_sum[unit] += usage
 
             if style is ClockGatingStyle.CC0:
                 power = max_watts[unit]
@@ -379,7 +371,6 @@ class PowerModel:
             active = clock_watts
         idle_pairs = self._idle_pairs
         clock = (
-            (self.usage_sum, occupancy),
             (unit_energy, power * cycle_s),
             (self.dynamic_energy, active * occupancy * cycle_s),
         )
@@ -554,9 +545,3 @@ class PowerModel:
                 "wasted_of_overall": wasted_overall,
             }
         return result
-
-    def average_utilization(self) -> dict:
-        """Mean per-unit cc3 usage (feeds calibration)."""
-        if self.cycles == 0:
-            return {unit: 0.0 for unit in PowerUnit}
-        return {unit: self.usage_sum[unit] / self.cycles for unit in PowerUnit}

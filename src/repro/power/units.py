@@ -8,8 +8,9 @@ dcache 10.6%, icache 10.0%, resultbus 9.5%, alu 8.7%, bpred 3.8%, lsq 1.9%,
 regfile 1.6%, rename 1.1%, dcache2 0.7%.  Savings experiments then compare
 runs under the *same* fixed table, so relative results are meaningful.
 
-``default_unit_powers()`` returns the shipped calibration (computed once by
-``repro.power.calibrate`` over the eight-benchmark suite and frozen here).
+``default_unit_powers()`` returns the shipped calibration: the solve of
+:func:`calibrated_unit_powers` over a frozen table of per-unit baseline
+utilisations (see ``_BASELINE_UTILIZATION`` for where it came from).
 """
 
 from __future__ import annotations
@@ -87,9 +88,13 @@ DEFAULT_PORTS: Dict[PowerUnit, int] = {
     PowerUnit.CLOCK: 1,  # usage is the pipeline-occupancy fraction
 }
 
-# Average cc3 utilisation of each unit measured on the baseline suite.
-# Frozen output of repro/power/calibrate.py; regenerate with
-#   python -m repro.power.calibrate
+# Average cc3 utilisation of each unit on the baseline suite: the mean,
+# over the eight benchmarks at 30k instructions after a 10k warm-up, of
+# each unit's per-cycle usage (accesses / ports, capped at 1; the clock's
+# usage is the pipeline-occupancy fraction).  It was measured once by a
+# calibration script that has since been deleted, and is frozen here: the
+# table is an input of every result, so re-measuring it would move every
+# golden.
 _BASELINE_UTILIZATION: Dict[PowerUnit, float] = {
     PowerUnit.ICACHE: 0.532,
     PowerUnit.BPRED: 0.168,

@@ -168,12 +168,6 @@ class Program:
             if block.behavior is not None:
                 block.behavior.reset()
 
-    def static_instruction_count(self) -> int:
-        """Total number of static instructions in the program text."""
-        return sum(len(block.instructions) for block in self.blocks)
-
     def __repr__(self) -> str:
-        return (
-            f"Program({self.name!r}, {len(self.blocks)} blocks, "
-            f"{self.static_instruction_count()} instrs)"
-        )
+        count = sum(len(block.instructions) for block in self.blocks)
+        return f"Program({self.name!r}, {len(self.blocks)} blocks, {count} instrs)"

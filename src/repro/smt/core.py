@@ -114,11 +114,6 @@ class SmtProcessor(Processor):
         ]
         self._finish_threads()
 
-    @property
-    def nthreads(self) -> int:
-        """Number of hardware threads."""
-        return len(self.threads)
-
     # ------------------------------------------------------------------
     # Driving: per-thread instruction targets
     # ------------------------------------------------------------------

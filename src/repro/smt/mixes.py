@@ -38,11 +38,6 @@ class MixSpec:
     description: str
     seed: int = 2003
 
-    @property
-    def nthreads(self) -> int:
-        """Number of hardware threads the mix occupies."""
-        return len(self.benchmarks)
-
     def thread_seeds(self, base_seed: int = None) -> List[int]:
         """The per-thread seeds (derived from ``base_seed`` or the default)."""
         base = self.seed if base_seed is None else base_seed

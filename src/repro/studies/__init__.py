@@ -9,7 +9,7 @@ contract and how to register a new study.
 
 from repro.studies import library as _library  # populates the registry
 from repro.studies import fidelity as _fidelity  # registers last: reads the rest
-from repro.studies.registry import all_studies, get_study, register, study_names
+from repro.studies.registry import all_studies, get_study, register
 from repro.studies.spec import (
     Axis,
     StudyContext,
@@ -28,6 +28,5 @@ __all__ = [
     "run_study",
     "register",
     "get_study",
-    "study_names",
     "all_studies",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ExperimentError
 from repro.studies.spec import StudySpec
@@ -18,18 +18,13 @@ def register(spec: StudySpec) -> StudySpec:
     return spec
 
 
-def study_names() -> List[str]:
-    """All registered study names, in registration order."""
-    return list(_REGISTRY)
-
-
 def get_study(name: str) -> StudySpec:
     """Look a study up by name, failing with the valid choices."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ExperimentError(
-            f"unknown study {name!r}; known: {', '.join(study_names())}"
+            f"unknown study {name!r}; known: {', '.join(_REGISTRY)}"
         ) from None
 
 

@@ -8,7 +8,7 @@ for pipetrace diagrams, latency histograms and wrong-path forensics::
     tracer = PipelineTracer(capacity=2000)
     processor.attach_tracer(tracer)
     processor.run(...)
-    print(render_pipetrace(tracer.committed()[:40]))
+    print(render_pipetrace(tracer.traces()[:40]))
 
 The stages know nothing of the tracer.  Attaching it binds the checked
 stepper (``CycleScheduler.step_checked``), which calls :meth:`before`
@@ -289,12 +289,6 @@ class PipelineTracer:
         """All recorded traces, oldest first."""
         return list(self._traces)
 
-    def committed(self) -> List[InstructionTrace]:
-        return [t for t in self._traces if not t.squashed]
-
-    def squashed(self) -> List[InstructionTrace]:
-        return [t for t in self._traces if t.squashed]
-
     def mispredicted_branches(self) -> List[InstructionTrace]:
         """Committed mispredicted conditional branches (squash roots)."""
         return [
@@ -302,12 +296,6 @@ class PipelineTracer:
             for t in self._traces
             if t.mispredicted and not t.squashed and not t.on_wrong_path
         ]
-
-    def clear(self) -> None:
-        """Drop the recorded traces and counts; in-flight marks are kept."""
-        self._traces.clear()
-        self.committed_count = 0
-        self.squashed_count = 0
 
 
 # (before, after) diff hooks by stage name; fetch needs none.  Plain

@@ -29,6 +29,50 @@ def level_active(level: BandwidthLevel, cycle: int) -> bool:
     return cycle % period == 0
 
 
+def dynamic_instruction(
+    seq: int,
+    static: StaticInstruction,
+    thread_id: int = 0,
+    fetch_cycle: int = -1,
+    on_wrong_path: bool = False,
+) -> DynamicInstruction:
+    """A standalone in-flight instruction, slot for slot as fetch builds one.
+
+    ``DynamicInstruction`` has no constructor: the fetch stage creates
+    each instance with ``__new__`` and stores only the slots its kind
+    needs.  This helper stores the same set: the control-flow slots (and
+    ``pc``) only on branches; ``true_index``, ``mem_address`` and
+    ``ready_sources`` are left for the test to set where it needs them.
+    """
+    instr = DynamicInstruction.__new__(DynamicInstruction)
+    instr.seq = seq
+    instr.static = static
+    instr.thread_id = thread_id
+    instr.phys_dest = -1
+    instr.issued = False
+    instr.completed = False
+    instr.woke = False
+    instr.fetch_cycle = fetch_cycle
+    instr.on_wrong_path = on_wrong_path
+    instr.squashed = False
+    if static.is_branch:
+        instr.pc = static.address
+        instr.predicted_taken = False
+        instr.actual_taken = False
+        instr.actual_target = 0
+        instr.mispredicted = False
+        instr.confidence = None
+        instr.lowconf = False
+        instr.bpred_snapshot = None
+        instr.ras_checkpoint = None
+        instr.rename_checkpoint = None
+        instr.resume_mode = None
+        instr.resume_true_index = -1
+        instr.resume_wp_cursor = None
+        instr.throttle_token = None
+    return instr
+
+
 def small_shape() -> ProgramShape:
     """A compact program shape for fast unit tests."""
     return ProgramShape(
@@ -83,7 +127,7 @@ def backend_processor(controller=None, **overrides) -> Processor:
 def backend_instr(seq, opcode=Opcode.ADD, dest=3, sources=(1, 2)):
     """A true-path instruction ready to be handed to rename."""
     static = StaticInstruction(seq * 4, opcode, dest=dest, sources=sources)
-    instr = DynamicInstruction(seq, static, fetch_cycle=0)
+    instr = dynamic_instruction(seq, static, fetch_cycle=0)
     instr.true_index = seq
     if static.is_mem:
         instr.mem_address = 0x1000_0000 + 64 * seq

@@ -85,7 +85,8 @@ def test_ras_len_bounded_by_depth():
     ras = ReturnAddressStack(4)
     for i in range(10):
         ras.push(i)
-    assert len(ras) == 4
+    # The circular stack keeps only the four newest return addresses.
+    assert [ras.pop() for _ in range(4)] == [9, 8, 7, 6]
 
 
 def test_ras_invalid_depth():

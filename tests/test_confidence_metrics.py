@@ -9,7 +9,6 @@ from repro.bpred.gshare import GSharePredictor
 
 def test_empty_matrix_is_zero():
     matrix = ConfidenceMatrix()
-    assert matrix.total == 0
     assert matrix.spec() == 0.0
     assert matrix.pvn() == 0.0
 
@@ -40,16 +39,6 @@ def test_vlc_counts_as_low_confidence():
     matrix.record(ConfidenceLevel.VLC, correct=False)
     assert matrix.spec() == 1.0
     assert matrix.pvn() == 1.0
-
-
-def test_level_fractions_sum_to_one():
-    matrix = ConfidenceMatrix()
-    for level in ConfidenceLevel:
-        matrix.record(level, correct=True)
-    total = sum(
-        matrix.count(level, True) / matrix.total for level in ConfidenceLevel
-    )
-    assert abs(total - 1.0) < 1e-12
 
 
 def test_perfect_estimator_is_perfect():

@@ -8,10 +8,11 @@ from repro.core.policy import experiment_policy
 from repro.errors import ConfigurationError
 from repro.isa.instruction import DynamicInstruction, StaticInstruction
 from repro.isa.opcodes import Opcode
+from tests.conftest import dynamic_instruction
 
 
 def _branch(seq: int, mispredicted: bool) -> DynamicInstruction:
-    instr = DynamicInstruction(
+    instr = dynamic_instruction(
         seq, StaticInstruction(seq * 4, Opcode.BR_COND, sources=(1,))
     )
     instr.mispredicted = mispredicted
@@ -97,7 +98,7 @@ def test_in_flight_tokens_survive_a_rung_switch():
 def test_custom_ladder_accepted():
     ladder = [experiment_policy("A5"), experiment_policy("C2")]
     throttler = AdaptiveThrottler(ladder=ladder, start_rung=0)
-    assert throttler.policy.name == "A5"
+    assert throttler._rungs[throttler.rung].policy.name == "A5"
 
 
 def test_parameter_validation():

@@ -140,5 +140,5 @@ def test_list_experiments_complete():
 
 
 def test_policy_describe_mentions_actions():
-    text = experiment_policy("C2").describe()
+    text = repr(experiment_policy("C2"))
     assert "fetch/4" in text and "noselect" in text

@@ -4,20 +4,21 @@ from repro.confidence.base import ConfidenceLevel
 from repro.core.gating import PipelineGatingController
 from repro.core.policy import experiment_policy
 from repro.core.throttler import NullController, SelectiveThrottler
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 
 import pytest
 
 from repro.errors import ConfigurationError
+from tests.conftest import dynamic_instruction
 
 
 def _branch(seq):
-    return DynamicInstruction(seq, StaticInstruction(seq * 4, Opcode.BR_COND, sources=(2,)))
+    return dynamic_instruction(seq, StaticInstruction(seq * 4, Opcode.BR_COND, sources=(2,)))
 
 
 def _body(seq):
-    return DynamicInstruction(seq, StaticInstruction(seq * 4, Opcode.ADD, dest=3))
+    return dynamic_instruction(seq, StaticInstruction(seq * 4, Opcode.ADD, dest=3))
 
 
 # --- null controller ----------------------------------------------------
@@ -136,13 +137,6 @@ def test_trigger_statistics():
     assert throttler.triggers == 2
     assert throttler.triggers_by_level[ConfidenceLevel.LC] == 1
     assert throttler.triggers_by_level[ConfidenceLevel.VLC] == 1
-
-
-def test_reset_clears_tokens():
-    throttler = SelectiveThrottler(experiment_policy("A6"))
-    throttler.on_branch_fetched(_branch(1), ConfidenceLevel.LC)
-    throttler.reset()
-    assert all(throttler.fetch_allowed(c) for c in range(4))
 
 
 # --- pipeline gating --------------------------------------------------------

@@ -119,7 +119,8 @@ def _counters(stats) -> dict:
     }
     matrix = stats.confidence
     counters["confidence"] = (
-        matrix.total, matrix.mispredictions, matrix.spec(), matrix.pvn(),
+        matrix.low_confidence_total(), matrix.mispredictions, matrix.spec(),
+        matrix.pvn(),
     )
     return counters
 

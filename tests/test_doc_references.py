@@ -77,9 +77,9 @@ def test_every_named_script_exists():
 
 
 def test_every_named_study_is_registered():
-    from repro.studies import study_names
+    from repro.studies import all_studies
 
-    known = set(study_names())
+    known = set(all_studies())
     named = [
         (source, number, name)
         for source, number, command in _references(STUDY_RUN)

@@ -73,6 +73,19 @@ def test_compare_rejects_big_length_mismatch():
         compare(_result(instructions=1000), _result(instructions=1500))
 
 
+def test_a_length_mismatch_names_the_comparison_and_the_granularity():
+    with pytest.raises(ExperimentError) as info:
+        compare(
+            _result(label="baseline", instructions=300),
+            _result(label="C2", instructions=306),
+        )
+    message = str(info.value)
+    assert "'C2' with 'baseline' on go" in message
+    assert "(300 vs 306 instructions" in message
+    assert "commit-width granularity" in message
+    assert "100 x (commit width - 1)" in message
+
+
 # --- make_controller ---------------------------------------------------------
 
 def test_make_controller_kinds():

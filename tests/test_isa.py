@@ -9,6 +9,7 @@ from repro.isa.opcodes import (
     OpClass,
 )
 from repro.isa.registers import NUM_ARCH_REGS, REG_SP, REG_ZERO
+from tests.conftest import dynamic_instruction
 
 
 def test_every_opcode_has_class_and_latency():
@@ -48,10 +49,10 @@ def test_static_instruction_branch_flags():
 
 def test_dynamic_instruction_defaults():
     static = StaticInstruction(0x2000, Opcode.LOAD, dest=7, sources=(2,))
-    dyn = DynamicInstruction(42, static)
+    dyn = dynamic_instruction(42, static)
     assert dyn.seq == 42
     assert dyn.static.address == 0x2000
-    assert dyn.is_load and not dyn.is_store
+    assert dyn.static.is_load and not dyn.static.is_store
     assert not dyn.issued and not dyn.completed and not dyn.squashed
     assert dyn.fetch_cycle == -1
     assert dyn.phys_dest == -1
@@ -60,10 +61,10 @@ def test_dynamic_instruction_defaults():
 def test_dynamic_instruction_branch_only_slots():
     # ``pc`` (and the other control-flow slots) exist only on branches —
     # the packet-friendly lazily-populated slot contract.
-    branch = DynamicInstruction(1, StaticInstruction(0x3000, Opcode.BR_COND))
+    branch = dynamic_instruction(1, StaticInstruction(0x3000, Opcode.BR_COND))
     assert branch.pc == 0x3000
     assert branch.predicted_taken is False
-    load = DynamicInstruction(2, StaticInstruction(0x2000, Opcode.LOAD, dest=7))
+    load = dynamic_instruction(2, StaticInstruction(0x2000, Opcode.LOAD, dest=7))
     assert not hasattr(load, "pc")
     # Later stage cycles live in the pipetrace recorder, not on the
     # instruction: only the fetch cycle is a slot.
@@ -75,15 +76,13 @@ def test_dynamic_instruction_branch_only_slots():
 
 def test_dynamic_instruction_properties_delegate():
     static = StaticInstruction(0x2000, Opcode.STORE, sources=(2, 3))
-    dyn = DynamicInstruction(1, static)
+    dyn = dynamic_instruction(1, static)
     assert dyn.opcode is Opcode.STORE
-    assert dyn.op_class is OpClass.MEM_WRITE
-    assert dyn.is_store
 
 
 def test_dynamic_repr_mentions_squash_state():
     static = StaticInstruction(0x2000, Opcode.ADD, dest=4)
-    dyn = DynamicInstruction(1, static)
+    dyn = dynamic_instruction(1, static)
     dyn.on_wrong_path = True
     dyn.squashed = True
     text = repr(dyn)

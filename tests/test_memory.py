@@ -27,8 +27,6 @@ def test_cache_miss_then_hit_same_line():
     assert not cache.access(0x100)
     assert cache.access(0x100)
     assert cache.access(0x11C)  # same 32-byte line
-    assert cache.stats.misses == 1
-    assert cache.stats.hits == 2
 
 
 def test_cache_lru_eviction():
@@ -37,17 +35,9 @@ def test_cache_lru_eviction():
     cache.access(0x100)
     cache.access(0x000)  # refresh
     cache.access(0x200)  # evicts 0x100
-    assert cache.stats.evictions == 1
+    assert cache._sets[0] == [0x200 >> 5, 0x000 >> 5]  # MRU first
     assert cache.access(0x000)
     assert not cache.access(0x100)
-
-
-def test_cache_stats_reset():
-    cache = Cache("t", 1024, 2, 32)
-    cache.access(0x100)
-    cache.stats.reset()
-    assert cache.stats.accesses == 0
-    assert cache.stats.miss_rate == 0.0
 
 
 # --- TLB --------------------------------------------------------------------
@@ -56,7 +46,6 @@ def test_tlb_miss_penalty_then_hit():
     tlb = TLB(entries=4, page_bytes=4096, miss_penalty=30)
     assert tlb.access(0x1000) == 30
     assert tlb.access(0x1FFC) == 0  # same page
-    assert tlb.miss_rate == 0.5
 
 
 def test_tlb_lru_eviction():
@@ -114,11 +103,3 @@ def test_hierarchy_extra_dcache_latency():
     memory = MemoryHierarchy(extra_dcache_latency=2)
     memory.load_data(0x1000)
     assert memory.load_data(0x1000)[0] == 3
-
-
-def test_hierarchy_reset_stats_preserves_content():
-    memory = MemoryHierarchy()
-    memory.load_data(0x1000)
-    memory.reset_stats()
-    assert memory.dcache.stats.accesses == 0
-    assert memory.load_data(0x1000)[1]  # line still resident

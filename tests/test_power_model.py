@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.power.model import ClockGatingStyle, PowerModel, repeated_add
 from repro.power.units import (
@@ -19,6 +19,7 @@ from repro.power.units import (
     calibrated_unit_powers,
     default_unit_powers,
 )
+from tests.conftest import dynamic_instruction
 
 
 def _flat_table(watts=10.0):
@@ -84,7 +85,7 @@ def test_clock_uses_occupancy():
 
 def test_squashed_attribution_moves_energy_to_wasted():
     model = PowerModel(_flat_table(), ClockGatingStyle.CC3)
-    instr = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
+    instr = dynamic_instruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
     tally = [0] * NUM_UNITS
     tally[PowerUnit.ALU] = 2
     instr.fetch_cycle = 0
@@ -96,7 +97,7 @@ def test_squashed_attribution_moves_energy_to_wasted():
 
 def test_committed_instruction_counts_clock_cycles():
     model = PowerModel(_flat_table())
-    instr = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
+    instr = dynamic_instruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
     instr.fetch_cycle = 2
     model.credit_committed(instr, now_cycle=10, tally=[0] * NUM_UNITS)
     assert model.committed_instr_cycles == 8
@@ -106,10 +107,10 @@ def test_wasted_clock_energy_proportional_to_wrong_cycles():
     model = PowerModel(_flat_table())
     # one cycle of full clock activity
     model.end_cycle([0] * NUM_UNITS, occupancy=1.0)
-    squashed = DynamicInstruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
+    squashed = dynamic_instruction(0, StaticInstruction(0, Opcode.ADD, dest=3))
     squashed.fetch_cycle = 0
     model.credit_squashed(squashed, now_cycle=3, tally=[0] * NUM_UNITS)
-    committed = DynamicInstruction(1, StaticInstruction(4, Opcode.ADD, dest=3))
+    committed = dynamic_instruction(1, StaticInstruction(4, Opcode.ADD, dest=3))
     committed.fetch_cycle = 0
     model.credit_committed(committed, now_cycle=9, tally=[0] * NUM_UNITS)
     # 3 wrong cycles of 12 retired-instruction cycles; the paper's
@@ -154,17 +155,6 @@ def test_unit_power_table_validation():
         UnitPowerTable({}, DEFAULT_PORTS)
     with pytest.raises(ConfigurationError):
         UnitPowerTable({unit: -1.0 for unit in PowerUnit}, DEFAULT_PORTS)
-
-
-def test_average_utilization_tracks_usage():
-    model = PowerModel(_flat_table())
-    activity = [0] * NUM_UNITS
-    activity[PowerUnit.DCACHE] = 1  # 0.5 usage
-    model.end_cycle(activity, occupancy=0.25)
-    model.end_cycle([0] * NUM_UNITS, occupancy=0.25)
-    utilization = model.average_utilization()
-    assert math.isclose(utilization[PowerUnit.DCACHE], 0.25)
-    assert math.isclose(utilization[PowerUnit.CLOCK], 0.25)
 
 
 # ----------------------------------------------------------------------
@@ -237,4 +227,3 @@ def test_idle_window_close_equals_stepped_idle_cycles(count):
             assert batched.cycles == stepped.cycles, style
             assert batched.unit_energy == stepped.unit_energy, (style, occupancy)
             assert batched.dynamic_energy == stepped.dynamic_energy, (style, occupancy)
-            assert batched.usage_sum == stepped.usage_sum, (style, occupancy)

@@ -91,14 +91,25 @@ def test_commit_order_is_program_order(fresh_program):
 
 def test_reset_measurement_keeps_state(fresh_program):
     processor = Processor(table3_config(), fresh_program, seed=42)
+    icache = processor.memory.icache
+    access = icache.access
+    misses = [0]
+
+    def counting(address):
+        hit = access(address)
+        misses[0] += not hit
+        return hit
+
+    icache.access = counting  # every non-MRU I-cache probe comes through here
     processor.run(2000)
-    misses_before = processor.memory.icache.stats.misses
+    misses_before = misses[0]
     processor.reset_measurement()
     assert processor.stats.committed == 0
     assert processor.power.total_energy() == 0.0
+    misses[0] = 0
     processor.run(1000)
     # warm icache: far fewer cold misses in the second window
-    assert processor.memory.icache.stats.misses < misses_before
+    assert misses[0] < misses_before
 
 
 def test_warmup_window_discards_statistics(fresh_program):
@@ -198,7 +209,7 @@ def test_build_estimator_kinds():
 def test_rob_never_holds_squashed(fresh_program):
     processor = Processor(table3_config(), fresh_program, seed=42)
     for _ in range(3000):
-        processor.step()
+        processor._step()
         assert all(not instr.squashed for instr in processor.threads[0].rob.entries)
 
 

@@ -44,9 +44,8 @@ def test_finalize_assigns_contiguous_addresses():
 
 def test_counts():
     program = _two_block_program()
-    assert program.static_instruction_count() == sum(
-        len(b.instructions) for b in program.blocks
-    )
+    count = sum(len(b.instructions) for b in program.blocks)
+    assert repr(program).endswith(f"{count} instrs)")
 
 
 def test_cond_block_requires_behavior():

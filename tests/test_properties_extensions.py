@@ -12,13 +12,13 @@ from repro.core.levels import BandwidthLevel
 from repro.core.policy import ThrottleAction, ThrottlePolicy
 from repro.core.throttler import SelectiveThrottler
 from repro.isa.opcodes import FU_MEM_READ, Opcode, OpClass
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.isa.instruction import StaticInstruction
 from repro.frontend.supply import CompiledSupply
 from repro.pipeline.config import table3_config
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.program.generator import ProgramGenerator, ProgramShape
 from repro.report.ascii import bar_chart
-from tests.conftest import level_active
+from tests.conftest import dynamic_instruction, level_active
 
 
 @given(
@@ -56,7 +56,7 @@ def test_throttler_aggregate_is_max_of_armed(events):
     armed = {}
     for seq, (level_index, release) in enumerate(events):
         level = ConfidenceLevel(level_index)
-        branch = DynamicInstruction(
+        branch = dynamic_instruction(
             seq, StaticInstruction(seq * 4, Opcode.BR_COND, sources=(1,))
         )
         if release and armed:

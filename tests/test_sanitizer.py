@@ -28,7 +28,7 @@ def _sanitized_processor(seed=42):
 
 def _run_cycles(processor, cycles):
     for _ in range(cycles):
-        processor.step()
+        processor._step()
 
 
 def test_sanitize_flag_selects_checked_stepper():
@@ -82,7 +82,7 @@ def test_latch_timestamp_regression_is_caught():
     # push the head's ready stamp past its successor's: a violation of
     # latch_ready monotonicity (FIFO order would be lost).
     for _ in range(3000):
-        processor.step()
+        processor._step()
         if len(thread.fetch_latch) >= 2:
             break
     else:

@@ -380,6 +380,32 @@ def test_dead_worker_names_every_unsettled_cell(monkeypatch, serial_results):
         shutdown_shared_pool()
 
 
+def test_a_worker_that_dies_once_is_retried_on_a_fresh_pool(
+    monkeypatch, serial_results, tmp_path
+):
+    cells = _grid()
+    doomed = cells[2]  # A5 on gzip
+    died = tmp_path / "died"
+    real = engine.execute_cell
+
+    def execute_or_die_once(cell):
+        if cell == doomed and not died.exists():
+            died.touch()
+            os._exit(1)
+        return real(cell)
+
+    # Workers fork from this process, so a fresh pool inherits the patch.
+    shutdown_shared_pool()
+    monkeypatch.setattr(engine, "execute_cell", execute_or_die_once)
+    try:
+        results = SweepScheduler(jobs=2).run_cells(cells)
+    finally:
+        shutdown_shared_pool()
+        monkeypatch.undo()
+    assert died.exists()
+    assert results == serial_results
+
+
 def test_scheduler_counts_batches():
     scheduler = SweepScheduler(jobs=3)
     scheduler.run_cells(_grid())

@@ -265,7 +265,7 @@ def test_mix_registry():
     with pytest.raises(WorkloadError):
         mix_spec("mix9-unknown")
     spec = mix_spec("mix4-branchy")
-    assert spec.nthreads == 4
+    assert len(spec.benchmarks) == 4
 
 
 def test_homogeneous_mix_gets_distinct_program_instances():

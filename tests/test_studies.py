@@ -14,7 +14,6 @@ from repro.studies import (
     get_study,
     register,
     run_study,
-    study_names,
 )
 from repro.studies.library import (
     FIGURE3_EXPERIMENTS,
@@ -30,7 +29,7 @@ _CTX = StudyContext(benchmarks=("gzip",), instructions=900, warmup=200)
 # --- registry ----------------------------------------------------------------
 
 def test_registry_contains_the_expected_studies():
-    names = study_names()
+    names = list(all_studies())
     for expected in (
         "figure1", "figure3", "figure4", "figure5", "figure6", "figure7",
         "table1", "estimator-swap", "escalation-rule", "gating-threshold",
@@ -221,7 +220,7 @@ def test_smt_study_runs_through_an_experiment_runner():
 def test_all_studies_is_a_copy():
     studies = all_studies()
     studies.pop("figure1")
-    assert "figure1" in study_names()
+    assert "figure1" in all_studies()
 
 
 # --- CLI ---------------------------------------------------------------------

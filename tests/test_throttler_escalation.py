@@ -7,6 +7,7 @@ from repro.core.throttler import SelectiveThrottler
 from repro.isa.instruction import DynamicInstruction
 from repro.isa.opcodes import Opcode
 from repro.isa.instruction import StaticInstruction
+from tests.conftest import dynamic_instruction
 
 
 def _policy() -> ThrottlePolicy:
@@ -18,7 +19,7 @@ def _policy() -> ThrottlePolicy:
 
 
 def _branch(seq: int) -> DynamicInstruction:
-    return DynamicInstruction(
+    return dynamic_instruction(
         seq, StaticInstruction(seq * 4, Opcode.BR_COND, sources=(1,))
     )
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.isa.instruction import DynamicInstruction, StaticInstruction
+from repro.isa.instruction import StaticInstruction
 from repro.isa.opcodes import Opcode
 from repro.pipeline.config import table3_config
 from repro.pipeline.processor import Processor
@@ -19,6 +19,7 @@ from repro.tracing import (
 )
 from repro.tracing.render import wrong_path_shadow_report
 from repro.workloads.suite import benchmark_spec
+from tests.conftest import dynamic_instruction
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_PATH = os.path.join(_ROOT, "examples", "wrong_path_forensics.py")
@@ -26,7 +27,7 @@ EXAMPLE_GOLDEN = os.path.join(_ROOT, "tests", "goldens", "wrong_path_forensics.t
 
 
 def _fake_instr(seq, wrong_path=False, opcode=Opcode.ADD):
-    return DynamicInstruction(
+    return dynamic_instruction(
         seq, StaticInstruction(seq * 4, opcode, dest=3),
         fetch_cycle=seq, on_wrong_path=wrong_path,
     )
@@ -55,8 +56,7 @@ def test_tracer_records_commits_and_squashes():
     tracer.record(squashed, 11)
     assert tracer.committed_count == 1
     assert tracer.squashed_count == 1
-    assert len(tracer.committed()) == 1
-    assert len(tracer.squashed()) == 1
+    assert [trace.squashed for trace in tracer.traces()] == [False, True]
 
 
 def test_tracer_capacity_keeps_most_recent():
@@ -157,7 +157,8 @@ def test_tracer_in_full_simulation():
     branches = tracer.mispredicted_branches()
     assert branches, "expected mispredicted branches in the window"
     # Committed instructions must show a monotone stage progression.
-    for trace in tracer.committed()[:200]:
+    committed = [trace for trace in tracer.traces() if not trace.squashed]
+    for trace in committed[:200]:
         events = trace.stage_events()
         cycles = [cycle for cycle, _ in events]
         assert cycles == sorted(cycles)
@@ -175,16 +176,9 @@ def test_tracer_marks_retire_with_their_instructions():
     in_flight = {instr.seq for thread in processor.threads
                  for instr in thread.rob_entries}
     for thread in processor.threads:
-        in_flight.update(instr.seq for instr in thread.decode_latch)
+        latch = thread.decode_latch
+        in_flight.update(instr.seq for instr in latch.instrs[latch.head:])
     assert set(tracer._marks) == in_flight
-
-
-def test_clear_resets_everything():
-    tracer = PipelineTracer()
-    tracer.record(_fake_instr(0), 9)
-    tracer.clear()
-    assert not tracer.traces()
-    assert tracer.committed_count == 0
 
 
 def test_wrong_path_forensics_example_matches_its_golden(monkeypatch, capsys):
